@@ -5,68 +5,17 @@ the closed-form gain series with its derivatives and curvature bound, the
 block-level rate/energy/efficiency model with its analytic ceiling, a
 Dinkelbach + SCA position optimizer, benchmark schemes with a grid-search
 oracle, and a seeded Monte-Carlo sweep harness with CSV output.
+
+The top level re-exports the names of the library quick start and the demos;
+everything else is imported from its submodule (maee.channel, maee.ee,
+maee.search, maee.solver, maee.bench, maee.harness, maee.cli).
 """
 
-from .bench import (
-    SCHEME_ORDER,
-    SchemeResult,
-    evaluate_schemes,
-    grid_global_ee,
-    scheme_fpa,
-    scheme_max_snr,
-    scheme_max_throughput,
-    scheme_proposed,
-    scheme_upper_bound,
-)
-from .channel import (
-    GainExpansion,
-    PathAngles,
-    PathResponseMatrix,
-    build_expansion,
-    channel_vector,
-    curvature_bound,
-    field_response,
-    gain_derivative,
-    gain_eval,
-    gain_second_derivative,
-    load_instance,
-    sample_instance,
-    save_instance,
-)
-from .cli import cli_main
-from .ee import (
-    EEBreakdown,
-    ee_upper_bound,
-    efficiency_curve,
-    energy_efficiency,
-    movement_energy,
-    mrc_snr,
-    throughput,
-    total_energy,
-)
-from .harness import (
-    AggregateRow,
-    SweepConfig,
-    TrialRecord,
-    aggregate,
-    emit_csv,
-    load_config,
-    mix_seed,
-    parse_config_text,
-    run_sweep,
-    run_trial,
-)
-from .params import SystemParams, db_to_linear, dbm_to_watt, linear_to_db, watt_to_dbm
-from .solver import (
-    SolverReport,
-    SolverState,
-    bilinear_upper,
-    dinkelbach_update,
-    eliminate_slacks,
-    h_of_x,
-    optimize,
-    solve_subproblem,
-    taylor_bounds,
-)
+from .bench import grid_global_ee, scheme_fpa, scheme_max_snr
+from .channel import build_expansion, channel_vector, curvature_bound, gain_eval, sample_instance
+from .ee import ee_upper_bound, efficiency_curve, energy_efficiency
+from .harness import SweepConfig, emit_csv, run_sweep
+from .params import SystemParams
+from .solver import optimize
 
 __version__ = "0.1.0"

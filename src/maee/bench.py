@@ -30,64 +30,43 @@ class SchemeResult:
     feasible: bool
 
 
-def _from_breakdown(scheme: str, breakdown: ee.EEBreakdown) -> SchemeResult:
+def _from_breakdown(scheme: str, breakdown: ee.EEBreakdown,
+                    feasible: bool = True) -> SchemeResult:
     return SchemeResult(scheme=scheme, x=breakdown.position, ee=breakdown.ee,
                         throughput=breakdown.throughput, energy=breakdown.energy,
-                        feasible=breakdown.feasible)
+                        feasible=breakdown.feasible and feasible)
 
 
-def _breakdown_at(x: float, expansion, params: SystemParams) -> ee.EEBreakdown:
-    gain = max(channel.gain_eval(expansion, x), 0.0)
-    return ee.energy_efficiency(x, gain, params)
-
-
-def _default_resolution(params: SystemParams) -> float:
-    return params.wavelength / 500.0
-
-
-def _position_grid(params: SystemParams, resolution: float) -> np.ndarray:
-    reach = params.speed * params.block_duration
-    lo = max(0.0, params.initial_position - reach)
-    hi = min(params.region_length, params.initial_position + reach)
-    num = max(int(math.ceil((hi - lo) / resolution)) + 1, 2)
-    return np.linspace(lo, hi, num)
+def _curve_objective(expansion, params: SystemParams, pick):
+    """pick(ee, rate, energy, feasible) along positions; a scalar goes through a 1-element grid."""
+    def objective(t):
+        if isinstance(t, float):
+            return float(objective(np.asarray([t]))[0])
+        return pick(*ee.efficiency_curve(expansion, params, t))
+    return objective
 
 
 def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams,
                    resolution: float | None = None) -> SchemeResult:
     """Exhaustive search of the true efficiency, honoring the rate floor.
 
-    Scans a uniform grid (default resolution wavelength/500) and polishes the
-    best cell with a golden-section pass; infeasible positions are penalized
-    to -inf when any feasible position exists, otherwise the best efficiency
-    is reported with feasible=False.
+    Scans the reachable grid (default resolution wavelength/500) and polishes
+    the best cell with a golden-section pass; infeasible positions are
+    penalized to -inf when any grid position is feasible, otherwise the best
+    efficiency is reported with feasible=False.
     """
-    if resolution is None:
-        resolution = _default_resolution(params)
-    if resolution > params.wavelength / 100.0:
+    if resolution is not None and resolution > params.wavelength / 100.0:
         raise ValueError(
             f"resolution {resolution} too coarse; need at most wavelength/100"
         )
-    xs = _position_grid(params, resolution)
-    ee_vals, _, _, feasible = ee.efficiency_curve(expansion, params, xs)
-    any_feasible = bool(np.any(feasible))
-
-    def objective(t):
-        values, _, _, ok = ee.efficiency_curve(expansion, params, np.atleast_1d(t))
-        out = np.where(ok, values, -np.inf) if any_feasible else values
-        return out if np.ndim(t) else float(out[0])
-
-    scan = np.where(feasible, ee_vals, -np.inf) if any_feasible else ee_vals
-    idx = int(np.argmax(scan))
-    best_x, best_v = float(xs[idx]), float(scan[idx])
-    px, pv = search.golden_section_max(
-        lambda t: float(objective(t)),
-        float(xs[max(idx - 1, 0)]), float(xs[min(idx + 1, len(xs) - 1)]),
-        tol=params.wavelength * 1e-6,
-    )
-    if pv > best_v or (pv == best_v and px < best_x):
-        best_x = px
-    return _from_breakdown("oracle", _breakdown_at(best_x, expansion, params))
+    xs, tol = ee.reachable_grid(params, resolution), params.wavelength * 1e-6
+    best_x, best_v = search.grid_polish_max(
+        _curve_objective(expansion, params, lambda v, r, e, ok: np.where(ok, v, -np.inf)),
+        xs, tol)
+    if best_v == -math.inf:
+        best_x, _ = search.grid_polish_max(
+            _curve_objective(expansion, params, lambda v, r, e, ok: v), xs, tol)
+    return _from_breakdown("oracle", ee.efficiency_at(expansion, params, best_x))
 
 
 def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams,
@@ -104,52 +83,46 @@ def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams,
 def scheme_max_throughput(expansion: channel.GainExpansion, params: SystemParams,
                           resolution: float | None = None) -> SchemeResult:
     """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor."""
-    if resolution is None:
-        resolution = _default_resolution(params)
-    xs = _position_grid(params, resolution)
-
-    def rate_at(t):
-        _, rates, _, _ = ee.efficiency_curve(expansion, params, np.atleast_1d(t))
-        return rates if np.ndim(t) else float(rates[0])
-
-    _, rates, _, _ = ee.efficiency_curve(expansion, params, xs)
-    idx = int(np.argmax(rates))
-    best_x, best_r = float(xs[idx]), float(rates[idx])
-    px, pr = search.golden_section_max(
-        lambda t: float(rate_at(t)),
-        float(xs[max(idx - 1, 0)]), float(xs[min(idx + 1, len(xs) - 1)]),
-        tol=params.wavelength * 1e-6,
-    )
-    if pr > best_r or (pr == best_r and px < best_x):
-        best_x = px
-    return _from_breakdown("max_throughput", _breakdown_at(best_x, expansion, params))
+    best_x, _ = search.grid_polish_max(
+        _curve_objective(expansion, params, lambda v, r, e, ok: r),
+        ee.reachable_grid(params, resolution), tol=params.wavelength * 1e-6)
+    return _from_breakdown("max_throughput", ee.efficiency_at(expansion, params, best_x))
 
 
 def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams,
                    grid_resolution: float | None = None) -> SchemeResult:
-    """Move to the gain argmax (SNR is monotone in gain under MRC), cost included.
+    """Move to the reachable gain argmax (SNR is monotone in gain under MRC), cost included.
 
-    Shares the argmax code path with the upper bound, so the two schemes
-    report the same position by construction.
+    The argmax is searched like the upper bound's (default resolution
+    wavelength/200, one golden polish) but over the reachable positions only,
+    so the two schemes report the same position whenever the antenna can
+    reach the whole region within one block.
     """
-    _, x_bar = ee.ee_upper_bound(expansion, params, grid_resolution)
-    return _from_breakdown("max_snr", _breakdown_at(x_bar, expansion, params))
+    if grid_resolution is None:
+        grid_resolution = params.wavelength / 200.0
+    x_best, _ = search.grid_polish_max(
+        lambda t: channel.gain_eval(expansion, t),
+        ee.reachable_grid(params, grid_resolution), tol=params.wavelength * 1e-6)
+    return _from_breakdown("max_snr", ee.efficiency_at(expansion, params, x_best))
 
 
 def scheme_fpa(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
     """Fixed antenna: stay at the rest position for the whole block."""
-    return _from_breakdown("fpa", _breakdown_at(params.initial_position, expansion, params))
+    return _from_breakdown("fpa", ee.efficiency_at(expansion, params, params.initial_position))
+
+
+def proposed_result(report: solver.SolverReport, expansion: channel.GainExpansion,
+                    params: SystemParams) -> SchemeResult:
+    """The proposed scheme's result for an optimizer report, rechecked at report.x."""
+    return _from_breakdown("proposed", ee.efficiency_at(expansion, params, report.x),
+                           feasible=report.status != "infeasible")
 
 
 def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams,
                     resolution: float | None = None) -> SchemeResult:
     """Position chosen by the Dinkelbach + SCA optimizer."""
     report = solver.optimize(expansion, params, restart_resolution=resolution)
-    breakdown = _breakdown_at(report.x, expansion, params)
-    feasible = breakdown.feasible and report.status != "infeasible"
-    return SchemeResult(scheme="proposed", x=report.x, ee=breakdown.ee,
-                        throughput=breakdown.throughput, energy=breakdown.energy,
-                        feasible=feasible)
+    return proposed_result(report, expansion, params)
 
 
 def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,

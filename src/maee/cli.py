@@ -81,19 +81,8 @@ def _cmd_solve(args) -> int:
     print(f"seed={args.seed}")
 
     report = solver.optimize(expansion, params, restart_resolution=args.resolution)
-    breakdown = ee.energy_efficiency(
-        report.x, max(channel.gain_eval(expansion, report.x), 0.0), params)
-    proposed = bench.SchemeResult(
-        scheme="proposed", x=report.x, ee=breakdown.ee,
-        throughput=breakdown.throughput, energy=breakdown.energy,
-        feasible=breakdown.feasible and report.status != "infeasible")
-    results = [
-        proposed,
-        bench.scheme_upper_bound(expansion, params),
-        bench.scheme_max_throughput(expansion, params, args.resolution),
-        bench.scheme_max_snr(expansion, params),
-        bench.scheme_fpa(expansion, params),
-    ]
+    others = bench.evaluate_schemes(expansion, params, bench.SCHEME_ORDER[1:], args.resolution)
+    results = [bench.proposed_result(report, expansion, params), *others.values()]
     for result in results:
         _print_result(result)
     print(f"status={report.status} iterations={report.iterations}")

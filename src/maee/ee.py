@@ -18,6 +18,8 @@ from .params import SystemParams
 
 # Tiny negative gains are floating-point noise from the cosine series.
 _GAIN_NOISE = 1e-9
+# Relative float error of a move time computed at the edge of the reach.
+_MOVE_TIME_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,47 +42,23 @@ def mrc_snr(gain: float, params: SystemParams) -> float:
     return params.max_tx_power * max(gain, 0.0) / params.noise_power
 
 
-def _travel(x: float, params: SystemParams) -> tuple[float, float]:
-    """Validated (distance, move time) for a position inside the region."""
+def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdown:
+    """Assemble the full efficiency breakdown at one position.
+
+    This is the one scalar efficiency formula; efficiency_curve vectorizes it.
+    Raises ValueError for a position outside the region or out of reach
+    within the block; a move time over the block by rounding only (the edge
+    of reachable_grid) is clamped to the block, as in efficiency_curve.
+    """
     if not 0.0 <= x <= params.region_length:
         raise ValueError(f"position {x} outside region [0, {params.region_length}]")
     dist = abs(x - params.initial_position)
     move_time = dist / params.speed
-    if move_time > params.block_duration:
+    if move_time > params.block_duration * (1.0 + _MOVE_TIME_ROUNDING):
         raise ValueError(
             f"move time {move_time} s exceeds block duration {params.block_duration} s"
         )
-    return dist, move_time
-
-
-def movement_energy(x: float, params: SystemParams) -> float:
-    """Energy spent relocating the antenna from its rest position to x."""
-    if not 0.0 <= x <= params.region_length:
-        raise ValueError(f"position {x} outside region [0, {params.region_length}]")
-    return params.move_energy_rate * abs(x - params.initial_position)
-
-
-def total_energy(x: float, gain: float, params: SystemParams) -> float:
-    """Movement plus transmit energy over one block.
-
-    MRC transmits at the full power budget, so the communication-phase energy
-    does not depend on the gain.
-    """
-    dist, move_time = _travel(x, params)
-    return (params.move_energy_rate * dist
-            + params.max_tx_power * (params.block_duration - move_time))
-
-
-def throughput(x: float, gain: float, params: SystemParams) -> float:
-    """Bits/Hz delivered during the residual communication phase."""
-    _, move_time = _travel(x, params)
-    snr = mrc_snr(gain, params)
-    return (params.block_duration - move_time) * math.log2(1.0 + snr)
-
-
-def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdown:
-    """Assemble the full efficiency breakdown at one position."""
-    dist, move_time = _travel(x, params)
+    move_time = min(move_time, params.block_duration)
     snr = mrc_snr(gain, params)
     time_left = params.block_duration - move_time
     rate = time_left * math.log2(1.0 + snr)
@@ -111,15 +89,39 @@ def efficiency_curve(expansion: channel.GainExpansion, params: SystemParams, xs)
     return rate / energy, rate, energy, rate >= params.min_throughput
 
 
+def efficiency_at(expansion: channel.GainExpansion, params: SystemParams,
+                  x: float) -> EEBreakdown:
+    """Efficiency breakdown at one position, with the gain read off the series."""
+    return energy_efficiency(x, max(channel.gain_eval(expansion, x), 0.0), params)
+
+
+def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.ndarray:
+    """Uniform grid over the positions reachable within one block.
+
+    The grid spans the part of the region within speed * block_duration of the
+    rest position, at the given resolution (default wavelength/500).
+    """
+    if resolution is None:
+        resolution = params.wavelength / 500.0
+    if resolution <= 0:
+        raise ValueError(f"grid resolution must be positive, got {resolution}")
+    reach = params.speed * params.block_duration
+    lo = max(0.0, params.initial_position - reach)
+    hi = min(params.region_length, params.initial_position + reach)
+    num = max(int(math.ceil((hi - lo) / resolution)) + 1, 2)
+    return np.linspace(lo, hi, num)
+
+
 def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams,
                    grid_resolution: float | None = None) -> tuple[float, float]:
     """Best-case efficiency and the position that realizes it.
 
     The bound assumes the rest position already sits at the gain argmax, so
     the whole block is spent communicating and no movement energy accrues.
-    The argmax is located on a uniform grid (default resolution wavelength/200,
-    at least 100 samples per gain oscillation) and refined by one golden
-    polish; ties resolve to the smallest position.
+    The argmax is taken over the whole region, reachable or not, so the bound
+    dominates every scheme. It is located on a uniform grid (default
+    resolution wavelength/200, at least 100 samples per gain oscillation) and
+    refined by one golden polish; ties resolve to the smallest position.
     """
     if grid_resolution is None:
         grid_resolution = params.wavelength / 200.0
@@ -128,7 +130,7 @@ def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams,
     num = int(math.ceil(params.region_length / grid_resolution)) + 1
     x_best, gain_best = search.grid_polish_max(
         lambda t: channel.gain_eval(expansion, t),
-        0.0, params.region_length, num, tol=params.wavelength * 1e-6,
+        np.linspace(0.0, params.region_length, num), tol=params.wavelength * 1e-6,
     )
     bound = math.log2(1.0 + mrc_snr(max(gain_best, 0.0), params)) / params.max_tx_power
     return bound, x_best

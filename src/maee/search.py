@@ -1,4 +1,4 @@
-"""Deterministic bounded scalar maximization: coarse grid plus golden polish."""
+"""Deterministic bounded scalar maximization: grid scan plus golden polish."""
 
 from __future__ import annotations
 
@@ -55,20 +55,22 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return best_x, best_f
 
 
-def grid_polish_max(f, lo: float, hi: float, num: int, tol: float) -> tuple[float, float]:
-    """Maximize f on [lo, hi]: uniform scan, then golden polish of the best cell.
+def grid_polish_max(f, xs, tol: float) -> tuple[float, float]:
+    """Maximize f over the sorted grid xs, then golden-polish the best cell.
 
     f must accept both scalars and 1-D arrays. The first grid argmax wins on
-    ties, so equal-objective results resolve to the smallest x.
+    ties, so equal-objective results resolve to the smallest x. A scan that
+    is -inf everywhere (nothing admissible on the grid) is returned as is,
+    without a polish.
     """
-    num = max(int(num), 2)
-    xs = np.linspace(lo, hi, num)
     values = np.asarray(f(xs), dtype=float)
     idx = int(np.argmax(values))
     best_x, best_f = float(xs[idx]), float(values[idx])
+    if best_f == -math.inf:
+        return best_x, best_f
 
     bracket_lo = float(xs[max(idx - 1, 0)])
-    bracket_hi = float(xs[min(idx + 1, num - 1)])
+    bracket_hi = float(xs[min(idx + 1, len(xs) - 1)])
     px, pf = golden_section_max(lambda t: float(f(t)), bracket_lo, bracket_hi, tol)
     if pf > best_f or (pf == best_f and px < best_x):
         return px, pf

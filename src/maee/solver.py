@@ -72,19 +72,6 @@ def h_of_x(expansion: channel.GainExpansion, params: SystemParams, x) -> float |
     return params.max_tx_power * channel.gain_eval(expansion, x)
 
 
-def dinkelbach_update(x: float, expansion: channel.GainExpansion,
-                      params: SystemParams) -> float:
-    """Refresh the ratio estimate: achievable rate over total energy at x."""
-    gain = max(channel.gain_eval(expansion, x), 0.0)
-    dist = abs(x - params.initial_position)
-    time_left = params.block_duration - dist / params.speed
-    if time_left < 0:
-        raise ValueError(f"position {x} not reachable within the block")
-    rate = time_left * math.log2(1.0 + params.max_tx_power * gain / params.noise_power)
-    energy = params.move_energy_rate * dist + params.max_tx_power * time_left
-    return rate / energy
-
-
 def bilinear_upper(delta, gamma, delta_local: float, gamma_local: float):
     """AM-GM quadratic upper bound on the product delta * gamma.
 
@@ -215,23 +202,15 @@ def solve_subproblem(state: SolverState, expansion: channel.GainExpansion,
     lo = max(0.0, state.x - half, params.initial_position - reach)
     hi = min(params.region_length, state.x + half, params.initial_position + reach)
     xs = np.unique(np.append(np.linspace(lo, hi, _SCAN_POINTS), state.x))
-    values, _ = _surrogate_objective(xs, lower, upper, state, params, alpha)
-    if not np.any(np.isfinite(values)):
+
+    def objective(t):
+        if isinstance(t, float):
+            return float(objective(np.asarray([t]))[0])
+        return _surrogate_objective(t, lower, upper, state, params, alpha)[0]
+
+    best_x, best_val = search.grid_polish_max(objective, xs, tol=params.wavelength * 1e-6)
+    if best_val == -math.inf:
         return None
-
-    idx = int(np.argmax(values))
-    best_x, best_val = float(xs[idx]), float(values[idx])
-
-    def scalar_objective(t: float) -> float:
-        value, _ = _surrogate_objective(np.asarray([t]), lower, upper, state, params, alpha)
-        return float(value[0])
-
-    bracket_lo = float(xs[max(idx - 1, 0)])
-    bracket_hi = float(xs[min(idx + 1, len(xs) - 1)])
-    px, pf = search.golden_section_max(scalar_objective, bracket_lo, bracket_hi,
-                                       tol=params.wavelength * 1e-6)
-    if pf > best_val or (pf == best_val and px < best_x):
-        best_x, best_val = px, pf
     return _state_at(best_x, state.iteration + 1, alpha, best_val, expansion, params)
 
 
@@ -242,13 +221,7 @@ def _best_feasible_position(expansion: channel.GainExpansion, params: SystemPara
     Exhaustive grid check; used to verify infeasibility before declaring it
     and to restart from a feasible point when the start violates the floor.
     """
-    if resolution is None:
-        resolution = params.wavelength / 500.0
-    reach = params.speed * params.block_duration
-    lo = max(0.0, params.initial_position - reach)
-    hi = min(params.region_length, params.initial_position + reach)
-    num = max(int(math.ceil((hi - lo) / resolution)) + 1, 2)
-    xs = np.linspace(lo, hi, num)
+    xs = ee.reachable_grid(params, resolution)
     ee_vals, _, _, feasible = ee.efficiency_curve(expansion, params, xs)
     if not np.any(feasible):
         return None
@@ -264,9 +237,11 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
     Each outer iteration runs the SCA inner loop at a fixed ratio estimate
     until the surrogate objective stalls, then refreshes the estimate with the
     true efficiency of the new iterate. The outer loop stops once the estimate
-    moves by less than the configured tolerance; an iterate that would lower
-    the estimate (possible only through the tiny slack floors) is rejected and
-    treated as converged, which keeps the ratio sequence nondecreasing.
+    moves by less than the configured tolerance. An iterate that would lower
+    the estimate (possible only through the tiny slack floors), or that misses
+    the true rate floor (the surrogate allows FEASIBILITY_SLACK), is rejected
+    and treated as converged; this keeps the ratio sequence nondecreasing and
+    every accepted iterate feasible.
 
     A start position violating the rate floor triggers one verified grid
     restart from the best feasible position; if no reachable position meets
@@ -274,19 +249,17 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
     transmit power the run is flagged: the travel slack then rewards movement
     inside the surrogate, a regime the bound analysis does not cover.
     """
-    x_start = params.initial_position
     flagged = params.movement_power < params.max_tx_power
 
-    gain_start = max(channel.gain_eval(expansion, x_start), 0.0)
-    if not ee.energy_efficiency(x_start, gain_start, params).feasible:
+    start = ee.efficiency_at(expansion, params, params.initial_position)
+    if not start.feasible:
         restart = _best_feasible_position(expansion, params, restart_resolution)
         if restart is None:
-            breakdown = ee.energy_efficiency(x_start, gain_start, params)
-            return SolverReport(x=x_start, ee=breakdown.ee, iterations=0, trace=[],
+            return SolverReport(x=start.position, ee=start.ee, iterations=0, trace=[],
                                 status="infeasible", power_assumption_violated=flagged)
-        x_start = restart
+        start = ee.efficiency_at(expansion, params, restart)
 
-    alpha = dinkelbach_update(x_start, expansion, params)
+    x_start, alpha = start.position, start.ee
     state = _initial_state(x_start, alpha, expansion, params)
     trace = [(0, x_start, alpha, state.objective, alpha)]
 
@@ -310,9 +283,10 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
             status = "converged"
             break
 
-        new_alpha = dinkelbach_update(state.x, expansion, params)
-        if new_alpha < alpha:
-            # Slack-floor artifact: revert to the previous iterate and stop.
+        checked = ee.efficiency_at(expansion, params, state.x)
+        new_alpha = checked.ee
+        if new_alpha < alpha or not checked.feasible:
+            # Slack artifact: revert to the previous iterate and stop.
             state = _state_at(trace[-1][1], state.iteration, alpha, trace[-1][3],
                               expansion, params)
             status = "converged"
@@ -326,8 +300,6 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
             status = "converged"
             break
 
-    gain_final = max(channel.gain_eval(expansion, state.x), 0.0)
-    breakdown = ee.energy_efficiency(state.x, gain_final, params)
-    return SolverReport(x=state.x, ee=breakdown.ee, iterations=outer_used,
-                        trace=trace, status=status,
-                        power_assumption_violated=flagged)
+    final = ee.efficiency_at(expansion, params, state.x)
+    return SolverReport(x=state.x, ee=final.ee, iterations=outer_used, trace=trace,
+                        status=status, power_assumption_violated=flagged)

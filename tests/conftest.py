@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from maee import PathAngles, PathResponseMatrix, SystemParams, sample_instance
+from maee.channel import PathAngles, PathResponseMatrix, sample_instance
+from maee.params import SystemParams
 
 
 @pytest.fixture

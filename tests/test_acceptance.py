@@ -12,26 +12,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maee import (
-    SweepConfig,
-    SystemParams,
-    bilinear_upper,
+from maee.bench import grid_global_ee
+from maee.channel import (
     build_expansion,
     curvature_bound,
-    dinkelbach_update,
-    ee_upper_bound,
-    efficiency_curve,
-    emit_csv,
-    energy_efficiency,
     gain_derivative,
     gain_eval,
     gain_second_derivative,
-    grid_global_ee,
-    h_of_x,
-    optimize,
-    run_sweep,
-    taylor_bounds,
 )
+from maee.ee import ee_upper_bound, efficiency_at, efficiency_curve, energy_efficiency
+from maee.harness import SweepConfig, emit_csv, run_sweep
+from maee.params import SystemParams
+from maee.solver import bilinear_upper, h_of_x, optimize, taylor_bounds
 
 from conftest import direct_gain, hand_instance, make_instance
 
@@ -169,7 +161,7 @@ def test_criterion_6_solver_against_oracle(params):
         expansion = build_expansion(make_instance(seed), params.wavelength)
         report = optimize(expansion, params)
         oracle = grid_global_ee(expansion, params)
-        start_ee = dinkelbach_update(params.initial_position, expansion, params)
+        start_ee = efficiency_at(expansion, params, params.initial_position).ee
         gain0 = max(gain_eval(expansion, params.initial_position), 0.0)
         start_feasible = energy_efficiency(params.initial_position, gain0, params).feasible
 

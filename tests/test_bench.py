@@ -4,13 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maee import (
-    build_expansion,
-    ee_upper_bound,
-    efficiency_curve,
-    energy_efficiency,
+from maee.bench import (
     evaluate_schemes,
-    gain_eval,
     grid_global_ee,
     scheme_fpa,
     scheme_max_snr,
@@ -18,6 +13,9 @@ from maee import (
     scheme_proposed,
     scheme_upper_bound,
 )
+from maee.channel import build_expansion, gain_eval, sample_instance
+from maee.ee import ee_upper_bound, efficiency_curve, energy_efficiency
+from maee.params import SystemParams
 
 from conftest import make_instance, single_path_instance
 
@@ -174,3 +172,35 @@ def test_evaluate_schemes_subset_and_order(params):
     assert list(results) == ["max_snr", "fpa"]  # canonical order, subset only
     with pytest.raises(ValueError):
         evaluate_schemes(expansion, params, schemes=("fpa", "nonsense"))
+
+
+# Instances where the optimizer used to stop 1e-10..9e-10 bits/Hz below a
+# binding rate floor (inside the surrogate's feasibility slack), so a feasible
+# trial was reported infeasible.
+@pytest.mark.parametrize("seed", [9782499630118762339, 13898896239080442400,
+                                  16926990316465219604])
+def test_proposed_feasible_at_binding_floor(seed):
+    tight = SystemParams(min_throughput=10.0, movement_power=0.5)
+    expansion = build_expansion(
+        sample_instance(tight, np.random.default_rng(seed)), tight.wavelength)
+    proposed = scheme_proposed(expansion, tight)
+    assert proposed.feasible
+    assert proposed.throughput >= tight.min_throughput
+    assert grid_global_ee(expansion, tight).feasible
+
+
+@pytest.mark.parametrize("region_wavelengths", [1.0, 2.0, 4.0])
+def test_slow_antenna_schemes_stay_within_reach(region_wavelengths):
+    # reach speed * T = 5 mm is shorter than the track
+    region = region_wavelengths * 0.01
+    slow = SystemParams(speed=0.001, region_length=region, initial_position=region / 2)
+    reach = slow.speed * slow.block_duration
+    for seed in range(8):
+        expansion = build_expansion(make_instance(seed, slow), slow.wavelength)
+        results = evaluate_schemes(expansion, slow)
+        ceiling = results["upper_bound"]
+        for name, result in results.items():
+            assert math.isfinite(result.ee)
+            assert result.ee <= ceiling.ee * (1 + 1e-9)
+            if name != "upper_bound":
+                assert abs(result.x - slow.initial_position) <= reach * (1 + 1e-12)

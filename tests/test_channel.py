@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from maee import (
+from maee.channel import (
+    CURVATURE_FLOOR,
     PathAngles,
     build_expansion,
     channel_vector,
@@ -16,7 +17,6 @@ from maee import (
     sample_instance,
     save_instance,
 )
-from maee.channel import CURVATURE_FLOOR
 
 from conftest import direct_gain, hand_instance, make_instance, single_path_instance
 

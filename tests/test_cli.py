@@ -1,6 +1,10 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from maee import cli_main
+from maee.cli import cli_main
 
 
 def run_cli(capsys, *argv):
@@ -105,3 +109,26 @@ def test_infeasible_floor_exits_1(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", "--seed", "2", "--config", str(config))
     assert code == 1
     assert "feasible=0" in out
+
+
+def test_slow_antenna_config_solves_and_sweeps(tmp_path, capsys):
+    # at 1 mm/s the reach (5 mm) is shorter than the 20 mm track
+    config = tmp_path / "slow.cfg"
+    config.write_text("v = 0.001 m/s\n")
+    code, out, err = run_cli(capsys, "solve", "--seed", "3", "--config", str(config))
+    assert code == 0, err
+    assert "scheme=max_snr" in out
+    code, _, err = run_cli(capsys, "sweep", "--sweep", "power", "--trials", "2",
+                           "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "maee.cli", "check",
+                           "--trials", "1"], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "all checks passed" in done.stdout

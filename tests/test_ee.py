@@ -4,18 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maee import (
-    SystemParams,
-    build_expansion,
+from maee.channel import build_expansion, gain_eval
+from maee.ee import (
     ee_upper_bound,
     efficiency_curve,
     energy_efficiency,
-    gain_eval,
-    movement_energy,
     mrc_snr,
-    throughput,
-    total_energy,
+    reachable_grid,
 )
+from maee.params import SystemParams
 
 from conftest import make_instance, single_path_instance
 
@@ -41,64 +38,75 @@ def test_mrc_snr_rejects_negative(params):
     assert mrc_snr(-1e-12, params) == 0.0
 
 
+def movement_part(breakdown, params):
+    """Movement share of a breakdown's energy: total minus transmit energy."""
+    return breakdown.energy - params.max_tx_power * (params.block_duration - breakdown.move_time)
+
+
 def test_movement_energy_rate(params):
     assert params.move_energy_rate == pytest.approx(2.5)
 
 
 def test_movement_energy_zero_at_rest(params):
-    assert movement_energy(params.initial_position, params) == 0.0
+    assert movement_part(energy_efficiency(params.initial_position, 1e-8, params), params) == 0.0
 
 
 def test_movement_energy_reference(params):
-    assert movement_energy(params.initial_position + 0.01, params) == pytest.approx(0.025)
+    b = energy_efficiency(params.initial_position + 0.01, 1e-8, params)
+    assert movement_part(b, params) == pytest.approx(0.025)
 
 
 def test_movement_energy_symmetric(params):
     delta = 0.004
-    assert movement_energy(params.initial_position + delta, params) == pytest.approx(
-        movement_energy(params.initial_position - delta, params))
+    right = energy_efficiency(params.initial_position + delta, 1e-8, params)
+    left = energy_efficiency(params.initial_position - delta, 1e-8, params)
+    assert movement_part(right, params) == pytest.approx(movement_part(left, params))
 
 
 def test_movement_energy_outside_region_raises(params):
     with pytest.raises(ValueError):
-        movement_energy(params.region_length + 1e-6, params)
+        energy_efficiency(params.region_length + 1e-6, 1e-8, params)
     with pytest.raises(ValueError):
-        movement_energy(-1e-6, params)
+        energy_efficiency(-1e-6, 1e-8, params)
 
 
 def test_total_energy_at_rest(params):
-    assert total_energy(params.initial_position, 1e-8, params) == pytest.approx(0.05)
+    assert energy_efficiency(params.initial_position, 1e-8, params).energy == pytest.approx(0.05)
 
 
 def test_total_energy_reference(params):
     # 2.5 J/m * 0.01 m + 0.01 W * (5 - 0.05) s
-    assert total_energy(params.initial_position + 0.01, 1e-8, params) == pytest.approx(0.0745)
+    b = energy_efficiency(params.initial_position + 0.01, 1e-8, params)
+    assert b.energy == pytest.approx(0.0745)
 
 
 def test_total_energy_boundary_move():
     p = SystemParams(block_duration=0.05)
     # moving the full 0.01 m takes exactly the block; only movement energy remains
-    assert total_energy(0.0, 1e-8, p) == pytest.approx(p.move_energy_rate * 0.01)
+    assert energy_efficiency(0.0, 1e-8, p).energy == pytest.approx(p.move_energy_rate * 0.01)
 
 
 def test_total_energy_move_exceeding_block_raises():
     p = SystemParams(block_duration=0.01)
     with pytest.raises(ValueError):
-        total_energy(0.0, 1e-8, p)
+        energy_efficiency(0.0, 1e-8, p)
 
 
 def test_throughput_at_rest_snr3(params):
     gain = 3.0 * params.noise_power / params.max_tx_power
-    assert throughput(params.initial_position, gain, params) == pytest.approx(10.0)
+    assert energy_efficiency(params.initial_position, gain, params).throughput == pytest.approx(
+        10.0)
 
 
 def test_throughput_zero_gain(params):
-    assert throughput(params.initial_position + 0.003, 0.0, params) == 0.0
+    assert energy_efficiency(params.initial_position + 0.003, 0.0, params).throughput == 0.0
 
 
 def test_throughput_zero_time_regardless_of_gain():
     p = SystemParams(block_duration=0.05)
-    assert throughput(0.0, 1.0, p) == pytest.approx(0.0, abs=1e-12)
+    b = energy_efficiency(0.0, 1.0, p)
+    assert b.move_time == pytest.approx(p.block_duration)
+    assert b.throughput == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_efficiency_at_rest_identity(params):
@@ -193,6 +201,18 @@ def test_ee_upper_bound_rejects_bad_resolution(params):
     expansion = build_expansion(make_instance(0), params.wavelength)
     with pytest.raises(ValueError):
         ee_upper_bound(expansion, params, grid_resolution=0.0)
+
+
+def test_reachable_grid_spans_reach(params):
+    full = reachable_grid(params)
+    assert full[0] == 0.0 and full[-1] == params.region_length
+    assert np.max(np.diff(full)) <= params.wavelength / 500 * (1 + 1e-9)
+    slow = replace(params, speed=0.001)  # reach 5 mm around the 10 mm rest position
+    part = reachable_grid(slow, params.wavelength / 200)
+    assert part[0] == pytest.approx(0.005) and part[-1] == pytest.approx(0.015)
+    for bad in (0.0, -1e-5):
+        with pytest.raises(ValueError):
+            reachable_grid(params, bad)
 
 
 def test_params_validation():

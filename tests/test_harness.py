@@ -4,20 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from maee import (
-    SchemeResult,
+from maee.bench import SchemeResult
+from maee.harness import (
     SweepConfig,
-    SystemParams,
     TrialRecord,
     aggregate,
     emit_csv,
     load_config,
     mix_seed,
+    params_for_value,
     parse_config_text,
     run_sweep,
     run_trial,
 )
-from maee.harness import params_for_value
+from maee.params import SystemParams
 
 
 def small_config(**overrides):

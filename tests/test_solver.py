@@ -4,26 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maee import (
-    SystemParams,
-    bilinear_upper,
-    build_expansion,
-    dinkelbach_update,
-    ee_upper_bound,
-    eliminate_slacks,
-    energy_efficiency,
-    gain_eval,
-    grid_global_ee,
-    h_of_x,
-    optimize,
-    solve_subproblem,
-    taylor_bounds,
-)
+from maee.bench import grid_global_ee
+from maee.channel import build_expansion, gain_eval
+from maee.ee import ee_upper_bound, efficiency_at, energy_efficiency
+from maee.params import SystemParams
 from maee.solver import (
     DELTA_FLOOR_WAVELENGTHS,
     GAMMA_FLOOR,
     TRUST_WINDOW_WAVELENGTHS,
     _state_at,
+    bilinear_upper,
+    eliminate_slacks,
+    h_of_x,
+    optimize,
+    solve_subproblem,
+    taylor_bounds,
 )
 
 from conftest import direct_gain, make_instance, single_path_instance
@@ -31,7 +26,7 @@ from conftest import direct_gain, make_instance, single_path_instance
 
 def tangent_state(x, expansion, params):
     """Accepted-iterate state with slacks tangent at x (test helper)."""
-    alpha = dinkelbach_update(x, expansion, params)
+    alpha = efficiency_at(expansion, params, x).ee
     return _state_at(x, 0, alpha, 0.0, expansion, params)
 
 
@@ -99,11 +94,12 @@ def test_h_of_x_scales_with_power(params):
 
 
 def test_dinkelbach_matches_efficiency(params):
+    # optimize refreshes its Dinkelbach ratio with efficiency_at
     expansion = build_expansion(make_instance(6), params.wavelength)
     rng = np.random.default_rng(0)
     for x in rng.uniform(0.0, params.region_length, 100):
         gain = max(gain_eval(expansion, float(x)), 0.0)
-        assert dinkelbach_update(float(x), expansion, params) == pytest.approx(
+        assert efficiency_at(expansion, params, float(x)).ee == pytest.approx(
             energy_efficiency(float(x), gain, params).ee, rel=1e-12)
 
 
@@ -112,12 +108,12 @@ def test_dinkelbach_at_rest(params):
     x0 = params.initial_position
     gain = max(gain_eval(expansion, x0), 0.0)
     expected = math.log2(1.0 + params.max_tx_power * gain / params.noise_power) / params.max_tx_power
-    assert dinkelbach_update(x0, expansion, params) == pytest.approx(expected, rel=1e-12)
+    assert efficiency_at(expansion, params, x0).ee == pytest.approx(expected, rel=1e-12)
 
 
 def test_dinkelbach_zero_gain(params):
     expansion = build_expansion(single_path_instance(response=0.0), params.wavelength)
-    assert dinkelbach_update(params.initial_position, expansion, params) == 0.0
+    assert efficiency_at(expansion, params, params.initial_position).ee == 0.0
 
 
 def test_bilinear_hand_value():
@@ -307,7 +303,7 @@ def test_optimize_bracketing_and_monotone(seed, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
     report = optimize(expansion, params)
     oracle = grid_global_ee(expansion, params)
-    start = dinkelbach_update(params.initial_position, expansion, params)
+    start = efficiency_at(expansion, params, params.initial_position).ee
     gain0 = max(gain_eval(expansion, params.initial_position), 0.0)
     start_feasible = energy_efficiency(params.initial_position, gain0, params).feasible
 
