@@ -38,12 +38,8 @@ def _from_breakdown(scheme: str, breakdown: ee.EEBreakdown,
 
 
 def _curve_objective(expansion, params: SystemParams, pick):
-    """pick(ee, rate, energy, feasible) along positions; a scalar goes through a 1-element grid."""
-    def objective(t):
-        if isinstance(t, float):
-            return float(objective(np.asarray([t]))[0])
-        return pick(*ee.efficiency_curve(expansion, params, t))
-    return objective
+    """pick(ee, rate, energy, feasible) along an array of positions."""
+    return lambda xs: pick(*ee.efficiency_curve(expansion, params, xs))
 
 
 def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams,
@@ -55,10 +51,6 @@ def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams,
     penalized to -inf when any grid position is feasible, otherwise the best
     efficiency is reported with feasible=False.
     """
-    if resolution is not None and resolution > params.wavelength / 100.0:
-        raise ValueError(
-            f"resolution {resolution} too coarse; need at most wavelength/100"
-        )
     xs, tol = ee.reachable_grid(params, resolution), params.wavelength * 1e-6
     best_x, best_v = search.grid_polish_max(
         _curve_objective(expansion, params, lambda v, r, e, ok: np.where(ok, v, -np.inf)),
@@ -69,10 +61,9 @@ def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams,
     return _from_breakdown("oracle", ee.efficiency_at(expansion, params, best_x))
 
 
-def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams,
-                       grid_resolution: float | None = None) -> SchemeResult:
+def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
     """Idealized ceiling: rest position already at the gain argmax, full-block rate."""
-    bound, x_bar = ee.ee_upper_bound(expansion, params, grid_resolution)
+    bound, x_bar = ee.ee_upper_bound(expansion, params)
     gain = max(channel.gain_eval(expansion, x_bar), 0.0)
     rate = params.block_duration * math.log2(1.0 + ee.mrc_snr(gain, params))
     energy = params.max_tx_power * params.block_duration
@@ -89,20 +80,16 @@ def scheme_max_throughput(expansion: channel.GainExpansion, params: SystemParams
     return _from_breakdown("max_throughput", ee.efficiency_at(expansion, params, best_x))
 
 
-def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams,
-                   grid_resolution: float | None = None) -> SchemeResult:
+def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
     """Move to the reachable gain argmax (SNR is monotone in gain under MRC), cost included.
 
-    The argmax is searched like the upper bound's (default resolution
-    wavelength/200, one golden polish) but over the reachable positions only,
+    The argmax is found by ee.gain_peak like the upper bound's (resolution
+    wavelength/200, ties stay at rest) but over the reachable positions only,
     so the two schemes report the same position whenever the antenna can
     reach the whole region within one block.
     """
-    if grid_resolution is None:
-        grid_resolution = params.wavelength / 200.0
-    x_best, _ = search.grid_polish_max(
-        lambda t: channel.gain_eval(expansion, t),
-        ee.reachable_grid(params, grid_resolution), tol=params.wavelength * 1e-6)
+    x_best, _ = ee.gain_peak(expansion, params,
+                             ee.reachable_grid(params, params.wavelength / 200.0))
     return _from_breakdown("max_snr", ee.efficiency_at(expansion, params, x_best))
 
 

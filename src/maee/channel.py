@@ -12,7 +12,6 @@ used by the position optimizer come from that series.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +27,8 @@ CURVATURE_FLOOR = 1e-12
 class PathAngles:
     """Per-path arrival geometry.
 
-    The virtual angles sin(elevation) * cos(azimuth) are stored rather than
-    recomputed so a serialized instance replays exactly.
+    The virtual angles sin(elevation) * cos(azimuth) are stored alongside the
+    angles they derive from.
     """
 
     elevation: np.ndarray
@@ -130,8 +129,6 @@ class GainExpansion:
     constant: float
     cross: np.ndarray
     delta_aoa: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
     wavelength: float
     cross_mag: np.ndarray = field(init=False)
     cross_phase: np.ndarray = field(init=False)
@@ -162,8 +159,6 @@ def build_expansion(instance: PathResponseMatrix, wavelength: float) -> GainExpa
         constant=float(np.sum(np.abs(entries) ** 2)),
         cross=cross,
         delta_aoa=virtual[pair_b] - virtual[pair_a],
-        pair_a=pair_a,
-        pair_b=pair_b,
         wavelength=wavelength,
     )
 
@@ -223,39 +218,3 @@ def curvature_bound(expansion: GainExpansion, tx_power: float) -> float:
                          * expansion.cross_mag * expansion.delta_aoa**2))
     return max(total, CURVATURE_FLOOR)
 
-
-def save_instance(instance: PathResponseMatrix, wavelength: float, path) -> None:
-    """Write an instance as flat text for test-fixture replay.
-
-    Format: header "L N wavelength", then L lines of angle triples
-    (elevation azimuth virtual), then L*N complex entries "re,im" row major.
-    Floats are written with repr so the round trip is exact.
-    """
-    lines = [f"{instance.num_paths} {instance.num_antennas} {float(wavelength)!r}"]
-    ang = instance.angles
-    for l in range(instance.num_paths):
-        lines.append(
-            f"{float(ang.elevation[l])!r} {float(ang.azimuth[l])!r} {float(ang.virtual_aoa[l])!r}"
-        )
-    for value in instance.entries.ravel():
-        lines.append(f"{float(value.real)!r},{float(value.imag)!r}")
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def load_instance(path) -> tuple[PathResponseMatrix, float]:
-    """Read an instance written by save_instance; returns (instance, wavelength)."""
-    with open(path, "r", encoding="ascii") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    header = lines[0].split()
-    num_paths, num_antennas, wavelength = int(header[0]), int(header[1]), float(header[2])
-    if len(lines) != 1 + num_paths + num_paths * num_antennas:
-        raise ValueError(f"malformed instance file {os.fspath(path)!r}")
-    triples = np.array([[float(v) for v in lines[1 + l].split()] for l in range(num_paths)])
-    entries = np.empty((num_paths, num_antennas), dtype=complex)
-    flat = entries.ravel()
-    for i, line in enumerate(lines[1 + num_paths:]):
-        re_part, im_part = line.split(",")
-        flat[i] = complex(float(re_part), float(im_part))
-    angles = PathAngles(triples[:, 0], triples[:, 1], triples[:, 2])
-    return PathResponseMatrix(entries, angles), wavelength

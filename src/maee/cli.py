@@ -31,7 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value parameter file")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--resolution", type=float, default=None,
-                       help="grid resolution in meters for oracle/scheme searches")
+                       help="spacing in meters of the reachable-position grids of the "
+                            "oracle, max_throughput and the solver restart scan "
+                            "(default wavelength/500, at most wavelength/100); "
+                            "the gain-peak searches stay at wavelength/200")
 
     p_solve = sub.add_parser("solve", help="evaluate all schemes on one random instance")
     common(p_solve)

@@ -99,12 +99,16 @@ def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.
     """Uniform grid over the positions reachable within one block.
 
     The grid spans the part of the region within speed * block_duration of the
-    rest position, at the given resolution (default wavelength/500).
+    rest position, at the given resolution (default wavelength/500). A
+    resolution that is not positive or is coarser than wavelength/100 is
+    rejected.
     """
     if resolution is None:
         resolution = params.wavelength / 500.0
-    if resolution <= 0:
-        raise ValueError(f"grid resolution must be positive, got {resolution}")
+    if not 0.0 < resolution <= params.wavelength / 100.0:
+        raise ValueError(
+            f"grid resolution {resolution} must be positive and at most wavelength/100"
+        )
     reach = params.speed * params.block_duration
     lo = max(0.0, params.initial_position - reach)
     hi = min(params.region_length, params.initial_position + reach)
@@ -112,25 +116,33 @@ def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.
     return np.linspace(lo, hi, num)
 
 
-def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams,
-                   grid_resolution: float | None = None) -> tuple[float, float]:
+def gain_peak(expansion: channel.GainExpansion, params: SystemParams,
+              xs) -> tuple[float, float]:
+    """Position and value of the largest gain on the sorted grid xs.
+
+    The grid argmax is refined by one golden polish. Ties prefer not moving:
+    the rest position wins against any position whose gain is no larger.
+    """
+    x_best, gain_best = search.grid_polish_max(
+        lambda t: channel.gain_eval(expansion, t), xs, tol=params.wavelength * 1e-6)
+    gain_rest = channel.gain_eval(expansion, params.initial_position)
+    if gain_rest >= gain_best:
+        return params.initial_position, gain_rest
+    return x_best, gain_best
+
+
+def ee_upper_bound(expansion: channel.GainExpansion,
+                   params: SystemParams) -> tuple[float, float]:
     """Best-case efficiency and the position that realizes it.
 
     The bound assumes the rest position already sits at the gain argmax, so
     the whole block is spent communicating and no movement energy accrues.
     The argmax is taken over the whole region, reachable or not, so the bound
-    dominates every scheme. It is located on a uniform grid (default
-    resolution wavelength/200, at least 100 samples per gain oscillation) and
-    refined by one golden polish; ties resolve to the smallest position.
+    dominates every scheme. It is located by gain_peak on a uniform grid of
+    resolution wavelength/200 (at least 100 samples per gain oscillation).
     """
-    if grid_resolution is None:
-        grid_resolution = params.wavelength / 200.0
-    if grid_resolution <= 0:
-        raise ValueError(f"grid resolution must be positive, got {grid_resolution}")
-    num = int(math.ceil(params.region_length / grid_resolution)) + 1
-    x_best, gain_best = search.grid_polish_max(
-        lambda t: channel.gain_eval(expansion, t),
-        np.linspace(0.0, params.region_length, num), tol=params.wavelength * 1e-6,
-    )
+    num = int(math.ceil(params.region_length / (params.wavelength / 200.0))) + 1
+    x_best, gain_best = gain_peak(expansion, params,
+                                  np.linspace(0.0, params.region_length, num))
     bound = math.log2(1.0 + mrc_snr(max(gain_best, 0.0), params)) / params.max_tx_power
     return bound, x_best

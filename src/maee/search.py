@@ -58,10 +58,11 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
 def grid_polish_max(f, xs, tol: float) -> tuple[float, float]:
     """Maximize f over the sorted grid xs, then golden-polish the best cell.
 
-    f must accept both scalars and 1-D arrays. The first grid argmax wins on
-    ties, so equal-objective results resolve to the smallest x. A scan that
-    is -inf everywhere (nothing admissible on the grid) is returned as is,
-    without a polish.
+    f maps a 1-D array of positions to an array of values; the polish feeds
+    it one-element arrays. The first grid argmax wins on ties, so
+    equal-objective results resolve to the smallest x. A scan that is -inf
+    everywhere (nothing admissible on the grid) is returned as is, without a
+    polish.
     """
     values = np.asarray(f(xs), dtype=float)
     idx = int(np.argmax(values))
@@ -71,7 +72,8 @@ def grid_polish_max(f, xs, tol: float) -> tuple[float, float]:
 
     bracket_lo = float(xs[max(idx - 1, 0)])
     bracket_hi = float(xs[min(idx + 1, len(xs) - 1)])
-    px, pf = golden_section_max(lambda t: float(f(t)), bracket_lo, bracket_hi, tol)
+    px, pf = golden_section_max(lambda t: float(f(np.array([t]))[0]),
+                                bracket_lo, bracket_hi, tol)
     if pf > best_f or (pf == best_f and px < best_x):
         return px, pf
     return best_x, best_f

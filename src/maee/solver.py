@@ -32,21 +32,19 @@ DELTA_FLOOR_WAVELENGTHS = 1e-6   # keeps the AM-GM coefficients finite at zero t
 GAMMA_FLOOR = 1e-12              # bits/Hz floor for the rate-slack local point
 TRUST_WINDOW_WAVELENGTHS = 0.25  # half-width of the subproblem search window
 FEASIBILITY_SLACK = 1e-9         # absolute slack on the throughput constraint
+OUTER_CAP = 100                  # Dinkelbach iterations per run
+INNER_CAP = 50                   # SCA subproblems per Dinkelbach iteration
 _SCAN_POINTS = 65
 
 
 @dataclass
 class SolverState:
-    """One accepted iterate of the position, slacks, and ratio estimate."""
+    """One accepted iterate: the position and the slacks tangent there."""
 
-    iteration: int
     x: float
-    beta: float       # scaled-gain slack (W)
     gamma: float      # rate slack (bits/Hz per unit time)
     delta: float      # travel-distance slack (m)
-    alpha: float      # current efficiency estimate ((bits/Hz)/J)
     objective: float  # surrogate objective value at this iterate
-    converged: bool = False
 
 
 @dataclass
@@ -142,49 +140,19 @@ def _surrogate_objective(xs, lower, upper, state: SolverState,
     value = (rate_term - product / speed
              - delta / speed * alpha * (params.movement_power - params.max_tx_power))
     feasible = rate_term - product / speed >= params.min_throughput - FEASIBILITY_SLACK
-    return np.where(feasible, value, -np.inf), (beta, gamma, delta)
+    return np.where(feasible, value, -np.inf)
 
 
-def eliminate_slacks(x: float, state: SolverState, expansion: channel.GainExpansion,
-                     params: SystemParams) -> tuple[float, float, float] | None:
-    """Optimal slacks of the convex subproblem at one candidate position.
-
-    Returns (beta, gamma, delta), or None when the surrogate throughput
-    constraint cannot hold at those values; infeasibility is signaled, never
-    silently clamped away.
-    """
-    lower, upper = taylor_bounds(expansion, params, state.x)
-    delta_local, gamma_local = _floored_locals(state, params)
-    beta, gamma, delta = _optimal_slacks(x, lower, upper, gamma_local, params)
-    rate_term = params.block_duration * math.log2(1.0 + float(beta) / params.noise_power)
-    product = bilinear_upper(float(delta), float(gamma), delta_local, gamma_local)
-    if rate_term - product / params.speed < params.min_throughput - FEASIBILITY_SLACK:
-        return None
-    return float(beta), float(gamma), float(delta)
-
-
-def _state_at(x: float, iteration: int, alpha: float, objective: float,
-              expansion: channel.GainExpansion, params: SystemParams) -> SolverState:
+def _state_at(x: float, objective: float, expansion: channel.GainExpansion,
+              params: SystemParams) -> SolverState:
     """Build a state with slacks tangent to the true quantities at x."""
     h_val = max(float(h_of_x(expansion, params, x)), 0.0)
     return SolverState(
-        iteration=iteration,
         x=x,
-        beta=h_val,
         gamma=math.log2(1.0 + h_val / params.noise_power),
         delta=abs(x - params.initial_position),
-        alpha=alpha,
         objective=objective,
     )
-
-
-def _initial_state(x: float, alpha: float, expansion: channel.GainExpansion,
-                   params: SystemParams) -> SolverState:
-    state = _state_at(x, 0, alpha, -math.inf, expansion, params)
-    lower, upper = taylor_bounds(expansion, params, x)
-    value, _ = _surrogate_objective(np.asarray([x]), lower, upper, state, params, alpha)
-    state.objective = float(value[0])
-    return state
 
 
 def solve_subproblem(state: SolverState, expansion: channel.GainExpansion,
@@ -202,16 +170,12 @@ def solve_subproblem(state: SolverState, expansion: channel.GainExpansion,
     lo = max(0.0, state.x - half, params.initial_position - reach)
     hi = min(params.region_length, state.x + half, params.initial_position + reach)
     xs = np.unique(np.append(np.linspace(lo, hi, _SCAN_POINTS), state.x))
-
-    def objective(t):
-        if isinstance(t, float):
-            return float(objective(np.asarray([t]))[0])
-        return _surrogate_objective(t, lower, upper, state, params, alpha)[0]
-
-    best_x, best_val = search.grid_polish_max(objective, xs, tol=params.wavelength * 1e-6)
+    best_x, best_val = search.grid_polish_max(
+        lambda t: _surrogate_objective(t, lower, upper, state, params, alpha),
+        xs, tol=params.wavelength * 1e-6)
     if best_val == -math.inf:
         return None
-    return _state_at(best_x, state.iteration + 1, alpha, best_val, expansion, params)
+    return _state_at(best_x, best_val, expansion, params)
 
 
 def _best_feasible_position(expansion: channel.GainExpansion, params: SystemParams,
@@ -230,7 +194,6 @@ def _best_feasible_position(expansion: channel.GainExpansion, params: SystemPara
 
 
 def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
-             outer_cap: int = 100, inner_cap: int = 50,
              restart_resolution: float | None = None) -> SolverReport:
     """Run the full Dinkelbach + SCA loop from the configured rest position.
 
@@ -260,16 +223,19 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
         start = ee.efficiency_at(expansion, params, restart)
 
     x_start, alpha = start.position, start.ee
-    state = _initial_state(x_start, alpha, expansion, params)
+    state = _state_at(x_start, -math.inf, expansion, params)
+    lower, upper = taylor_bounds(expansion, params, x_start)
+    state.objective = float(
+        _surrogate_objective(np.asarray([x_start]), lower, upper, state, params, alpha)[0])
     trace = [(0, x_start, alpha, state.objective, alpha)]
 
     status = "iteration-cap"
     outer_used = 0
-    for outer in range(1, outer_cap + 1):
+    for outer in range(1, OUTER_CAP + 1):
         outer_used = outer
         stalled = False
         inner_prev = -math.inf
-        for _ in range(inner_cap):
+        for _ in range(INNER_CAP):
             candidate = solve_subproblem(state, expansion, params, alpha)
             if candidate is None:
                 stalled = True
@@ -287,16 +253,13 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
         new_alpha = checked.ee
         if new_alpha < alpha or not checked.feasible:
             # Slack artifact: revert to the previous iterate and stop.
-            state = _state_at(trace[-1][1], state.iteration, alpha, trace[-1][3],
-                              expansion, params)
+            state.x = trace[-1][1]
             status = "converged"
             break
         trace.append((outer, state.x, new_alpha, state.objective, new_alpha))
         finished = abs(new_alpha - alpha) <= params.tolerance
         alpha = new_alpha
-        state.alpha = new_alpha
         if finished:
-            state.converged = True
             status = "converged"
             break
 

@@ -49,8 +49,9 @@ def test_oracle_below_upper_bound(seed, params):
 
 def test_oracle_rejects_coarse_resolution(params):
     expansion = build_expansion(make_instance(0), params.wavelength)
-    with pytest.raises(ValueError):
-        grid_global_ee(expansion, params, resolution=params.wavelength / 10)
+    for scheme in (grid_global_ee, scheme_max_throughput):
+        with pytest.raises(ValueError):
+            scheme(expansion, params, resolution=params.wavelength / 10)
 
 
 def test_oracle_reports_infeasible_floor(params):
@@ -156,6 +157,18 @@ def test_upper_bound_equality_when_rest_at_peak(params):
     assert snr_result.ee == pytest.approx(bound_result.ee, rel=1e-9)
     assert snr_result.throughput == pytest.approx(bound_result.throughput, rel=1e-9)
     assert snr_result.energy == pytest.approx(bound_result.energy, rel=1e-9)
+
+
+def test_flat_gain_max_snr_stays_at_rest():
+    # one path: the gain is the same everywhere, so every position ties the rest position
+    params = SystemParams(num_paths=1)
+    expansion = build_expansion(sample_instance(params, np.random.default_rng(3)),
+                                params.wavelength)
+    snr = scheme_max_snr(expansion, params)
+    fpa = scheme_fpa(expansion, params)
+    assert snr.x == params.initial_position
+    assert snr.ee == fpa.ee
+    assert scheme_upper_bound(expansion, params).x == params.initial_position
 
 
 def test_scheme_results_mutually_consistent(params):

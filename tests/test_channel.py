@@ -13,9 +13,7 @@ from maee.channel import (
     gain_derivative,
     gain_eval,
     gain_second_derivative,
-    load_instance,
     sample_instance,
-    save_instance,
 )
 
 from conftest import direct_gain, hand_instance, make_instance, single_path_instance
@@ -250,27 +248,6 @@ def test_sample_instance_deterministic(params):
     np.testing.assert_array_equal(a.angles.elevation, b.angles.elevation)
     np.testing.assert_array_equal(a.angles.azimuth, b.angles.azimuth)
     np.testing.assert_array_equal(a.angles.virtual_aoa, b.angles.virtual_aoa)
-
-
-def test_instance_roundtrip(tmp_path, params):
-    instance = make_instance(77)
-    path = tmp_path / "instance.txt"
-    save_instance(instance, params.wavelength, path)
-    loaded, wavelength = load_instance(path)
-    assert wavelength == params.wavelength
-    np.testing.assert_array_equal(loaded.entries, instance.entries)
-    np.testing.assert_array_equal(loaded.angles.elevation, instance.angles.elevation)
-    np.testing.assert_array_equal(loaded.angles.azimuth, instance.angles.azimuth)
-    np.testing.assert_array_equal(loaded.angles.virtual_aoa, instance.angles.virtual_aoa)
-
-
-def test_load_rejects_truncated_file(tmp_path, params):
-    path = tmp_path / "instance.txt"
-    save_instance(make_instance(1), params.wavelength, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError):
-        load_instance(path)
 
 
 def test_path_angles_reject_inconsistent_lengths():

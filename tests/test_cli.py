@@ -85,6 +85,13 @@ def test_unknown_flag_exits_2(capsys):
     assert "usage" in err.lower()
 
 
+def test_solve_rejects_coarse_resolution(capsys):
+    # 0.5 m would leave max_throughput a 2-point grid over the 2 cm track
+    code, _, err = run_cli(capsys, "solve", "--seed", "3", "--resolution", "0.5")
+    assert code == 2
+    assert "wavelength/100" in err
+
+
 def test_unknown_command_exits_2(capsys):
     code, _, _ = run_cli(capsys, "impossible")
     assert code == 2

@@ -12,9 +12,10 @@ from maee.solver import (
     DELTA_FLOOR_WAVELENGTHS,
     GAMMA_FLOOR,
     TRUST_WINDOW_WAVELENGTHS,
+    _optimal_slacks,
     _state_at,
+    _surrogate_objective,
     bilinear_upper,
-    eliminate_slacks,
     h_of_x,
     optimize,
     solve_subproblem,
@@ -25,9 +26,21 @@ from conftest import direct_gain, make_instance, single_path_instance
 
 
 def tangent_state(x, expansion, params):
-    """Accepted-iterate state with slacks tangent at x (test helper)."""
-    alpha = efficiency_at(expansion, params, x).ee
-    return _state_at(x, 0, alpha, 0.0, expansion, params)
+    """Accepted-iterate state with slacks tangent at x, and the true ratio there."""
+    return _state_at(x, 0.0, expansion, params), efficiency_at(expansion, params, x).ee
+
+
+def eliminated_slacks(x, state, expansion, params):
+    """Closed-form slack optima (beta, gamma, delta) at one position."""
+    lower, upper = taylor_bounds(expansion, params, state.x)
+    gamma_loc = max(state.gamma, GAMMA_FLOOR)
+    return tuple(float(v) for v in _optimal_slacks(x, lower, upper, gamma_loc, params))
+
+
+def eliminated_objective(x, state, expansion, params, alpha):
+    """Eliminated surrogate objective at one position; -inf when the floor fails."""
+    lower, upper = taylor_bounds(expansion, params, state.x)
+    return float(_surrogate_objective(np.array([x]), lower, upper, state, params, alpha)[0])
 
 
 def surrogate_value(x, beta, gamma, delta, state, params, alpha):
@@ -184,8 +197,8 @@ def test_taylor_single_path_nearly_flat(params):
 def test_eliminate_slacks_tangency(params):
     expansion = build_expansion(make_instance(3), params.wavelength)
     x_i = 0.0137
-    state = tangent_state(x_i, expansion, params)
-    beta, gamma, delta = eliminate_slacks(x_i, state, expansion, params)
+    state, _ = tangent_state(x_i, expansion, params)
+    beta, gamma, delta = eliminated_slacks(x_i, state, expansion, params)
     assert beta == pytest.approx(h_of_x(expansion, params, x_i), rel=1e-12)
     assert delta == pytest.approx(abs(x_i - params.initial_position), rel=1e-12)
     assert gamma == pytest.approx(state.gamma, rel=1e-9)
@@ -195,8 +208,8 @@ def test_eliminate_slacks_single_path_at_rest(params):
     expansion = build_expansion(
         single_path_instance(response=1e-4, num_antennas=params.num_bs_antennas),
         params.wavelength)
-    state = tangent_state(params.initial_position, expansion, params)
-    beta, gamma, delta = eliminate_slacks(params.initial_position, state, expansion, params)
+    state, _ = tangent_state(params.initial_position, expansion, params)
+    beta, gamma, delta = eliminated_slacks(params.initial_position, state, expansion, params)
     assert delta == 0.0
     assert beta == pytest.approx(params.max_tx_power * expansion.constant, rel=1e-12)
     assert gamma >= 0.0
@@ -206,12 +219,10 @@ def test_eliminate_slacks_single_path_at_rest(params):
 def test_eliminate_slacks_matches_slack_grid(seed, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
     x_i = params.initial_position + 0.0015  # healthy travel-slack local point
-    state = tangent_state(x_i, expansion, params)
-    alpha = state.alpha
+    state, alpha = tangent_state(x_i, expansion, params)
     for x in (x_i, x_i + 0.0004, x_i - 0.0011):
-        result = eliminate_slacks(x, state, expansion, params)
-        assert result is not None
-        beta, gamma, delta = result
+        assert eliminated_objective(x, state, expansion, params, alpha) > -math.inf
+        beta, gamma, delta = eliminated_slacks(x, state, expansion, params)
         analytic = float(surrogate_value(x, beta, gamma, delta, state, params, alpha))
         brute, slacks = brute_force_slacks(x, state, expansion, params, alpha)
         assert analytic >= brute - 1e-12 * abs(brute)
@@ -224,26 +235,27 @@ def test_eliminate_slacks_blocked_from_degenerate_local_point(params):
     """At a zero-travel local point the product bound explodes with distance:
     the elimination and the brute-force box must agree the move is blocked."""
     expansion = build_expansion(make_instance(0), params.wavelength)
-    state = tangent_state(params.initial_position, expansion, params)
+    state, alpha = tangent_state(params.initial_position, expansion, params)
     x = params.initial_position + 0.0004
-    assert eliminate_slacks(x, state, expansion, params) is None
-    brute, _ = brute_force_slacks(x, state, expansion, params, state.alpha)
+    assert eliminated_objective(x, state, expansion, params, alpha) == -math.inf
+    brute, _ = brute_force_slacks(x, state, expansion, params, alpha)
     assert brute == -math.inf
 
 
 def test_eliminate_slacks_infeasible_returns_none(params):
     strict = replace(params, min_throughput=1e6)
     expansion = build_expansion(make_instance(0), params.wavelength)
-    state = tangent_state(strict.initial_position, expansion, strict)
-    assert eliminate_slacks(strict.initial_position, state, expansion, strict) is None
+    state, alpha = tangent_state(strict.initial_position, expansion, strict)
+    assert eliminated_objective(strict.initial_position, state, expansion, strict,
+                                alpha) == -math.inf
 
 
 def test_solve_subproblem_single_path_stays(params):
     expansion = build_expansion(
         single_path_instance(response=1e-4, num_antennas=params.num_bs_antennas),
         params.wavelength)
-    state = tangent_state(params.initial_position, expansion, params)
-    result = solve_subproblem(state, expansion, params, state.alpha)
+    state, alpha = tangent_state(params.initial_position, expansion, params)
+    result = solve_subproblem(state, expansion, params, alpha)
     assert result.x == pytest.approx(params.initial_position, abs=1e-12)
 
 
@@ -251,8 +263,8 @@ def test_solve_subproblem_fixed_point_at_peak(params):
     expansion = build_expansion(make_instance(12), params.wavelength)
     _, x_bar = ee_upper_bound(expansion, params)
     recentered = replace(params, initial_position=x_bar)
-    state = tangent_state(x_bar, expansion, recentered)
-    result = solve_subproblem(state, expansion, recentered, state.alpha)
+    state, alpha = tangent_state(x_bar, expansion, recentered)
+    result = solve_subproblem(state, expansion, recentered, alpha)
     assert abs(result.x - x_bar) <= recentered.wavelength * 1e-4
 
 
@@ -261,8 +273,7 @@ def test_solve_subproblem_fixed_point_at_peak(params):
 def test_solve_subproblem_matches_joint_grid(seed, offset, params):
     """Oracle: dense grid over position x slack box reproduces the 1-D solve."""
     expansion = build_expansion(make_instance(seed), params.wavelength)
-    state = tangent_state(params.initial_position + offset, expansion, params)
-    alpha = state.alpha
+    state, alpha = tangent_state(params.initial_position + offset, expansion, params)
     result = solve_subproblem(state, expansion, params, alpha)
 
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
