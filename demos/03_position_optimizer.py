@@ -31,7 +31,7 @@ for seed in (7, 21):
 
     print(f"--- instance {seed} ---")
     print("iter |     x (wl) |    ratio est. | surrogate objective")
-    for iteration, x, alpha, objective, _ in report.trace:
+    for iteration, x, alpha, objective in report.trace:
         print(f"{iteration:4d} | {x / params.wavelength:10.4f} | {alpha:13.4f} | {objective:12.4f}")
     print(f"status={report.status} after {report.iterations} outer iterations")
     print(f"optimized ee {report.ee:8.2f} at x={report.x / params.wavelength:.4f} wl")

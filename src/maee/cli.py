@@ -90,10 +90,9 @@ def _cmd_solve(args) -> int:
         _print_result(result)
     print(f"status={report.status} iterations={report.iterations}")
     if args.trace:
-        print("trace: iteration,x,alpha,objective,ee")
-        for iteration, x, alpha, objective, true_ee in report.trace:
-            print(f"trace: {iteration},{_fmt(x)},{_fmt(alpha)},"
-                  f"{_fmt(objective)},{_fmt(true_ee)}")
+        print("trace: iteration,x,alpha,objective")
+        for iteration, x, alpha, objective in report.trace:
+            print(f"trace: {iteration},{_fmt(x)},{_fmt(alpha)},{_fmt(objective)}")
     return 0 if any(r.feasible for r in results) else 1
 
 

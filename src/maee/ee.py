@@ -42,51 +42,55 @@ def mrc_snr(gain: float, params: SystemParams) -> float:
     return params.max_tx_power * max(gain, 0.0) / params.noise_power
 
 
+def _efficiency(xs: np.ndarray, snr: np.ndarray, params: SystemParams):
+    """The efficiency formula: (ee, rate, energy) at positions xs with SNRs snr.
+
+    Any spot the antenna cannot reach within the block gets zero
+    communication time. Where the energy is zero (free movement and no time
+    left) the rate is zero too, and the efficiency is defined as 0.
+    """
+    dist = np.abs(xs - params.initial_position)
+    time_left = np.maximum(params.block_duration - dist / params.speed, 0.0)
+    rate = time_left * np.log2(1.0 + snr)
+    energy = params.move_energy_rate * dist + params.max_tx_power * time_left
+    ratio = np.divide(rate, energy, out=np.zeros_like(rate), where=energy > 0.0)
+    return ratio, rate, energy
+
+
 def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdown:
     """Assemble the full efficiency breakdown at one position.
 
-    This is the one scalar efficiency formula; efficiency_curve vectorizes it.
     Raises ValueError for a position outside the region or out of reach
     within the block; a move time over the block by rounding only (the edge
     of reachable_grid) is clamped to the block, as in efficiency_curve.
     """
     if not 0.0 <= x <= params.region_length:
         raise ValueError(f"position {x} outside region [0, {params.region_length}]")
-    dist = abs(x - params.initial_position)
-    move_time = dist / params.speed
+    move_time = abs(x - params.initial_position) / params.speed
     if move_time > params.block_duration * (1.0 + _MOVE_TIME_ROUNDING):
         raise ValueError(
             f"move time {move_time} s exceeds block duration {params.block_duration} s"
         )
-    move_time = min(move_time, params.block_duration)
     snr = mrc_snr(gain, params)
-    time_left = params.block_duration - move_time
-    rate = time_left * math.log2(1.0 + snr)
-    energy = params.move_energy_rate * dist + params.max_tx_power * time_left
+    ratio, rate, energy = _efficiency(x, snr, params)
     return EEBreakdown(
         position=float(x),
-        move_time=move_time,
-        throughput=rate,
-        energy=energy,
-        ee=rate / energy,
+        move_time=min(move_time, params.block_duration),
+        throughput=float(rate),
+        energy=float(energy),
+        ee=float(ratio),
         snr=snr,
         feasible=bool(rate >= params.min_throughput),
     )
 
 
 def efficiency_curve(expansion: channel.GainExpansion, params: SystemParams, xs):
-    """Vectorized (ee, rate, energy, feasible) along positions xs.
-
-    Positions must lie inside the region; any spot the antenna cannot reach
-    within the block gets zero communication time.
-    """
+    """Vectorized (ee, rate, energy, feasible) along positions xs inside the region."""
     xs = np.asarray(xs, dtype=float)
     gains = np.maximum(channel.gain_eval(expansion, xs), 0.0)
-    dist = np.abs(xs - params.initial_position)
-    time_left = np.maximum(params.block_duration - dist / params.speed, 0.0)
-    rate = time_left * np.log2(1.0 + params.max_tx_power * gains / params.noise_power)
-    energy = params.move_energy_rate * dist + params.max_tx_power * time_left
-    return rate / energy, rate, energy, rate >= params.min_throughput
+    ratio, rate, energy = _efficiency(xs, params.max_tx_power * gains / params.noise_power,
+                                      params)
+    return ratio, rate, energy, rate >= params.min_throughput
 
 
 def efficiency_at(expansion: channel.GainExpansion, params: SystemParams,
@@ -99,9 +103,10 @@ def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.
     """Uniform grid over the positions reachable within one block.
 
     The grid spans the part of the region within speed * block_duration of the
-    rest position, at the given resolution (default wavelength/500). A
-    resolution that is not positive or is coarser than wavelength/100 is
-    rejected.
+    rest position, at the given resolution (default wavelength/500), and
+    always contains the rest position itself: when the reach is not a
+    multiple of the resolution it is inserted in order. A resolution that is
+    not positive or is coarser than wavelength/100 is rejected.
     """
     if resolution is None:
         resolution = params.wavelength / 500.0
@@ -113,7 +118,11 @@ def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.
     lo = max(0.0, params.initial_position - reach)
     hi = min(params.region_length, params.initial_position + reach)
     num = max(int(math.ceil((hi - lo) / resolution)) + 1, 2)
-    return np.linspace(lo, hi, num)
+    xs = np.linspace(lo, hi, num)
+    x0 = params.initial_position
+    if x0 in xs:
+        return xs
+    return np.insert(xs, int(np.searchsorted(xs, x0)), x0)
 
 
 def gain_peak(expansion: channel.GainExpansion, params: SystemParams,

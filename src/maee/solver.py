@@ -38,29 +38,19 @@ _SCAN_POINTS = 65
 
 
 @dataclass
-class SolverState:
-    """One accepted iterate: the position and the slacks tangent there."""
-
-    x: float
-    gamma: float      # rate slack (bits/Hz per unit time)
-    delta: float      # travel-distance slack (m)
-    objective: float  # surrogate objective value at this iterate
-
-
-@dataclass
 class SolverReport:
     """Outcome of one optimizer run.
 
     The reported efficiency is recomputed from scratch at the final position,
     never read off a surrogate. trace rows are
-    (iteration, x, alpha, surrogate objective, true efficiency), one per
-    outer iteration including the start.
+    (iteration, x, alpha, surrogate objective), one per outer iteration
+    including the start; alpha is the true efficiency of x.
     """
 
     x: float
     ee: float
     iterations: int
-    trace: list[tuple[int, float, float, float, float]] = field(default_factory=list)
+    trace: list[tuple[int, float, float, float]] = field(default_factory=list)
     status: str = "converged"  # converged | iteration-cap | infeasible
     power_assumption_violated: bool = False
 
@@ -113,11 +103,6 @@ def taylor_bounds(expansion: channel.GainExpansion, params: SystemParams,
             QuadraticBound(x_local, value, slope, +half))
 
 
-def _floored_locals(state: SolverState, params: SystemParams) -> tuple[float, float]:
-    return (max(state.delta, params.wavelength * DELTA_FLOOR_WAVELENGTHS),
-            max(state.gamma, GAMMA_FLOOR))
-
-
 def _optimal_slacks(xs, lower: QuadraticBound, upper: QuadraticBound,
                     gamma_local: float, params: SystemParams):
     """Closed-form slack optima (beta, gamma, delta) for positions xs."""
@@ -129,10 +114,17 @@ def _optimal_slacks(xs, lower: QuadraticBound, upper: QuadraticBound,
     return beta, gamma, delta
 
 
-def _surrogate_objective(xs, lower, upper, state: SolverState,
+def _surrogate_objective(xs, lower: QuadraticBound, upper: QuadraticBound,
                          params: SystemParams, alpha: float):
-    """Eliminated surrogate objective; -inf where the rate floor is unreachable."""
-    delta_local, gamma_local = _floored_locals(state, params)
+    """Eliminated surrogate objective; -inf where the rate floor is unreachable.
+
+    The slacks are tangent at the bounds' center: its travel distance and its
+    rate, each floored so the AM-GM coefficients stay finite.
+    """
+    delta_local = max(abs(lower.center - params.initial_position),
+                      params.wavelength * DELTA_FLOOR_WAVELENGTHS)
+    gamma_local = max(math.log2(1.0 + max(lower.value, 0.0) / params.noise_power),
+                      GAMMA_FLOOR)
     beta, gamma, delta = _optimal_slacks(xs, lower, upper, gamma_local, params)
     rate_term = params.block_duration * np.log2(1.0 + beta / params.noise_power)
     product = bilinear_upper(delta, gamma, delta_local, gamma_local)
@@ -143,39 +135,27 @@ def _surrogate_objective(xs, lower, upper, state: SolverState,
     return np.where(feasible, value, -np.inf)
 
 
-def _state_at(x: float, objective: float, expansion: channel.GainExpansion,
-              params: SystemParams) -> SolverState:
-    """Build a state with slacks tangent to the true quantities at x."""
-    h_val = max(float(h_of_x(expansion, params, x)), 0.0)
-    return SolverState(
-        x=x,
-        gamma=math.log2(1.0 + h_val / params.noise_power),
-        delta=abs(x - params.initial_position),
-        objective=objective,
-    )
+def solve_subproblem(x: float, expansion: channel.GainExpansion,
+                     params: SystemParams, alpha: float) -> tuple[float, float] | None:
+    """Maximize the eliminated surrogate over the trust window around x.
 
-
-def solve_subproblem(state: SolverState, expansion: channel.GainExpansion,
-                     params: SystemParams, alpha: float) -> SolverState | None:
-    """Maximize the eliminated surrogate over the trust window around state.x.
-
-    The candidate set always contains state.x itself, so the accepted
-    objective never drops below the tangency value. Returns the new state with
-    slacks re-tangent at the chosen position, or None when no position in the
-    window satisfies the rate floor.
+    The candidate set always contains x itself, so the accepted objective
+    never drops below the tangency value. Returns the chosen position and its
+    surrogate objective, or None when no position in the window satisfies the
+    rate floor.
     """
-    lower, upper = taylor_bounds(expansion, params, state.x)
+    lower, upper = taylor_bounds(expansion, params, x)
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
     reach = params.speed * params.block_duration
-    lo = max(0.0, state.x - half, params.initial_position - reach)
-    hi = min(params.region_length, state.x + half, params.initial_position + reach)
-    xs = np.unique(np.append(np.linspace(lo, hi, _SCAN_POINTS), state.x))
+    lo = max(0.0, x - half, params.initial_position - reach)
+    hi = min(params.region_length, x + half, params.initial_position + reach)
+    xs = np.unique(np.append(np.linspace(lo, hi, _SCAN_POINTS), x))
     best_x, best_val = search.grid_polish_max(
-        lambda t: _surrogate_objective(t, lower, upper, state, params, alpha),
+        lambda t: _surrogate_objective(t, lower, upper, params, alpha),
         xs, tol=params.wavelength * 1e-6)
     if best_val == -math.inf:
         return None
-    return _state_at(best_x, best_val, expansion, params)
+    return best_x, best_val
 
 
 def _best_feasible_position(expansion: channel.GainExpansion, params: SystemParams,
@@ -222,12 +202,10 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
                                 status="infeasible", power_assumption_violated=flagged)
         start = ee.efficiency_at(expansion, params, restart)
 
-    x_start, alpha = start.position, start.ee
-    state = _state_at(x_start, -math.inf, expansion, params)
-    lower, upper = taylor_bounds(expansion, params, x_start)
-    state.objective = float(
-        _surrogate_objective(np.asarray([x_start]), lower, upper, state, params, alpha)[0])
-    trace = [(0, x_start, alpha, state.objective, alpha)]
+    x, alpha = start.position, start.ee
+    lower, upper = taylor_bounds(expansion, params, x)
+    objective = float(_surrogate_objective(np.asarray([x]), lower, upper, params, alpha)[0])
+    trace = [(0, x, alpha, objective)]
 
     status = "iteration-cap"
     outer_used = 0
@@ -236,33 +214,33 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
         stalled = False
         inner_prev = -math.inf
         for _ in range(INNER_CAP):
-            candidate = solve_subproblem(state, expansion, params, alpha)
-            if candidate is None:
+            step = solve_subproblem(x, expansion, params, alpha)
+            if step is None:
                 stalled = True
                 break
-            improvement = candidate.objective - inner_prev
-            inner_prev = candidate.objective
-            state = candidate
+            x, objective = step
+            improvement = objective - inner_prev
+            inner_prev = objective
             if improvement <= params.tolerance:
                 break
         if stalled:
             status = "converged"
             break
 
-        checked = ee.efficiency_at(expansion, params, state.x)
+        checked = ee.efficiency_at(expansion, params, x)
         new_alpha = checked.ee
         if new_alpha < alpha or not checked.feasible:
             # Slack artifact: revert to the previous iterate and stop.
-            state.x = trace[-1][1]
+            x = trace[-1][1]
             status = "converged"
             break
-        trace.append((outer, state.x, new_alpha, state.objective, new_alpha))
+        trace.append((outer, x, new_alpha, objective))
         finished = abs(new_alpha - alpha) <= params.tolerance
         alpha = new_alpha
         if finished:
             status = "converged"
             break
 
-    final = ee.efficiency_at(expansion, params, state.x)
-    return SolverReport(x=state.x, ee=final.ee, iterations=outer_used, trace=trace,
+    final = ee.efficiency_at(expansion, params, x)
+    return SolverReport(x=x, ee=final.ee, iterations=outer_used, trace=trace,
                         status=status, power_assumption_violated=flagged)

@@ -31,8 +31,10 @@ def test_solve_different_seeds_differ(capsys):
 def test_solve_trace_flag(capsys):
     code, out, _ = run_cli(capsys, "solve", "--seed", "3", "--trace")
     assert code == 0
-    assert "trace: iteration,x,alpha,objective,ee" in out
-    assert sum(line.startswith("trace: ") for line in out.splitlines()) >= 2
+    rows = [line for line in out.splitlines() if line.startswith("trace: ")]
+    assert rows[0] == "trace: iteration,x,alpha,objective"
+    assert len(rows) >= 2
+    assert all(len(row.split(",")) == 4 for row in rows)
 
 
 def test_oracle_command(capsys):
@@ -128,6 +130,27 @@ def test_slow_antenna_config_solves_and_sweeps(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--sweep", "power", "--trials", "2",
                            "--config", str(config), "--out", str(tmp_path / "out"))
     assert code == 0, err
+
+
+def test_tiny_reach_oracle_matches_fixed_antenna(tmp_path, capsys):
+    config = tmp_path / "tiny.cfg"
+    config.write_text("v = 0.0001 m/s\nT = 0.01 s\nP = 5 W\nR_TH = 0 bits/Hz\n")
+    code, out, err = run_cli(capsys, "oracle", "--seed", "0", "--config", str(config))
+    assert code == 0, err
+    fields = dict(item.split("=") for item in out.splitlines()[1].split()[1:])
+    assert float(fields["ee"]) >= 231.369749163
+
+
+def test_free_movement_config_oracle_and_check(tmp_path, capsys):
+    # the reach edge has zero time and zero energy left
+    config = tmp_path / "free.cfg"
+    config.write_text("P = 0 W\nv = 0.001 m/s\nR_TH = 0 bits/Hz\n")
+    code, out, err = run_cli(capsys, "oracle", "--seed", "3", "--config", str(config))
+    assert code == 0, err
+    assert "nan" not in out
+    code, out, err = run_cli(capsys, "check", "--trials", "2", "--config", str(config))
+    assert code == 0, err
+    assert "all checks passed" in out
 
 
 def test_module_entry_point_runs_without_warnings():

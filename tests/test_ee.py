@@ -209,6 +209,34 @@ def test_reachable_grid_spans_reach(params):
             reachable_grid(params, bad)
 
 
+def test_reachable_grid_contains_rest_position(params):
+    # reach 1 um: a grid of 2e-5 m steps would span [x0 - 1e-6, x0 + 1e-6] only
+    tiny = replace(params, speed=1e-4, block_duration=0.01)
+    xs = reachable_grid(tiny)
+    assert len(xs) == 3 and xs[1] == tiny.initial_position
+    off_grid = replace(params, initial_position=0.0123456)
+    xs = reachable_grid(off_grid)
+    assert off_grid.initial_position in xs
+    assert np.all(np.diff(xs) > 0)
+    assert len(xs) == len(reachable_grid(params)) + 1
+
+
+def test_zero_energy_position_has_zero_efficiency(params):
+    # free movement and a reach shorter than the track: the reach edge has
+    # neither time nor energy left (dyadic values keep the edge exact)
+    free = replace(params, movement_power=0.0, region_length=2.0**-5,
+                   initial_position=2.0**-6, speed=2.0**-10, block_duration=8.0)
+    edge = free.initial_position + free.speed * free.block_duration
+    breakdown = energy_efficiency(edge, 1e-8, free)
+    assert breakdown.energy == 0.0 and breakdown.throughput == 0.0
+    assert breakdown.ee == 0.0
+    expansion = build_expansion(make_instance(3), params.wavelength)
+    ee_vals, rates, energies, _ = efficiency_curve(expansion, free,
+                                                   [free.initial_position, edge])
+    assert energies[1] == 0.0 and rates[1] == 0.0
+    assert ee_vals[0] > 0.0 and ee_vals[1] == 0.0
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(region_length=-1.0)

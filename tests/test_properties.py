@@ -1,0 +1,71 @@
+"""Property tests over the valid SystemParams ranges: every scheme and the grid
+oracle return finite efficiencies that keep their order."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from maee.bench import evaluate_schemes, grid_global_ee  # noqa: E402
+from maee.channel import build_expansion, sample_instance  # noqa: E402
+from maee.ee import efficiency_curve, reachable_grid  # noqa: E402
+from maee.params import SystemParams  # noqa: E402
+
+RTOL = 1e-9
+ORACLE_RTOL = 1e-6
+
+
+@st.composite
+def system_params(draw):
+    wavelength = SystemParams().wavelength
+    region = draw(st.floats(0.1, 4.0)) * wavelength
+    return SystemParams(
+        region_length=region,
+        initial_position=draw(st.floats(0.0, 1.0)) * region,
+        num_paths=draw(st.integers(1, 10)),
+        num_bs_antennas=draw(st.integers(1, 16)),
+        movement_power=draw(st.floats(0.0, 5.0)),
+        speed=10.0 ** draw(st.floats(-4.0, 1.0)),
+        block_duration=draw(st.floats(0.01, 5.0)),
+        min_throughput=draw(st.floats(-1.0, 50.0)),
+        distance=10.0 ** draw(st.floats(0.0, 3.0)),
+    )
+
+
+def oracle_slack(expansion, params, oracle):
+    """How far the proposed optimizer may land above the oracle: the larger of
+    ORACLE_RTOL and the efficiency change over the oracle's polish tolerance."""
+    tol = params.wavelength * 1e-6
+    reach = reachable_grid(params)
+    nearby = np.clip([oracle.x - tol, oracle.x + tol], reach[0], reach[-1])
+    change = float(np.max(np.abs(efficiency_curve(expansion, params, nearby)[0] - oracle.ee)))
+    return max(ORACLE_RTOL * oracle.ee, change)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(params=system_params(), seed=st.integers(0, 2**32 - 1))
+# Tiny reach with costly movement: the efficiency has a cusp at the rest position.
+@example(params=SystemParams(speed=1e-4, block_duration=0.01, movement_power=5.0,
+                             min_throughput=0.0), seed=0)
+# Free movement: the reach edge has neither time nor energy left.
+@example(params=SystemParams(movement_power=0.0, speed=1e-3, min_throughput=0.0), seed=3)
+def test_schemes_finite_and_ordered(params, seed):
+    expansion = build_expansion(sample_instance(params, np.random.default_rng(seed)),
+                                params.wavelength)
+    results = evaluate_schemes(expansion, params)
+    oracle = grid_global_ee(expansion, params)
+    everything = [*results.values(), oracle]
+
+    assert all(math.isfinite(r.ee) for r in everything)
+    ceiling = results["upper_bound"].ee
+    assert all(r.ee <= ceiling * (1.0 + RTOL) for r in everything)
+    proposed, fpa = results["proposed"], results["fpa"]
+    if fpa.feasible:
+        assert proposed.ee >= fpa.ee * (1.0 - RTOL)
+        assert oracle.ee >= fpa.ee * (1.0 - RTOL)
+    if oracle.feasible:
+        assert proposed.feasible
+        assert proposed.ee <= oracle.ee + oracle_slack(expansion, params, oracle)

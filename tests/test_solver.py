@@ -13,7 +13,6 @@ from maee.solver import (
     GAMMA_FLOOR,
     TRUST_WINDOW_WAVELENGTHS,
     _optimal_slacks,
-    _state_at,
     _surrogate_objective,
     bilinear_upper,
     h_of_x,
@@ -26,42 +25,53 @@ from conftest import direct_gain, make_instance, single_path_instance
 
 
 def tangent_state(x, expansion, params):
-    """Accepted-iterate state with slacks tangent at x, and the true ratio there."""
-    return _state_at(x, 0.0, expansion, params), efficiency_at(expansion, params, x).ee
+    """Taylor bounds tangent at the iterate x, and the true ratio there."""
+    return taylor_bounds(expansion, params, x), efficiency_at(expansion, params, x).ee
 
 
-def eliminated_slacks(x, state, expansion, params):
+def tangent_slacks(bounds, params):
+    """Travel and rate slacks (delta, gamma) tangent at the bounds' center."""
+    lower, _ = bounds
+    return (abs(lower.center - params.initial_position),
+            math.log2(1.0 + max(lower.value, 0.0) / params.noise_power))
+
+
+def floored_slacks(bounds, params):
+    """Tangent slacks floored as the surrogate floors them."""
+    delta, gamma = tangent_slacks(bounds, params)
+    return max(delta, params.wavelength * DELTA_FLOOR_WAVELENGTHS), max(gamma, GAMMA_FLOOR)
+
+
+def eliminated_slacks(x, bounds, params):
     """Closed-form slack optima (beta, gamma, delta) at one position."""
-    lower, upper = taylor_bounds(expansion, params, state.x)
-    gamma_loc = max(state.gamma, GAMMA_FLOOR)
+    lower, upper = bounds
+    _, gamma_loc = floored_slacks(bounds, params)
     return tuple(float(v) for v in _optimal_slacks(x, lower, upper, gamma_loc, params))
 
 
-def eliminated_objective(x, state, expansion, params, alpha):
+def eliminated_objective(x, bounds, params, alpha):
     """Eliminated surrogate objective at one position; -inf when the floor fails."""
-    lower, upper = taylor_bounds(expansion, params, state.x)
-    return float(_surrogate_objective(np.array([x]), lower, upper, state, params, alpha)[0])
+    lower, upper = bounds
+    return float(_surrogate_objective(np.array([x]), lower, upper, params, alpha)[0])
 
 
-def surrogate_value(x, beta, gamma, delta, state, params, alpha):
+def surrogate_value(x, beta, gamma, delta, bounds, params, alpha):
     """Objective of the convexified subproblem at explicit slack values."""
-    delta_loc = max(state.delta, params.wavelength * DELTA_FLOOR_WAVELENGTHS)
-    gamma_loc = max(state.gamma, GAMMA_FLOOR)
+    delta_loc, gamma_loc = floored_slacks(bounds, params)
     rate_term = params.block_duration * np.log2(1.0 + beta / params.noise_power)
     product = bilinear_upper(delta, gamma, delta_loc, gamma_loc)
     return (rate_term - product / params.speed
             - delta / params.speed * alpha * (params.movement_power - params.max_tx_power))
 
 
-def brute_force_slacks(x, state, expansion, params, alpha, n=121):
+def brute_force_slacks(x, bounds, params, alpha, n=121):
     """Oracle: best slack triple on a dense feasible box for fixed position.
 
     Axes start at the analytically binding boundary values, so the grid
     contains the exact constrained optimum whenever the elimination is right.
     """
-    lower, upper = taylor_bounds(expansion, params, state.x)
-    delta_loc = max(state.delta, params.wavelength * DELTA_FLOOR_WAVELENGTHS)
-    gamma_loc = max(state.gamma, GAMMA_FLOOR)
+    lower, upper = bounds
+    delta_loc, gamma_loc = floored_slacks(bounds, params)
     noise = params.noise_power
 
     beta_hi = max(float(lower(x)), 0.0)
@@ -197,19 +207,19 @@ def test_taylor_single_path_nearly_flat(params):
 def test_eliminate_slacks_tangency(params):
     expansion = build_expansion(make_instance(3), params.wavelength)
     x_i = 0.0137
-    state, _ = tangent_state(x_i, expansion, params)
-    beta, gamma, delta = eliminated_slacks(x_i, state, expansion, params)
+    bounds, _ = tangent_state(x_i, expansion, params)
+    beta, gamma, delta = eliminated_slacks(x_i, bounds, params)
     assert beta == pytest.approx(h_of_x(expansion, params, x_i), rel=1e-12)
     assert delta == pytest.approx(abs(x_i - params.initial_position), rel=1e-12)
-    assert gamma == pytest.approx(state.gamma, rel=1e-9)
+    assert gamma == pytest.approx(tangent_slacks(bounds, params)[1], rel=1e-9)
 
 
 def test_eliminate_slacks_single_path_at_rest(params):
     expansion = build_expansion(
         single_path_instance(response=1e-4, num_antennas=params.num_bs_antennas),
         params.wavelength)
-    state, _ = tangent_state(params.initial_position, expansion, params)
-    beta, gamma, delta = eliminated_slacks(params.initial_position, state, expansion, params)
+    bounds, _ = tangent_state(params.initial_position, expansion, params)
+    beta, gamma, delta = eliminated_slacks(params.initial_position, bounds, params)
     assert delta == 0.0
     assert beta == pytest.approx(params.max_tx_power * expansion.constant, rel=1e-12)
     assert gamma >= 0.0
@@ -219,12 +229,12 @@ def test_eliminate_slacks_single_path_at_rest(params):
 def test_eliminate_slacks_matches_slack_grid(seed, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
     x_i = params.initial_position + 0.0015  # healthy travel-slack local point
-    state, alpha = tangent_state(x_i, expansion, params)
+    bounds, alpha = tangent_state(x_i, expansion, params)
     for x in (x_i, x_i + 0.0004, x_i - 0.0011):
-        assert eliminated_objective(x, state, expansion, params, alpha) > -math.inf
-        beta, gamma, delta = eliminated_slacks(x, state, expansion, params)
-        analytic = float(surrogate_value(x, beta, gamma, delta, state, params, alpha))
-        brute, slacks = brute_force_slacks(x, state, expansion, params, alpha)
+        assert eliminated_objective(x, bounds, params, alpha) > -math.inf
+        beta, gamma, delta = eliminated_slacks(x, bounds, params)
+        analytic = float(surrogate_value(x, beta, gamma, delta, bounds, params, alpha))
+        brute, slacks = brute_force_slacks(x, bounds, params, alpha)
         assert analytic >= brute - 1e-12 * abs(brute)
         assert analytic == pytest.approx(brute, rel=1e-4)
         assert slacks[0] == pytest.approx(beta, abs=max(beta / 120, 1e-15))
@@ -235,37 +245,36 @@ def test_eliminate_slacks_blocked_from_degenerate_local_point(params):
     """At a zero-travel local point the product bound explodes with distance:
     the elimination and the brute-force box must agree the move is blocked."""
     expansion = build_expansion(make_instance(0), params.wavelength)
-    state, alpha = tangent_state(params.initial_position, expansion, params)
+    bounds, alpha = tangent_state(params.initial_position, expansion, params)
     x = params.initial_position + 0.0004
-    assert eliminated_objective(x, state, expansion, params, alpha) == -math.inf
-    brute, _ = brute_force_slacks(x, state, expansion, params, alpha)
+    assert eliminated_objective(x, bounds, params, alpha) == -math.inf
+    brute, _ = brute_force_slacks(x, bounds, params, alpha)
     assert brute == -math.inf
 
 
 def test_eliminate_slacks_infeasible_returns_none(params):
     strict = replace(params, min_throughput=1e6)
     expansion = build_expansion(make_instance(0), params.wavelength)
-    state, alpha = tangent_state(strict.initial_position, expansion, strict)
-    assert eliminated_objective(strict.initial_position, state, expansion, strict,
-                                alpha) == -math.inf
+    bounds, alpha = tangent_state(strict.initial_position, expansion, strict)
+    assert eliminated_objective(strict.initial_position, bounds, strict, alpha) == -math.inf
 
 
 def test_solve_subproblem_single_path_stays(params):
     expansion = build_expansion(
         single_path_instance(response=1e-4, num_antennas=params.num_bs_antennas),
         params.wavelength)
-    state, alpha = tangent_state(params.initial_position, expansion, params)
-    result = solve_subproblem(state, expansion, params, alpha)
-    assert result.x == pytest.approx(params.initial_position, abs=1e-12)
+    _, alpha = tangent_state(params.initial_position, expansion, params)
+    x, _ = solve_subproblem(params.initial_position, expansion, params, alpha)
+    assert x == pytest.approx(params.initial_position, abs=1e-12)
 
 
 def test_solve_subproblem_fixed_point_at_peak(params):
     expansion = build_expansion(make_instance(12), params.wavelength)
     _, x_bar = ee_upper_bound(expansion, params)
     recentered = replace(params, initial_position=x_bar)
-    state, alpha = tangent_state(x_bar, expansion, recentered)
-    result = solve_subproblem(state, expansion, recentered, alpha)
-    assert abs(result.x - x_bar) <= recentered.wavelength * 1e-4
+    _, alpha = tangent_state(x_bar, expansion, recentered)
+    x, _ = solve_subproblem(x_bar, expansion, recentered, alpha)
+    assert abs(x - x_bar) <= recentered.wavelength * 1e-4
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -273,18 +282,19 @@ def test_solve_subproblem_fixed_point_at_peak(params):
 def test_solve_subproblem_matches_joint_grid(seed, offset, params):
     """Oracle: dense grid over position x slack box reproduces the 1-D solve."""
     expansion = build_expansion(make_instance(seed), params.wavelength)
-    state, alpha = tangent_state(params.initial_position + offset, expansion, params)
-    result = solve_subproblem(state, expansion, params, alpha)
+    x_i = params.initial_position + offset
+    bounds, alpha = tangent_state(x_i, expansion, params)
+    _, objective = solve_subproblem(x_i, expansion, params, alpha)
 
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
-    lo = max(0.0, state.x - half)
-    hi = min(params.region_length, state.x + half)
+    lo = max(0.0, x_i - half)
+    hi = min(params.region_length, x_i + half)
     best = -math.inf
     for x in np.linspace(lo, hi, 257):
-        value, _ = brute_force_slacks(float(x), state, expansion, params, alpha, n=33)
+        value, _ = brute_force_slacks(float(x), bounds, params, alpha, n=33)
         best = max(best, value)
-    assert result.objective >= best - 1e-9 * max(abs(best), 1.0)
-    assert result.objective == pytest.approx(best, rel=1e-3)
+    assert objective >= best - 1e-9 * max(abs(best), 1.0)
+    assert objective == pytest.approx(best, rel=1e-3)
 
 
 def test_optimize_single_path(params):
