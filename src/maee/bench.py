@@ -18,7 +18,7 @@ from .params import SystemParams
 SCHEME_ORDER = ("proposed", "upper_bound", "max_throughput", "max_snr", "fpa")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemeResult:
     """Outcome of one scheme on one channel instance."""
 
@@ -64,7 +64,7 @@ def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams,
 def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
     """Idealized ceiling: rest position already at the gain argmax, full-block rate."""
     bound, x_bar = ee.ee_upper_bound(expansion, params)
-    gain = max(channel.gain_eval(expansion, x_bar), 0.0)
+    gain = channel.gain_eval(expansion, x_bar)
     rate = params.block_duration * math.log2(1.0 + ee.mrc_snr(gain, params))
     energy = params.max_tx_power * params.block_duration
     return SchemeResult(scheme="upper_bound", x=x_bar, ee=bound, throughput=rate,

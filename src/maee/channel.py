@@ -4,10 +4,12 @@ A propagation environment is a fixed set of L plane-wave paths, each with an
 elevation/azimuth arrival direction and one complex response coefficient per
 base-station antenna. The channel seen at antenna position x is the
 conjugate-transposed path-response matrix applied to a unit-modulus steering
-vector whose phases grow linearly in x. The resulting power gain collapses to
-a cosine series in x (one term per ordered path pair) whose coefficients are
-precomputed once per environment; all derivative and curvature quantities
-used by the position optimizer come from that series.
+vector whose phases grow linearly in x, and the power gain is its squared
+norm. gain_eval computes that norm directly, a block of positions at a time.
+The same gain expands into a cosine series in x (one term per ordered path
+pair) whose coefficients are precomputed once per environment; the
+derivative and curvature quantities used by the position optimizer come
+from that series.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .params import SystemParams
 # Lower bound on the curvature constant so quadratic surrogates stay
 # well-defined when the gain is position independent (single path).
 CURVATURE_FLOOR = 1e-12
+# Positions per block of a grid evaluation, so that the steering matrix of
+# one block (at most _GAIN_BLOCK x L entries) bounds gain_eval's memory
+# whatever the grid length.
+_GAIN_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -103,21 +109,35 @@ def sample_instance(params: SystemParams, rng: np.random.Generator) -> PathRespo
     )
 
 
-def field_response(angles: PathAngles, wavelength: float, x: float) -> np.ndarray:
-    """Unit-modulus steering vector exp(j 2 pi x virtual_aoa / wavelength)."""
+def _wavenumbers(angles: PathAngles, wavelength: float) -> np.ndarray:
+    """Phase slopes 2 pi virtual_aoa / wavelength of the steering vector, in rad/m."""
     if wavelength <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    return np.exp(2j * np.pi / wavelength * x * angles.virtual_aoa)
+    return 2.0 * np.pi / wavelength * angles.virtual_aoa
+
+
+def _channel_rows(wavenumbers: np.ndarray, response_conj: np.ndarray, x) -> np.ndarray:
+    """The steering product F conj(E): channel vectors at a float or a column x.
+
+    F stacks the unit-modulus steering rows exp(j x wavenumbers): a float x
+    gives one channel vector, a column of positions one row per position.
+    """
+    return np.exp((1j * x) * wavenumbers) @ response_conj
 
 
 def channel_vector(instance: PathResponseMatrix, wavelength: float, x: float) -> np.ndarray:
     """Channel vector at position x, one entry per base-station antenna."""
-    return instance.entries.conj().T @ field_response(instance.angles, wavelength, x)
+    return _channel_rows(_wavenumbers(instance.angles, wavelength),
+                         instance.entries.conj(), x)
 
 
 @dataclass(frozen=True)
 class GainExpansion:
-    """Closed-form cosine series of the channel power gain.
+    """Precomputed forms of the channel power gain of one environment.
+
+    gain_eval evaluates the gain directly as |F(x) response_conj|^2, with F
+    the steering rows exp(j x wavenumbers) and response_conj = conj(E). The
+    derivatives and the curvature bound use the closed-form cosine series
 
     gain(x) = constant
               + sum_k 2 |cross_k| cos(2 pi x delta_aoa_k / wavelength + angle(cross_k))
@@ -130,6 +150,8 @@ class GainExpansion:
     cross: np.ndarray
     delta_aoa: np.ndarray
     wavelength: float
+    wavenumbers: np.ndarray
+    response_conj: np.ndarray
     cross_mag: np.ndarray = field(init=False)
     cross_phase: np.ndarray = field(init=False)
 
@@ -145,9 +167,8 @@ class GainExpansion:
 
 
 def build_expansion(instance: PathResponseMatrix, wavelength: float) -> GainExpansion:
-    """Precompute the gain series coefficients for one environment."""
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    """Precompute the direct form and the series coefficients for one environment."""
+    wavenumbers = _wavenumbers(instance.angles, wavelength)
     entries = instance.entries
     pair_a, pair_b = np.triu_indices(instance.num_paths, k=1)
     if pair_a.size:
@@ -160,6 +181,8 @@ def build_expansion(instance: PathResponseMatrix, wavelength: float) -> GainExpa
         cross=cross,
         delta_aoa=virtual[pair_b] - virtual[pair_a],
         wavelength=wavelength,
+        wavenumbers=wavenumbers,
+        response_conj=entries.conj(),
     )
 
 
@@ -169,7 +192,38 @@ def _phases(expansion: GainExpansion, x_arr: np.ndarray) -> np.ndarray:
 
 
 def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
-    """Channel power gain at position(s) x via the precomputed series."""
+    """Channel power gain |F(x) conj(E)|^2 at position(s) x, in the direct form.
+
+    A single position takes one steering vector; an array is worked through
+    in blocks of _GAIN_BLOCK positions. A single path gives the constant
+    exactly.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    if expansion.num_pairs == 0:
+        out = np.full(x_arr.shape, expansion.constant)
+    elif x_arr.size == 1:
+        h = _channel_rows(expansion.wavenumbers, expansion.response_conj, x_arr.item())
+        gain = np.vdot(h, h).real
+        out = np.full(x_arr.shape, gain) if x_arr.ndim else gain
+    else:
+        flat = x_arr.reshape(-1)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _GAIN_BLOCK):
+            stop = start + _GAIN_BLOCK
+            rows = _channel_rows(expansion.wavenumbers, expansion.response_conj,
+                                 flat[start:stop, None]).view(np.float64)
+            out[start:stop] = np.einsum("ij,ij->i", rows, rows)
+        out = out.reshape(x_arr.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def gain_series(expansion: GainExpansion, x) -> float | np.ndarray:
+    """Channel power gain at position(s) x via the cosine series.
+
+    The same function as gain_eval, in the form that gain_derivative,
+    gain_second_derivative and curvature_bound differentiate; maee check
+    compares the two.
+    """
     x_arr = np.asarray(x, dtype=float)
     if expansion.num_pairs == 0:
         out = np.full(x_arr.shape, expansion.constant)

@@ -129,16 +129,12 @@ def _cmd_sweep(args) -> int:
 
 def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     """Invariant battery on one random instance; returns (name, ok) pairs."""
-    rng = np.random.default_rng(seed)
-    instance = channel.sample_instance(params, rng)
-    expansion = channel.build_expansion(instance, params.wavelength)
+    expansion = _instance_for(params, seed)
     xs = np.linspace(0.0, params.region_length, 1001)
     tx = params.max_tx_power
 
-    phases = np.exp(2j * np.pi / params.wavelength
-                    * np.outer(xs, instance.angles.virtual_aoa))
-    direct = np.sum(np.abs(phases @ instance.entries.conj()) ** 2, axis=1)
-    series = channel.gain_eval(expansion, xs)
+    direct = channel.gain_eval(expansion, xs)
+    series = channel.gain_series(expansion, xs)
     closed_form = bool(np.all(np.abs(series - direct) <= 1e-9 * (1.0 + direct)))
 
     step1, step2 = 1e-8, 1e-6

@@ -16,8 +16,6 @@ import numpy as np
 from . import channel, search
 from .params import SystemParams
 
-# Tiny negative gains are floating-point noise from the cosine series.
-_GAIN_NOISE = 1e-9
 # Relative float error of a move time computed at the edge of the reach.
 _MOVE_TIME_ROUNDING = 1e-12
 
@@ -37,9 +35,9 @@ class EEBreakdown:
 
 def mrc_snr(gain: float, params: SystemParams) -> float:
     """Received SNR with full-power MRC transmission toward the user."""
-    if gain < -_GAIN_NOISE:
+    if gain < 0:
         raise ValueError(f"gain must be nonnegative, got {gain}")
-    return params.max_tx_power * max(gain, 0.0) / params.noise_power
+    return params.max_tx_power * gain / params.noise_power
 
 
 def _efficiency(xs: np.ndarray, snr: np.ndarray, params: SystemParams):
@@ -87,16 +85,15 @@ def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdow
 def efficiency_curve(expansion: channel.GainExpansion, params: SystemParams, xs):
     """Vectorized (ee, rate, energy, feasible) along positions xs inside the region."""
     xs = np.asarray(xs, dtype=float)
-    gains = np.maximum(channel.gain_eval(expansion, xs), 0.0)
-    ratio, rate, energy = _efficiency(xs, params.max_tx_power * gains / params.noise_power,
-                                      params)
+    snr = params.max_tx_power * channel.gain_eval(expansion, xs) / params.noise_power
+    ratio, rate, energy = _efficiency(xs, snr, params)
     return ratio, rate, energy, rate >= params.min_throughput
 
 
 def efficiency_at(expansion: channel.GainExpansion, params: SystemParams,
                   x: float) -> EEBreakdown:
-    """Efficiency breakdown at one position, with the gain read off the series."""
-    return energy_efficiency(x, max(channel.gain_eval(expansion, x), 0.0), params)
+    """Efficiency breakdown at one position, with the gain evaluated there."""
+    return energy_efficiency(x, channel.gain_eval(expansion, x), params)
 
 
 def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.ndarray:
@@ -153,5 +150,5 @@ def ee_upper_bound(expansion: channel.GainExpansion,
     num = int(math.ceil(params.region_length / (params.wavelength / 200.0))) + 1
     x_best, gain_best = gain_peak(expansion, params,
                                   np.linspace(0.0, params.region_length, num))
-    bound = math.log2(1.0 + mrc_snr(max(gain_best, 0.0), params)) / params.max_tx_power
+    bound = math.log2(1.0 + mrc_snr(gain_best, params)) / params.max_tx_power
     return bound, x_best

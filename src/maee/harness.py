@@ -77,7 +77,7 @@ class SweepConfig:
             raise ValueError("need at least one worker")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """All scheme results for one instance, plus the seed that regenerates it."""
 

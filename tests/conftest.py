@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maee.channel import PathAngles, PathResponseMatrix, sample_instance
+from maee.channel import PathAngles, PathResponseMatrix, channel_vector, sample_instance
 from maee.params import SystemParams
 
 
@@ -50,3 +50,13 @@ def direct_gain(instance, wavelength, xs):
                       * np.outer(xs, instance.angles.virtual_aoa))
     h = steering @ instance.entries.conj()
     return np.sum(np.abs(h) ** 2, axis=1)
+
+
+def field_response(angles, wavelength, x):
+    """Steering vector exp(j 2 pi x virtual_aoa / wavelength) of the given paths.
+
+    Read off channel_vector with an identity response matrix, whose channel
+    vector is the steering vector itself.
+    """
+    identity = PathResponseMatrix(np.eye(angles.num_paths, dtype=complex), angles)
+    return channel_vector(identity, wavelength, x)

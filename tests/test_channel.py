@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from maee.channel import (
     build_expansion,
     channel_vector,
     curvature_bound,
-    field_response,
     gain_derivative,
     gain_eval,
     gain_second_derivative,
+    gain_series,
     sample_instance,
 )
+from maee.params import SystemParams
 
-from conftest import direct_gain, hand_instance, make_instance, single_path_instance
+from conftest import (direct_gain, field_response, hand_instance, make_instance,
+                      single_path_instance)
 
 
 def test_field_response_zero_position():
@@ -69,7 +72,7 @@ def test_channel_vector_norm_matches_expansion():
     expansion = build_expansion(instance, 0.01)
     for x in np.linspace(0.0, 0.02, 17):
         norm_sq = float(np.sum(np.abs(channel_vector(instance, 0.01, x)) ** 2))
-        assert gain_eval(expansion, x) == pytest.approx(norm_sq, rel=1e-12)
+        assert gain_series(expansion, x) == pytest.approx(norm_sq, rel=1e-12)
 
 
 def test_build_expansion_single_path():
@@ -142,6 +145,23 @@ def test_gain_eval_matches_direct_evaluation(seed, params):
     series = gain_eval(expansion, xs)
     direct = direct_gain(instance, params.wavelength, xs)
     assert np.all(np.abs(series - direct) <= 1e-9 * (1.0 + direct))
+
+
+@pytest.mark.parametrize("points", [8001, 40001])
+def test_gain_eval_memory_bounded(points):
+    # numpy reports its buffers to tracemalloc; the blocked evaluation keeps
+    # the peak independent of the grid length.
+    params = SystemParams(num_paths=60)
+    expansion = build_expansion(make_instance(0, params), params.wavelength)
+    xs = np.linspace(0.0, 16 * params.wavelength, points)
+    tracemalloc.start()
+    try:
+        gains = gain_eval(expansion, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gains.shape == (points,)
+    assert peak <= 16 * 2**20
 
 
 def test_gain_nonnegative(params):

@@ -34,8 +34,9 @@ def test_mrc_snr_linear_in_power(params):
 def test_mrc_snr_rejects_negative(params):
     with pytest.raises(ValueError):
         mrc_snr(-1e-3, params)
-    # float noise below the tolerance is clamped, not rejected
-    assert mrc_snr(-1e-12, params) == 0.0
+    # the direct gain is a sum of squares, so no negative gain is float noise
+    with pytest.raises(ValueError):
+        mrc_snr(-1e-12, params)
 
 
 def movement_part(breakdown, params):

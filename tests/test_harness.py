@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -103,6 +104,13 @@ def fake_record(value, trial, ees, feasible):
                                        throughput=ee_val * 0.05, energy=0.05,
                                        feasible=ok)
     return TrialRecord(sweep_value=value, trial=trial, instance_seed=trial, results=results)
+
+
+def test_slotted_record_survives_pickle():
+    record = run_trial(small_config(), 0, 1)
+    assert not hasattr(record, "__dict__")
+    assert not hasattr(record.results["proposed"], "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_aggregate_excludes_infeasible():

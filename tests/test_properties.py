@@ -1,5 +1,6 @@
-"""Property tests over the valid SystemParams ranges: every scheme and the grid
-oracle return finite efficiencies that keep their order."""
+"""Property tests over the valid SystemParams ranges: the gain is finite and
+nonnegative, and every scheme and the grid oracle return finite efficiencies
+that keep their order."""
 
 import math
 
@@ -10,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from maee.bench import evaluate_schemes, grid_global_ee  # noqa: E402
-from maee.channel import build_expansion, sample_instance  # noqa: E402
+from maee.channel import build_expansion, gain_eval, gain_series, sample_instance  # noqa: E402
 from maee.ee import efficiency_curve, reachable_grid  # noqa: E402
 from maee.params import SystemParams  # noqa: E402
 
@@ -69,3 +70,22 @@ def test_schemes_finite_and_ordered(params, seed):
     if oracle.feasible:
         assert proposed.feasible
         assert proposed.ee <= oracle.ee + oracle_slack(expansion, params, oracle)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pathloss_exponent=st.floats(-20.0, 5.0), distance_exponent=st.floats(0.0, 4.0),
+       num_paths=st.integers(1, 30), num_bs_antennas=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_gain_finite_and_nonnegative_at_extreme_scales(pathloss_exponent, distance_exponent,
+                                                        num_paths, num_bs_antennas, seed):
+    params = SystemParams(pathloss_ref=10.0 ** pathloss_exponent,
+                          distance=10.0 ** distance_exponent,
+                          num_paths=num_paths, num_bs_antennas=num_bs_antennas)
+    expansion = build_expansion(sample_instance(params, np.random.default_rng(seed)),
+                                params.wavelength)
+    xs = np.linspace(0.0, params.region_length, 401)
+    gains = gain_eval(expansion, xs)
+    assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
+    assert gain_eval(expansion, params.initial_position) >= 0.0
+    # Same function as the series, to float error relative to the gain's scale.
+    assert np.all(np.abs(gains - gain_series(expansion, xs)) <= 1e-9 * expansion.constant)
