@@ -1,7 +1,7 @@
 """Seeded Monte-Carlo sweeps: efficiency vs region size and movement power.
 
-Every (trial) index maps to one channel instance shared by all schemes and
-all sweep values, so the curves are paired comparisons. Results land in two
+Every trial index maps to one channel instance, built once and shared by
+all schemes and all sweep values, so the curves are paired comparisons. Results land in two
 CSV files per sweep (raw trials and aggregates). Trial counts here are small
 so the demo runs in seconds; the acceptance suite runs the full 200.
 """

@@ -20,9 +20,6 @@ import numpy as np
 
 from .params import SystemParams
 
-# Lower bound on the curvature constant so quadratic surrogates stay
-# well-defined when the gain is position independent (single path).
-CURVATURE_FLOOR = 1e-12
 # Positions per block of a grid evaluation, so that the steering matrix of
 # one block (at most _GAIN_BLOCK x L entries) bounds gain_eval's memory
 # whatever the grid length.
@@ -263,12 +260,12 @@ def gain_second_derivative(expansion: GainExpansion, tx_power: float, x) -> floa
 def curvature_bound(expansion: GainExpansion, tx_power: float) -> float:
     """Constant dominating |second derivative| of the scaled gain everywhere.
 
-    Sum of the per-pair curvature amplitudes, floored at CURVATURE_FLOOR so
-    the quadratic surrogates built on it never degenerate.
+    Sum of the per-pair curvature amplitudes. A single path has none, so its
+    position-independent gain gets exactly 0; the bound carries the scale of
+    the instance, with no absolute floor.
     """
     if tx_power <= 0:
         raise ValueError(f"tx_power must be positive, got {tx_power}")
-    total = float(np.sum(8.0 * np.pi**2 * tx_power / expansion.wavelength**2
-                         * expansion.cross_mag * expansion.delta_aoa**2))
-    return max(total, CURVATURE_FLOOR)
+    return float(np.sum(8.0 * np.pi**2 * tx_power / expansion.wavelength**2
+                        * expansion.cross_mag * expansion.delta_aoa**2))
 

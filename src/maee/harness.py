@@ -2,10 +2,10 @@
 
 Per-trial seeds come from a splittable mix of the master seed and the trial
 index, so neither execution order nor worker count can change a result. The
-channel distribution does not depend on either sweep variable, so the seed
-deliberately excludes the value index: trial t sees the same instance at
-every sweep value, and all schemes within a trial share it too. The sweep
-curves are therefore paired comparisons in both directions.
+channel distribution does not depend on either sweep variable, so a trial
+samples and expands its instance once and evaluates every scheme on it at
+every sweep value. The sweep curves are therefore paired comparisons in both
+directions.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -110,38 +111,40 @@ def params_for_value(base: SystemParams, variable: str, value: float) -> SystemP
     raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}")
 
 
-def run_trial(cfg: SweepConfig, value_index: int, trial_index: int) -> TrialRecord:
-    """Sample one instance and evaluate every requested scheme on it."""
-    value = cfg.sweep_values[value_index]
-    params = params_for_value(cfg.base, cfg.sweep_variable, value)
+def instance_for(params: SystemParams, seed: int) -> channel.GainExpansion:
+    """The gain expansion of the environment drawn from seed under params."""
+    instance = channel.sample_instance(params, np.random.default_rng(seed))
+    return channel.build_expansion(instance, params.wavelength)
+
+
+def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
+    """One record per sweep value, all from one instance drawn and expanded from cfg.base."""
     seed = mix_seed(cfg.master_seed, trial_index)
-    rng = np.random.default_rng(seed)
-    instance = channel.sample_instance(params, rng)
-    expansion = channel.build_expansion(instance, params.wavelength)
-    results = bench.evaluate_schemes(expansion, params, cfg.schemes, cfg.resolution)
-    return TrialRecord(sweep_value=value, trial=trial_index,
-                       instance_seed=seed, results=results)
-
-
-def _run_trial_task(args: tuple[SweepConfig, int, int]) -> TrialRecord:
-    return run_trial(*args)
+    expansion = instance_for(cfg.base, seed)
+    records = []
+    for value in cfg.sweep_values:
+        params = params_for_value(cfg.base, cfg.sweep_variable, value)
+        results = bench.evaluate_schemes(expansion, params, cfg.schemes, cfg.resolution)
+        records.append(TrialRecord(sweep_value=value, trial=trial_index,
+                                   instance_seed=seed, results=results))
+    return records
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[TrialRecord], list[AggregateRow]]:
     """Run all trials of a sweep and aggregate them.
 
-    Trials are independent work items; with workers > 1 they run in a process
-    pool. Results are merged in (value index, trial index) order either way,
-    so the output is identical for any worker count.
+    Each trial builds its instance once and evaluates it at every sweep value;
+    with workers > 1 the trials run in a process pool. Records are merged in
+    (value index, trial index) order either way, so the output is identical
+    for any worker count.
     """
-    tasks = [(cfg, vi, ti)
-             for vi in range(len(cfg.sweep_values))
-             for ti in range(cfg.trials)]
+    trial = partial(run_trial, cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_trial_task, tasks, chunksize=8))
+            by_trial = list(pool.map(trial, range(cfg.trials)))
     else:
-        records = [run_trial(*task) for task in tasks]
+        by_trial = list(map(trial, range(cfg.trials)))
+    records = [record for per_value in zip(*by_trial) for record in per_value]
     return records, aggregate(records, cfg.schemes)
 
 
@@ -151,13 +154,11 @@ def aggregate(records: list[TrialRecord], schemes=SCHEME_ORDER) -> list[Aggregat
     Infeasible trials stay in the raw records but are excluded from the mean
     and std; n counts the trials the mean covers. std is the population value.
     """
-    values: list[float] = []
+    groups: dict[float, list[TrialRecord]] = {}
     for record in records:
-        if record.sweep_value not in values:
-            values.append(record.sweep_value)
+        groups.setdefault(record.sweep_value, []).append(record)
     rows = []
-    for value in values:
-        group = [r for r in records if r.sweep_value == value]
+    for value, group in groups.items():
         for scheme in (s for s in SCHEME_ORDER if s in schemes):
             outcomes = [r.results[scheme] for r in group if scheme in r.results]
             feasible = [o.ee for o in outcomes if o.feasible]

@@ -94,6 +94,7 @@ def taylor_bounds(expansion: channel.GainExpansion, params: SystemParams,
     Both bounds share the value and slope at x_local; the curvature constant
     dominates the true second derivative everywhere, so lower <= h <= upper
     holds on the whole region, merely loosening with distance from x_local.
+    A zero constant (a single path's flat gain) makes both bounds exact.
     """
     tx = params.max_tx_power
     value = float(h_of_x(expansion, params, x_local))

@@ -217,3 +217,18 @@ def test_slow_antenna_schemes_stay_within_reach(region_wavelengths):
             assert result.ee <= ceiling.ee * (1 + 1e-9)
             if name != "upper_bound":
                 assert abs(result.x - slow.initial_position) <= reach * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("exponent", [-80, -60, -40, -20, 20])
+def test_results_invariant_to_power_of_two_link_scale(exponent, params):
+    # Scaling pathloss_ref and noise_power by 2**k leaves every SNR bit-identical
+    # (power-of-two scaling is exact in floating point), so no tolerance may
+    # carry an absolute scale: every result must match exactly.
+    scale = 2.0 ** exponent
+    scaled = replace(params, pathloss_ref=params.pathloss_ref * scale,
+                     noise_power=params.noise_power * scale)
+    for seed in range(20):
+        expansion = build_expansion(make_instance(seed, params), params.wavelength)
+        scaled_expansion = build_expansion(make_instance(seed, scaled), scaled.wavelength)
+        assert evaluate_schemes(scaled_expansion, scaled) == evaluate_schemes(expansion, params)
+        assert grid_global_ee(scaled_expansion, scaled) == grid_global_ee(expansion, params)

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from maee import channel
 from maee.bench import SchemeResult
 from maee.harness import (
     SweepConfig,
@@ -59,8 +60,8 @@ def test_params_for_value_rejects_unknown():
 
 def test_run_trial_deterministic():
     cfg = small_config()
-    a = run_trial(cfg, 0, 1)
-    b = run_trial(cfg, 0, 1)
+    a = run_trial(cfg, 1)[0]
+    b = run_trial(cfg, 1)[0]
     assert a.instance_seed == b.instance_seed
     assert a.results["proposed"] == b.results["proposed"]
     assert a.results["fpa"] == b.results["fpa"]
@@ -70,10 +71,24 @@ def test_trials_pair_instances_across_sweep_values():
     # The channel distribution ignores the swept variable, so the same trial
     # index must see the same instance at every sweep value.
     cfg = small_config()
-    low = run_trial(cfg, 0, 2)
-    high = run_trial(cfg, 1, 2)
+    low, high = run_trial(cfg, 2)
     assert low.instance_seed == high.instance_seed
     assert low.sweep_value != high.sweep_value
+
+
+def test_run_sweep_builds_each_instance_once(monkeypatch):
+    calls = {"sample_instance": 0, "build_expansion": 0}
+    for name in calls:
+        original = getattr(channel, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(channel, name, counted)
+    records, _ = run_sweep(small_config(sweep_values=(0.5, 1.0, 1.5), trials=2))
+    assert len(records) == 6
+    assert calls == {"sample_instance": 2, "build_expansion": 2}
 
 
 def test_run_sweep_order_and_rerun_identical():
@@ -107,7 +122,7 @@ def fake_record(value, trial, ees, feasible):
 
 
 def test_slotted_record_survives_pickle():
-    record = run_trial(small_config(), 0, 1)
+    record = run_trial(small_config(), 1)[0]
     assert not hasattr(record, "__dict__")
     assert not hasattr(record.results["proposed"], "__dict__")
     assert pickle.loads(pickle.dumps(record)) == record
