@@ -16,6 +16,7 @@ from . import channel, ee, search, solver
 from .params import SystemParams
 
 SCHEME_ORDER = ("proposed", "upper_bound", "max_throughput", "max_snr", "fpa")
+ORACLE_RTOL = 1e-6  # relative floor of oracle_slack
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,6 +60,17 @@ def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams,
         best_x, _ = search.grid_polish_max(
             _curve_objective(expansion, params, lambda v, r, e, ok: v), xs, tol)
     return _from_breakdown("oracle", ee.efficiency_at(expansion, params, best_x))
+
+
+def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
+                 oracle: SchemeResult) -> float:
+    """How far the proposed optimizer may land above the oracle: the larger of
+    ORACLE_RTOL and the efficiency change over the oracle's polish tolerance."""
+    tol = params.wavelength * 1e-6
+    reach = ee.reachable_grid(params)
+    nearby = np.clip([oracle.x - tol, oracle.x + tol], reach[0], reach[-1])
+    change = float(np.max(np.abs(ee.efficiency_curve(expansion, params, nearby)[0] - oracle.ee)))
+    return max(ORACLE_RTOL * oracle.ee, change)
 
 
 def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:

@@ -15,7 +15,9 @@ and the linearized rate constraint bind). Each convex subproblem therefore
 collapses to a one-dimensional concave search over a trust window around the
 current iterate, solved by a scan plus golden polish. The window always
 contains the iterate itself, which makes the surrogate objective sequence
-nondecreasing by construction.
+nondecreasing by construction. The surrogate is built once per subproblem:
+its slack tangent points, AM-GM coefficients, rate-floor level and bound
+coefficients are computed before the search, which only evaluates it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ FEASIBILITY_SLACK = 1e-9         # absolute slack on the throughput constraint
 OUTER_CAP = 100                  # Dinkelbach iterations per run
 INNER_CAP = 50                   # SCA subproblems per Dinkelbach iteration
 _SCAN_POINTS = 65
+_UNIT_SLACKS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))  # (delta, gamma) axes
 
 
 @dataclass
@@ -104,36 +107,47 @@ def taylor_bounds(expansion: channel.GainExpansion, params: SystemParams,
             QuadraticBound(x_local, value, slope, +half))
 
 
-def _optimal_slacks(xs, lower: QuadraticBound, upper: QuadraticBound,
-                    gamma_local: float, params: SystemParams):
-    """Closed-form slack optima (beta, gamma, delta) for positions xs."""
-    noise = params.noise_power
-    beta = np.maximum(lower(xs), 0.0)
-    delta = np.abs(np.asarray(xs, dtype=float) - params.initial_position)
-    level = noise * 2.0 ** gamma_local
-    gamma = np.maximum(gamma_local + (upper(xs) - (level - noise)) / (level * math.log(2.0)), 0.0)
-    return beta, gamma, delta
+def _build_surrogate(bounds: tuple[QuadraticBound, QuadraticBound], params: SystemParams,
+                     alpha: float):
+    """Eliminated surrogate objective of one subproblem, as a function of positions.
 
-
-def _surrogate_objective(xs, lower: QuadraticBound, upper: QuadraticBound,
-                         params: SystemParams, alpha: float):
-    """Eliminated surrogate objective; -inf where the rate floor is unreachable.
-
-    The slacks are tangent at the bounds' center: its travel distance and its
-    rate, each floored so the AM-GM coefficients stay finite.
+    bounds is the (lower, upper) pair from taylor_bounds: one center, value
+    and slope, opposite curvatures. Everything fixed for the subproblem is
+    computed here once: the slack tangent points (the center's travel
+    distance and rate, each floored so the AM-GM coefficients stay finite),
+    the AM-GM coefficients, the rate-floor level and the bound coefficients.
+    The returned function maps an array of positions to the objective, -inf
+    where the rate floor is unreachable.
     """
-    delta_local = max(abs(lower.center - params.initial_position),
-                      params.wavelength * DELTA_FLOOR_WAVELENGTHS)
-    gamma_local = max(math.log2(1.0 + max(lower.value, 0.0) / params.noise_power),
-                      GAMMA_FLOOR)
-    beta, gamma, delta = _optimal_slacks(xs, lower, upper, gamma_local, params)
-    rate_term = params.block_duration * np.log2(1.0 + beta / params.noise_power)
-    product = bilinear_upper(delta, gamma, delta_local, gamma_local)
-    speed = params.speed
-    value = (rate_term - product / speed
-             - delta / speed * alpha * (params.movement_power - params.max_tx_power))
-    feasible = rate_term - product / speed >= params.min_throughput - FEASIBILITY_SLACK
-    return np.where(feasible, value, -np.inf)
+    lower, upper = bounds
+    center, value, slope, half = lower.center, lower.value, lower.slope, upper.half_curvature
+    x0, noise, speed = params.initial_position, params.noise_power, params.speed
+    delta_local = max(abs(center - x0), params.wavelength * DELTA_FLOOR_WAVELENGTHS)
+    gamma_local = max(math.log2(1.0 + max(value, 0.0) / noise), GAMMA_FLOOR)
+    # The AM-GM bound is a diagonal quadratic form, so its values at the unit
+    # slacks are its coefficients (halved; scaling by 0.5 is exact, so the sum
+    # below equals bilinear_upper bit for bit). The call also rejects a
+    # nonpositive tangent point.
+    coef_delta, coef_gamma = bilinear_upper(*_UNIT_SLACKS, delta_local, gamma_local).tolist()
+    level = noise * 2.0 ** gamma_local
+    level_offset, level_scale = level - noise, level * math.log(2.0)
+    duration = params.block_duration
+    power_gap = params.movement_power - params.max_tx_power
+    floor = params.min_throughput - FEASIBILITY_SLACK
+
+    def objective(xs):
+        dx = xs - center
+        base = value + slope * dx
+        curve = half * dx * dx  # lower bound: base - curve, upper: base + curve
+        beta = np.maximum(base - curve, 0.0)
+        gamma = np.maximum(gamma_local + (base + curve - level_offset) / level_scale, 0.0)
+        delta = np.abs(xs - x0)
+        rate_term = duration * np.log2(1.0 + beta / noise)
+        product = coef_delta * delta * delta + coef_gamma * gamma * gamma
+        net = rate_term - product / speed
+        return np.where(net >= floor, net - delta / speed * alpha * power_gap, -np.inf)
+
+    return objective
 
 
 def solve_subproblem(x: float, expansion: channel.GainExpansion,
@@ -145,14 +159,13 @@ def solve_subproblem(x: float, expansion: channel.GainExpansion,
     surrogate objective, or None when no position in the window satisfies the
     rate floor.
     """
-    lower, upper = taylor_bounds(expansion, params, x)
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
     reach = params.speed * params.block_duration
     lo = max(0.0, x - half, params.initial_position - reach)
     hi = min(params.region_length, x + half, params.initial_position + reach)
     xs = np.unique(np.append(np.linspace(lo, hi, _SCAN_POINTS), x))
     best_x, best_val = search.grid_polish_max(
-        lambda t: _surrogate_objective(t, lower, upper, params, alpha),
+        _build_surrogate(taylor_bounds(expansion, params, x), params, alpha),
         xs, tol=params.wavelength * 1e-6)
     if best_val == -math.inf:
         return None
@@ -204,8 +217,8 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
         start = ee.efficiency_at(expansion, params, restart)
 
     x, alpha = start.position, start.ee
-    lower, upper = taylor_bounds(expansion, params, x)
-    objective = float(_surrogate_objective(np.asarray([x]), lower, upper, params, alpha)[0])
+    surrogate = _build_surrogate(taylor_bounds(expansion, params, x), params, alpha)
+    objective = float(surrogate(np.asarray([x]))[0])
     trace = [(0, x, alpha, objective)]
 
     status = "iteration-cap"

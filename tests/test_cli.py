@@ -65,6 +65,27 @@ def test_check_command(capsys):
     assert "all checks passed" in out
 
 
+def test_check_passes_within_oracle_resolution(tmp_path, capsys):
+    # R_TH = 10 bits/Hz, P = 5 W, seed 9: the solver lands ~1e-6 relative above
+    # the grid oracle, within the oracle's resolution (bench.oracle_slack)
+    config = tmp_path / "tight.cfg"
+    config.write_text("R_TH = 10 bits/Hz\nP = 5 W\n")
+    code, out, err = run_cli(capsys, "check", "--trials", "1", "--seed", "9",
+                             "--config", str(config))
+    assert code == 0, out + err
+    assert "ok trial=0 solver bracketing" in out
+
+
+def test_solve_status_flags_movement_power_below_transmit_power(tmp_path, capsys):
+    config = tmp_path / "cheap.cfg"
+    config.write_text("P = 0.001 W\n")  # below P_t = 10 dBm = 0.01 W
+    code, out, err = run_cli(capsys, "solve", "--seed", "5", "--config", str(config))
+    assert code == 0, err
+    assert "flagged=1" in next(line for line in out.splitlines() if line.startswith("status="))
+    _, out, _ = run_cli(capsys, "solve", "--seed", "5")
+    assert "flagged=0" in next(line for line in out.splitlines() if line.startswith("status="))
+
+
 def test_missing_config_keys_fall_back_to_defaults(tmp_path, capsys):
     config = tmp_path / "partial.cfg"
     config.write_text("T = 5.0\nR_TH = 5.0\n")  # explicit defaults only

@@ -10,13 +10,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from maee.bench import evaluate_schemes, grid_global_ee  # noqa: E402
+from maee.bench import evaluate_schemes, grid_global_ee, oracle_slack  # noqa: E402
 from maee.channel import build_expansion, gain_eval, gain_series, sample_instance  # noqa: E402
-from maee.ee import efficiency_curve, reachable_grid  # noqa: E402
 from maee.params import SystemParams  # noqa: E402
 
 RTOL = 1e-9
-ORACLE_RTOL = 1e-6
 
 
 @st.composite
@@ -34,16 +32,6 @@ def system_params(draw):
         min_throughput=draw(st.floats(-1.0, 50.0)),
         distance=10.0 ** draw(st.floats(0.0, 3.0)),
     )
-
-
-def oracle_slack(expansion, params, oracle):
-    """How far the proposed optimizer may land above the oracle: the larger of
-    ORACLE_RTOL and the efficiency change over the oracle's polish tolerance."""
-    tol = params.wavelength * 1e-6
-    reach = reachable_grid(params)
-    nearby = np.clip([oracle.x - tol, oracle.x + tol], reach[0], reach[-1])
-    change = float(np.max(np.abs(efficiency_curve(expansion, params, nearby)[0] - oracle.ee)))
-    return max(ORACLE_RTOL * oracle.ee, change)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from maee import solver
 from maee.bench import grid_global_ee
 from maee.channel import build_expansion, gain_eval
 from maee.ee import ee_upper_bound, efficiency_at, energy_efficiency
@@ -12,8 +14,7 @@ from maee.solver import (
     DELTA_FLOOR_WAVELENGTHS,
     GAMMA_FLOOR,
     TRUST_WINDOW_WAVELENGTHS,
-    _optimal_slacks,
-    _surrogate_objective,
+    _build_surrogate,
     bilinear_upper,
     h_of_x,
     optimize,
@@ -43,16 +44,20 @@ def floored_slacks(bounds, params):
 
 
 def eliminated_slacks(x, bounds, params):
-    """Closed-form slack optima (beta, gamma, delta) at one position."""
+    """Closed-form slack optima (beta, gamma, delta) at one position: the gain
+    slack meets its lower Taylor cap, the travel slack the distance and the
+    rate slack the linearized rate constraint."""
     lower, upper = bounds
     _, gamma_loc = floored_slacks(bounds, params)
-    return tuple(float(v) for v in _optimal_slacks(x, lower, upper, gamma_loc, params))
+    noise = params.noise_power
+    level = noise * 2.0 ** gamma_loc
+    gamma = gamma_loc + (float(upper(x)) - (level - noise)) / (level * math.log(2.0))
+    return max(float(lower(x)), 0.0), max(gamma, 0.0), abs(x - params.initial_position)
 
 
 def eliminated_objective(x, bounds, params, alpha):
     """Eliminated surrogate objective at one position; -inf when the floor fails."""
-    lower, upper = bounds
-    return float(_surrogate_objective(np.array([x]), lower, upper, params, alpha)[0])
+    return float(_build_surrogate(bounds, params, alpha)(np.array([x]))[0])
 
 
 def surrogate_value(x, beta, gamma, delta, bounds, params, alpha):
@@ -70,16 +75,12 @@ def brute_force_slacks(x, bounds, params, alpha, n=121):
     Axes start at the analytically binding boundary values, so the grid
     contains the exact constrained optimum whenever the elimination is right.
     """
-    lower, upper = bounds
     delta_loc, gamma_loc = floored_slacks(bounds, params)
     noise = params.noise_power
 
-    beta_hi = max(float(lower(x)), 0.0)
+    beta_hi, gamma_lo, delta_lo = eliminated_slacks(x, bounds, params)
     betas = np.linspace(0.0, beta_hi, n)
-    level = noise * 2.0 ** gamma_loc
-    gamma_lo = max(gamma_loc + (float(upper(x)) - (level - noise)) / (level * math.log(2.0)), 0.0)
     gammas = np.linspace(gamma_lo, gamma_lo + 2.0, n)
-    delta_lo = abs(x - params.initial_position)
     deltas = np.linspace(delta_lo, delta_lo + params.wavelength / 4, n)
 
     B, G, D = np.meshgrid(betas, gammas, deltas, indexing="ij")
@@ -234,6 +235,7 @@ def test_eliminate_slacks_matches_slack_grid(seed, params):
         assert eliminated_objective(x, bounds, params, alpha) > -math.inf
         beta, gamma, delta = eliminated_slacks(x, bounds, params)
         analytic = float(surrogate_value(x, beta, gamma, delta, bounds, params, alpha))
+        assert eliminated_objective(x, bounds, params, alpha) == pytest.approx(analytic, rel=1e-12)
         brute, slacks = brute_force_slacks(x, bounds, params, alpha)
         assert analytic >= brute - 1e-12 * abs(brute)
         assert analytic == pytest.approx(brute, rel=1e-4)
@@ -375,6 +377,20 @@ def test_optimize_restarts_from_feasible_region():
         else:
             assert report.status == "infeasible"
     assert hit > 0  # the scenario must actually exercise the restart path
+
+
+def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
+    """The AM-GM coefficients come from one bilinear_upper call per surrogate
+    build: one per subproblem plus the start objective's, none per evaluation."""
+    calls = Counter()
+    for name in ("bilinear_upper", "solve_subproblem"):
+        def counted(*args, _name=name, _original=getattr(solver, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(solver, name, counted)
+    optimize(build_expansion(make_instance(1), params.wavelength), params)
+    assert calls["solve_subproblem"] > 1
+    assert calls["bilinear_upper"] == calls["solve_subproblem"] + 1
 
 
 def test_optimize_flags_low_movement_power(params):
