@@ -16,6 +16,9 @@ from . import channel, ee, search, solver
 from .params import SystemParams
 
 SCHEME_ORDER = ("proposed", "upper_bound", "max_throughput", "max_snr", "fpa")
+# Schemes whose result never reads the movement power: the ceiling assumes no
+# movement, and the fixed antenna never moves, so its movement energy is 0.
+MOVEMENT_POWER_FREE = ("upper_bound", "fpa")
 ORACLE_RTOL = 1e-6  # relative floor of oracle_slack
 
 
@@ -125,9 +128,15 @@ def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams,
 
 
 def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
-                     schemes=SCHEME_ORDER,
-                     resolution: float | None = None) -> dict[str, SchemeResult]:
-    """Evaluate the requested schemes on one shared channel instance."""
+                     schemes=SCHEME_ORDER, resolution: float | None = None,
+                     known: dict[str, SchemeResult] | None = None) -> dict[str, SchemeResult]:
+    """Evaluate the requested schemes on one shared channel instance.
+
+    known, when given, maps scheme names to results already computed on this
+    instance for params that differ from these at most in movement power; the
+    MOVEMENT_POWER_FREE schemes among them are reused as the same objects
+    instead of being evaluated again.
+    """
     runners = {
         "proposed": lambda: scheme_proposed(expansion, params, resolution),
         "upper_bound": lambda: scheme_upper_bound(expansion, params),
@@ -138,4 +147,6 @@ def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
     unknown = set(schemes) - set(runners)
     if unknown:
         raise ValueError(f"unknown schemes: {sorted(unknown)}")
-    return {name: runners[name]() for name in SCHEME_ORDER if name in schemes}
+    known = known or {}
+    return {name: known[name] if name in MOVEMENT_POWER_FREE and name in known
+            else runners[name]() for name in SCHEME_ORDER if name in schemes}

@@ -118,13 +118,21 @@ def instance_for(params: SystemParams, seed: int) -> channel.GainExpansion:
 
 
 def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
-    """One record per sweep value, all from one instance drawn and expanded from cfg.base."""
+    """One record per sweep value, all from one instance drawn and expanded from cfg.base.
+
+    Sweep values whose params differ only in movement power (a power sweep)
+    share one evaluation of each bench.MOVEMENT_POWER_FREE scheme: every
+    record of the trial holds the same result object.
+    """
     seed = mix_seed(cfg.master_seed, trial_index)
     expansion = instance_for(cfg.base, seed)
+    shared: dict[SystemParams, dict[str, SchemeResult]] = {}
     records = []
     for value in cfg.sweep_values:
         params = params_for_value(cfg.base, cfg.sweep_variable, value)
-        results = bench.evaluate_schemes(expansion, params, cfg.schemes, cfg.resolution)
+        known = shared.setdefault(replace(params, movement_power=0.0), {})
+        results = bench.evaluate_schemes(expansion, params, cfg.schemes, cfg.resolution, known)
+        known.update(results)
         records.append(TrialRecord(sweep_value=value, trial=trial_index,
                                    instance_seed=seed, results=results))
     return records

@@ -58,8 +58,9 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
 def grid_polish_max(f, xs, tol: float) -> tuple[float, float]:
     """Maximize f over the sorted grid xs, then golden-polish the best cell.
 
-    f maps a 1-D array of positions to an array of values; the polish feeds
-    it one-element arrays. The first grid argmax wins on ties, so
+    f takes a float or an array: the scan passes it the whole grid xs and
+    the polish single Python floats, so f must give the same value for a
+    position either way. The first grid argmax wins on ties, so
     equal-objective results resolve to the smallest x. A scan that is -inf
     everywhere (nothing admissible on the grid) is returned as is, without a
     polish.
@@ -72,8 +73,7 @@ def grid_polish_max(f, xs, tol: float) -> tuple[float, float]:
 
     bracket_lo = float(xs[max(idx - 1, 0)])
     bracket_hi = float(xs[min(idx + 1, len(xs) - 1)])
-    px, pf = golden_section_max(lambda t: float(f(np.array([t]))[0]),
-                                bracket_lo, bracket_hi, tol)
+    px, pf = golden_section_max(f, bracket_lo, bracket_hi, tol)
     if pf > best_f or (pf == best_f and px < best_x):
         return px, pf
     return best_x, best_f

@@ -17,7 +17,11 @@ current iterate, solved by a scan plus golden polish. The window always
 contains the iterate itself, which makes the surrogate objective sequence
 nondecreasing by construction. The surrogate is built once per subproblem:
 its slack tangent points, AM-GM coefficients, rate-floor level and bound
-coefficients are computed before the search, which only evaluates it.
+coefficients are computed before the search, which only evaluates it. The
+curvature constant of the Taylor bounds depends only on the instance, so it
+is computed once per optimize run. The scan evaluates the surrogate on an
+array of positions; the golden polish evaluates it on Python floats, with
+the same IEEE operations in the same order, so both give identical values.
 """
 
 from __future__ import annotations
@@ -91,10 +95,11 @@ class QuadraticBound:
 
 
 def taylor_bounds(expansion: channel.GainExpansion, params: SystemParams,
-                  x_local: float) -> tuple[QuadraticBound, QuadraticBound]:
+                  x_local: float, curvature: float) -> tuple[QuadraticBound, QuadraticBound]:
     """Quadratic sandwich of the scaled gain around x_local.
 
-    Both bounds share the value and slope at x_local; the curvature constant
+    Both bounds share the value and slope at x_local; curvature is
+    channel.curvature_bound of the instance at the transmit power, which
     dominates the true second derivative everywhere, so lower <= h <= upper
     holds on the whole region, merely loosening with distance from x_local.
     A zero constant (a single path's flat gain) makes both bounds exact.
@@ -102,7 +107,7 @@ def taylor_bounds(expansion: channel.GainExpansion, params: SystemParams,
     tx = params.max_tx_power
     value = float(h_of_x(expansion, params, x_local))
     slope = float(channel.gain_derivative(expansion, tx, x_local))
-    half = 0.5 * channel.curvature_bound(expansion, tx)
+    half = 0.5 * curvature
     return (QuadraticBound(x_local, value, slope, -half),
             QuadraticBound(x_local, value, slope, +half))
 
@@ -116,8 +121,11 @@ def _build_surrogate(bounds: tuple[QuadraticBound, QuadraticBound], params: Syst
     computed here once: the slack tangent points (the center's travel
     distance and rate, each floored so the AM-GM coefficients stay finite),
     the AM-GM coefficients, the rate-floor level and the bound coefficients.
-    The returned function maps an array of positions to the objective, -inf
-    where the rate floor is unreachable.
+    The returned function maps a position, or an array of positions, to the
+    objective, -inf where the rate floor is unreachable. Its float form
+    repeats the array form's operations in order (max, abs and a conditional
+    for np.maximum, np.abs and np.where; the log stays np.log2, which
+    math.log2 differs from in the last bit), so the two agree exactly.
     """
     lower, upper = bounds
     center, value, slope, half = lower.center, lower.value, lower.slope, upper.half_curvature
@@ -139,6 +147,14 @@ def _build_surrogate(bounds: tuple[QuadraticBound, QuadraticBound], params: Syst
         dx = xs - center
         base = value + slope * dx
         curve = half * dx * dx  # lower bound: base - curve, upper: base + curve
+        if isinstance(xs, float):
+            beta = max(base - curve, 0.0)
+            gamma = max(gamma_local + (base + curve - level_offset) / level_scale, 0.0)
+            delta = abs(xs - x0)
+            rate_term = duration * float(np.log2(1.0 + beta / noise))
+            product = coef_delta * delta * delta + coef_gamma * gamma * gamma
+            net = rate_term - product / speed
+            return net - delta / speed * alpha * power_gap if net >= floor else -math.inf
         beta = np.maximum(base - curve, 0.0)
         gamma = np.maximum(gamma_local + (base + curve - level_offset) / level_scale, 0.0)
         delta = np.abs(xs - x0)
@@ -150,12 +166,13 @@ def _build_surrogate(bounds: tuple[QuadraticBound, QuadraticBound], params: Syst
     return objective
 
 
-def solve_subproblem(x: float, expansion: channel.GainExpansion,
-                     params: SystemParams, alpha: float) -> tuple[float, float] | None:
+def solve_subproblem(x: float, expansion: channel.GainExpansion, params: SystemParams,
+                     alpha: float, curvature: float) -> tuple[float, float] | None:
     """Maximize the eliminated surrogate over the trust window around x.
 
-    The candidate set always contains x itself, so the accepted objective
-    never drops below the tangency value. Returns the chosen position and its
+    curvature is the instance's curvature bound (see taylor_bounds). The
+    candidate set always contains x itself, so the accepted objective never
+    drops below the tangency value. Returns the chosen position and its
     surrogate objective, or None when no position in the window satisfies the
     rate floor.
     """
@@ -165,7 +182,7 @@ def solve_subproblem(x: float, expansion: channel.GainExpansion,
     hi = min(params.region_length, x + half, params.initial_position + reach)
     xs = np.unique(np.append(np.linspace(lo, hi, _SCAN_POINTS), x))
     best_x, best_val = search.grid_polish_max(
-        _build_surrogate(taylor_bounds(expansion, params, x), params, alpha),
+        _build_surrogate(taylor_bounds(expansion, params, x, curvature), params, alpha),
         xs, tol=params.wavelength * 1e-6)
     if best_val == -math.inf:
         return None
@@ -217,8 +234,8 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
         start = ee.efficiency_at(expansion, params, restart)
 
     x, alpha = start.position, start.ee
-    surrogate = _build_surrogate(taylor_bounds(expansion, params, x), params, alpha)
-    objective = float(surrogate(np.asarray([x]))[0])
+    curvature = channel.curvature_bound(expansion, params.max_tx_power)
+    objective = _build_surrogate(taylor_bounds(expansion, params, x, curvature), params, alpha)(x)
     trace = [(0, x, alpha, objective)]
 
     status = "iteration-cap"
@@ -228,7 +245,7 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
         stalled = False
         inner_prev = -math.inf
         for _ in range(INNER_CAP):
-            step = solve_subproblem(x, expansion, params, alpha)
+            step = solve_subproblem(x, expansion, params, alpha, curvature)
             if step is None:
                 stalled = True
                 break

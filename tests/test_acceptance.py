@@ -142,7 +142,8 @@ def test_criterion_5_surrogate_properties(params):
         xs = np.linspace(0.0, params.region_length, 3000)
         h_vals = np.asarray(h_of_x(expansion, params, xs))
         for x_i in (0.0, 0.37 * params.region_length, params.region_length):
-            lower, upper = taylor_bounds(expansion, params, x_i)
+            lower, upper = taylor_bounds(expansion, params, x_i,
+                                         curvature_bound(expansion, params.max_tx_power))
             slack = 1e-12 * (1.0 + np.abs(h_vals))
             assert np.all(lower(xs) <= h_vals + slack)
             assert np.all(upper(xs) >= h_vals - slack)

@@ -5,13 +5,14 @@ import pickle
 import numpy as np
 import pytest
 
-from maee import channel
-from maee.bench import SchemeResult
+from maee import channel, ee
+from maee.bench import SchemeResult, evaluate_schemes
 from maee.harness import (
     SweepConfig,
     TrialRecord,
     aggregate,
     emit_csv,
+    instance_for,
     load_config,
     mix_seed,
     params_for_value,
@@ -89,6 +90,45 @@ def test_run_sweep_builds_each_instance_once(monkeypatch):
     records, _ = run_sweep(small_config(sweep_values=(0.5, 1.0, 1.5), trials=2))
     assert len(records) == 6
     assert calls == {"sample_instance": 2, "build_expansion": 2}
+
+
+@pytest.mark.parametrize("variable, values, per_trial", [
+    ("power", (0.1, 0.5, 1.0, 2.0, 5.0), 1),
+    ("region", (0.5, 1.0, 1.5), 3),
+])
+def test_run_sweep_ceiling_once_per_movement_power_free_params(
+        variable, values, per_trial, monkeypatch):
+    """Movement power never reaches the ceiling, so a power sweep computes it
+    once per trial; a region sweep changes the region and needs it per value."""
+    calls = []
+    original = ee.ee_upper_bound
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ee, "ee_upper_bound", counted)
+    cfg = small_config(sweep_variable=variable, sweep_values=values, trials=2,
+                       schemes=("upper_bound", "fpa"))
+    records, _ = run_sweep(cfg)
+    assert len(records) == 2 * len(values)
+    assert len(calls) == 2 * per_trial
+
+
+def test_power_sweep_shares_movement_power_free_results():
+    cfg = small_config(sweep_variable="power", sweep_values=(0.2, 1.0, 3.0),
+                       schemes=("upper_bound", "max_snr", "fpa"))
+    records = run_trial(cfg, 1)
+    for trial_records in (records, pickle.loads(pickle.dumps(records))):
+        first = trial_records[0].results
+        for record in trial_records[1:]:
+            assert record.results["upper_bound"] is first["upper_bound"]
+            assert record.results["fpa"] is first["fpa"]
+            assert record.results["max_snr"] is not first["max_snr"]
+    # the shared objects equal what each sweep value computes on its own
+    expansion = instance_for(cfg.base, records[-1].instance_seed)
+    alone = evaluate_schemes(expansion, params_for_value(cfg.base, "power", 3.0), cfg.schemes)
+    assert alone == records[-1].results
 
 
 def test_run_sweep_order_and_rerun_identical():

@@ -87,3 +87,18 @@ def test_grid_polish_never_worse_than_grid_best(seed):
     assert fx >= np.max(wiggly(xs))
     assert fx == wiggly(np.array([x]))[0]
     assert xs[0] <= x <= xs[-1]
+
+
+def test_grid_polish_feeds_plain_floats_to_the_polish():
+    kinds = []
+
+    def f(t):
+        kinds.append(type(t))
+        return -(t - 0.3) ** 2
+
+    x, fx = grid_polish_max(f, np.linspace(0.0, 1.0, 11), tol=1e-9)
+    assert abs(x - 0.3) <= 1e-9
+    assert type(fx) is float
+    assert kinds[0] is np.ndarray
+    assert len(kinds) > 2
+    assert all(kind is float for kind in kinds[1:])

@@ -7,7 +7,7 @@ import pytest
 
 from maee import solver
 from maee.bench import grid_global_ee
-from maee.channel import build_expansion, gain_eval
+from maee.channel import build_expansion, curvature_bound, gain_eval
 from maee.ee import ee_upper_bound, efficiency_at, energy_efficiency
 from maee.params import SystemParams
 from maee.solver import (
@@ -25,9 +25,15 @@ from maee.solver import (
 from conftest import direct_gain, make_instance, single_path_instance
 
 
+def curvature(expansion, params):
+    """The instance's curvature bound, as optimize computes it once per run."""
+    return curvature_bound(expansion, params.max_tx_power)
+
+
 def tangent_state(x, expansion, params):
     """Taylor bounds tangent at the iterate x, and the true ratio there."""
-    return taylor_bounds(expansion, params, x), efficiency_at(expansion, params, x).ee
+    return (taylor_bounds(expansion, params, x, curvature(expansion, params)),
+            efficiency_at(expansion, params, x).ee)
 
 
 def tangent_slacks(bounds, params):
@@ -170,7 +176,7 @@ def test_bilinear_rejects_nonpositive_locals():
 def test_taylor_tangency(seed, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
     x_i = 0.0123
-    lower, upper = taylor_bounds(expansion, params, x_i)
+    lower, upper = taylor_bounds(expansion, params, x_i, curvature(expansion, params))
     h_val = h_of_x(expansion, params, x_i)
     assert lower(x_i) == pytest.approx(h_val, rel=1e-12)
     assert upper(x_i) == pytest.approx(h_val, rel=1e-12)
@@ -188,7 +194,7 @@ def test_taylor_sandwich_dense(seed, params):
     xs = np.linspace(0.0, params.region_length, 3000)
     h_vals = h_of_x(expansion, params, xs)
     for x_i in (0.0, 0.004, params.initial_position, 0.0178):
-        lower, upper = taylor_bounds(expansion, params, x_i)
+        lower, upper = taylor_bounds(expansion, params, x_i, curvature(expansion, params))
         slack = 1e-12 * (1.0 + np.abs(h_vals))
         assert np.all(lower(xs) <= h_vals + slack)
         assert np.all(upper(xs) >= h_vals - slack)
@@ -196,7 +202,8 @@ def test_taylor_sandwich_dense(seed, params):
 
 def test_taylor_single_path_nearly_flat(params):
     expansion = build_expansion(single_path_instance(), params.wavelength)
-    lower, upper = taylor_bounds(expansion, params, params.initial_position)
+    lower, upper = taylor_bounds(expansion, params, params.initial_position,
+                                 curvature(expansion, params))
     xs = np.linspace(0.0, params.region_length, 100)
     h_vals = h_of_x(expansion, params, xs)
     # floored curvature keeps the gap below eps/2 * A^2
@@ -266,7 +273,8 @@ def test_solve_subproblem_single_path_stays(params):
         single_path_instance(response=1e-4, num_antennas=params.num_bs_antennas),
         params.wavelength)
     _, alpha = tangent_state(params.initial_position, expansion, params)
-    x, _ = solve_subproblem(params.initial_position, expansion, params, alpha)
+    x, _ = solve_subproblem(params.initial_position, expansion, params, alpha,
+                            curvature(expansion, params))
     assert x == pytest.approx(params.initial_position, abs=1e-12)
 
 
@@ -275,7 +283,8 @@ def test_solve_subproblem_fixed_point_at_peak(params):
     _, x_bar = ee_upper_bound(expansion, params)
     recentered = replace(params, initial_position=x_bar)
     _, alpha = tangent_state(x_bar, expansion, recentered)
-    x, _ = solve_subproblem(x_bar, expansion, recentered, alpha)
+    x, _ = solve_subproblem(x_bar, expansion, recentered, alpha,
+                            curvature(expansion, recentered))
     assert abs(x - x_bar) <= recentered.wavelength * 1e-4
 
 
@@ -286,7 +295,7 @@ def test_solve_subproblem_matches_joint_grid(seed, offset, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
     x_i = params.initial_position + offset
     bounds, alpha = tangent_state(x_i, expansion, params)
-    _, objective = solve_subproblem(x_i, expansion, params, alpha)
+    _, objective = solve_subproblem(x_i, expansion, params, alpha, curvature(expansion, params))
 
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
     lo = max(0.0, x_i - half)
@@ -297,6 +306,38 @@ def test_solve_subproblem_matches_joint_grid(seed, offset, params):
         best = max(best, value)
     assert objective >= best - 1e-9 * max(abs(best), 1.0)
     assert objective == pytest.approx(best, rel=1e-3)
+
+
+_FORM_CASES = {
+    "default": SystemParams(),
+    "binding_floor": SystemParams(min_throughput=10.0),
+    "flagged": SystemParams(movement_power=0.001),  # P < P_t
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", sorted(_FORM_CASES))
+def test_surrogate_float_form_matches_array_form(case, seed):
+    """The golden polish evaluates the surrogate on floats, the scan on arrays:
+    both forms must agree bit for bit, on the trust-window edges, at x == x0,
+    and where the rate floor binds (both -inf)."""
+    params = _FORM_CASES[case]
+    expansion = build_expansion(make_instance(seed, params), params.wavelength)
+    x0, half = params.initial_position, TRUST_WINDOW_WAVELENGTHS * params.wavelength
+    blocked = 0
+    for center in (0.0, x0 - 0.13 * half, x0, x0 + 1.24 * half, params.region_length):
+        bounds, alpha = tangent_state(center, expansion, params)
+        objective = _build_surrogate(bounds, params, alpha)
+        lo = max(0.0, center - half)
+        hi = min(params.region_length, center + half)
+        xs = np.unique(np.append(np.linspace(lo, hi, 65), [center, x0]))
+        for x, value in zip(xs.tolist(), objective(xs)):
+            scalar = objective(x)
+            assert type(scalar) is float
+            assert scalar == value, (center, x)
+        blocked += int(np.sum(objective(xs) == -np.inf))
+    if case == "binding_floor":
+        assert blocked > 0
 
 
 def test_optimize_single_path(params):
@@ -391,6 +432,47 @@ def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
     optimize(build_expansion(make_instance(1), params.wavelength), params)
     assert calls["solve_subproblem"] > 1
     assert calls["bilinear_upper"] == calls["solve_subproblem"] + 1
+
+
+def test_optimize_computes_curvature_bound_once(params, monkeypatch):
+    """The Taylor curvature constant depends only on the instance."""
+    calls = Counter()
+    original = solver.channel.curvature_bound
+
+    def counted(*args):
+        calls["curvature_bound"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver.channel, "curvature_bound", counted)
+    optimize(build_expansion(make_instance(1), params.wavelength), params)
+    assert calls["curvature_bound"] == 1
+
+
+def test_optimize_scans_surrogate_arrays_once_per_subproblem(params, monkeypatch):
+    """The array form runs once per subproblem scan; the golden polish and the
+    start objective evaluate the float form."""
+    kinds = Counter()
+    build, subproblem = solver._build_surrogate, solver.solve_subproblem
+
+    def counted_build(*args):
+        objective = build(*args)
+
+        def counted(xs):
+            kinds[type(xs).__name__] += 1
+            return objective(xs)
+        return counted
+
+    def counted_subproblem(*args):
+        kinds["solve_subproblem"] += 1
+        return subproblem(*args)
+
+    monkeypatch.setattr(solver, "_build_surrogate", counted_build)
+    monkeypatch.setattr(solver, "solve_subproblem", counted_subproblem)
+    optimize(build_expansion(make_instance(1), params.wavelength), params)
+    assert kinds["solve_subproblem"] > 1
+    assert kinds["ndarray"] == kinds["solve_subproblem"]
+    assert kinds["float"] > kinds["solve_subproblem"]
+    assert set(kinds) == {"ndarray", "float", "solve_subproblem"}
 
 
 def test_optimize_flags_low_movement_power(params):
