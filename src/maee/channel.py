@@ -221,11 +221,8 @@ def gain_series(expansion: GainExpansion, x) -> float | np.ndarray:
     gain_second_derivative and curvature_bound differentiate; maee check
     compares the two.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if expansion.num_pairs == 0:
-        out = np.full(x_arr.shape, expansion.constant)
-    else:
-        out = expansion.constant + np.cos(_phases(expansion, x_arr)) @ (2.0 * expansion.cross_mag)
+    out = (expansion.constant
+           + np.cos(_phases(expansion, np.asarray(x, dtype=float))) @ (2.0 * expansion.cross_mag))
     return float(out) if out.ndim == 0 else out
 
 
@@ -233,13 +230,9 @@ def gain_derivative(expansion: GainExpansion, tx_power: float, x) -> float | np.
     """First derivative of tx_power * gain with respect to position."""
     if tx_power <= 0:
         raise ValueError(f"tx_power must be positive, got {tx_power}")
-    x_arr = np.asarray(x, dtype=float)
-    if expansion.num_pairs == 0:
-        out = np.zeros(x_arr.shape)
-    else:
-        coeff = (4.0 * np.pi * tx_power / expansion.wavelength
-                 * expansion.cross_mag * expansion.delta_aoa)
-        out = -np.sin(_phases(expansion, x_arr)) @ coeff
+    coeff = (4.0 * np.pi * tx_power / expansion.wavelength
+             * expansion.cross_mag * expansion.delta_aoa)
+    out = -np.sin(_phases(expansion, np.asarray(x, dtype=float))) @ coeff
     return float(out) if out.ndim == 0 else out
 
 
@@ -247,13 +240,9 @@ def gain_second_derivative(expansion: GainExpansion, tx_power: float, x) -> floa
     """Second derivative of tx_power * gain with respect to position."""
     if tx_power <= 0:
         raise ValueError(f"tx_power must be positive, got {tx_power}")
-    x_arr = np.asarray(x, dtype=float)
-    if expansion.num_pairs == 0:
-        out = np.zeros(x_arr.shape)
-    else:
-        coeff = (8.0 * np.pi**2 * tx_power / expansion.wavelength**2
-                 * expansion.cross_mag * expansion.delta_aoa**2)
-        out = -np.cos(_phases(expansion, x_arr)) @ coeff
+    coeff = (8.0 * np.pi**2 * tx_power / expansion.wavelength**2
+             * expansion.cross_mag * expansion.delta_aoa**2)
+    out = -np.cos(_phases(expansion, np.asarray(x, dtype=float))) @ coeff
     return float(out) if out.ndim == 0 else out
 
 

@@ -96,14 +96,33 @@ def efficiency_at(expansion: channel.GainExpansion, params: SystemParams,
     return energy_efficiency(x, channel.gain_eval(expansion, x), params)
 
 
+def reach_interval(params: SystemParams) -> tuple[float, float]:
+    """Ends (lo, hi) of the positions reachable within one block.
+
+    The region clipped to speed * block_duration around the rest position
+    x0. x0 -/+ reach rounds by up to half an ulp of x0, which exceeds the
+    move-time rounding allowance once x0 is ~1e4 reaches long; an end that
+    lands beyond the reach therefore steps toward x0 one ulp at a time, so
+    every position in [lo, hi] passes energy_efficiency's move-time check.
+    """
+    x0, reach = params.initial_position, params.speed * params.block_duration
+    lo = max(0.0, x0 - reach)
+    hi = min(params.region_length, x0 + reach)
+    while x0 - lo > reach:
+        lo = math.nextafter(lo, x0)
+    while hi - x0 > reach:
+        hi = math.nextafter(hi, x0)
+    return lo, hi
+
+
 def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.ndarray:
     """Uniform grid over the positions reachable within one block.
 
-    The grid spans the part of the region within speed * block_duration of the
-    rest position, at the given resolution (default wavelength/500), and
-    always contains the rest position itself: when the reach is not a
-    multiple of the resolution it is inserted in order. A resolution that is
-    not positive or is coarser than wavelength/100 is rejected.
+    The grid spans reach_interval at the given resolution (default
+    wavelength/500) and always contains the rest position itself: when the
+    reach is not a multiple of the resolution it is inserted in order. A
+    resolution that is not positive or is coarser than wavelength/100 is
+    rejected.
     """
     if resolution is None:
         resolution = params.wavelength / 500.0
@@ -111,9 +130,7 @@ def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.
         raise ValueError(
             f"grid resolution {resolution} must be positive and at most wavelength/100"
         )
-    reach = params.speed * params.block_duration
-    lo = max(0.0, params.initial_position - reach)
-    hi = min(params.region_length, params.initial_position + reach)
+    lo, hi = reach_interval(params)
     num = max(int(math.ceil((hi - lo) / resolution)) + 1, 2)
     xs = np.linspace(lo, hi, num)
     x0 = params.initial_position

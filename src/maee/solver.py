@@ -1,27 +1,34 @@
 """Antenna-position optimizer: Dinkelbach outer loop around an SCA inner loop.
 
 The efficiency ratio is non-concave in the position because the gain is an
-oscillatory cosine series. The ratio is first reduced to a parametric
-difference through the Dinkelbach variable alpha. The remaining
-non-convexities are handled per iteration with two surrogates built at the
-current iterate: an AM-GM quadratic upper bound on the product of the
-travel-distance and rate slacks, and quadratic Taylor bounds on the scaled
-gain whose curvature constant dominates its second derivative everywhere.
+oscillatory cosine series. The Dinkelbach variable alpha reduces it to the
+parametric difference rate - alpha * (energy - P_t T). With the travel slack
+delta = |x - x0| and the rate slack gamma (bits/s/Hz), that is
 
-For a fixed position the three slack variables then have closed-form optima
-(the rate term grows with the gain slack so its Taylor cap binds; the
-objective shrinks with the travel and rate slacks so the distance constraint
-and the linearized rate constraint bind). Each convex subproblem therefore
-collapses to a one-dimensional concave search over a trust window around the
-current iterate, solved by a scan plus golden polish. The window always
-contains the iterate itself, which makes the surrogate objective sequence
-nondecreasing by construction. The surrogate is built once per subproblem:
-its slack tangent points, AM-GM coefficients, rate-floor level and bound
-coefficients are computed before the search, which only evaluates it. The
-curvature constant of the Taylor bounds depends only on the instance, so it
-is computed once per optimize run. The scan evaluates the surrogate on an
-array of positions; the golden polish evaluates it on Python floats, with
-the same IEEE operations in the same order, so both give identical values.
+    T log2(1 + h(x)/sigma2) - delta gamma / v - alpha (P - P_t) delta / v,
+
+h = P_t * gain, gamma >= log2(1 + h/sigma2). Each SCA subproblem replaces
+what is still non-convex with bounds built at the current iterate c:
+
+    h(c) + h'(c) (x - c) -/+ C/2 (x - c)^2   lower/upper Taylor bounds on h,
+    (gamma_c/delta_c delta^2 + delta_c/gamma_c gamma^2) / 2 >= delta gamma,
+
+where C (channel.curvature_bound) dominates |h''| everywhere, the AM-GM
+bound is exact at the tangent slacks (delta_c, gamma_c) of c, and
+log2(1 + h/sigma2) is linearized at gamma_c. Each bound only lowers the
+objective, so the surrogate minorizes it and touches it at c.
+
+For a fixed position the slacks then have closed-form optima (the rate term
+takes the lower Taylor bound; the travel slack meets the distance and the
+rate slack the linearized rate constraint under the upper bound). Each
+convex subproblem therefore collapses to a one-dimensional concave search
+over a trust window around c, solved by a scan plus golden polish. The
+window always contains c itself, which makes the surrogate objective
+sequence nondecreasing by construction. The surrogate is built once per
+subproblem and the curvature constant once per optimize run. The scan
+evaluates the surrogate on an array of positions; the golden polish
+evaluates it on Python floats, with the same IEEE operations in the same
+order, so both give identical values.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ FEASIBILITY_SLACK = 1e-9         # absolute slack on the throughput constraint
 OUTER_CAP = 100                  # Dinkelbach iterations per run
 INNER_CAP = 50                   # SCA subproblems per Dinkelbach iteration
 _SCAN_POINTS = 65
-_UNIT_SLACKS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))  # (delta, gamma) axes
 
 
 @dataclass
@@ -62,81 +68,40 @@ class SolverReport:
     power_assumption_violated: bool = False
 
 
-def h_of_x(expansion: channel.GainExpansion, params: SystemParams, x) -> float | np.ndarray:
-    """Transmit-power-scaled channel gain."""
-    return params.max_tx_power * channel.gain_eval(expansion, x)
+def _build_surrogate(expansion: channel.GainExpansion, params: SystemParams,
+                     center: float, alpha: float, curvature: float):
+    """Eliminated surrogate objective of the subproblem at center, as a function of positions.
 
+    curvature is channel.curvature_bound of the instance at the transmit
+    power. With h = P_t * gain, value = h(c), slope = h'(c) and
+    half = curvature / 2, the bounds are base -/+ half * dx^2 with
+    base = value + slope * dx, dx = x - c. The tangent slacks are
+    delta_c = max(|c - x0|, wavelength * DELTA_FLOOR_WAVELENGTHS) and
+    gamma_c = max(log2(1 + max(value, 0)/sigma2), GAMMA_FLOOR), so the AM-GM
+    coefficients (gamma_c/delta_c and delta_c/gamma_c, halved) stay finite.
+    At a position x the slacks are
 
-def bilinear_upper(delta, gamma, delta_local: float, gamma_local: float):
-    """AM-GM quadratic upper bound on the product delta * gamma.
+        beta  = max(base - half dx^2, 0)
+        gamma = max(gamma_c + (base + half dx^2 - (level - sigma2)) / (level ln 2), 0)
+        delta = |x - x0|,          level = sigma2 2^gamma_c,
 
-    Exact at the local point (delta_local, gamma_local) and convex in both
-    arguments; every argument may be an array.
+    and the objective is net - alpha (P - P_t) delta / v with
+    net = T log2(1 + beta/sigma2) - (coef_delta delta^2 + coef_gamma gamma^2) / v,
+    or -inf where net misses the rate floor by more than FEASIBILITY_SLACK.
+
+    The returned function takes a position or an array of positions. Its
+    float form repeats the array form's operations in order (max, abs and a
+    conditional for np.maximum, np.abs and np.where; the log stays np.log2,
+    which math.log2 differs from in the last bit), so the two agree exactly.
     """
-    if np.any(np.asarray(delta_local) <= 0) or np.any(np.asarray(gamma_local) <= 0):
-        raise ValueError("local points must be positive")
-    return 0.5 * (gamma_local / delta_local * delta * delta
-                  + delta_local / gamma_local * gamma * gamma)
-
-
-@dataclass(frozen=True)
-class QuadraticBound:
-    """value + slope*(x - center) + half_curvature*(x - center)^2."""
-
-    center: float
-    value: float
-    slope: float
-    half_curvature: float
-
-    def __call__(self, x):
-        dx = np.asarray(x, dtype=float) - self.center
-        out = self.value + self.slope * dx + self.half_curvature * dx * dx
-        return float(out) if out.ndim == 0 else out
-
-
-def taylor_bounds(expansion: channel.GainExpansion, params: SystemParams,
-                  x_local: float, curvature: float) -> tuple[QuadraticBound, QuadraticBound]:
-    """Quadratic sandwich of the scaled gain around x_local.
-
-    Both bounds share the value and slope at x_local; curvature is
-    channel.curvature_bound of the instance at the transmit power, which
-    dominates the true second derivative everywhere, so lower <= h <= upper
-    holds on the whole region, merely loosening with distance from x_local.
-    A zero constant (a single path's flat gain) makes both bounds exact.
-    """
-    tx = params.max_tx_power
-    value = float(h_of_x(expansion, params, x_local))
-    slope = float(channel.gain_derivative(expansion, tx, x_local))
-    half = 0.5 * curvature
-    return (QuadraticBound(x_local, value, slope, -half),
-            QuadraticBound(x_local, value, slope, +half))
-
-
-def _build_surrogate(bounds: tuple[QuadraticBound, QuadraticBound], params: SystemParams,
-                     alpha: float):
-    """Eliminated surrogate objective of one subproblem, as a function of positions.
-
-    bounds is the (lower, upper) pair from taylor_bounds: one center, value
-    and slope, opposite curvatures. Everything fixed for the subproblem is
-    computed here once: the slack tangent points (the center's travel
-    distance and rate, each floored so the AM-GM coefficients stay finite),
-    the AM-GM coefficients, the rate-floor level and the bound coefficients.
-    The returned function maps a position, or an array of positions, to the
-    objective, -inf where the rate floor is unreachable. Its float form
-    repeats the array form's operations in order (max, abs and a conditional
-    for np.maximum, np.abs and np.where; the log stays np.log2, which
-    math.log2 differs from in the last bit), so the two agree exactly.
-    """
-    lower, upper = bounds
-    center, value, slope, half = lower.center, lower.value, lower.slope, upper.half_curvature
     x0, noise, speed = params.initial_position, params.noise_power, params.speed
+    value = params.max_tx_power * channel.gain_eval(expansion, center)
+    slope = channel.gain_derivative(expansion, params.max_tx_power, center)
+    half = 0.5 * curvature
     delta_local = max(abs(center - x0), params.wavelength * DELTA_FLOOR_WAVELENGTHS)
     gamma_local = max(math.log2(1.0 + max(value, 0.0) / noise), GAMMA_FLOOR)
-    # The AM-GM bound is a diagonal quadratic form, so its values at the unit
-    # slacks are its coefficients (halved; scaling by 0.5 is exact, so the sum
-    # below equals bilinear_upper bit for bit). The call also rejects a
-    # nonpositive tangent point.
-    coef_delta, coef_gamma = bilinear_upper(*_UNIT_SLACKS, delta_local, gamma_local).tolist()
+    coef_delta = 0.5 * (gamma_local / delta_local)
+    coef_gamma = 0.5 * (delta_local / gamma_local)
     level = noise * 2.0 ** gamma_local
     level_offset, level_scale = level - noise, level * math.log(2.0)
     duration = params.block_duration
@@ -170,19 +135,18 @@ def solve_subproblem(x: float, expansion: channel.GainExpansion, params: SystemP
                      alpha: float, curvature: float) -> tuple[float, float] | None:
     """Maximize the eliminated surrogate over the trust window around x.
 
-    curvature is the instance's curvature bound (see taylor_bounds). The
-    candidate set always contains x itself, so the accepted objective never
-    drops below the tangency value. Returns the chosen position and its
-    surrogate objective, or None when no position in the window satisfies the
-    rate floor.
+    curvature is the instance's curvature bound (see _build_surrogate). The
+    window is clipped to ee.reach_interval. The candidate set always
+    contains x itself, so the accepted objective never drops below the
+    tangency value. Returns the chosen position and its surrogate objective,
+    or None when no position in the window satisfies the rate floor.
     """
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
-    reach = params.speed * params.block_duration
-    lo = max(0.0, x - half, params.initial_position - reach)
-    hi = min(params.region_length, x + half, params.initial_position + reach)
+    lo, hi = ee.reach_interval(params)
+    lo, hi = max(x - half, lo), min(x + half, hi)
     xs = np.unique(np.append(np.linspace(lo, hi, _SCAN_POINTS), x))
     best_x, best_val = search.grid_polish_max(
-        _build_surrogate(taylor_bounds(expansion, params, x, curvature), params, alpha),
+        _build_surrogate(expansion, params, x, alpha, curvature),
         xs, tol=params.wavelength * 1e-6)
     if best_val == -math.inf:
         return None
@@ -235,7 +199,7 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
 
     x, alpha = start.position, start.ee
     curvature = channel.curvature_bound(expansion, params.max_tx_power)
-    objective = _build_surrogate(taylor_bounds(expansion, params, x, curvature), params, alpha)(x)
+    objective = _build_surrogate(expansion, params, x, alpha, curvature)(x)
     trace = [(0, x, alpha, objective)]
 
     status = "iteration-cap"

@@ -162,6 +162,16 @@ def test_tiny_reach_oracle_matches_fixed_antenna(tmp_path, capsys):
     assert float(fields["ee"]) >= 231.369749163
 
 
+def test_reach_edge_far_from_the_track_start_solves(tmp_path, capsys):
+    # x0 is 7e4 reaches from 0, so x0 - v T rounds past the reach by far more
+    # than the move-time rounding allowance of the block
+    config = tmp_path / "edge.cfg"
+    config.write_text("x0 = 0.007 m\nv = 1e-5 m/s\nT = 0.01 s\nR_TH = 0 bits/Hz\n")
+    code, out, err = run_cli(capsys, "solve", "--seed", "0", "--config", str(config))
+    assert code == 0, err
+    assert "scheme=max_snr" in out
+
+
 def test_free_movement_config_oracle_and_check(tmp_path, capsys):
     # the reach edge has zero time and zero energy left
     config = tmp_path / "free.cfg"

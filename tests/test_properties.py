@@ -23,11 +23,11 @@ def system_params(draw):
     region = draw(st.floats(0.1, 4.0)) * wavelength
     return SystemParams(
         region_length=region,
-        initial_position=draw(st.floats(0.0, 1.0)) * region,
+        initial_position=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) * region,
         num_paths=draw(st.integers(1, 10)),
         num_bs_antennas=draw(st.integers(1, 16)),
         movement_power=draw(st.floats(0.0, 5.0)),
-        speed=10.0 ** draw(st.floats(-4.0, 1.0)),
+        speed=10.0 ** draw(st.floats(-5.0, 1.0)),
         block_duration=draw(st.floats(0.01, 5.0)),
         min_throughput=draw(st.floats(-1.0, 50.0)),
         distance=10.0 ** draw(st.floats(0.0, 3.0)),
@@ -41,6 +41,16 @@ def system_params(draw):
                              min_throughput=0.0), seed=0)
 # Free movement: the reach edge has neither time nor energy left.
 @example(params=SystemParams(movement_power=0.0, speed=1e-3, min_throughput=0.0), seed=3)
+# Rest position ~1e4 reaches from a reach edge: x0 -/+ v T rounds past the reach.
+@example(params=SystemParams(initial_position=0.007, speed=1e-5, block_duration=0.01,
+                             min_throughput=0.0), seed=0)
+@example(params=SystemParams(
+    wavelength=0.5780370180655061, region_length=18.778702092243336,
+    initial_position=18.778702092243336, num_paths=8, num_bs_antennas=5,
+    max_tx_power=58.19605990120938, movement_power=0.04251158796674027,
+    speed=4.0484609627373655e-05, block_duration=0.006889622418388565, min_throughput=-1.0,
+    noise_power=2.2645930505431263e-13, pathloss_ref=7.658609128677377e-05,
+    distance=49.144582163809986, tolerance=0.010952465948171149), seed=2458245685)
 def test_schemes_finite_and_ordered(params, seed):
     expansion = build_expansion(sample_instance(params, np.random.default_rng(seed)),
                                 params.wavelength)

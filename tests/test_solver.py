@@ -7,7 +7,7 @@ import pytest
 
 from maee import solver
 from maee.bench import grid_global_ee
-from maee.channel import build_expansion, curvature_bound, gain_eval
+from maee.channel import build_expansion, curvature_bound, gain_derivative, gain_eval
 from maee.ee import ee_upper_bound, efficiency_at, energy_efficiency
 from maee.params import SystemParams
 from maee.solver import (
@@ -15,14 +15,11 @@ from maee.solver import (
     GAMMA_FLOOR,
     TRUST_WINDOW_WAVELENGTHS,
     _build_surrogate,
-    bilinear_upper,
-    h_of_x,
     optimize,
     solve_subproblem,
-    taylor_bounds,
 )
 
-from conftest import direct_gain, make_instance, single_path_instance
+from conftest import make_instance, single_path_instance
 
 
 def curvature(expansion, params):
@@ -30,68 +27,85 @@ def curvature(expansion, params):
     return curvature_bound(expansion, params.max_tx_power)
 
 
+def scaled_gain(expansion, params, x):
+    """h = P_t * gain, the quantity the Taylor bounds sandwich."""
+    return params.max_tx_power * gain_eval(expansion, x)
+
+
+class Tangent:
+    """The paper's bound forms at an iterate c, written out as the reference
+    for the closed-form elimination: the Taylor sandwich of h and the floored
+    tangent slacks (delta_c, gamma_c) of the AM-GM product bound."""
+
+    def __init__(self, center, expansion, params):
+        self.center, self.expansion = center, expansion
+        self.curvature = curvature(expansion, params)
+        self.value = scaled_gain(expansion, params, center)
+        self.slope = gain_derivative(expansion, params.max_tx_power, center)
+        self.half = 0.5 * self.curvature
+        self.delta = max(abs(center - params.initial_position),
+                         params.wavelength * DELTA_FLOOR_WAVELENGTHS)
+        self.gamma = max(math.log2(1.0 + max(self.value, 0.0) / params.noise_power), GAMMA_FLOOR)
+
+    def lower(self, x):
+        dx = np.asarray(x, dtype=float) - self.center
+        return self.value + self.slope * dx - self.half * dx * dx
+
+    def upper(self, x):
+        dx = np.asarray(x, dtype=float) - self.center
+        return self.value + self.slope * dx + self.half * dx * dx
+
+    def product_bound(self, delta, gamma):
+        """AM-GM upper bound on delta * gamma, exact at (self.delta, self.gamma)."""
+        return 0.5 * (self.gamma / self.delta * delta * delta
+                      + self.delta / self.gamma * gamma * gamma)
+
+
 def tangent_state(x, expansion, params):
-    """Taylor bounds tangent at the iterate x, and the true ratio there."""
-    return (taylor_bounds(expansion, params, x, curvature(expansion, params)),
-            efficiency_at(expansion, params, x).ee)
+    """Bound forms tangent at the iterate x, and the true ratio there."""
+    return Tangent(x, expansion, params), efficiency_at(expansion, params, x).ee
 
 
-def tangent_slacks(bounds, params):
-    """Travel and rate slacks (delta, gamma) tangent at the bounds' center."""
-    lower, _ = bounds
-    return (abs(lower.center - params.initial_position),
-            math.log2(1.0 + max(lower.value, 0.0) / params.noise_power))
-
-
-def floored_slacks(bounds, params):
-    """Tangent slacks floored as the surrogate floors them."""
-    delta, gamma = tangent_slacks(bounds, params)
-    return max(delta, params.wavelength * DELTA_FLOOR_WAVELENGTHS), max(gamma, GAMMA_FLOOR)
-
-
-def eliminated_slacks(x, bounds, params):
+def eliminated_slacks(x, tangent, params):
     """Closed-form slack optima (beta, gamma, delta) at one position: the gain
     slack meets its lower Taylor cap, the travel slack the distance and the
     rate slack the linearized rate constraint."""
-    lower, upper = bounds
-    _, gamma_loc = floored_slacks(bounds, params)
     noise = params.noise_power
-    level = noise * 2.0 ** gamma_loc
-    gamma = gamma_loc + (float(upper(x)) - (level - noise)) / (level * math.log(2.0))
-    return max(float(lower(x)), 0.0), max(gamma, 0.0), abs(x - params.initial_position)
+    level = noise * 2.0 ** tangent.gamma
+    gamma = tangent.gamma + (float(tangent.upper(x)) - (level - noise)) / (level * math.log(2.0))
+    return max(float(tangent.lower(x)), 0.0), max(gamma, 0.0), abs(x - params.initial_position)
 
 
-def eliminated_objective(x, bounds, params, alpha):
+def eliminated_objective(x, tangent, params, alpha):
     """Eliminated surrogate objective at one position; -inf when the floor fails."""
-    return float(_build_surrogate(bounds, params, alpha)(np.array([x]))[0])
+    objective = _build_surrogate(tangent.expansion, params, tangent.center, alpha,
+                                 tangent.curvature)
+    return float(objective(np.array([x]))[0])
 
 
-def surrogate_value(x, beta, gamma, delta, bounds, params, alpha):
+def surrogate_value(x, beta, gamma, delta, tangent, params, alpha):
     """Objective of the convexified subproblem at explicit slack values."""
-    delta_loc, gamma_loc = floored_slacks(bounds, params)
     rate_term = params.block_duration * np.log2(1.0 + beta / params.noise_power)
-    product = bilinear_upper(delta, gamma, delta_loc, gamma_loc)
+    product = tangent.product_bound(delta, gamma)
     return (rate_term - product / params.speed
             - delta / params.speed * alpha * (params.movement_power - params.max_tx_power))
 
 
-def brute_force_slacks(x, bounds, params, alpha, n=121):
+def brute_force_slacks(x, tangent, params, alpha, n=121):
     """Oracle: best slack triple on a dense feasible box for fixed position.
 
     Axes start at the analytically binding boundary values, so the grid
     contains the exact constrained optimum whenever the elimination is right.
     """
-    delta_loc, gamma_loc = floored_slacks(bounds, params)
     noise = params.noise_power
-
-    beta_hi, gamma_lo, delta_lo = eliminated_slacks(x, bounds, params)
+    beta_hi, gamma_lo, delta_lo = eliminated_slacks(x, tangent, params)
     betas = np.linspace(0.0, beta_hi, n)
     gammas = np.linspace(gamma_lo, gamma_lo + 2.0, n)
     deltas = np.linspace(delta_lo, delta_lo + params.wavelength / 4, n)
 
     B, G, D = np.meshgrid(betas, gammas, deltas, indexing="ij")
     rate_term = params.block_duration * np.log2(1.0 + B / noise)
-    product = bilinear_upper(D, G, delta_loc, gamma_loc)
+    product = tangent.product_bound(D, G)
     objective = (rate_term - product / params.speed
                  - D / params.speed * alpha * (params.movement_power - params.max_tx_power))
     feasible = rate_term - product / params.speed >= params.min_throughput - 1e-9
@@ -99,28 +113,6 @@ def brute_force_slacks(x, bounds, params, alpha, n=121):
     flat = int(np.argmax(objective))
     i, j, k = np.unravel_index(flat, objective.shape)
     return float(objective[i, j, k]), (float(betas[i]), float(gammas[j]), float(deltas[k]))
-
-
-def test_h_of_x_constant(params):
-    expansion = build_expansion(single_path_instance(), params.wavelength)
-    for x in (0.0, 0.007, 0.02):
-        assert h_of_x(expansion, params, x) == pytest.approx(
-            params.max_tx_power * expansion.constant, rel=1e-12)
-
-
-def test_h_of_x_matches_direct(params):
-    instance = make_instance(2)
-    expansion = build_expansion(instance, params.wavelength)
-    xs = np.linspace(0.0, params.region_length, 40)
-    direct = params.max_tx_power * direct_gain(instance, params.wavelength, xs)
-    np.testing.assert_allclose(h_of_x(expansion, params, xs), direct, rtol=1e-9)
-
-
-def test_h_of_x_scales_with_power(params):
-    expansion = build_expansion(make_instance(2), params.wavelength)
-    doubled = replace(params, max_tx_power=2 * params.max_tx_power)
-    assert h_of_x(expansion, doubled, 0.004) == pytest.approx(
-        2 * h_of_x(expansion, params, 0.004), rel=1e-12)
 
 
 def test_dinkelbach_matches_efficiency(params):
@@ -146,88 +138,61 @@ def test_dinkelbach_zero_gain(params):
     assert efficiency_at(expansion, params, params.initial_position).ee == 0.0
 
 
-def test_bilinear_hand_value():
-    assert bilinear_upper(2.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
-    assert bilinear_upper(2.0, 0.0, 1.0, 1.0) >= 0.0
-
-
-def test_bilinear_tangency_exact():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        d, g = rng.uniform(1e-6, 1e3, 2)
-        assert abs(bilinear_upper(d, g, d, g) - d * g) <= 1e-12 * d * g
-
-
-def test_bilinear_dominates_product():
-    rng = np.random.default_rng(4)
-    delta, gamma, d_loc, g_loc = rng.uniform(1e-6, 1e3, size=(4, 10_000))
-    bound = bilinear_upper(delta, gamma, d_loc, g_loc)
-    assert np.all(bound >= delta * gamma - 1e-12 * np.maximum(delta * gamma, 1.0))
-
-
-def test_bilinear_rejects_nonpositive_locals():
-    with pytest.raises(ValueError):
-        bilinear_upper(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        bilinear_upper(1.0, 1.0, 1.0, -2.0)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_taylor_tangency(seed, params):
+    """The bounds touch h at the center with gain_derivative's slope."""
     expansion = build_expansion(make_instance(seed), params.wavelength)
     x_i = 0.0123
-    lower, upper = taylor_bounds(expansion, params, x_i, curvature(expansion, params))
-    h_val = h_of_x(expansion, params, x_i)
-    assert lower(x_i) == pytest.approx(h_val, rel=1e-12)
-    assert upper(x_i) == pytest.approx(h_val, rel=1e-12)
+    tangent = Tangent(x_i, expansion, params)
+    h_val = scaled_gain(expansion, params, x_i)
+    assert tangent.lower(x_i) == pytest.approx(h_val, rel=1e-12)
+    assert tangent.upper(x_i) == pytest.approx(h_val, rel=1e-12)
     step = 1e-9
-    slope = (lower(x_i + step) - lower(x_i - step)) / (2 * step)
+    slope = (tangent.lower(x_i + step) - tangent.lower(x_i - step)) / (2 * step)
     assert slope == pytest.approx(
-        float(np.asarray(params.max_tx_power)
-              * (gain_eval(expansion, x_i + step) - gain_eval(expansion, x_i - step))
-              / (2 * step)), rel=1e-3)
+        (scaled_gain(expansion, params, x_i + step) - scaled_gain(expansion, params, x_i - step))
+        / (2 * step), rel=1e-3)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_taylor_sandwich_dense(seed, params):
+    """Half of curvature_bound keeps the parabolas on either side of h everywhere."""
     expansion = build_expansion(make_instance(seed), params.wavelength)
     xs = np.linspace(0.0, params.region_length, 3000)
-    h_vals = h_of_x(expansion, params, xs)
+    h_vals = scaled_gain(expansion, params, xs)
     for x_i in (0.0, 0.004, params.initial_position, 0.0178):
-        lower, upper = taylor_bounds(expansion, params, x_i, curvature(expansion, params))
+        tangent = Tangent(x_i, expansion, params)
         slack = 1e-12 * (1.0 + np.abs(h_vals))
-        assert np.all(lower(xs) <= h_vals + slack)
-        assert np.all(upper(xs) >= h_vals - slack)
+        assert np.all(tangent.lower(xs) <= h_vals + slack)
+        assert np.all(tangent.upper(xs) >= h_vals - slack)
 
 
 def test_taylor_single_path_nearly_flat(params):
+    """A single path's gain is flat and its curvature bound 0: both bounds are exact."""
     expansion = build_expansion(single_path_instance(), params.wavelength)
-    lower, upper = taylor_bounds(expansion, params, params.initial_position,
-                                 curvature(expansion, params))
+    tangent = Tangent(params.initial_position, expansion, params)
     xs = np.linspace(0.0, params.region_length, 100)
-    h_vals = h_of_x(expansion, params, xs)
-    # floored curvature keeps the gap below eps/2 * A^2
-    gap = 0.5 * 1e-12 * params.region_length**2
-    assert np.all(np.abs(lower(xs) - h_vals) <= gap + 1e-18)
-    assert np.all(np.abs(upper(xs) - h_vals) <= gap + 1e-18)
+    h_vals = scaled_gain(expansion, params, xs)
+    np.testing.assert_array_equal(tangent.lower(xs), h_vals)
+    np.testing.assert_array_equal(tangent.upper(xs), h_vals)
 
 
 def test_eliminate_slacks_tangency(params):
     expansion = build_expansion(make_instance(3), params.wavelength)
     x_i = 0.0137
-    bounds, _ = tangent_state(x_i, expansion, params)
-    beta, gamma, delta = eliminated_slacks(x_i, bounds, params)
-    assert beta == pytest.approx(h_of_x(expansion, params, x_i), rel=1e-12)
+    tangent, _ = tangent_state(x_i, expansion, params)
+    beta, gamma, delta = eliminated_slacks(x_i, tangent, params)
+    assert beta == pytest.approx(scaled_gain(expansion, params, x_i), rel=1e-12)
     assert delta == pytest.approx(abs(x_i - params.initial_position), rel=1e-12)
-    assert gamma == pytest.approx(tangent_slacks(bounds, params)[1], rel=1e-9)
+    assert gamma == pytest.approx(math.log2(1.0 + tangent.value / params.noise_power), rel=1e-9)
 
 
 def test_eliminate_slacks_single_path_at_rest(params):
     expansion = build_expansion(
         single_path_instance(response=1e-4, num_antennas=params.num_bs_antennas),
         params.wavelength)
-    bounds, _ = tangent_state(params.initial_position, expansion, params)
-    beta, gamma, delta = eliminated_slacks(params.initial_position, bounds, params)
+    tangent, _ = tangent_state(params.initial_position, expansion, params)
+    beta, gamma, delta = eliminated_slacks(params.initial_position, tangent, params)
     assert delta == 0.0
     assert beta == pytest.approx(params.max_tx_power * expansion.constant, rel=1e-12)
     assert gamma >= 0.0
@@ -237,13 +202,13 @@ def test_eliminate_slacks_single_path_at_rest(params):
 def test_eliminate_slacks_matches_slack_grid(seed, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
     x_i = params.initial_position + 0.0015  # healthy travel-slack local point
-    bounds, alpha = tangent_state(x_i, expansion, params)
+    tangent, alpha = tangent_state(x_i, expansion, params)
     for x in (x_i, x_i + 0.0004, x_i - 0.0011):
-        assert eliminated_objective(x, bounds, params, alpha) > -math.inf
-        beta, gamma, delta = eliminated_slacks(x, bounds, params)
-        analytic = float(surrogate_value(x, beta, gamma, delta, bounds, params, alpha))
-        assert eliminated_objective(x, bounds, params, alpha) == pytest.approx(analytic, rel=1e-12)
-        brute, slacks = brute_force_slacks(x, bounds, params, alpha)
+        assert eliminated_objective(x, tangent, params, alpha) > -math.inf
+        beta, gamma, delta = eliminated_slacks(x, tangent, params)
+        analytic = float(surrogate_value(x, beta, gamma, delta, tangent, params, alpha))
+        assert eliminated_objective(x, tangent, params, alpha) == pytest.approx(analytic, rel=1e-12)
+        brute, slacks = brute_force_slacks(x, tangent, params, alpha)
         assert analytic >= brute - 1e-12 * abs(brute)
         assert analytic == pytest.approx(brute, rel=1e-4)
         assert slacks[0] == pytest.approx(beta, abs=max(beta / 120, 1e-15))
@@ -254,18 +219,18 @@ def test_eliminate_slacks_blocked_from_degenerate_local_point(params):
     """At a zero-travel local point the product bound explodes with distance:
     the elimination and the brute-force box must agree the move is blocked."""
     expansion = build_expansion(make_instance(0), params.wavelength)
-    bounds, alpha = tangent_state(params.initial_position, expansion, params)
+    tangent, alpha = tangent_state(params.initial_position, expansion, params)
     x = params.initial_position + 0.0004
-    assert eliminated_objective(x, bounds, params, alpha) == -math.inf
-    brute, _ = brute_force_slacks(x, bounds, params, alpha)
+    assert eliminated_objective(x, tangent, params, alpha) == -math.inf
+    brute, _ = brute_force_slacks(x, tangent, params, alpha)
     assert brute == -math.inf
 
 
 def test_eliminate_slacks_infeasible_returns_none(params):
     strict = replace(params, min_throughput=1e6)
     expansion = build_expansion(make_instance(0), params.wavelength)
-    bounds, alpha = tangent_state(strict.initial_position, expansion, strict)
-    assert eliminated_objective(strict.initial_position, bounds, strict, alpha) == -math.inf
+    tangent, alpha = tangent_state(strict.initial_position, expansion, strict)
+    assert eliminated_objective(strict.initial_position, tangent, strict, alpha) == -math.inf
 
 
 def test_solve_subproblem_single_path_stays(params):
@@ -294,7 +259,7 @@ def test_solve_subproblem_matches_joint_grid(seed, offset, params):
     """Oracle: dense grid over position x slack box reproduces the 1-D solve."""
     expansion = build_expansion(make_instance(seed), params.wavelength)
     x_i = params.initial_position + offset
-    bounds, alpha = tangent_state(x_i, expansion, params)
+    tangent, alpha = tangent_state(x_i, expansion, params)
     _, objective = solve_subproblem(x_i, expansion, params, alpha, curvature(expansion, params))
 
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
@@ -302,7 +267,7 @@ def test_solve_subproblem_matches_joint_grid(seed, offset, params):
     hi = min(params.region_length, x_i + half)
     best = -math.inf
     for x in np.linspace(lo, hi, 257):
-        value, _ = brute_force_slacks(float(x), bounds, params, alpha, n=33)
+        value, _ = brute_force_slacks(float(x), tangent, params, alpha, n=33)
         best = max(best, value)
     assert objective >= best - 1e-9 * max(abs(best), 1.0)
     assert objective == pytest.approx(best, rel=1e-3)
@@ -326,8 +291,8 @@ def test_surrogate_float_form_matches_array_form(case, seed):
     x0, half = params.initial_position, TRUST_WINDOW_WAVELENGTHS * params.wavelength
     blocked = 0
     for center in (0.0, x0 - 0.13 * half, x0, x0 + 1.24 * half, params.region_length):
-        bounds, alpha = tangent_state(center, expansion, params)
-        objective = _build_surrogate(bounds, params, alpha)
+        alpha = efficiency_at(expansion, params, center).ee
+        objective = _build_surrogate(expansion, params, center, alpha, curvature(expansion, params))
         lo = max(0.0, center - half)
         hi = min(params.region_length, center + half)
         xs = np.unique(np.append(np.linspace(lo, hi, 65), [center, x0]))
@@ -421,17 +386,22 @@ def test_optimize_restarts_from_feasible_region():
 
 
 def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
-    """The AM-GM coefficients come from one bilinear_upper call per surrogate
-    build: one per subproblem plus the start objective's, none per evaluation."""
-    calls = Counter()
-    for name in ("bilinear_upper", "solve_subproblem"):
-        def counted(*args, _name=name, _original=getattr(solver, name)):
+    """Each surrogate build reads the gain and its slope at the iterate once:
+    one build per subproblem plus the start objective's, none per evaluation.
+    The other gain reads are optimize's efficiency checks (start, after the
+    inner loop, final), all at single positions."""
+    calls, sizes = Counter(), set()
+    for module, name in ((solver, "solve_subproblem"), (solver.channel, "gain_derivative"),
+                         (solver.channel, "gain_eval")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
+            if _name == "gain_eval":
+                sizes.add(np.size(args[1]))
             return _original(*args)
-        monkeypatch.setattr(solver, name, counted)
+        monkeypatch.setattr(module, name, counted)
     optimize(build_expansion(make_instance(1), params.wavelength), params)
-    assert calls["solve_subproblem"] > 1
-    assert calls["bilinear_upper"] == calls["solve_subproblem"] + 1
+    assert calls == {"solve_subproblem": 2, "gain_derivative": 3, "gain_eval": 6}
+    assert sizes == {1}
 
 
 def test_optimize_computes_curvature_bound_once(params, monkeypatch):
