@@ -1,9 +1,9 @@
 """Tour of the field-response channel model.
 
 Samples a random propagation environment, evaluates the channel power gain
-directly as the squared norm of the channel vector, verifies that the
-precomputed cosine series (the form the optimizer differentiates) reproduces
-it, and walks the antenna track to show how strongly the gain oscillates with
+directly as the squared norm of the channel vector, checks it against the
+same gain written as a sum over path pairs of the Gram matrix E E^H, and
+walks the antenna track to show how strongly the gain oscillates with
 position.
 """
 
@@ -27,10 +27,10 @@ print(f"environment: {instance.num_paths} paths x {instance.num_antennas} antenn
       f"per-entry power {params.path_gain_variance:.3e}")
 
 # Built once per environment: the conjugated response matrix and steering
-# wavenumbers of the direct form, and the coefficients of the cosine series.
+# wavenumbers of the direct form. Nothing is stored per path pair.
 expansion = build_expansion(instance, params.wavelength)
-print(f"series: constant term {expansion.constant:.3e}, "
-      f"{expansion.num_pairs} cross terms")
+print(f"direct form: {expansion.num_paths} steering wavenumbers, "
+      f"|E|_F^2 = {expansion.constant:.3e}")
 
 xs = np.linspace(0.0, params.region_length, 2001)
 gains = gain_eval(expansion, xs)
@@ -39,7 +39,7 @@ print(f"|h|^2 at the rest position: {np.sum(np.abs(h_rest) ** 2):.6e} "
       f"(gain_eval: {gain_eval(expansion, params.initial_position):.6e})")
 series = gain_series(expansion, xs)
 err = np.max(np.abs(series - gains) / gains)
-print(f"series vs direct evaluation, worst relative error: {err:.2e}")
+print(f"path-pair series vs direct evaluation, worst relative error: {err:.2e}")
 
 print("\nposition (wavelengths) | gain / mean gain")
 mean_gain = float(np.mean(gains))

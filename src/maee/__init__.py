@@ -1,10 +1,10 @@
 """Energy-efficiency modeling and position optimization for a movable antenna.
 
 The package covers the full pipeline: random field-response channel instances,
-the channel gain with its closed-form series, derivatives and curvature
-bound, the block-level rate/energy/efficiency model with its analytic
-ceiling, a Dinkelbach + SCA position optimizer, benchmark schemes with a
-grid-search oracle, and a seeded Monte-Carlo sweep harness with CSV output.
+the channel gain in direct form with its derivatives, curvature bound and
+reference series, the block-level rate/energy/efficiency model with its
+analytic ceiling, a Dinkelbach + SCA position optimizer, benchmark schemes with
+a grid-search oracle, and a seeded Monte-Carlo sweep harness with CSV output.
 
 The top level re-exports the names of the library quick start and the demos;
 everything else is imported from its submodule (maee.channel, maee.ee,

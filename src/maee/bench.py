@@ -70,8 +70,7 @@ def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
     """How far the proposed optimizer may land above the oracle: the larger of
     ORACLE_RTOL and the efficiency change over the oracle's polish tolerance."""
     tol = params.wavelength * 1e-6
-    reach = ee.reachable_grid(params)
-    nearby = np.clip([oracle.x - tol, oracle.x + tol], reach[0], reach[-1])
+    nearby = np.clip([oracle.x - tol, oracle.x + tol], *ee.reach_interval(params))
     change = float(np.max(np.abs(ee.efficiency_curve(expansion, params, nearby)[0] - oracle.ee)))
     return max(ORACLE_RTOL * oracle.ee, change)
 

@@ -2,28 +2,27 @@
 
 A propagation environment is a fixed set of L plane-wave paths, each with an
 elevation/azimuth arrival direction and one complex response coefficient per
-base-station antenna. The channel seen at antenna position x is the
-conjugate-transposed path-response matrix applied to a unit-modulus steering
-vector whose phases grow linearly in x, and the power gain is its squared
-norm. gain_eval computes that norm directly, a block of positions at a time.
-The same gain expands into a cosine series in x (one term per ordered path
-pair) whose coefficients are precomputed once per environment; the
-derivative and curvature quantities used by the position optimizer come
-from that series.
+base-station antenna. The channel at antenna position x is h(x) = f(x) conj(E),
+the conjugated path-response matrix applied to a unit-modulus steering vector
+f(x) whose phases grow linearly in x; the power gain is |h(x)|^2. Grids are
+worked through a block of positions at a time, and the curvature bound and the
+reference series read the path-pair Gram matrix E E^H a block of rows at a
+time, so memory stays bounded for any grid length or path count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .params import SystemParams
 
-# Positions per block of a grid evaluation, so that the steering matrix of
-# one block (at most _GAIN_BLOCK x L entries) bounds gain_eval's memory
-# whatever the grid length.
+# Rows per block of a grid evaluation: _GAIN_BLOCK positions, fewer once the
+# block would hold more than _BLOCK_ENTRIES steering (or Gram) entries, so one
+# block bounds the memory whatever the grid length and the path count.
 _GAIN_BLOCK = 2048
+_BLOCK_ENTRIES = 32 * _GAIN_BLOCK
 
 
 @dataclass(frozen=True)
@@ -113,148 +112,148 @@ def _wavenumbers(angles: PathAngles, wavelength: float) -> np.ndarray:
     return 2.0 * np.pi / wavelength * angles.virtual_aoa
 
 
-def _channel_rows(wavenumbers: np.ndarray, response_conj: np.ndarray, x) -> np.ndarray:
-    """The steering product F conj(E): channel vectors at a float or a column x.
-
-    F stacks the unit-modulus steering rows exp(j x wavenumbers): a float x
-    gives one channel vector, a column of positions one row per position.
-    """
-    return np.exp((1j * x) * wavenumbers) @ response_conj
+def _steering(wavenumbers: np.ndarray, x) -> np.ndarray:
+    """Steering rows exp(j x wavenumbers): one for a float x, one per entry of a column x."""
+    return np.exp((1j * x) * wavenumbers)
 
 
 def channel_vector(instance: PathResponseMatrix, wavelength: float, x: float) -> np.ndarray:
     """Channel vector at position x, one entry per base-station antenna."""
-    return _channel_rows(_wavenumbers(instance.angles, wavelength),
-                         instance.entries.conj(), x)
+    return _steering(_wavenumbers(instance.angles, wavelength), x) @ instance.entries.conj()
 
 
 @dataclass(frozen=True)
 class GainExpansion:
-    """Precomputed forms of the channel power gain of one environment.
+    """The channel of one environment in direct form: h(x) = f(x) response_conj.
 
-    gain_eval evaluates the gain directly as |F(x) response_conj|^2, with F
-    the steering rows exp(j x wavenumbers) and response_conj = conj(E). The
-    derivatives and the curvature bound use the closed-form cosine series
-
-    gain(x) = constant
-              + sum_k 2 |cross_k| cos(2 pi x delta_aoa_k / wavelength + angle(cross_k))
-
-    with one term per ordered path pair a < b: cross_k correlates the two
-    paths' response rows and delta_aoa_k is the virtual-angle difference.
+    f(x) is the steering row exp(j x wavenumbers) and response_conj = conj(E).
+    constant = |E|_F^2, the trace of the Gram matrix E E^H, is the gain of a
+    single path.
     """
 
     constant: float
-    cross: np.ndarray
-    delta_aoa: np.ndarray
     wavelength: float
     wavenumbers: np.ndarray
     response_conj: np.ndarray
-    cross_mag: np.ndarray = field(init=False)
-    cross_phase: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cross", np.asarray(self.cross, dtype=complex))
-        object.__setattr__(self, "delta_aoa", np.asarray(self.delta_aoa, dtype=float))
-        object.__setattr__(self, "cross_mag", np.abs(self.cross))
-        object.__setattr__(self, "cross_phase", np.angle(self.cross))
+    @property
+    def num_paths(self) -> int:
+        return self.wavenumbers.shape[0]
 
     @property
     def num_pairs(self) -> int:
-        return self.cross.shape[0]
+        return self.num_paths * (self.num_paths - 1) // 2
 
 
 def build_expansion(instance: PathResponseMatrix, wavelength: float) -> GainExpansion:
-    """Precompute the direct form and the series coefficients for one environment."""
-    wavenumbers = _wavenumbers(instance.angles, wavelength)
+    """Precompute the direct form for one environment."""
     entries = instance.entries
-    pair_a, pair_b = np.triu_indices(instance.num_paths, k=1)
-    if pair_a.size:
-        cross = np.einsum("kn,kn->k", entries[pair_a], entries[pair_b].conj())
-    else:
-        cross = np.zeros(0, dtype=complex)
-    virtual = instance.angles.virtual_aoa
     return GainExpansion(
         constant=float(np.sum(np.abs(entries) ** 2)),
-        cross=cross,
-        delta_aoa=virtual[pair_b] - virtual[pair_a],
         wavelength=wavelength,
-        wavenumbers=wavenumbers,
+        wavenumbers=_wavenumbers(instance.angles, wavelength),
         response_conj=entries.conj(),
     )
 
 
-def _phases(expansion: GainExpansion, x_arr: np.ndarray) -> np.ndarray:
-    k = 2.0 * np.pi / expansion.wavelength
-    return np.multiply.outer(x_arr, k * expansion.delta_aoa) + expansion.cross_phase
+def _block_rows(num_paths: int) -> int:
+    return max(1, min(_GAIN_BLOCK, _BLOCK_ENTRIES // num_paths))
 
 
-def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
-    """Channel power gain |F(x) conj(E)|^2 at position(s) x, in the direct form.
-
-    A single position takes one steering vector; an array is worked through
-    in blocks of _GAIN_BLOCK positions. A single path gives the constant
-    exactly.
-    """
+def _over_positions(expansion: GainExpansion, x, reduce) -> float | np.ndarray:
+    """reduce of the steering rows at x: one vector for a float, blocks of rows for an array."""
     x_arr = np.asarray(x, dtype=float)
-    if expansion.num_pairs == 0:
-        out = np.full(x_arr.shape, expansion.constant)
-    elif x_arr.size == 1:
-        h = _channel_rows(expansion.wavenumbers, expansion.response_conj, x_arr.item())
-        gain = np.vdot(h, h).real
-        out = np.full(x_arr.shape, gain) if x_arr.ndim else gain
+    if x_arr.size == 1:
+        value = reduce(_steering(expansion.wavenumbers, x_arr.item()))
+        out = np.full(x_arr.shape, value) if x_arr.ndim else value
     else:
         flat = x_arr.reshape(-1)
         out = np.empty(flat.size)
-        for start in range(0, flat.size, _GAIN_BLOCK):
-            stop = start + _GAIN_BLOCK
-            rows = _channel_rows(expansion.wavenumbers, expansion.response_conj,
-                                 flat[start:stop, None]).view(np.float64)
-            out[start:stop] = np.einsum("ij,ij->i", rows, rows)
+        block = _block_rows(expansion.num_paths)
+        for start in range(0, flat.size, block):
+            stop = start + block
+            out[start:stop] = reduce(_steering(expansion.wavenumbers, flat[start:stop, None]))
         out = out.reshape(x_arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def gain_series(expansion: GainExpansion, x) -> float | np.ndarray:
-    """Channel power gain at position(s) x via the cosine series.
+def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
+    """Channel power gain |f(x) conj(E)|^2 at position(s) x; exactly the constant for one path."""
+    if expansion.num_paths == 1:
+        out = np.full(np.shape(x), expansion.constant)
+        return float(out) if out.ndim == 0 else out
 
-    The same function as gain_eval, in the form that gain_derivative,
-    gain_second_derivative and curvature_bound differentiate; maee check
-    compares the two.
-    """
-    out = (expansion.constant
-           + np.cos(_phases(expansion, np.asarray(x, dtype=float))) @ (2.0 * expansion.cross_mag))
-    return float(out) if out.ndim == 0 else out
+    def squared_norms(f):
+        h = f @ expansion.response_conj
+        if h.ndim == 1:
+            return np.vdot(h, h).real
+        rows = h.view(np.float64)
+        return np.einsum("ij,ij->i", rows, rows)
+
+    return _over_positions(expansion, x, squared_norms)
 
 
 def gain_derivative(expansion: GainExpansion, tx_power: float, x) -> float | np.ndarray:
-    """First derivative of tx_power * gain with respect to position."""
+    """d(tx_power * gain)/dx = P_t 2 Re(h^H h'), with h' = (f jk) conj(E)."""
     if tx_power <= 0:
         raise ValueError(f"tx_power must be positive, got {tx_power}")
-    coeff = (4.0 * np.pi * tx_power / expansion.wavelength
-             * expansion.cross_mag * expansion.delta_aoa)
-    out = -np.sin(_phases(expansion, np.asarray(x, dtype=float))) @ coeff
-    return float(out) if out.ndim == 0 else out
+    jk, response_conj = 1j * expansion.wavenumbers, expansion.response_conj
+
+    def slope(f):
+        h, h1 = f @ response_conj, (f * jk) @ response_conj
+        return np.sum(h.conj() * h1, axis=-1).real
+
+    return tx_power * 2.0 * _over_positions(expansion, x, slope)
 
 
 def gain_second_derivative(expansion: GainExpansion, tx_power: float, x) -> float | np.ndarray:
-    """Second derivative of tx_power * gain with respect to position."""
+    """d^2(tx_power * gain)/dx^2 = P_t 2 (|h'|^2 + Re(h^H h'')), with h'' = (f (jk)^2) conj(E)."""
     if tx_power <= 0:
         raise ValueError(f"tx_power must be positive, got {tx_power}")
-    coeff = (8.0 * np.pi**2 * tx_power / expansion.wavelength**2
-             * expansion.cross_mag * expansion.delta_aoa**2)
-    out = -np.cos(_phases(expansion, np.asarray(x, dtype=float))) @ coeff
-    return float(out) if out.ndim == 0 else out
+    jk, response_conj = 1j * expansion.wavenumbers, expansion.response_conj
+
+    def curvature(f):
+        h, h1 = f @ response_conj, (f * jk) @ response_conj
+        h2 = (f * (jk * jk)) @ response_conj
+        return np.sum((h1.conj() * h1 + h.conj() * h2).real, axis=-1)
+
+    return tx_power * 2.0 * _over_positions(expansion, x, curvature)
+
+
+def _gram_row_blocks(expansion: GainExpansion):
+    """Row blocks (start, G[start:start + rows]) of the Gram matrix G = E E^H."""
+    response_conj, rows = expansion.response_conj, _block_rows(expansion.num_paths)
+    for start in range(0, expansion.num_paths, rows):
+        yield start, response_conj[start:start + rows].conj() @ response_conj.T
+
+
+def gain_series(expansion: GainExpansion, x) -> float | np.ndarray:
+    """Channel power gain at position(s) x as sum_{a,b} Re(G_ab exp(j x (k_b - k_a))).
+
+    The same function as gain_eval, built from the path pairs of the Gram
+    matrix G = E E^H instead of the channel vector: the reference maee check
+    and the tests compare gain_eval against. The optimizer does not use it.
+    """
+    total = 0.0
+    for start, gram in _gram_row_blocks(expansion):
+        stop = start + gram.shape[0]
+        total = total + _over_positions(expansion, x, lambda f: np.sum(
+            f[..., start:stop].conj() * (f @ gram.T), axis=-1).real)
+    return total
 
 
 def curvature_bound(expansion: GainExpansion, tx_power: float) -> float:
     """Constant dominating |second derivative| of the scaled gain everywhere.
 
-    Sum of the per-pair curvature amplitudes. A single path has none, so its
-    position-independent gain gets exactly 0; the bound carries the scale of
-    the instance, with no absolute floor.
+    P_t sum_{a != b} |G_ab| (k_a - k_b)^2, the curvature amplitudes of the
+    series terms. A single path has none, so its position-independent gain
+    gets exactly 0; the bound carries the scale of the instance, with no
+    absolute floor.
     """
     if tx_power <= 0:
         raise ValueError(f"tx_power must be positive, got {tx_power}")
-    return float(np.sum(8.0 * np.pi**2 * tx_power / expansion.wavelength**2
-                        * expansion.cross_mag * expansion.delta_aoa**2))
-
+    wavenumbers, total = expansion.wavenumbers, 0.0
+    for start, gram in _gram_row_blocks(expansion):
+        spread = wavenumbers[start:start + gram.shape[0], None] - wavenumbers
+        total += float(np.sum(np.abs(gram) * (spread * spread)))
+    return tx_power * total

@@ -132,11 +132,7 @@ def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.
         )
     lo, hi = reach_interval(params)
     num = max(int(math.ceil((hi - lo) / resolution)) + 1, 2)
-    xs = np.linspace(lo, hi, num)
-    x0 = params.initial_position
-    if x0 in xs:
-        return xs
-    return np.insert(xs, int(np.searchsorted(xs, x0)), x0)
+    return search.insert_sorted(np.linspace(lo, hi, num), params.initial_position)
 
 
 def gain_peak(expansion: channel.GainExpansion, params: SystemParams,

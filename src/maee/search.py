@@ -10,6 +10,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+def insert_sorted(xs: np.ndarray, x: float) -> np.ndarray:
+    """The sorted grid xs with x inserted in order, or xs itself if it already holds x."""
+    return xs if x in xs else np.insert(xs, int(np.searchsorted(xs, x)), x)
+
+
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Golden-section search for a maximum of f on [lo, hi].
 

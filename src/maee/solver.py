@@ -144,7 +144,7 @@ def solve_subproblem(x: float, expansion: channel.GainExpansion, params: SystemP
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
     lo, hi = ee.reach_interval(params)
     lo, hi = max(x - half, lo), min(x + half, hi)
-    xs = np.unique(np.append(np.linspace(lo, hi, _SCAN_POINTS), x))
+    xs = search.insert_sorted(np.linspace(lo, hi, _SCAN_POINTS), x)
     best_x, best_val = search.grid_polish_max(
         _build_surrogate(expansion, params, x, alpha, curvature),
         xs, tol=params.wavelength * 1e-6)

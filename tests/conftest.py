@@ -21,8 +21,9 @@ def make_instance(seed, params=None):
 def hand_instance():
     """Two paths, one antenna, unit responses, virtual angles 0 and 1/2.
 
-    The gain series has a single cross term with unit magnitude and zero
-    phase, so every series quantity is hand-computable.
+    The Gram matrix E E^H is all ones and the wavenumbers are (0, 100 pi) at
+    wavelength 0.01, so the gain is 2 + 2 cos(100 pi x) and every quantity
+    of it is hand-computable.
     """
     angles = PathAngles(
         elevation=np.array([0.0, np.pi / 2]),
@@ -50,6 +51,17 @@ def direct_gain(instance, wavelength, xs):
                       * np.outer(xs, instance.angles.virtual_aoa))
     h = steering @ instance.entries.conj()
     return np.sum(np.abs(h) ** 2, axis=1)
+
+
+def slope_amplitude(instance, wavelength, tx):
+    """tx * sum_{a != b} |G_ab| |k_a - k_b| over the Gram matrix G = E E^H.
+
+    The sum of the path-pair amplitudes of the scaled gain's slope: no
+    position has a steeper one.
+    """
+    gram = instance.entries @ instance.entries.conj().T
+    k = 2.0 * np.pi / wavelength * instance.angles.virtual_aoa
+    return float(tx * np.sum(np.abs(gram) * np.abs(k[:, None] - k)))
 
 
 def field_response(angles, wavelength, x):

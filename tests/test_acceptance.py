@@ -37,7 +37,7 @@ from maee.solver import (
     optimize,
 )
 
-from conftest import hand_instance, make_instance
+from conftest import hand_instance, make_instance, slope_amplitude
 
 
 REGION_VALUES = (0.5, 1.0, 1.5, 2.0)
@@ -81,10 +81,10 @@ def test_criterion_2_derivative_suite(params):
     tx = params.max_tx_power
     worst1 = worst2 = 0.0
     for seed in range(50):
-        expansion = build_expansion(make_instance(seed), params.wavelength)
+        instance = make_instance(seed)
+        expansion = build_expansion(instance, params.wavelength)
         xs = np.linspace(1e-4, params.region_length - 1e-4, 200)
-        amp1 = float(np.sum(4 * np.pi * tx / params.wavelength
-                            * expansion.cross_mag * np.abs(expansion.delta_aoa)))
+        amp1 = slope_amplitude(instance, params.wavelength, tx)
         amp2 = curvature_bound(expansion, tx)
 
         step = 1e-8

@@ -18,7 +18,7 @@ from maee.channel import (
 from maee.params import SystemParams
 
 from conftest import (direct_gain, field_response, hand_instance, make_instance,
-                      single_path_instance)
+                      single_path_instance, slope_amplitude)
 
 
 def test_field_response_zero_position():
@@ -84,9 +84,11 @@ def test_build_expansion_single_path():
 def test_build_expansion_hand_case():
     expansion = build_expansion(hand_instance(), 0.01)
     assert expansion.constant == pytest.approx(2.0)
-    assert expansion.cross.shape == (1,)
-    assert expansion.cross[0] == pytest.approx(1.0 + 0j)
-    assert expansion.delta_aoa[0] == pytest.approx(0.5)
+    assert expansion.num_pairs == 1
+    # One unit cross term at wavenumber spread 100 pi: gain 2 + 2 cos(100 pi x).
+    for x, expected in ((0.0, 4.0), (0.0025, 2.0 + math.sqrt(2.0)), (0.005, 2.0), (0.01, 0.0)):
+        assert gain_series(expansion, x) == pytest.approx(expected, abs=1e-12)
+    assert curvature_bound(expansion, 1.0) == pytest.approx(2.0 * (100.0 * math.pi) ** 2)
 
 
 def test_build_expansion_conjugate_on_swap():
@@ -97,8 +99,9 @@ def test_build_expansion_conjugate_on_swap():
                    instance.angles.azimuth[::-1].copy(),
                    instance.angles.virtual_aoa[::-1].copy()),
     )
-    # With two paths the single cross term conjugates under row exchange and
-    # the gain itself is order independent; check the L=2 submatrix.
+    # With two paths the single cross term conjugates under row exchange while
+    # its wavenumber spread flips sign, so the series, its curvature bound and
+    # the gain itself are order independent; check the L=2 submatrix.
     small = type(instance)(instance.entries[:2], PathAngles(
         instance.angles.elevation[:2], instance.angles.azimuth[:2],
         instance.angles.virtual_aoa[:2]))
@@ -107,8 +110,9 @@ def test_build_expansion_conjugate_on_swap():
         small.angles.virtual_aoa[::-1].copy()))
     e1 = build_expansion(small, 0.01)
     e2 = build_expansion(small_swapped, 0.01)
-    assert e2.cross[0] == pytest.approx(np.conj(e1.cross[0]), rel=1e-12)
     xs = np.linspace(0, 0.02, 64)
+    np.testing.assert_allclose(gain_series(e2, xs), gain_series(e1, xs), rtol=1e-12)
+    assert curvature_bound(e2, 1.0) == pytest.approx(curvature_bound(e1, 1.0), rel=1e-12)
     np.testing.assert_allclose(gain_eval(e1, xs), gain_eval(e2, xs), rtol=1e-12)
     # Full-size instance reversed: gain unchanged as well.
     e_full = build_expansion(instance, 0.01)
@@ -146,11 +150,12 @@ def test_gain_eval_matches_direct_evaluation(seed, params):
     assert np.all(np.abs(series - direct) <= 1e-9 * expansion.constant)
 
 
-@pytest.mark.parametrize("points", [8001, 40001])
-def test_gain_eval_memory_bounded(points):
+@pytest.mark.parametrize("points, num_paths", [(8001, 60), (40001, 60), (8001, 2000)],
+                         ids=["8001", "40001", "8001-L2000"])
+def test_gain_eval_memory_bounded(points, num_paths):
     # numpy reports its buffers to tracemalloc; the blocked evaluation keeps
-    # the peak independent of the grid length.
-    params = SystemParams(num_paths=60)
+    # the peak independent of the grid length and the path count.
+    params = SystemParams(num_paths=num_paths)
     expansion = build_expansion(make_instance(0, params), params.wavelength)
     xs = np.linspace(0.0, 16 * params.wavelength, points)
     tracemalloc.start()
@@ -179,14 +184,14 @@ def test_gain_derivative_single_path_zero():
 @pytest.mark.parametrize("seed", range(4))
 def test_gain_derivative_matches_finite_difference(seed, params):
     tx = 1.0
-    expansion = build_expansion(make_instance(seed), params.wavelength)
+    instance = make_instance(seed)
+    expansion = build_expansion(instance, params.wavelength)
     xs = np.linspace(1e-4, params.region_length - 1e-4, 200)
     step = 1e-8
     fd = (np.asarray(gain_eval(expansion, xs + step))
           - np.asarray(gain_eval(expansion, xs - step))) * tx / (2 * step)
     analytic = gain_derivative(expansion, tx, xs)
-    scale = float(np.sum(4 * np.pi * tx / params.wavelength
-                         * expansion.cross_mag * np.abs(expansion.delta_aoa)))
+    scale = slope_amplitude(instance, params.wavelength, tx)
     assert np.all(np.abs(fd - analytic) <= 1e-4 * np.maximum(np.abs(analytic), 1e-3 * scale))
 
 

@@ -72,7 +72,7 @@ def test_schemes_finite_and_ordered(params, seed):
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(pathloss_exponent=st.floats(-20.0, 5.0), distance_exponent=st.floats(0.0, 4.0),
-       num_paths=st.integers(1, 30), num_bs_antennas=st.integers(1, 16),
+       num_paths=st.integers(1, 300), num_bs_antennas=st.integers(1, 16),
        seed=st.integers(0, 2**32 - 1))
 def test_gain_finite_and_nonnegative_at_extreme_scales(pathloss_exponent, distance_exponent,
                                                         num_paths, num_bs_antennas, seed):

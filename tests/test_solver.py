@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -451,3 +452,19 @@ def test_optimize_flags_low_movement_power(params):
     report = optimize(expansion, cheap)
     assert report.power_assumption_violated
     assert not optimize(expansion, params).power_assumption_violated
+
+
+def test_optimize_memory_bounded_at_many_paths():
+    """No path-pair array: building the expansion and optimizing at L = 2000
+    stays within a few blocks of steering and Gram entries (numpy reports its
+    buffers to tracemalloc)."""
+    params = SystemParams(num_paths=2000)
+    instance = make_instance(0, params)
+    tracemalloc.start()
+    try:
+        report = optimize(build_expansion(instance, params.wavelength), params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(report.ee)
+    assert peak <= 16 * 2**20
