@@ -26,7 +26,8 @@ expansion = build_expansion(sample_instance(params, np.random.default_rng(5)),
 
 xs = np.linspace(0.0, params.region_length, 2001)
 ee_vals, rates, energies, feasible = efficiency_curve(expansion, params, xs)
-bound, x_bar = ee_upper_bound(expansion, params)
+ceiling = ee_upper_bound(expansion, params)
+bound, x_bar = ceiling.ee, ceiling.position
 
 print(f"ceiling: {bound:.2f} (bits/Hz)/J at x = {x_bar / params.wavelength:.3f} wavelengths")
 print(f"best efficiency on the grid: {np.max(ee_vals):.2f} "
@@ -42,7 +43,7 @@ for x in (params.initial_position, x_bar, 0.0):
           f"ee {b.ee:7.2f}")
 
 # Start the block at the best-gain position: both inequalities behind the
-# ceiling become equalities.
+# ceiling become equalities, and the efficiency formula gives the ceiling itself.
 recentered = replace(params, initial_position=x_bar)
 attained = energy_efficiency(x_bar, max(gain_eval(expansion, x_bar), 0.0), recentered).ee
 print(f"\nstarting at the peak attains the ceiling: {attained:.6f} vs {bound:.6f} "

@@ -46,16 +46,15 @@ def _curve_objective(expansion, params: SystemParams, pick):
     return lambda xs: pick(*ee.efficiency_curve(expansion, params, xs))
 
 
-def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams,
-                   resolution: float | None = None) -> SchemeResult:
+def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
     """Exhaustive search of the true efficiency, honoring the rate floor.
 
-    Scans the reachable grid (default resolution wavelength/500) and polishes
-    the best cell with a golden-section pass; infeasible positions are
-    penalized to -inf when any grid position is feasible, otherwise the best
-    efficiency is reported with feasible=False.
+    Scans ee.reachable_grid and polishes the best cell with a golden-section
+    pass; infeasible positions are penalized to -inf when any grid position
+    is feasible, otherwise the best efficiency is reported with
+    feasible=False.
     """
-    xs, tol = ee.reachable_grid(params, resolution), params.wavelength * 1e-6
+    xs, tol = ee.reachable_grid(params), params.wavelength * ee.POLISH_TOL_WAVELENGTHS
     best_x, best_v = search.grid_polish_max(
         _curve_objective(expansion, params, lambda v, r, e, ok: np.where(ok, v, -np.inf)),
         xs, tol)
@@ -69,7 +68,7 @@ def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
                  oracle: SchemeResult) -> float:
     """How far the proposed optimizer may land above the oracle: the larger of
     ORACLE_RTOL and the efficiency change over the oracle's polish tolerance."""
-    tol = params.wavelength * 1e-6
+    tol = params.wavelength * ee.POLISH_TOL_WAVELENGTHS
     nearby = np.clip([oracle.x - tol, oracle.x + tol], *ee.reach_interval(params))
     change = float(np.max(np.abs(ee.efficiency_curve(expansion, params, nearby)[0] - oracle.ee)))
     return max(ORACLE_RTOL * oracle.ee, change)
@@ -77,33 +76,26 @@ def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
 
 def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
     """Idealized ceiling: rest position already at the gain argmax, full-block rate."""
-    bound, x_bar = ee.ee_upper_bound(expansion, params)
-    gain = channel.gain_eval(expansion, x_bar)
-    rate = params.block_duration * math.log2(1.0 + ee.mrc_snr(gain, params))
-    energy = params.max_tx_power * params.block_duration
-    return SchemeResult(scheme="upper_bound", x=x_bar, ee=bound, throughput=rate,
-                        energy=energy, feasible=bool(rate >= params.min_throughput))
+    return _from_breakdown("upper_bound", ee.ee_upper_bound(expansion, params))
 
 
-def scheme_max_throughput(expansion: channel.GainExpansion, params: SystemParams,
-                          resolution: float | None = None) -> SchemeResult:
+def scheme_max_throughput(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
     """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor."""
     best_x, _ = search.grid_polish_max(
         _curve_objective(expansion, params, lambda v, r, e, ok: r),
-        ee.reachable_grid(params, resolution), tol=params.wavelength * 1e-6)
+        ee.reachable_grid(params), tol=params.wavelength * ee.POLISH_TOL_WAVELENGTHS)
     return _from_breakdown("max_throughput", ee.efficiency_at(expansion, params, best_x))
 
 
 def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
     """Move to the reachable gain argmax (SNR is monotone in gain under MRC), cost included.
 
-    The argmax is found by ee.gain_peak like the upper bound's (resolution
-    wavelength/200, ties stay at rest) but over the reachable positions only,
-    so the two schemes report the same position whenever the antenna can
-    reach the whole region within one block.
+    The argmax is found by ee.gain_peak like the upper bound's (ties stay at
+    rest) but over ee.reach_interval only, so the two schemes report the same
+    position whenever the antenna can reach the whole region within one
+    block.
     """
-    x_best, _ = ee.gain_peak(expansion, params,
-                             ee.reachable_grid(params, params.wavelength / 200.0))
+    x_best, _ = ee.gain_peak(expansion, params, *ee.reach_interval(params))
     return _from_breakdown("max_snr", ee.efficiency_at(expansion, params, x_best))
 
 
@@ -119,15 +111,14 @@ def proposed_result(report: solver.SolverReport, expansion: channel.GainExpansio
                            feasible=report.status != "infeasible")
 
 
-def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams,
-                    resolution: float | None = None) -> SchemeResult:
+def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
     """Position chosen by the Dinkelbach + SCA optimizer."""
-    report = solver.optimize(expansion, params, restart_resolution=resolution)
+    report = solver.optimize(expansion, params)
     return proposed_result(report, expansion, params)
 
 
 def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
-                     schemes=SCHEME_ORDER, resolution: float | None = None,
+                     schemes=SCHEME_ORDER,
                      known: dict[str, SchemeResult] | None = None) -> dict[str, SchemeResult]:
     """Evaluate the requested schemes on one shared channel instance.
 
@@ -137,9 +128,9 @@ def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
     instead of being evaluated again.
     """
     runners = {
-        "proposed": lambda: scheme_proposed(expansion, params, resolution),
+        "proposed": lambda: scheme_proposed(expansion, params),
         "upper_bound": lambda: scheme_upper_bound(expansion, params),
-        "max_throughput": lambda: scheme_max_throughput(expansion, params, resolution),
+        "max_throughput": lambda: scheme_max_throughput(expansion, params),
         "max_snr": lambda: scheme_max_snr(expansion, params),
         "fpa": lambda: scheme_fpa(expansion, params),
     }

@@ -132,7 +132,6 @@ class GainExpansion:
     """
 
     constant: float
-    wavelength: float
     wavenumbers: np.ndarray
     response_conj: np.ndarray
 
@@ -150,7 +149,6 @@ def build_expansion(instance: PathResponseMatrix, wavelength: float) -> GainExpa
     entries = instance.entries
     return GainExpansion(
         constant=float(np.sum(np.abs(entries) ** 2)),
-        wavelength=wavelength,
         wavenumbers=_wavenumbers(instance.angles, wavelength),
         response_conj=entries.conj(),
     )

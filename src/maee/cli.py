@@ -30,11 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key = value parameter file")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--resolution", type=float, default=None,
-                       help="spacing in meters of the reachable-position grids of the "
-                            "oracle, max_throughput and the solver restart scan "
-                            "(default wavelength/500, at most wavelength/100); "
-                            "the gain-peak searches stay at wavelength/200")
 
     p_solve = sub.add_parser("solve", help="evaluate all schemes on one random instance")
     common(p_solve)
@@ -77,8 +72,8 @@ def _cmd_solve(args) -> int:
     expansion = harness.instance_for(params, args.seed)
     print(f"seed={args.seed}")
 
-    report = solver.optimize(expansion, params, restart_resolution=args.resolution)
-    others = bench.evaluate_schemes(expansion, params, bench.SCHEME_ORDER[1:], args.resolution)
+    report = solver.optimize(expansion, params)
+    others = bench.evaluate_schemes(expansion, params, bench.SCHEME_ORDER[1:])
     results = [bench.proposed_result(report, expansion, params), *others.values()]
     for result in results:
         _print_result(result)
@@ -95,7 +90,7 @@ def _cmd_oracle(args) -> int:
     params = _load_params(args)
     expansion = harness.instance_for(params, args.seed)
     print(f"seed={args.seed}")
-    result = bench.grid_global_ee(expansion, params, args.resolution)
+    result = bench.grid_global_ee(expansion, params)
     _print_result(result)
     return 0 if result.feasible else 1
 
@@ -108,8 +103,7 @@ def _cmd_sweep(args) -> int:
         values = _DEFAULT_SWEEP_VALUES[args.sweep]
     cfg = harness.SweepConfig(
         base=params, sweep_variable=args.sweep, sweep_values=values,
-        trials=args.trials, master_seed=args.seed,
-        resolution=args.resolution, workers=args.workers)
+        trials=args.trials, master_seed=args.seed, workers=args.workers)
     records, aggregates = harness.run_sweep(cfg)
     raw_path, agg_path = harness.emit_csv(records, aggregates, args.out)
     print(f"wrote {raw_path}")
@@ -132,7 +126,7 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     series = channel.gain_series(expansion, xs)
     closed_form = bool(np.all(np.abs(series - direct) <= 1e-9 * expansion.constant))
 
-    step1, step2 = 1e-8, 1e-6
+    step1, step2 = params.wavelength * 1e-6, params.wavelength * 1e-4
     sample = xs[::50]
     fd1 = (tx * channel.gain_eval(expansion, sample + step1)
            - tx * channel.gain_eval(expansion, sample - step1)) / (2 * step1)
@@ -149,7 +143,7 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     eps = channel.curvature_bound(expansion, tx) * (1 + 1e-12)
     curvature = bool(np.all(channel.gain_second_derivative(expansion, tx, xs) <= eps))
 
-    bound, _ = ee.ee_upper_bound(expansion, params)
+    bound = ee.ee_upper_bound(expansion, params).ee
     ee_vals, _, _, _ = ee.efficiency_curve(expansion, params, xs)
     dominance = bool(np.all(ee_vals <= bound * (1.0 + 1e-9)))
 

@@ -9,7 +9,7 @@ bits/Hz divided by the total energy of both phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .params import SystemParams
 
 # Relative float error of a move time computed at the edge of the reach.
 _MOVE_TIME_ROUNDING = 1e-12
+# Every golden polish stops once its bracket is this many wavelengths wide.
+POLISH_TOL_WAVELENGTHS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,53 +117,48 @@ def reach_interval(params: SystemParams) -> tuple[float, float]:
     return lo, hi
 
 
-def reachable_grid(params: SystemParams, resolution: float | None = None) -> np.ndarray:
+def _uniform_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
+    """Evenly spaced points from lo to hi, ends included, at most spacing apart."""
+    return np.linspace(lo, hi, max(int(math.ceil((hi - lo) / spacing)) + 1, 2))
+
+
+def reachable_grid(params: SystemParams) -> np.ndarray:
     """Uniform grid over the positions reachable within one block.
 
-    The grid spans reach_interval at the given resolution (default
-    wavelength/500) and always contains the rest position itself: when the
-    reach is not a multiple of the resolution it is inserted in order. A
-    resolution that is not positive or is coarser than wavelength/100 is
-    rejected.
+    The grid spans reach_interval with points wavelength/500 apart and always
+    contains the rest position itself: when the reach is not a multiple of
+    the spacing it is inserted in order.
     """
-    if resolution is None:
-        resolution = params.wavelength / 500.0
-    if not 0.0 < resolution <= params.wavelength / 100.0:
-        raise ValueError(
-            f"grid resolution {resolution} must be positive and at most wavelength/100"
-        )
-    lo, hi = reach_interval(params)
-    num = max(int(math.ceil((hi - lo) / resolution)) + 1, 2)
-    return search.insert_sorted(np.linspace(lo, hi, num), params.initial_position)
+    xs = _uniform_grid(*reach_interval(params), params.wavelength / 500.0)
+    return search.insert_sorted(xs, params.initial_position)
 
 
 def gain_peak(expansion: channel.GainExpansion, params: SystemParams,
-              xs) -> tuple[float, float]:
-    """Position and value of the largest gain on the sorted grid xs.
+              lo: float, hi: float) -> tuple[float, float]:
+    """Position and value of the largest gain on [lo, hi].
 
-    The grid argmax is refined by one golden polish. Ties prefer not moving:
-    the rest position wins against any position whose gain is no larger.
+    A grid with points wavelength/200 apart (at least 100 samples per gain
+    oscillation) is scanned and its argmax refined by one golden polish.
+    Ties prefer not moving: the rest position wins against any position
+    whose gain is no larger, so it needs no place on the grid.
     """
     x_best, gain_best = search.grid_polish_max(
-        lambda t: channel.gain_eval(expansion, t), xs, tol=params.wavelength * 1e-6)
+        lambda t: channel.gain_eval(expansion, t),
+        _uniform_grid(lo, hi, params.wavelength / 200.0),
+        tol=params.wavelength * POLISH_TOL_WAVELENGTHS)
     gain_rest = channel.gain_eval(expansion, params.initial_position)
     if gain_rest >= gain_best:
         return params.initial_position, gain_rest
     return x_best, gain_best
 
 
-def ee_upper_bound(expansion: channel.GainExpansion,
-                   params: SystemParams) -> tuple[float, float]:
-    """Best-case efficiency and the position that realizes it.
+def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EEBreakdown:
+    """Best-case efficiency: the breakdown of a block resting at the gain peak.
 
     The bound assumes the rest position already sits at the gain argmax, so
     the whole block is spent communicating and no movement energy accrues.
-    The argmax is taken over the whole region, reachable or not, so the bound
-    dominates every scheme. It is located by gain_peak on a uniform grid of
-    resolution wavelength/200 (at least 100 samples per gain oscillation).
+    The argmax is taken by gain_peak over the whole region, reachable or
+    not, so the bound dominates every scheme.
     """
-    num = int(math.ceil(params.region_length / (params.wavelength / 200.0))) + 1
-    x_best, gain_best = gain_peak(expansion, params,
-                                  np.linspace(0.0, params.region_length, num))
-    bound = math.log2(1.0 + mrc_snr(gain_best, params)) / params.max_tx_power
-    return bound, x_best
+    x_bar, gain = gain_peak(expansion, params, 0.0, params.region_length)
+    return energy_efficiency(x_bar, gain, replace(params, initial_position=x_bar))

@@ -57,7 +57,6 @@ class SweepConfig:
     trials: int = 200
     master_seed: int = 0
     schemes: tuple[str, ...] = SCHEME_ORDER
-    resolution: float | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -131,7 +130,7 @@ def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
     for value in cfg.sweep_values:
         params = params_for_value(cfg.base, cfg.sweep_variable, value)
         known = shared.setdefault(replace(params, movement_power=0.0), {})
-        results = bench.evaluate_schemes(expansion, params, cfg.schemes, cfg.resolution, known)
+        results = bench.evaluate_schemes(expansion, params, cfg.schemes, known)
         known.update(results)
         records.append(TrialRecord(sweep_value=value, trial=trial_index,
                                    instance_seed=seed, results=results))

@@ -147,20 +147,20 @@ def solve_subproblem(x: float, expansion: channel.GainExpansion, params: SystemP
     xs = search.insert_sorted(np.linspace(lo, hi, _SCAN_POINTS), x)
     best_x, best_val = search.grid_polish_max(
         _build_surrogate(expansion, params, x, alpha, curvature),
-        xs, tol=params.wavelength * 1e-6)
+        xs, tol=params.wavelength * ee.POLISH_TOL_WAVELENGTHS)
     if best_val == -math.inf:
         return None
     return best_x, best_val
 
 
-def _best_feasible_position(expansion: channel.GainExpansion, params: SystemParams,
-                            resolution: float | None = None) -> float | None:
+def _best_feasible_position(expansion: channel.GainExpansion,
+                            params: SystemParams) -> float | None:
     """Best-true-efficiency reachable position meeting the rate floor, or None.
 
     Exhaustive grid check; used to verify infeasibility before declaring it
     and to restart from a feasible point when the start violates the floor.
     """
-    xs = ee.reachable_grid(params, resolution)
+    xs = ee.reachable_grid(params)
     ee_vals, _, _, feasible = ee.efficiency_curve(expansion, params, xs)
     if not np.any(feasible):
         return None
@@ -168,8 +168,7 @@ def _best_feasible_position(expansion: channel.GainExpansion, params: SystemPara
     return float(xs[int(np.argmax(masked))])
 
 
-def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
-             restart_resolution: float | None = None) -> SolverReport:
+def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverReport:
     """Run the full Dinkelbach + SCA loop from the configured rest position.
 
     Each outer iteration runs the SCA inner loop at a fixed ratio estimate
@@ -191,7 +190,7 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
 
     start = ee.efficiency_at(expansion, params, params.initial_position)
     if not start.feasible:
-        restart = _best_feasible_position(expansion, params, restart_resolution)
+        restart = _best_feasible_position(expansion, params)
         if restart is None:
             return SolverReport(x=start.position, ee=start.ee, iterations=0, trace=[],
                                 status="infeasible", power_assumption_violated=flagged)

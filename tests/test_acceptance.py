@@ -126,7 +126,8 @@ def test_criterion_4_efficiency_ceiling(params):
     worst_gap = 0.0
     for seed in range(100):
         expansion = build_expansion(make_instance(seed), params.wavelength)
-        bound, x_bar = ee_upper_bound(expansion, params)
+        ceiling = ee_upper_bound(expansion, params)
+        bound, x_bar = ceiling.ee, ceiling.position
         xs = np.linspace(0.0, params.region_length, 2000)
         ee_vals, _, _, _ = efficiency_curve(expansion, params, xs)
         assert np.max(ee_vals) <= bound * (1 + 1e-9)

@@ -14,7 +14,7 @@ from maee.bench import (
     scheme_upper_bound,
 )
 from maee.channel import build_expansion, gain_eval, sample_instance
-from maee.ee import ee_upper_bound, efficiency_curve, energy_efficiency
+from maee.ee import ee_upper_bound, efficiency_curve, energy_efficiency, reach_interval
 from maee.params import SystemParams
 
 from conftest import make_instance, single_path_instance
@@ -35,23 +35,18 @@ def test_oracle_single_path(params):
 @pytest.mark.parametrize("seed", range(4))
 def test_oracle_resolution_refinement(seed, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
-    coarse = grid_global_ee(expansion, params, resolution=params.wavelength / 500)
-    fine = grid_global_ee(expansion, params, resolution=params.wavelength / 1000)
-    assert fine.ee == pytest.approx(coarse.ee, rel=1e-6)
+    lo, hi = reach_interval(params)
+    dense = np.linspace(lo, hi, int(math.ceil((hi - lo) / (params.wavelength / 1000))) + 1)
+    ee_vals, _, _, feasible = efficiency_curve(expansion, params, dense)
+    best_dense = float(np.max(np.where(feasible, ee_vals, -np.inf)))
+    assert grid_global_ee(expansion, params).ee == pytest.approx(best_dense, rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_oracle_below_upper_bound(seed, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
-    bound, _ = ee_upper_bound(expansion, params)
+    bound = ee_upper_bound(expansion, params).ee
     assert grid_global_ee(expansion, params).ee <= bound * (1 + 1e-9)
-
-
-def test_oracle_rejects_coarse_resolution(params):
-    expansion = build_expansion(make_instance(0), params.wavelength)
-    for scheme in (grid_global_ee, scheme_max_throughput):
-        with pytest.raises(ValueError):
-            scheme(expansion, params, resolution=params.wavelength / 10)
 
 
 def test_oracle_reports_infeasible_floor(params):
@@ -64,7 +59,8 @@ def test_oracle_reports_infeasible_floor(params):
 def test_upper_bound_scheme_consistency(params):
     expansion = build_expansion(make_instance(3), params.wavelength)
     result = scheme_upper_bound(expansion, params)
-    bound, x_bar = ee_upper_bound(expansion, params)
+    ceiling = ee_upper_bound(expansion, params)
+    bound, x_bar = ceiling.ee, ceiling.position
     assert result.ee == pytest.approx(bound, rel=1e-12)
     assert result.x == x_bar
     assert result.ee * result.energy == pytest.approx(result.throughput, rel=1e-9)
@@ -134,7 +130,7 @@ def test_fpa_independent_of_movement_params(params):
 @pytest.mark.parametrize("seed", range(8))
 def test_scheme_ordering_invariant(seed, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
-    bound, _ = ee_upper_bound(expansion, params)
+    bound = ee_upper_bound(expansion, params).ee
     oracle = grid_global_ee(expansion, params)
     fpa = scheme_fpa(expansion, params)
     proposed = scheme_proposed(expansion, params)
@@ -150,7 +146,7 @@ def test_scheme_ordering_invariant(seed, params):
 
 def test_upper_bound_equality_when_rest_at_peak(params):
     expansion = build_expansion(make_instance(4), params.wavelength)
-    _, x_bar = ee_upper_bound(expansion, params)
+    x_bar = ee_upper_bound(expansion, params).position
     recentered = replace(params, initial_position=x_bar)
     snr_result = scheme_max_snr(expansion, recentered)
     bound_result = scheme_upper_bound(expansion, recentered)

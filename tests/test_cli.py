@@ -1,10 +1,18 @@
 import csv
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-from maee.cli import cli_main
+import pytest
+
+from maee.cli import build_parser, cli_main
+from maee.harness import parse_config_text
+from maee.params import SystemParams
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -103,16 +111,10 @@ def test_config_accepts_dbm(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    code, _, err = run_cli(capsys, "solve", "--definitely-not-a-flag")
-    assert code == 2
-    assert "usage" in err.lower()
-
-
-def test_solve_rejects_coarse_resolution(capsys):
-    # 0.5 m would leave max_throughput a 2-point grid over the 2 cm track
-    code, _, err = run_cli(capsys, "solve", "--seed", "3", "--resolution", "0.5")
-    assert code == 2
-    assert "wavelength/100" in err
+    for flag in (["--definitely-not-a-flag"], ["--resolution", "2e-5"]):
+        code, _, err = run_cli(capsys, "solve", *flag)
+        assert code == 2
+        assert "usage" in err.lower()
 
 
 def test_unknown_command_exits_2(capsys):
@@ -182,6 +184,30 @@ def test_free_movement_config_oracle_and_check(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", "--trials", "2", "--config", str(config))
     assert code == 0, err
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("wavelength", [1e-5, 10.0])
+def test_check_derivatives_scale_with_wavelength(wavelength, tmp_path, capsys):
+    # finite-difference steps fixed in meters break down far from lambda = 1 cm
+    config = tmp_path / "scaled.cfg"
+    config.write_text(f"lambda = {wavelength} m\nA = {2 * wavelength} m\nx0 = {wavelength} m\n")
+    code, out, err = run_cli(capsys, "check", "--trials", "3", "--config", str(config))
+    assert code == 0, out + err
+    assert "ok trial=2 derivative consistency" in out
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines() if line.startswith("maee ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(re.sub(r"\[([^]]*)\]", r"\1", line))[1:])
+
+
+def test_readme_sample_config_is_the_default():
+    text = README.read_text()
+    sample = re.search(r"symbol names.*?\n```\n(.*?)```", text, re.S).group(1)
+    assert parse_config_text(sample) == SystemParams()
 
 
 def test_module_entry_point_runs_without_warnings():

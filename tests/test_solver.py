@@ -246,7 +246,7 @@ def test_solve_subproblem_single_path_stays(params):
 
 def test_solve_subproblem_fixed_point_at_peak(params):
     expansion = build_expansion(make_instance(12), params.wavelength)
-    _, x_bar = ee_upper_bound(expansion, params)
+    x_bar = ee_upper_bound(expansion, params).position
     recentered = replace(params, initial_position=x_bar)
     _, alpha = tangent_state(x_bar, expansion, recentered)
     x, _ = solve_subproblem(x_bar, expansion, recentered, alpha,
@@ -322,7 +322,8 @@ def test_optimize_single_path(params):
 def test_optimize_recentred_start_reaches_bound(params):
     for seed in range(6):
         expansion = build_expansion(make_instance(seed), params.wavelength)
-        bound, x_bar = ee_upper_bound(expansion, params)
+        ceiling = ee_upper_bound(expansion, params)
+        bound, x_bar = ceiling.ee, ceiling.position
         recentered = replace(params, initial_position=x_bar)
         report = optimize(expansion, recentered)
         assert report.ee >= (1.0 - 1e-6) * bound
