@@ -27,7 +27,7 @@ expansion = build_expansion(sample_instance(params, np.random.default_rng(5)),
 xs = np.linspace(0.0, params.region_length, 2001)
 ee_vals, rates, energies, feasible = efficiency_curve(expansion, params, xs)
 ceiling = ee_upper_bound(expansion, params)
-bound, x_bar = ceiling.ee, ceiling.position
+bound, x_bar = ceiling.ee, ceiling.x
 
 print(f"ceiling: {bound:.2f} (bits/Hz)/J at x = {x_bar / params.wavelength:.3f} wavelengths")
 print(f"best efficiency on the grid: {np.max(ee_vals):.2f} "
@@ -38,7 +38,8 @@ print("\nwhy the grid stays below the ceiling: movement cost shows up in both")
 print("the residual communication time and the energy bill.")
 for x in (params.initial_position, x_bar, 0.0):
     b = energy_efficiency(float(x), max(gain_eval(expansion, float(x)), 0.0), params)
-    print(f"  x={x / params.wavelength:5.2f} wl: move {b.move_time * 1e3:6.1f} ms, "
+    move_time = abs(b.x - params.initial_position) / params.speed
+    print(f"  x={x / params.wavelength:5.2f} wl: move {move_time * 1e3:6.1f} ms, "
           f"rate {b.throughput:6.2f} bits/Hz, energy {b.energy * 1e3:6.2f} mJ, "
           f"ee {b.ee:7.2f}")
 

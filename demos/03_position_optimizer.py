@@ -34,9 +34,10 @@ for seed in (7, 21):
     for iteration, x, alpha, objective in report.trace:
         print(f"{iteration:4d} | {x / params.wavelength:10.4f} | {alpha:13.4f} | {objective:12.4f}")
     print(f"status={report.status} after {report.iterations} outer iterations")
-    print(f"optimized ee {report.ee:8.2f} at x={report.x / params.wavelength:.4f} wl")
+    result = report.result
+    print(f"optimized ee {result.ee:8.2f} at x={result.x / params.wavelength:.4f} wl")
     print(f"oracle    ee {oracle.ee:8.2f} at x={oracle.x / params.wavelength:.4f} wl "
-          f"(solver reaches {100 * report.ee / oracle.ee:.2f}%)")
+          f"(solver reaches {100 * result.ee / oracle.ee:.2f}%)")
     print(f"baselines: fixed antenna {fpa.ee:.2f}, move-to-best-gain {max_snr.ee:.2f}")
     print()
 

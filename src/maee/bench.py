@@ -1,14 +1,14 @@
 """Benchmark position-selection schemes and the exhaustive-search oracle.
 
-All schemes are evaluated through the same efficiency model so their results
-are directly comparable on a shared channel instance. The grid oracle is the
-reference the proposed optimizer is judged against.
+All schemes are evaluated through the same efficiency model and report its
+record, ee.EEBreakdown, so their results are directly comparable on a shared
+channel instance. The grid oracle is the reference the proposed optimizer is
+judged against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,37 +22,18 @@ MOVEMENT_POWER_FREE = ("upper_bound", "fpa")
 ORACLE_RTOL = 1e-6  # relative floor of oracle_slack
 
 
-@dataclass(frozen=True, slots=True)
-class SchemeResult:
-    """Outcome of one scheme on one channel instance."""
-
-    scheme: str
-    x: float
-    ee: float
-    throughput: float
-    energy: float
-    feasible: bool
-
-
-def _from_breakdown(scheme: str, breakdown: ee.EEBreakdown,
-                    feasible: bool = True) -> SchemeResult:
-    return SchemeResult(scheme=scheme, x=breakdown.position, ee=breakdown.ee,
-                        throughput=breakdown.throughput, energy=breakdown.energy,
-                        feasible=breakdown.feasible and feasible)
-
-
 def _curve_objective(expansion, params: SystemParams, pick):
     """pick(ee, rate, energy, feasible) along an array of positions."""
     return lambda xs: pick(*ee.efficiency_curve(expansion, params, xs))
 
 
-def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
+def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Exhaustive search of the true efficiency, honoring the rate floor.
 
     Scans ee.reachable_grid and polishes the best cell with a golden-section
     pass; infeasible positions are penalized to -inf when any grid position
     is feasible, otherwise the best efficiency is reported with
-    feasible=False.
+    feasible=False. Returns the efficiency record at the chosen position.
     """
     xs, tol = ee.reachable_grid(params), params.wavelength * ee.POLISH_TOL_WAVELENGTHS
     best_x, best_v = search.grid_polish_max(
@@ -61,11 +42,11 @@ def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams) -> Sc
     if best_v == -math.inf:
         best_x, _ = search.grid_polish_max(
             _curve_objective(expansion, params, lambda v, r, e, ok: v), xs, tol)
-    return _from_breakdown("oracle", ee.efficiency_at(expansion, params, best_x))
+    return ee.efficiency_at(expansion, params, best_x)
 
 
 def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
-                 oracle: SchemeResult) -> float:
+                 oracle: ee.EEBreakdown) -> float:
     """How far the proposed optimizer may land above the oracle: the larger of
     ORACLE_RTOL and the efficiency change over the oracle's polish tolerance."""
     tol = params.wavelength * ee.POLISH_TOL_WAVELENGTHS
@@ -74,20 +55,21 @@ def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
     return max(ORACLE_RTOL * oracle.ee, change)
 
 
-def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
+def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Idealized ceiling: rest position already at the gain argmax, full-block rate."""
-    return _from_breakdown("upper_bound", ee.ee_upper_bound(expansion, params))
+    return ee.ee_upper_bound(expansion, params)
 
 
-def scheme_max_throughput(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
+def scheme_max_throughput(expansion: channel.GainExpansion,
+                          params: SystemParams) -> ee.EEBreakdown:
     """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor."""
     best_x, _ = search.grid_polish_max(
         _curve_objective(expansion, params, lambda v, r, e, ok: r),
         ee.reachable_grid(params), tol=params.wavelength * ee.POLISH_TOL_WAVELENGTHS)
-    return _from_breakdown("max_throughput", ee.efficiency_at(expansion, params, best_x))
+    return ee.efficiency_at(expansion, params, best_x)
 
 
-def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
+def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Move to the reachable gain argmax (SNR is monotone in gain under MRC), cost included.
 
     The argmax is found by ee.gain_peak like the upper bound's (ties stay at
@@ -96,36 +78,30 @@ def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> Sc
     block.
     """
     x_best, _ = ee.gain_peak(expansion, params, *ee.reach_interval(params))
-    return _from_breakdown("max_snr", ee.efficiency_at(expansion, params, x_best))
+    return ee.efficiency_at(expansion, params, x_best)
 
 
-def scheme_fpa(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
+def scheme_fpa(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Fixed antenna: stay at the rest position for the whole block."""
-    return _from_breakdown("fpa", ee.efficiency_at(expansion, params, params.initial_position))
+    return ee.efficiency_at(expansion, params, params.initial_position)
 
 
-def proposed_result(report: solver.SolverReport, expansion: channel.GainExpansion,
-                    params: SystemParams) -> SchemeResult:
-    """The proposed scheme's result for an optimizer report, rechecked at report.x."""
-    return _from_breakdown("proposed", ee.efficiency_at(expansion, params, report.x),
-                           feasible=report.status != "infeasible")
-
-
-def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams) -> SchemeResult:
-    """Position chosen by the Dinkelbach + SCA optimizer."""
-    report = solver.optimize(expansion, params)
-    return proposed_result(report, expansion, params)
+def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
+    """Position chosen by the Dinkelbach + SCA optimizer, with the record it verified."""
+    return solver.optimize(expansion, params).result
 
 
 def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
                      schemes=SCHEME_ORDER,
-                     known: dict[str, SchemeResult] | None = None) -> dict[str, SchemeResult]:
-    """Evaluate the requested schemes on one shared channel instance.
+                     known: dict[str, ee.EEBreakdown] | None = None,
+                     ) -> dict[str, ee.EEBreakdown]:
+    """Each requested scheme's efficiency record on one shared channel instance.
 
-    known, when given, maps scheme names to results already computed on this
-    instance for params that differ from these at most in movement power; the
-    MOVEMENT_POWER_FREE schemes among them are reused as the same objects
-    instead of being evaluated again.
+    The dict is keyed by scheme name in SCHEME_ORDER. known, when given, maps
+    scheme names to records already computed on this instance for params that
+    differ from these at most in movement power; the MOVEMENT_POWER_FREE
+    schemes among them are reused as the same objects instead of being
+    evaluated again.
     """
     runners = {
         "proposed": lambda: scheme_proposed(expansion, params),

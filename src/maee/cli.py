@@ -61,8 +61,8 @@ def _load_params(args) -> SystemParams:
     return SystemParams()
 
 
-def _print_result(result: bench.SchemeResult) -> None:
-    print(f"scheme={result.scheme} x={_fmt(result.x)} ee={_fmt(result.ee)} "
+def _print_result(scheme: str, result: ee.EEBreakdown) -> None:
+    print(f"scheme={scheme} x={_fmt(result.x)} ee={_fmt(result.ee)} "
           f"throughput={_fmt(result.throughput)} energy={_fmt(result.energy)} "
           f"feasible={int(result.feasible)}")
 
@@ -73,17 +73,17 @@ def _cmd_solve(args) -> int:
     print(f"seed={args.seed}")
 
     report = solver.optimize(expansion, params)
-    others = bench.evaluate_schemes(expansion, params, bench.SCHEME_ORDER[1:])
-    results = [bench.proposed_result(report, expansion, params), *others.values()]
-    for result in results:
-        _print_result(result)
+    results = {"proposed": report.result,
+               **bench.evaluate_schemes(expansion, params, bench.SCHEME_ORDER[1:])}
+    for scheme, result in results.items():
+        _print_result(scheme, result)
     print(f"status={report.status} iterations={report.iterations} "
           f"flagged={int(report.power_assumption_violated)}")
     if args.trace:
         print("trace: iteration,x,alpha,objective")
         for iteration, x, alpha, objective in report.trace:
             print(f"trace: {iteration},{_fmt(x)},{_fmt(alpha)},{_fmt(objective)}")
-    return 0 if any(r.feasible for r in results) else 1
+    return 0 if any(r.feasible for r in results.values()) else 1
 
 
 def _cmd_oracle(args) -> int:
@@ -91,7 +91,7 @@ def _cmd_oracle(args) -> int:
     expansion = harness.instance_for(params, args.seed)
     print(f"seed={args.seed}")
     result = bench.grid_global_ee(expansion, params)
-    _print_result(result)
+    _print_result("oracle", result)
     return 0 if result.feasible else 1
 
 
@@ -135,12 +135,17 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
            - 2 * tx * channel.gain_eval(expansion, sample)
            + tx * channel.gain_eval(expansion, sample - step2)) / step2**2
     an2 = channel.gain_second_derivative(expansion, tx, sample)
-    scale1 = float(np.max(np.abs(an1))) + 1e-30
-    scale2 = float(np.max(np.abs(an2))) + 1e-30
+    # Rounding floors in the instance's own units: the m-th derivative's terms
+    # are at most P_t |E|^2 max|k|^m, and with one path the slope and the
+    # curvature are nothing but rounding of that size.
+    top = float(np.max(np.abs(expansion.wavenumbers)))
+    floor1, floor2 = (1e-9 * tx * expansion.constant * top**m for m in (1, 2))
+    scale1 = float(np.max(np.abs(an1))) + floor1
+    scale2 = float(np.max(np.abs(an2))) + floor2
     derivatives = bool(np.all(np.abs(fd1 - an1) <= 1e-4 * scale1)
                        and np.all(np.abs(fd2 - an2) <= 1e-3 * scale2))
 
-    eps = channel.curvature_bound(expansion, tx) * (1 + 1e-12)
+    eps = channel.curvature_bound(expansion, tx) * (1 + 1e-12) + floor2
     curvature = bool(np.all(channel.gain_second_derivative(expansion, tx, xs) <= eps))
 
     bound = ee.ee_upper_bound(expansion, params).ee
@@ -153,8 +158,9 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     alphas = [row[2] for row in report.trace]
     bracket = True
     if report.status != "infeasible":
-        bracket = (report.ee <= oracle.ee + bench.oracle_slack(expansion, params, oracle)
-                   and (not fpa.feasible or report.ee >= fpa.ee - 1e-9)
+        proposed = report.result.ee
+        bracket = (proposed <= oracle.ee + bench.oracle_slack(expansion, params, oracle)
+                   and (not fpa.feasible or proposed >= fpa.ee - 1e-9)
                    and all(b >= a - 1e-9 for a, b in zip(alphas, alphas[1:])))
 
     return [
@@ -168,6 +174,8 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
 
 def _cmd_check(args) -> int:
     params = _load_params(args)
+    if args.trials < 1:
+        raise ValueError("need at least one trial")
     all_ok = True
     for trial in range(args.trials):
         for name, ok in _check_instance(params, args.seed + trial):

@@ -22,16 +22,18 @@ _MOVE_TIME_ROUNDING = 1e-12
 POLISH_TOL_WAVELENGTHS = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EEBreakdown:
-    """Everything the efficiency ratio is made of at one antenna position."""
+    """The efficiency of one block with the antenna at x: the one result record.
 
-    position: float
-    move_time: float
+    Every scheme, the oracle and the optimizer report this record; the sweep
+    CSVs write its fields as they are.
+    """
+
+    x: float
+    ee: float
     throughput: float
     energy: float
-    ee: float
-    snr: float
     feasible: bool
 
 
@@ -58,11 +60,11 @@ def _efficiency(xs: np.ndarray, snr: np.ndarray, params: SystemParams):
 
 
 def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdown:
-    """Assemble the full efficiency breakdown at one position.
+    """The efficiency record of a block with the antenna at x and gain there.
 
     Raises ValueError for a position outside the region or out of reach
     within the block; a move time over the block by rounding only (the edge
-    of reachable_grid) is clamped to the block, as in efficiency_curve.
+    of reachable_grid) leaves no communication time, as in efficiency_curve.
     """
     if not 0.0 <= x <= params.region_length:
         raise ValueError(f"position {x} outside region [0, {params.region_length}]")
@@ -71,17 +73,9 @@ def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdow
         raise ValueError(
             f"move time {move_time} s exceeds block duration {params.block_duration} s"
         )
-    snr = mrc_snr(gain, params)
-    ratio, rate, energy = _efficiency(x, snr, params)
-    return EEBreakdown(
-        position=float(x),
-        move_time=min(move_time, params.block_duration),
-        throughput=float(rate),
-        energy=float(energy),
-        ee=float(ratio),
-        snr=snr,
-        feasible=bool(rate >= params.min_throughput),
-    )
+    ratio, rate, energy = _efficiency(x, mrc_snr(gain, params), params)
+    return EEBreakdown(x=float(x), ee=float(ratio), throughput=float(rate),
+                       energy=float(energy), feasible=bool(rate >= params.min_throughput))
 
 
 def efficiency_curve(expansion: channel.GainExpansion, params: SystemParams, xs):
@@ -94,7 +88,7 @@ def efficiency_curve(expansion: channel.GainExpansion, params: SystemParams, xs)
 
 def efficiency_at(expansion: channel.GainExpansion, params: SystemParams,
                   x: float) -> EEBreakdown:
-    """Efficiency breakdown at one position, with the gain evaluated there."""
+    """Efficiency record at one position, with the gain evaluated there."""
     return energy_efficiency(x, channel.gain_eval(expansion, x), params)
 
 
@@ -153,7 +147,7 @@ def gain_peak(expansion: channel.GainExpansion, params: SystemParams,
 
 
 def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EEBreakdown:
-    """Best-case efficiency: the breakdown of a block resting at the gain peak.
+    """Best-case efficiency: the record of a block resting at the gain peak.
 
     The bound assumes the rest position already sits at the gain argmax, so
     the whole block is spent communicating and no movement energy accrues.

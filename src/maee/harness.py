@@ -18,8 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from . import bench, channel
-from .bench import SCHEME_ORDER, SchemeResult
+from . import bench, channel, ee
+from .bench import SCHEME_ORDER
 from .params import SystemParams, db_to_linear, dbm_to_watt
 
 SWEEP_VARIABLES = ("region", "power")
@@ -79,12 +79,12 @@ class SweepConfig:
 
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
-    """All scheme results for one instance, plus the seed that regenerates it."""
+    """Every scheme's efficiency record for one instance, plus the seed that regenerates it."""
 
     sweep_value: float
     trial: int
     instance_seed: int
-    results: dict[str, SchemeResult]
+    results: dict[str, ee.EEBreakdown]
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
     """
     seed = mix_seed(cfg.master_seed, trial_index)
     expansion = instance_for(cfg.base, seed)
-    shared: dict[SystemParams, dict[str, SchemeResult]] = {}
+    shared: dict[SystemParams, dict[str, ee.EEBreakdown]] = {}
     records = []
     for value in cfg.sweep_values:
         params = params_for_value(cfg.base, cfg.sweep_variable, value)
@@ -257,17 +257,22 @@ def _parse_value(key: str, text: str) -> float | int:
         number = float(tokens[0])
     except ValueError as exc:
         raise ValueError(f"malformed value for {key!r}: {text!r}") from exc
+    if not math.isfinite(number):
+        raise ValueError(f"{key!r} must be finite, got {text!r}")
     unit = tokens[1] if len(tokens) == 2 else ""
-    if unit == "dBm":
-        if key not in _POWER_KEYS:
-            raise ValueError(f"unit dBm not valid for {key!r}")
-        number = dbm_to_watt(number)
-    elif unit == "dB":
-        if key not in _RATIO_KEYS:
-            raise ValueError(f"unit dB not valid for {key!r}")
-        number = db_to_linear(number)
-    elif unit not in _PLAIN_UNITS:
-        raise ValueError(f"unknown unit {unit!r} for {key!r}")
+    try:
+        if unit == "dBm":
+            if key not in _POWER_KEYS:
+                raise ValueError(f"unit dBm not valid for {key!r}")
+            number = dbm_to_watt(number)
+        elif unit == "dB":
+            if key not in _RATIO_KEYS:
+                raise ValueError(f"unit dB not valid for {key!r}")
+            number = db_to_linear(number)
+        elif unit not in _PLAIN_UNITS:
+            raise ValueError(f"unknown unit {unit!r} for {key!r}")
+    except OverflowError as exc:  # the linear value is not finite
+        raise ValueError(f"{key!r} must be finite, got {text!r}") from exc
     if key in _INT_KEYS:
         if number != int(number):
             raise ValueError(f"{key!r} must be an integer, got {text!r}")

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 def db_to_linear(db: float) -> float:
@@ -41,6 +42,10 @@ class SystemParams:
     tolerance: float = 1e-4             # solver convergence threshold
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value}")
         if self.wavelength <= 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if self.region_length <= 0:

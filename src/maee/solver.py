@@ -54,14 +54,15 @@ _SCAN_POINTS = 65
 class SolverReport:
     """Outcome of one optimizer run.
 
-    The reported efficiency is recomputed from scratch at the final position,
-    never read off a surrogate. trace rows are
-    (iteration, x, alpha, surrogate objective), one per outer iteration
-    including the start; alpha is the true efficiency of x.
+    result is the true efficiency record (ee.efficiency_at) of the last
+    accepted iterate, never read off a surrogate: the start, the restart, or
+    the last outer iterate that passed the check. For an infeasible run it is
+    the infeasible record at the rest position. trace rows are
+    (iteration, x, alpha, surrogate objective), one per accepted iterate; alpha
+    is the true efficiency of x.
     """
 
-    x: float
-    ee: float
+    result: ee.EEBreakdown
     iterations: int
     trace: list[tuple[int, float, float, float]] = field(default_factory=list)
     status: str = "converged"  # converged | iteration-cap | infeasible
@@ -178,7 +179,8 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     the estimate (possible only through the tiny slack floors), or that misses
     the true rate floor (the surrogate allows FEASIBILITY_SLACK), is rejected
     and treated as converged; this keeps the ratio sequence nondecreasing and
-    every accepted iterate feasible.
+    every accepted iterate feasible. The report carries the efficiency record
+    computed when the last iterate was accepted; nothing is evaluated again.
 
     A start position violating the rate floor triggers one verified grid
     restart from the best feasible position; if no reachable position meets
@@ -188,18 +190,18 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     """
     flagged = params.movement_power < params.max_tx_power
 
-    start = ee.efficiency_at(expansion, params, params.initial_position)
-    if not start.feasible:
+    result = ee.efficiency_at(expansion, params, params.initial_position)
+    if not result.feasible:
         restart = _best_feasible_position(expansion, params)
         if restart is None:
-            return SolverReport(x=start.position, ee=start.ee, iterations=0, trace=[],
+            return SolverReport(result=result, iterations=0, trace=[],
                                 status="infeasible", power_assumption_violated=flagged)
-        start = ee.efficiency_at(expansion, params, restart)
+        result = ee.efficiency_at(expansion, params, restart)
 
-    x, alpha = start.position, start.ee
+    x = result.x  # the ratio estimate alpha is result.ee throughout
     curvature = channel.curvature_bound(expansion, params.max_tx_power)
-    objective = _build_surrogate(expansion, params, x, alpha, curvature)(x)
-    trace = [(0, x, alpha, objective)]
+    objective = _build_surrogate(expansion, params, x, result.ee, curvature)(x)
+    trace = [(0, x, result.ee, objective)]
 
     status = "iteration-cap"
     outer_used = 0
@@ -208,7 +210,7 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
         stalled = False
         inner_prev = -math.inf
         for _ in range(INNER_CAP):
-            step = solve_subproblem(x, expansion, params, alpha, curvature)
+            step = solve_subproblem(x, expansion, params, result.ee, curvature)
             if step is None:
                 stalled = True
                 break
@@ -222,19 +224,16 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
             break
 
         checked = ee.efficiency_at(expansion, params, x)
-        new_alpha = checked.ee
-        if new_alpha < alpha or not checked.feasible:
-            # Slack artifact: revert to the previous iterate and stop.
-            x = trace[-1][1]
+        if checked.ee < result.ee or not checked.feasible:
+            # Slack artifact: keep the previous iterate and stop.
             status = "converged"
             break
-        trace.append((outer, x, new_alpha, objective))
-        finished = abs(new_alpha - alpha) <= params.tolerance
-        alpha = new_alpha
+        trace.append((outer, x, checked.ee, objective))
+        finished = abs(checked.ee - result.ee) <= params.tolerance
+        result = checked
         if finished:
             status = "converged"
             break
 
-    final = ee.efficiency_at(expansion, params, x)
-    return SolverReport(x=x, ee=final.ee, iterations=outer_used, trace=trace,
+    return SolverReport(result=result, iterations=outer_used, trace=trace,
                         status=status, power_assumption_violated=flagged)

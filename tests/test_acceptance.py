@@ -127,15 +127,15 @@ def test_criterion_4_efficiency_ceiling(params):
     for seed in range(100):
         expansion = build_expansion(make_instance(seed), params.wavelength)
         ceiling = ee_upper_bound(expansion, params)
-        bound, x_bar = ceiling.ee, ceiling.position
+        bound, x_bar = ceiling.ee, ceiling.x
         xs = np.linspace(0.0, params.region_length, 2000)
         ee_vals, _, _, _ = efficiency_curve(expansion, params, xs)
         assert np.max(ee_vals) <= bound * (1 + 1e-9)
 
         recentered = replace(params, initial_position=x_bar)
         report = optimize(expansion, recentered)
-        assert report.ee >= (1.0 - 1e-6) * bound
-        worst_gap = max(worst_gap, 1.0 - report.ee / bound)
+        assert report.result.ee >= (1.0 - 1e-6) * bound
+        worst_gap = max(worst_gap, 1.0 - report.result.ee / bound)
     print(f"criterion 4 PASS: ceiling dominates on 100 instances; worst "
           f"recentered-start gap {worst_gap:.2e}")
 
@@ -198,13 +198,13 @@ def test_criterion_6_solver_against_oracle(params):
         start_feasible = energy_efficiency(params.initial_position, gain0, params).feasible
 
         if start_feasible:
-            assert report.ee >= start_ee - 1e-9
-        assert report.ee <= oracle.ee + 1e-9
+            assert report.result.ee >= start_ee - 1e-9
+        assert report.result.ee <= oracle.ee + 1e-9
         alphas = [row[2] for row in report.trace]
         assert all(b >= a - 1e-9 for a, b in zip(alphas, alphas[1:]))
         if report.status == "converged" and report.iterations <= 100:
             converged += 1
-        ratio = report.ee / oracle.ee
+        ratio = report.result.ee / oracle.ee
         if ratio >= 0.99:
             reached += 1
         else:

@@ -14,7 +14,13 @@ from maee.bench import (
     scheme_upper_bound,
 )
 from maee.channel import build_expansion, gain_eval, sample_instance
-from maee.ee import ee_upper_bound, efficiency_curve, energy_efficiency, reach_interval
+from maee.ee import (
+    ee_upper_bound,
+    efficiency_curve,
+    energy_efficiency,
+    mrc_snr,
+    reach_interval,
+)
 from maee.params import SystemParams
 
 from conftest import make_instance, single_path_instance
@@ -60,7 +66,7 @@ def test_upper_bound_scheme_consistency(params):
     expansion = build_expansion(make_instance(3), params.wavelength)
     result = scheme_upper_bound(expansion, params)
     ceiling = ee_upper_bound(expansion, params)
-    bound, x_bar = ceiling.ee, ceiling.position
+    bound, x_bar = ceiling.ee, ceiling.x
     assert result.ee == pytest.approx(bound, rel=1e-12)
     assert result.x == x_bar
     assert result.ee * result.energy == pytest.approx(result.throughput, rel=1e-9)
@@ -117,7 +123,7 @@ def test_fpa_equals_rest_breakdown(params):
     assert result.x == params.initial_position
     assert result.ee == pytest.approx(breakdown.ee, rel=1e-12)
     assert result.ee == pytest.approx(
-        math.log2(1.0 + breakdown.snr) / params.max_tx_power, rel=1e-12)
+        math.log2(1.0 + mrc_snr(gain, params)) / params.max_tx_power, rel=1e-12)
 
 
 def test_fpa_independent_of_movement_params(params):
@@ -146,7 +152,7 @@ def test_scheme_ordering_invariant(seed, params):
 
 def test_upper_bound_equality_when_rest_at_peak(params):
     expansion = build_expansion(make_instance(4), params.wavelength)
-    x_bar = ee_upper_bound(expansion, params).position
+    x_bar = ee_upper_bound(expansion, params).x
     recentered = replace(params, initial_position=x_bar)
     snr_result = scheme_max_snr(expansion, recentered)
     bound_result = scheme_upper_bound(expansion, recentered)

@@ -186,14 +186,38 @@ def test_free_movement_config_oracle_and_check(tmp_path, capsys):
     assert "all checks passed" in out
 
 
-@pytest.mark.parametrize("wavelength", [1e-5, 10.0])
-def test_check_derivatives_scale_with_wavelength(wavelength, tmp_path, capsys):
-    # finite-difference steps fixed in meters break down far from lambda = 1 cm
+@pytest.mark.parametrize("wavelength, paths", [
+    pytest.param(1e-5, 10, id="1e-05"),
+    pytest.param(10.0, 10, id="10.0"),
+    pytest.param(0.01, 1, id="single-path"),
+])
+def test_check_derivatives_scale_with_wavelength(wavelength, paths, tmp_path, capsys):
+    # finite-difference steps fixed in meters break down far from lambda = 1 cm;
+    # with one path the slope and curvature are pure rounding, so the floors
+    # must carry the instance's own scale
     config = tmp_path / "scaled.cfg"
-    config.write_text(f"lambda = {wavelength} m\nA = {2 * wavelength} m\nx0 = {wavelength} m\n")
+    config.write_text(f"lambda = {wavelength} m\nA = {2 * wavelength} m\nx0 = {wavelength} m\n"
+                      f"L = {paths}\n")
     code, out, err = run_cli(capsys, "check", "--trials", "3", "--config", str(config))
     assert code == 0, out + err
     assert "ok trial=2 derivative consistency" in out
+    assert "ok trial=2 curvature dominance" in out
+
+
+def test_check_without_trials_exits_2(capsys):
+    code, out, err = run_cli(capsys, "check", "--trials", "0")
+    assert code == 2
+    assert "error:" in err
+    assert "passed" not in out
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    config = tmp_path / "inf.cfg"
+    config.write_text("T = inf s\n")
+    code, out, err = run_cli(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert "error:" in err and "finite" in err
+    assert "scheme=" not in out
 
 
 def test_readme_command_lines_parse():
@@ -202,6 +226,13 @@ def test_readme_command_lines_parse():
     assert lines
     for line in lines:
         build_parser().parse_args(shlex.split(re.sub(r"\[([^]]*)\]", r"\1", line))[1:])
+
+
+def test_readme_library_quick_start_runs(capsys):
+    block = README.read_text().split("## Library quick start", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split()[2] == "converged"
 
 
 def test_readme_sample_config_is_the_default():

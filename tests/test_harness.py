@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maee import channel, ee
-from maee.bench import SchemeResult, evaluate_schemes
+from maee.bench import evaluate_schemes
 from maee.harness import (
     SweepConfig,
     TrialRecord,
@@ -155,9 +155,8 @@ def test_run_sweep_worker_counts_agree(tmp_path):
 def fake_record(value, trial, ees, feasible):
     results = {}
     for scheme, ee_val, ok in zip(("proposed", "fpa"), ees, feasible):
-        results[scheme] = SchemeResult(scheme=scheme, x=0.01, ee=ee_val,
-                                       throughput=ee_val * 0.05, energy=0.05,
-                                       feasible=ok)
+        results[scheme] = ee.EEBreakdown(x=0.01, ee=ee_val, throughput=ee_val * 0.05,
+                                         energy=0.05, feasible=ok)
     return TrialRecord(sweep_value=value, trial=trial, instance_seed=trial, results=results)
 
 
@@ -318,6 +317,11 @@ def test_parse_config_rejects_bad_input():
         parse_config_text("N = 2.5")
     with pytest.raises(ValueError):
         parse_config_text("just some words")
+    # values that are not finite, as written or once converted from dB/dBm
+    for text in ("L = inf", "A = inf", "P_t = 4000 dBm", "rho_0 = 4000 dB", "P = nan W",
+                 "T = inf", "P_t = inf W", "P = -inf dBm"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_config_text(text)
 
 
 def test_load_config_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from maee import solver
-from maee.bench import grid_global_ee
+from maee.bench import grid_global_ee, scheme_proposed
 from maee.channel import build_expansion, curvature_bound, gain_derivative, gain_eval
 from maee.ee import ee_upper_bound, efficiency_at, energy_efficiency
 from maee.params import SystemParams
@@ -246,7 +246,7 @@ def test_solve_subproblem_single_path_stays(params):
 
 def test_solve_subproblem_fixed_point_at_peak(params):
     expansion = build_expansion(make_instance(12), params.wavelength)
-    x_bar = ee_upper_bound(expansion, params).position
+    x_bar = ee_upper_bound(expansion, params).x
     recentered = replace(params, initial_position=x_bar)
     _, alpha = tangent_state(x_bar, expansion, recentered)
     x, _ = solve_subproblem(x_bar, expansion, recentered, alpha,
@@ -312,21 +312,21 @@ def test_optimize_single_path(params):
         params.wavelength)
     report = optimize(expansion, params)
     assert report.status == "converged"
-    assert report.x == pytest.approx(params.initial_position, abs=1e-12)
+    assert report.result.x == pytest.approx(params.initial_position, abs=1e-12)
     expected = math.log2(
         1.0 + params.max_tx_power * expansion.constant / params.noise_power
     ) / params.max_tx_power
-    assert report.ee == pytest.approx(expected, rel=1e-12)
+    assert report.result.ee == pytest.approx(expected, rel=1e-12)
 
 
 def test_optimize_recentred_start_reaches_bound(params):
     for seed in range(6):
         expansion = build_expansion(make_instance(seed), params.wavelength)
         ceiling = ee_upper_bound(expansion, params)
-        bound, x_bar = ceiling.ee, ceiling.position
+        bound, x_bar = ceiling.ee, ceiling.x
         recentered = replace(params, initial_position=x_bar)
         report = optimize(expansion, recentered)
-        assert report.ee >= (1.0 - 1e-6) * bound
+        assert report.result.ee >= (1.0 - 1e-6) * bound
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -341,8 +341,8 @@ def test_optimize_bracketing_and_monotone(seed, params):
     assert report.status in ("converged", "iteration-cap")
     assert report.iterations <= 100
     if start_feasible:
-        assert report.ee >= start - 1e-9
-    assert report.ee <= oracle.ee + 1e-9
+        assert report.result.ee >= start - 1e-9
+    assert report.result.ee <= oracle.ee + 1e-9
     alphas = [row[2] for row in report.trace]
     assert all(b >= a - 1e-9 for a, b in zip(alphas, alphas[1:]))
 
@@ -350,10 +350,11 @@ def test_optimize_bracketing_and_monotone(seed, params):
 def test_optimize_report_consistency(params):
     expansion = build_expansion(make_instance(17), params.wavelength)
     report = optimize(expansion, params)
-    gain = max(gain_eval(expansion, report.x), 0.0)
-    assert report.ee == pytest.approx(energy_efficiency(report.x, gain, params).ee, rel=1e-12)
+    gain = max(gain_eval(expansion, report.result.x), 0.0)
+    assert report.result.ee == pytest.approx(
+        energy_efficiency(report.result.x, gain, params).ee, rel=1e-12)
     # final trace row carries the converged ratio estimate
-    assert report.trace[-1][2] == pytest.approx(report.ee, rel=1e-9)
+    assert report.trace[-1][2] == pytest.approx(report.result.ee, rel=1e-9)
 
 
 def test_optimize_infeasible_when_floor_unreachable(params):
@@ -379,8 +380,8 @@ def test_optimize_restarts_from_feasible_region():
         if oracle.feasible:
             hit += 1
             assert report.status in ("converged", "iteration-cap")
-            gain = max(gain_eval(expansion, report.x), 0.0)
-            assert energy_efficiency(report.x, gain, params).throughput >= \
+            gain = max(gain_eval(expansion, report.result.x), 0.0)
+            assert energy_efficiency(report.result.x, gain, params).throughput >= \
                 params.min_throughput - 1e-6
         else:
             assert report.status == "infeasible"
@@ -390,8 +391,8 @@ def test_optimize_restarts_from_feasible_region():
 def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
     """Each surrogate build reads the gain and its slope at the iterate once:
     one build per subproblem plus the start objective's, none per evaluation.
-    The other gain reads are optimize's efficiency checks (start, after the
-    inner loop, final), all at single positions."""
+    The other gain reads are optimize's efficiency checks (the start and one
+    after each inner loop), all at single positions; no final recheck."""
     calls, sizes = Counter(), set()
     for module, name in ((solver, "solve_subproblem"), (solver.channel, "gain_derivative"),
                          (solver.channel, "gain_eval")):
@@ -402,8 +403,48 @@ def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
     optimize(build_expansion(make_instance(1), params.wavelength), params)
-    assert calls == {"solve_subproblem": 2, "gain_derivative": 3, "gain_eval": 6}
+    assert calls == {"solve_subproblem": 2, "gain_derivative": 3, "gain_eval": 5}
     assert sizes == {1}
+
+
+def test_optimize_reports_the_accepted_record_when_a_subproblem_fails(params, monkeypatch):
+    """An inner iterate that never passed the efficiency check is not reported:
+    when the next subproblem finds no feasible position, the run returns the
+    record of the accepted start."""
+    expansion = build_expansion(make_instance(1), params.wavelength)
+    moved = params.initial_position + 0.125 * params.wavelength
+    steps = iter([(moved, 1.0), None])
+    monkeypatch.setattr(solver, "solve_subproblem", lambda *args: next(steps))
+    report = optimize(expansion, params)
+    start = efficiency_at(expansion, params, params.initial_position)
+    assert start.feasible
+    assert report.status == "converged"
+    assert report.result == start
+    assert report.result.x != moved
+    assert [row[1] for row in report.trace] == [params.initial_position]
+
+
+def test_scheme_proposed_reuses_the_optimizer_record(params, monkeypatch):
+    """The proposed scheme's record is the one optimize verified: no
+    efficiency evaluation follows the optimizer run."""
+    events, reports = [], []
+    original_at, original_optimize = solver.ee.efficiency_at, solver.optimize
+
+    def counted_at(*args):
+        events.append("efficiency_at")
+        return original_at(*args)
+
+    def watched_optimize(*args):
+        reports.append(original_optimize(*args))
+        events.append("optimize returned")
+        return reports[-1]
+
+    monkeypatch.setattr(solver.ee, "efficiency_at", counted_at)
+    monkeypatch.setattr(solver, "optimize", watched_optimize)
+    result = scheme_proposed(build_expansion(make_instance(1), params.wavelength), params)
+    assert events.count("efficiency_at") >= 2
+    assert events[-1] == "optimize returned"
+    assert result is reports[0].result
 
 
 def test_optimize_computes_curvature_bound_once(params, monkeypatch):
@@ -467,5 +508,5 @@ def test_optimize_memory_bounded_at_many_paths():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert math.isfinite(report.ee)
+    assert math.isfinite(report.result.ee)
     assert peak <= 16 * 2**20
