@@ -34,7 +34,7 @@ print(f"direct form: {expansion.num_paths} steering wavenumbers, "
 
 xs = np.linspace(0.0, params.region_length, 2001)
 gains = gain_eval(expansion, xs)
-h_rest = channel_vector(instance, params.wavelength, params.initial_position)
+h_rest = channel_vector(expansion, params.initial_position)
 print(f"|h|^2 at the rest position: {np.sum(np.abs(h_rest) ** 2):.6e} "
       f"(gain_eval: {gain_eval(expansion, params.initial_position):.6e})")
 series = gain_series(expansion, xs)

@@ -1,13 +1,14 @@
 """Field-response channel model for a single movable receive antenna.
 
-A propagation environment is a fixed set of L plane-wave paths, each with an
-elevation/azimuth arrival direction and one complex response coefficient per
-base-station antenna. The channel at antenna position x is h(x) = f(x) conj(E),
-the conjugated path-response matrix applied to a unit-modulus steering vector
-f(x) whose phases grow linearly in x; the power gain is |h(x)|^2. Grids are
-worked through a block of positions at a time, and the curvature bound and the
-reference series read the path-pair Gram matrix E E^H a block of rows at a
-time, so memory stays bounded for any grid length or path count.
+A propagation environment is a fixed set of L plane-wave paths, each with a
+virtual arrival angle sin(elevation) cos(azimuth) and one complex response
+coefficient per base-station antenna. The channel at antenna position x is
+h(x) = f(x) conj(E), the conjugated path-response matrix applied to a
+unit-modulus steering vector f(x) whose phases grow linearly in x; the power
+gain is |h(x)|^2. Grids are worked through a block of positions at a time,
+and the curvature bound and the reference series read the path-pair Gram
+matrix E E^H a block of rows at a time, so memory stays bounded for any grid
+length or path count.
 """
 
 from __future__ import annotations
@@ -26,55 +27,30 @@ _BLOCK_ENTRIES = 32 * _GAIN_BLOCK
 
 
 @dataclass(frozen=True)
-class PathAngles:
-    """Per-path arrival geometry.
+class PathResponseMatrix:
+    """One propagation environment: what the field-response model reads of it.
 
-    The virtual angles sin(elevation) * cos(azimuth) are stored alongside the
-    angles they derive from.
+    entries holds the L x N complex response coefficients, one row per path;
+    virtual_aoa holds each path's virtual arrival angle sin(elevation)
+    cos(azimuth), the only part of its direction the 1-D track sees.
     """
 
-    elevation: np.ndarray
-    azimuth: np.ndarray
+    entries: np.ndarray
     virtual_aoa: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("elevation", "azimuth", "virtual_aoa"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        num = self.elevation.shape[0]
-        if self.elevation.ndim != 1 or num < 1:
-            raise ValueError("need at least one path")
-        if self.azimuth.shape != (num,) or self.virtual_aoa.shape != (num,):
-            raise ValueError("angle arrays must share one length")
-        if np.any(np.abs(self.virtual_aoa) > 1.0 + 1e-12):
-            raise ValueError("virtual angles must lie in [-1, 1]")
-
-    @property
-    def num_paths(self) -> int:
-        return self.elevation.shape[0]
-
-    @classmethod
-    def from_spherical(cls, elevation, azimuth) -> "PathAngles":
-        elevation = np.asarray(elevation, dtype=float)
-        azimuth = np.asarray(azimuth, dtype=float)
-        return cls(elevation, azimuth, np.sin(elevation) * np.cos(azimuth))
-
-
-@dataclass(frozen=True)
-class PathResponseMatrix:
-    """L x N complex response coefficients plus the path arrival angles."""
-
-    entries: np.ndarray
-    angles: PathAngles
-
-    def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2:
-            raise ValueError("entries must be a 2-D matrix")
-        if entries.shape[0] != self.angles.num_paths:
-            raise ValueError("row count must equal the number of paths")
+        virtual_aoa = np.asarray(self.virtual_aoa, dtype=float)
+        if entries.ndim != 2 or entries.shape[0] < 1:
+            raise ValueError("entries must be a 2-D matrix with at least one path")
+        if virtual_aoa.shape != (entries.shape[0],):
+            raise ValueError("need one virtual angle per path")
         if not np.all(np.isfinite(entries)):
             raise ValueError("entries must be finite")
+        if not np.all(np.abs(virtual_aoa) <= 1.0 + 1e-12):
+            raise ValueError("virtual angles must lie in [-1, 1]")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "virtual_aoa", virtual_aoa)
 
     @property
     def num_paths(self) -> int:
@@ -90,8 +66,9 @@ def sample_instance(params: SystemParams, rng: np.random.Generator) -> PathRespo
 
     Response coefficients are i.i.d. circularly symmetric complex Gaussian
     with variance pathloss_ref * distance**-pathloss_exp / num_paths; the
-    elevation and azimuth angles are i.i.d. uniform on [0, pi]. The draw
-    order is fixed so a seeded generator reproduces an instance bit for bit.
+    elevation and azimuth angles behind each virtual angle are i.i.d. uniform
+    on [0, pi]. The draw order is fixed so a seeded generator reproduces an
+    instance bit for bit.
     """
     num_paths, num_antennas = params.num_paths, params.num_bs_antennas
     elevation = rng.uniform(0.0, np.pi, num_paths)
@@ -101,25 +78,13 @@ def sample_instance(params: SystemParams, rng: np.random.Generator) -> PathRespo
     imag = rng.standard_normal((num_paths, num_antennas))
     return PathResponseMatrix(
         entries=(real + 1j * imag) * scale,
-        angles=PathAngles.from_spherical(elevation, azimuth),
+        virtual_aoa=np.sin(elevation) * np.cos(azimuth),
     )
-
-
-def _wavenumbers(angles: PathAngles, wavelength: float) -> np.ndarray:
-    """Phase slopes 2 pi virtual_aoa / wavelength of the steering vector, in rad/m."""
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    return 2.0 * np.pi / wavelength * angles.virtual_aoa
 
 
 def _steering(wavenumbers: np.ndarray, x) -> np.ndarray:
     """Steering rows exp(j x wavenumbers): one for a float x, one per entry of a column x."""
     return np.exp((1j * x) * wavenumbers)
-
-
-def channel_vector(instance: PathResponseMatrix, wavelength: float, x: float) -> np.ndarray:
-    """Channel vector at position x, one entry per base-station antenna."""
-    return _steering(_wavenumbers(instance.angles, wavelength), x) @ instance.entries.conj()
 
 
 @dataclass(frozen=True)
@@ -141,17 +106,29 @@ class GainExpansion:
 
     @property
     def num_pairs(self) -> int:
+        """L(L-1)/2; unread in maee, benchmarks/measure.py reports gain_eval.terms with it."""
         return self.num_paths * (self.num_paths - 1) // 2
 
 
 def build_expansion(instance: PathResponseMatrix, wavelength: float) -> GainExpansion:
-    """Precompute the direct form for one environment."""
+    """Precompute the direct form for one environment.
+
+    The steering wavenumbers are the phase slopes 2 pi virtual_aoa / wavelength,
+    in rad/m.
+    """
+    if wavelength <= 0:
+        raise ValueError(f"wavelength must be positive, got {wavelength}")
     entries = instance.entries
     return GainExpansion(
         constant=float(np.sum(np.abs(entries) ** 2)),
-        wavenumbers=_wavenumbers(instance.angles, wavelength),
+        wavenumbers=2.0 * np.pi / wavelength * instance.virtual_aoa,
         response_conj=entries.conj(),
     )
+
+
+def channel_vector(expansion: GainExpansion, x: float) -> np.ndarray:
+    """Channel vector h(x) = f(x) conj(E) at position x, one entry per base-station antenna."""
+    return _steering(expansion.wavenumbers, x) @ expansion.response_conj
 
 
 def _block_rows(num_paths: int) -> int:

@@ -37,22 +37,17 @@ class EEBreakdown:
     feasible: bool
 
 
-def mrc_snr(gain: float, params: SystemParams) -> float:
-    """Received SNR with full-power MRC transmission toward the user."""
-    if gain < 0:
-        raise ValueError(f"gain must be nonnegative, got {gain}")
-    return params.max_tx_power * gain / params.noise_power
+def _efficiency(xs: np.ndarray, gain: np.ndarray, params: SystemParams):
+    """The efficiency formula: (ee, rate, energy) at positions xs with gains gain.
 
-
-def _efficiency(xs: np.ndarray, snr: np.ndarray, params: SystemParams):
-    """The efficiency formula: (ee, rate, energy) at positions xs with SNRs snr.
-
-    Any spot the antenna cannot reach within the block gets zero
-    communication time. Where the energy is zero (free movement and no time
-    left) the rate is zero too, and the efficiency is defined as 0.
+    The received SNR is P_t gain / noise_power, full-power MRC transmission
+    toward the user. Any spot the antenna cannot reach within the block gets
+    zero communication time. Where the energy is zero (free movement and no
+    time left) the rate is zero too, and the efficiency is defined as 0.
     """
     dist = np.abs(xs - params.initial_position)
     time_left = np.maximum(params.block_duration - dist / params.speed, 0.0)
+    snr = params.max_tx_power * gain / params.noise_power
     rate = time_left * np.log2(1.0 + snr)
     energy = params.move_energy_rate * dist + params.max_tx_power * time_left
     ratio = np.divide(rate, energy, out=np.zeros_like(rate), where=energy > 0.0)
@@ -63,8 +58,9 @@ def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdow
     """The efficiency record of a block with the antenna at x and gain there.
 
     Raises ValueError for a position outside the region or out of reach
-    within the block; a move time over the block by rounding only (the edge
-    of reachable_grid) leaves no communication time, as in efficiency_curve.
+    within the block, or for a negative gain; a move time over the block by
+    rounding only (the edge of reachable_grid) leaves no communication time,
+    as in efficiency_curve.
     """
     if not 0.0 <= x <= params.region_length:
         raise ValueError(f"position {x} outside region [0, {params.region_length}]")
@@ -73,7 +69,9 @@ def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdow
         raise ValueError(
             f"move time {move_time} s exceeds block duration {params.block_duration} s"
         )
-    ratio, rate, energy = _efficiency(x, mrc_snr(gain, params), params)
+    if gain < 0:
+        raise ValueError(f"gain must be nonnegative, got {gain}")
+    ratio, rate, energy = _efficiency(x, gain, params)
     return EEBreakdown(x=float(x), ee=float(ratio), throughput=float(rate),
                        energy=float(energy), feasible=bool(rate >= params.min_throughput))
 
@@ -81,8 +79,7 @@ def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdow
 def efficiency_curve(expansion: channel.GainExpansion, params: SystemParams, xs):
     """Vectorized (ee, rate, energy, feasible) along positions xs inside the region."""
     xs = np.asarray(xs, dtype=float)
-    snr = params.max_tx_power * channel.gain_eval(expansion, xs) / params.noise_power
-    ratio, rate, energy = _efficiency(xs, snr, params)
+    ratio, rate, energy = _efficiency(xs, channel.gain_eval(expansion, xs), params)
     return ratio, rate, energy, rate >= params.min_throughput
 
 

@@ -22,7 +22,8 @@ class SystemParams:
     converted once at the configuration boundary (see harness.load_config).
     Defaults correspond to the reference simulation setup: 16 base-station
     antennas serve a single user whose receive antenna can slide along a
-    two-wavelength track, starting from the track center.
+    two-wavelength track, starting from the track center. path_gain_variance,
+    the variance of each complex path-response entry, is set on construction.
     """
 
     wavelength: float = 0.01
@@ -69,13 +70,22 @@ class SystemParams:
             raise ValueError(f"noise power must be positive, got {self.noise_power}")
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
+        if self.distance <= 0:
+            raise ValueError(f"distance must be positive, got {self.distance}")
+        if self.pathloss_ref < 0:
+            raise ValueError(f"reference path gain must be nonnegative, got {self.pathloss_ref}")
+        try:
+            variance = self.pathloss_ref * self.distance ** (-self.pathloss_exp) / self.num_paths
+        except OverflowError:
+            variance = math.inf
+        if not math.isfinite(variance):
+            raise ValueError(
+                f"path gain variance overflows at pathloss_ref {self.pathloss_ref}, "
+                f"distance {self.distance}, pathloss_exp {self.pathloss_exp}"
+            )
+        object.__setattr__(self, "path_gain_variance", variance)
 
     @property
     def move_energy_rate(self) -> float:
         """Energy per meter of antenna travel (J/m)."""
         return self.movement_power / self.speed
-
-    @property
-    def path_gain_variance(self) -> float:
-        """Variance of each complex path-response entry."""
-        return self.pathloss_ref * self.distance ** (-self.pathloss_exp) / self.num_paths

@@ -18,7 +18,6 @@ from maee.ee import (
     ee_upper_bound,
     efficiency_curve,
     energy_efficiency,
-    mrc_snr,
     reach_interval,
 )
 from maee.params import SystemParams
@@ -122,8 +121,8 @@ def test_fpa_equals_rest_breakdown(params):
     breakdown = energy_efficiency(params.initial_position, gain, params)
     assert result.x == params.initial_position
     assert result.ee == pytest.approx(breakdown.ee, rel=1e-12)
-    assert result.ee == pytest.approx(
-        math.log2(1.0 + mrc_snr(gain, params)) / params.max_tx_power, rel=1e-12)
+    snr = params.max_tx_power * gain / params.noise_power
+    assert result.ee == pytest.approx(math.log2(1.0 + snr) / params.max_tx_power, rel=1e-12)
 
 
 def test_fpa_independent_of_movement_params(params):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maee.channel import (
-    PathAngles,
+    PathResponseMatrix,
     build_expansion,
     channel_vector,
     curvature_bound,
@@ -22,55 +22,52 @@ from conftest import (direct_gain, field_response, hand_instance, make_instance,
 
 
 def test_field_response_zero_position():
-    angles = make_instance(0).angles
-    np.testing.assert_array_equal(field_response(angles, 0.01, 0.0),
-                                  np.ones(angles.num_paths, dtype=complex))
+    virtual_aoa = make_instance(0).virtual_aoa
+    np.testing.assert_array_equal(field_response(virtual_aoa, 0.01, 0.0),
+                                  np.ones(virtual_aoa.size, dtype=complex))
 
 
 def test_field_response_zero_virtual_angle():
-    angles = PathAngles(np.array([0.0]), np.array([0.0]), np.array([0.0]))
-    np.testing.assert_array_equal(field_response(angles, 0.01, 0.0137), np.array([1.0 + 0j]))
+    np.testing.assert_array_equal(field_response([0.0], 0.01, 0.0137), np.array([1.0 + 0j]))
 
 
 def test_field_response_quarter_turn():
     # 2 pi / 0.01 * 0.0025 * 1 = pi / 2
-    angles = PathAngles(np.array([np.pi / 2]), np.array([0.0]), np.array([1.0]))
-    value = field_response(angles, 0.01, 0.0025)[0]
+    value = field_response([1.0], 0.01, 0.0025)[0]
     assert value == pytest.approx(1j, abs=1e-12)
 
 
 @pytest.mark.parametrize("wavelength", [0.0, -0.01])
 def test_field_response_rejects_bad_wavelength(wavelength):
-    angles = hand_instance().angles
-    with pytest.raises(ValueError):
-        field_response(angles, wavelength, 0.001)
+    with pytest.raises(ValueError, match="wavelength"):
+        build_expansion(hand_instance(), wavelength)
 
 
 def test_field_response_unit_magnitude():
-    angles = make_instance(3).angles
+    virtual_aoa = make_instance(3).virtual_aoa
     for x in (0.0, 0.004, 0.02, -0.07):
-        np.testing.assert_allclose(np.abs(field_response(angles, 0.01, x)), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(field_response(virtual_aoa, 0.01, x)), 1.0,
+                                   rtol=1e-12)
 
 
 def test_channel_vector_phases_vanish_at_origin():
-    h = channel_vector(hand_instance(), 0.01, 0.0)
+    h = channel_vector(build_expansion(hand_instance(), 0.01), 0.0)
     np.testing.assert_allclose(h, np.array([2.0 + 0j]), atol=1e-15)
 
 
 def test_channel_vector_zero_matrix():
-    instance = single_path_instance(response=0.0, num_antennas=4)
-    np.testing.assert_array_equal(channel_vector(instance, 0.01, 0.006), np.zeros(4, complex))
+    expansion = build_expansion(single_path_instance(response=0.0, num_antennas=4), 0.01)
+    np.testing.assert_array_equal(channel_vector(expansion, 0.006), np.zeros(4, complex))
 
 
 def test_channel_vector_norm_matches_expansion():
     rng = np.random.default_rng(11)
-    angles = PathAngles.from_spherical(rng.uniform(0, np.pi, 3), rng.uniform(0, np.pi, 3))
+    elevation, azimuth = rng.uniform(0, np.pi, 3), rng.uniform(0, np.pi, 3)
     entries = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    instance = make_instance(0)
-    instance = type(instance)(entries, angles)
+    instance = PathResponseMatrix(entries, np.sin(elevation) * np.cos(azimuth))
     expansion = build_expansion(instance, 0.01)
     for x in np.linspace(0.0, 0.02, 17):
-        norm_sq = float(np.sum(np.abs(channel_vector(instance, 0.01, x)) ** 2))
+        norm_sq = float(np.sum(np.abs(channel_vector(expansion, x)) ** 2))
         assert gain_series(expansion, x) == pytest.approx(norm_sq, rel=1e-12)
 
 
@@ -93,21 +90,14 @@ def test_build_expansion_hand_case():
 
 def test_build_expansion_conjugate_on_swap():
     instance = make_instance(5)
-    swapped = type(instance)(
-        instance.entries[::-1].copy(),
-        PathAngles(instance.angles.elevation[::-1].copy(),
-                   instance.angles.azimuth[::-1].copy(),
-                   instance.angles.virtual_aoa[::-1].copy()),
-    )
+    swapped = PathResponseMatrix(instance.entries[::-1].copy(),
+                                 instance.virtual_aoa[::-1].copy())
     # With two paths the single cross term conjugates under row exchange while
     # its wavenumber spread flips sign, so the series, its curvature bound and
     # the gain itself are order independent; check the L=2 submatrix.
-    small = type(instance)(instance.entries[:2], PathAngles(
-        instance.angles.elevation[:2], instance.angles.azimuth[:2],
-        instance.angles.virtual_aoa[:2]))
-    small_swapped = type(instance)(small.entries[::-1].copy(), PathAngles(
-        small.angles.elevation[::-1].copy(), small.angles.azimuth[::-1].copy(),
-        small.angles.virtual_aoa[::-1].copy()))
+    small = PathResponseMatrix(instance.entries[:2], instance.virtual_aoa[:2])
+    small_swapped = PathResponseMatrix(small.entries[::-1].copy(),
+                                       small.virtual_aoa[::-1].copy())
     e1 = build_expansion(small, 0.01)
     e2 = build_expansion(small_swapped, 0.01)
     xs = np.linspace(0, 0.02, 64)
@@ -255,28 +245,44 @@ def test_sample_instance_mean_power(params):
     assert total / count == pytest.approx(params.path_gain_variance, rel=0.02)
 
 
+def _redraw(seed, params):
+    """The draws sample_instance makes, in its order: elevations, azimuths, real, imag."""
+    rng = np.random.default_rng(seed)
+    elevation = rng.uniform(0, np.pi, params.num_paths)
+    azimuth = rng.uniform(0, np.pi, params.num_paths)
+    shape = (params.num_paths, params.num_bs_antennas)
+    return elevation, azimuth, rng.standard_normal(shape), rng.standard_normal(shape)
+
+
 def test_sample_instance_virtual_angle_range(params):
     rng = np.random.default_rng(1)
     for _ in range(100):
         instance = sample_instance(params, rng)
-        assert np.all(np.abs(instance.angles.virtual_aoa) <= 1.0)
-        np.testing.assert_allclose(
-            instance.angles.virtual_aoa,
-            np.sin(instance.angles.elevation) * np.cos(instance.angles.azimuth),
-            rtol=1e-15)
+        assert np.all(np.abs(instance.virtual_aoa) <= 1.0)
+    # The golden CSVs depend on the draw order: elevations, then azimuths.
+    elevation, azimuth, _, _ = _redraw(1, params)
+    instance = sample_instance(params, np.random.default_rng(1))
+    np.testing.assert_array_equal(instance.virtual_aoa, np.sin(elevation) * np.cos(azimuth))
 
 
 def test_sample_instance_deterministic(params):
     a = sample_instance(params, np.random.default_rng(123))
     b = sample_instance(params, np.random.default_rng(123))
     np.testing.assert_array_equal(a.entries, b.entries)
-    np.testing.assert_array_equal(a.angles.elevation, b.angles.elevation)
-    np.testing.assert_array_equal(a.angles.azimuth, b.angles.azimuth)
-    np.testing.assert_array_equal(a.angles.virtual_aoa, b.angles.virtual_aoa)
+    np.testing.assert_array_equal(a.virtual_aoa, b.virtual_aoa)
+    elevation, azimuth, real, imag = _redraw(123, params)
+    np.testing.assert_array_equal(a.virtual_aoa, np.sin(elevation) * np.cos(azimuth))
+    scale = np.sqrt(params.path_gain_variance / 2.0)
+    np.testing.assert_array_equal(a.entries, (real + 1j * imag) * scale)
 
 
-def test_path_angles_reject_inconsistent_lengths():
-    with pytest.raises(ValueError):
-        PathAngles(np.zeros(2), np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        PathAngles(np.zeros(1), np.zeros(1), np.array([1.5]))
+def test_path_response_matrix_rejects_bad_input():
+    for entries, virtual_aoa in (
+        (np.ones((2, 1)), np.zeros(3)),             # one angle per row
+        (np.ones((1, 1)), np.array([1.5])),         # |virtual angle| <= 1
+        (np.ones((1, 1)), np.array([np.nan])),
+        (np.ones((0, 1)), np.zeros(0)),             # at least one path
+        (np.array([[1.0, np.inf]]), np.zeros(1)),   # finite entries
+    ):
+        with pytest.raises(ValueError):
+            PathResponseMatrix(entries, virtual_aoa)

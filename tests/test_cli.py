@@ -220,6 +220,15 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert "scheme=" not in out
 
 
+def test_negative_distance_exits_2(tmp_path, capsys):
+    config = tmp_path / "distance.cfg"
+    config.write_text("d = -50 m\n")
+    code, out, err = run_cli(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert "error:" in err and "distance" in err
+    assert "scheme=" not in out
+
+
 def test_readme_command_lines_parse():
     block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
     lines = [line for line in block.split("```", 1)[0].splitlines() if line.startswith("maee ")]

@@ -1,4 +1,8 @@
-"""Every public top-level name in maee has a caller outside the tests."""
+"""Every public name in maee has a caller outside the tests.
+
+Public names are the top-level functions and classes of each module and the
+public methods, classmethods and properties of each public class.
+"""
 
 import ast
 import re
@@ -14,16 +18,25 @@ def _caller_sources() -> dict[Path, str]:
     return {path: path.read_text() for path in files}
 
 
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level definition and class member."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     sources = _caller_sources()
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
         if module.name == "__init__.py":
             continue
-        for node in ast.parse(sources[module]).body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_")):
-                continue
+        for qualname, node in _public_definitions(ast.parse(sources[module])):
             word = re.compile(rf"\b{node.name}\b")
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
             for path, text in sources.items():
@@ -33,5 +46,5 @@ def test_every_public_name_has_a_caller_outside_tests():
                 if word.search(text):
                     break
             else:
-                unused.append(f"{module.stem}.{node.name}")
+                unused.append(f"{module.stem}.{qualname}")
     assert not unused, f"public names with no caller outside tests: {unused}"

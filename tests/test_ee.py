@@ -9,7 +9,6 @@ from maee.ee import (
     ee_upper_bound,
     efficiency_curve,
     energy_efficiency,
-    mrc_snr,
     reachable_grid,
 )
 from maee.params import SystemParams
@@ -17,26 +16,34 @@ from maee.params import SystemParams
 from conftest import make_instance, single_path_instance
 
 
-def test_mrc_snr_zero_gain(params):
-    assert mrc_snr(0.0, params) == 0.0
+def rest_snr(gain, params):
+    """Received SNR read back from the throughput T log2(1 + SNR) of a block at rest."""
+    breakdown = energy_efficiency(params.initial_position, gain, params)
+    return 2.0 ** (breakdown.throughput / params.block_duration) - 1.0
 
 
-def test_mrc_snr_reference_parameters(params):
-    # 0.01 W * 1e-6 / 1e-10 W
-    assert mrc_snr(1e-6, params) == pytest.approx(100.0, rel=1e-12)
+def test_snr_zero_gain(params):
+    assert rest_snr(0.0, params) == 0.0
 
 
-def test_mrc_snr_linear_in_power(params):
+def test_snr_reference_parameters(params):
+    # SNR 0.01 W * 1e-6 / 1e-10 W = 100
+    breakdown = energy_efficiency(params.initial_position, 1e-6, params)
+    assert breakdown.throughput == pytest.approx(params.block_duration * math.log2(101.0),
+                                                 rel=1e-12)
+
+
+def test_snr_linear_in_power(params):
     doubled = replace(params, max_tx_power=2 * params.max_tx_power)
-    assert mrc_snr(3e-7, doubled) == pytest.approx(2 * mrc_snr(3e-7, params), rel=1e-12)
+    assert rest_snr(3e-7, doubled) == pytest.approx(2 * rest_snr(3e-7, params), rel=1e-12)
 
 
-def test_mrc_snr_rejects_negative(params):
-    with pytest.raises(ValueError):
-        mrc_snr(-1e-3, params)
+def test_snr_rejects_negative_gain(params):
+    with pytest.raises(ValueError, match="gain"):
+        energy_efficiency(params.initial_position, -1e-3, params)
     # the direct gain is a sum of squares, so no negative gain is float noise
-    with pytest.raises(ValueError):
-        mrc_snr(-1e-12, params)
+    with pytest.raises(ValueError, match="gain"):
+        energy_efficiency(params.initial_position, -1e-12, params)
 
 
 def movement_part(breakdown, params):
@@ -113,7 +120,8 @@ def test_throughput_zero_time_regardless_of_gain():
 def test_energy_efficiency_at_rest_identity(params):
     gain = 2.3e-8
     breakdown = energy_efficiency(params.initial_position, gain, params)
-    expected = math.log2(1.0 + mrc_snr(gain, params)) / params.max_tx_power
+    snr = params.max_tx_power * gain / params.noise_power
+    expected = math.log2(1.0 + snr) / params.max_tx_power
     assert breakdown.ee == pytest.approx(expected, rel=1e-12)
     assert breakdown.energy == params.max_tx_power * params.block_duration
 
@@ -177,7 +185,8 @@ def test_ee_upper_bound_constant_gain(params):
     ceiling = ee_upper_bound(expansion, params)
     bound, x_bar = ceiling.ee, ceiling.x
     assert x_bar == params.initial_position  # every position ties; stay at rest
-    expected = math.log2(1.0 + mrc_snr(expansion.constant, params)) / params.max_tx_power
+    snr = params.max_tx_power * expansion.constant / params.noise_power
+    expected = math.log2(1.0 + snr) / params.max_tx_power
     assert bound == pytest.approx(expected, rel=1e-12)
 
 

@@ -322,6 +322,11 @@ def test_parse_config_rejects_bad_input():
                  "T = inf", "P_t = inf W", "P = -inf dBm"):
         with pytest.raises(ValueError, match="finite"):
             parse_config_text(text)
+    # finite path-loss inputs whose path gain variance is zero-divided,
+    # complex, negative or overflows
+    for text in ("d = 0", "d = -50 m", "alpha_tilde = -1000", "rho_0 = -5", "d = 1e-300 m"):
+        with pytest.raises(ValueError):
+            parse_config_text(text)
 
 
 def test_load_config_roundtrip(tmp_path):
