@@ -4,6 +4,12 @@ All schemes are evaluated through the same efficiency model and report its
 record, ee.EEBreakdown, so their results are directly comparable on a shared
 channel instance. The grid oracle is the reference the proposed optimizer is
 judged against.
+
+Across params that differ only in movement power, evaluate_schemes reuses
+what does not read it: the whole records of the ceiling and the fixed
+antenna, and the positions of max_throughput and max_snr, whose efficiency
+alone is evaluated again. Only the proposed optimizer runs at every
+movement power.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ SCHEME_ORDER = ("proposed", "upper_bound", "max_throughput", "max_snr", "fpa")
 # Schemes whose result never reads the movement power: the ceiling assumes no
 # movement, and the fixed antenna never moves, so its movement energy is 0.
 MOVEMENT_POWER_FREE = ("upper_bound", "fpa")
+# Schemes whose position never reads the movement power, though their
+# efficiency does: the delivered rate, the gain and the reachable positions
+# hold no P.
+MOVEMENT_POWER_FREE_POSITION = ("max_throughput", "max_snr")
 ORACLE_RTOL = 1e-6  # relative floor of oracle_slack
 
 
@@ -99,9 +109,10 @@ def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
 
     The dict is keyed by scheme name in SCHEME_ORDER. known, when given, maps
     scheme names to records already computed on this instance for params that
-    differ from these at most in movement power; the MOVEMENT_POWER_FREE
-    schemes among them are reused as the same objects instead of being
-    evaluated again.
+    differ from these at most in movement power. The MOVEMENT_POWER_FREE
+    schemes among them are reused as the same objects; the
+    MOVEMENT_POWER_FREE_POSITION schemes keep their known position and only
+    their efficiency there is evaluated again, with no grid search.
     """
     runners = {
         "proposed": lambda: scheme_proposed(expansion, params),
@@ -114,5 +125,12 @@ def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
     if unknown:
         raise ValueError(f"unknown schemes: {sorted(unknown)}")
     known = known or {}
-    return {name: known[name] if name in MOVEMENT_POWER_FREE and name in known
-            else runners[name]() for name in SCHEME_ORDER if name in schemes}
+
+    def evaluate(name: str) -> ee.EEBreakdown:
+        if name in known and name in MOVEMENT_POWER_FREE:
+            return known[name]
+        if name in known and name in MOVEMENT_POWER_FREE_POSITION:
+            return ee.efficiency_at(expansion, params, known[name].x)
+        return runners[name]()
+
+    return {name: evaluate(name) for name in SCHEME_ORDER if name in schemes}

@@ -120,8 +120,11 @@ def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
     """One record per sweep value, all from one instance drawn and expanded from cfg.base.
 
     Sweep values whose params differ only in movement power (a power sweep)
-    share one evaluation of each bench.MOVEMENT_POWER_FREE scheme: every
-    record of the trial holds the same result object.
+    share what bench.evaluate_schemes may reuse: every record of the trial
+    holds the same result object of each bench.MOVEMENT_POWER_FREE scheme,
+    and the position of each bench.MOVEMENT_POWER_FREE_POSITION scheme is
+    searched once and only its efficiency is evaluated at every value. A
+    region sweep changes the reachable positions and shares nothing.
     """
     seed = mix_seed(cfg.master_seed, trial_index)
     expansion = instance_for(cfg.base, seed)

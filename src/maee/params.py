@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+# Longest region, in wavelengths, that a scenario may have. Position grids
+# are wavelength/500 apart, so this caps one grid at 5e6 points.
+MAX_REGION_WAVELENGTHS = 1e4
+
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -51,6 +55,11 @@ class SystemParams:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if self.region_length <= 0:
             raise ValueError(f"region length must be positive, got {self.region_length}")
+        if self.region_length > MAX_REGION_WAVELENGTHS * self.wavelength:
+            raise ValueError(
+                f"region length {self.region_length} m exceeds {MAX_REGION_WAVELENGTHS:g} "
+                f"wavelengths of {self.wavelength} m"
+            )
         if not 0.0 <= self.initial_position <= self.region_length:
             raise ValueError(
                 f"initial position {self.initial_position} outside region "

@@ -130,6 +130,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bandwidth" in err
 
 
+@pytest.mark.parametrize("wavelength", ["1e-308", "1e-200"])
+def test_tiny_wavelength_exits_2_with_one_error_line(wavelength, tmp_path, capsys):
+    # the track would span ~1e198 to ~1e306 wavelengths: no grid is ever sized
+    config = tmp_path / "tiny.cfg"
+    config.write_text(f"lambda = {wavelength} m\n")
+    code, out, err = run_cli(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "wavelengths" in err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "solve", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2

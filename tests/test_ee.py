@@ -11,7 +11,7 @@ from maee.ee import (
     energy_efficiency,
     reachable_grid,
 )
-from maee.params import SystemParams
+from maee.params import MAX_REGION_WAVELENGTHS, SystemParams
 
 from conftest import make_instance, single_path_instance
 
@@ -243,6 +243,15 @@ def test_zero_energy_position_has_zero_efficiency(params):
                                                    [free.initial_position, edge])
     assert energies[1] == 0.0 and rates[1] == 0.0
     assert ee_vals[0] > 0.0 and ee_vals[1] == 0.0
+
+
+def test_params_bound_the_region_in_wavelengths():
+    # position grids are sized in wavelengths, so the region bounds every grid
+    limit = MAX_REGION_WAVELENGTHS * SystemParams().wavelength
+    assert SystemParams(region_length=limit, initial_position=0.0).region_length == limit
+    for wavelength in (1e-6, 1e-200, 1e-308, 5e-324):
+        with pytest.raises(ValueError, match="wavelengths"):
+            SystemParams(wavelength=wavelength)
 
 
 def test_params_validation():

@@ -10,9 +10,12 @@ for sweep in power and region, and tight_power from
         --config tests/golden/tight_power/params.cfg --out tests/golden/tight_power
 
 (R_TH = 10 bits/Hz: the rest position misses the rate floor on every trial,
-so the solver takes its grid restart on all 15 trial-values). Rerun the
-command to regenerate a sweep's files after a change that is meant to move
-the numbers.
+so the solver takes its grid restart on all 15 trial-values), and slow_power
+from the same command with --config tests/golden/slow_power/params.cfg
+--out tests/golden/slow_power (v = 0.0019 m/s: the reach v T = 0.0095 m is
+under half the track, so max_snr searches its own reachable interval and
+max_throughput a clipped grid). Rerun the command to regenerate a sweep's
+files after a change that is meant to move the numbers.
 """
 
 from pathlib import Path
@@ -24,7 +27,8 @@ from maee.harness import SweepConfig, emit_csv, load_config, run_sweep
 from maee.params import SystemParams
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SWEEP_VARIABLE = {"power": "power", "region": "region", "tight_power": "power"}
+SWEEP_VARIABLE = {"power": "power", "region": "region", "tight_power": "power",
+                  "slow_power": "power"}
 
 
 def first_difference(expected: str, actual: str) -> str:

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from maee import channel, ee
+from maee import bench, channel, ee
 from maee.bench import evaluate_schemes
 from maee.harness import (
     SweepConfig,
@@ -115,20 +115,58 @@ def test_run_sweep_ceiling_once_per_movement_power_free_params(
     assert len(calls) == 2 * per_trial
 
 
+@pytest.mark.parametrize("variable, values, base, per_trial", [
+    ("power", (0.1, 0.5, 1.0, 2.0, 5.0), SystemParams(), 1),
+    ("region", (0.5, 1.0, 1.5), SystemParams(), 3),
+    # reach v T = 0.0095 m, under half the track: max_snr searches its own
+    # reachable interval and max_throughput a clipped grid
+    ("power", (0.1, 0.5, 1.0, 2.0, 5.0), SystemParams(speed=0.0019), 1),
+])
+def test_reference_positions_searched_once_per_movement_power_free_params(
+        variable, values, base, per_trial, monkeypatch):
+    """max_throughput and max_snr pick their positions without reading the
+    movement power, so a power sweep searches once per trial and a region
+    sweep once per value; the ceiling adds one gain_peak of its own."""
+    calls = {"gain_peak": 0, "scheme_max_throughput": 0, "scheme_max_snr": 0}
+    for module, name in ((ee, "gain_peak"), (bench, "scheme_max_throughput"),
+                         (bench, "scheme_max_snr")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    cfg = small_config(base=base, sweep_variable=variable, sweep_values=values, trials=2,
+                       schemes=bench.SCHEME_ORDER)
+    records, _ = run_sweep(cfg)
+    assert len(records) == 2 * len(values)
+    searches = 2 * per_trial
+    assert calls == {"gain_peak": 2 * searches, "scheme_max_throughput": searches,
+                     "scheme_max_snr": searches}
+
+
 def test_power_sweep_shares_movement_power_free_results():
-    cfg = small_config(sweep_variable="power", sweep_values=(0.2, 1.0, 3.0),
-                       schemes=("upper_bound", "max_snr", "fpa"))
-    records = run_trial(cfg, 1)
-    for trial_records in (records, pickle.loads(pickle.dumps(records))):
-        first = trial_records[0].results
-        for record in trial_records[1:]:
-            assert record.results["upper_bound"] is first["upper_bound"]
-            assert record.results["fpa"] is first["fpa"]
-            assert record.results["max_snr"] is not first["max_snr"]
-    # the shared objects equal what each sweep value computes on its own
-    expansion = instance_for(cfg.base, records[-1].instance_seed)
-    alone = evaluate_schemes(expansion, params_for_value(cfg.base, "power", 3.0), cfg.schemes)
-    assert alone == records[-1].results
+    # the default reach covers the track; v = 0.0019 m/s reaches under half of it
+    for base in (SystemParams(), SystemParams(speed=0.0019)):
+        cfg = small_config(base=base, sweep_variable="power", sweep_values=(0.2, 1.0, 3.0),
+                           schemes=bench.SCHEME_ORDER)
+        records = run_trial(cfg, 1)
+        first = records[0].results
+        for record in records[1:]:
+            for scheme in bench.MOVEMENT_POWER_FREE_POSITION:
+                assert record.results[scheme] is not first[scheme]
+                assert record.results[scheme].x is first[scheme].x
+        for trial_records in (records, pickle.loads(pickle.dumps(records))):
+            first = trial_records[0].results
+            for record in trial_records[1:]:
+                for scheme in bench.MOVEMENT_POWER_FREE:
+                    assert record.results[scheme] is first[scheme]
+        # every record equals what its sweep value computes on its own
+        expansion = instance_for(cfg.base, records[0].instance_seed)
+        for record in records:
+            params = params_for_value(cfg.base, "power", record.sweep_value)
+            assert evaluate_schemes(expansion, params) == record.results
 
 
 def test_run_sweep_order_and_rerun_identical():
