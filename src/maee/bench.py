@@ -3,7 +3,8 @@
 All schemes are evaluated through the same efficiency model and report its
 record, ee.EEBreakdown, so their results are directly comparable on a shared
 channel instance. The grid oracle is the reference the proposed optimizer is
-judged against.
+judged against. The ceiling, max_snr, max_throughput, the oracle and the
+optimizer's restart scan all read a slice of one ee.GainGrid per instance.
 
 Across params that differ only in movement power, evaluate_schemes reuses
 what does not read it: the whole records of the ceiling and the fixed
@@ -32,26 +33,28 @@ MOVEMENT_POWER_FREE_POSITION = ("max_throughput", "max_snr")
 ORACLE_RTOL = 1e-6  # relative floor of oracle_slack
 
 
-def _curve_objective(expansion, params: SystemParams, pick):
-    """pick(ee, rate, energy, feasible) along an array of positions."""
-    return lambda xs: pick(*ee.efficiency_curve(expansion, params, xs))
+def _scan_polish(expansion, params: SystemParams, xs, gains, pick):
+    """grid_polish_max of pick(ee, rate, energy, feasible) over positions xs with gains gains."""
+    return search.grid_polish_max(
+        lambda t: pick(*ee.efficiency_curve(expansion, params, t)),
+        xs, pick(*ee.efficiency_of_gains(xs, gains, params)),
+        tol=params.wavelength * ee.POLISH_TOL_WAVELENGTHS)
 
 
-def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
+def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams, *,
+                   grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
     """Exhaustive search of the true efficiency, honoring the rate floor.
 
-    Scans ee.reachable_grid and polishes the best cell with a golden-section
-    pass; infeasible positions are penalized to -inf when any grid position
-    is feasible, otherwise the best efficiency is reported with
+    Scans the reachable ee.grid_slice and polishes the best cell with a
+    golden-section pass; infeasible positions are penalized to -inf when any
+    grid position is feasible, otherwise the best efficiency is reported with
     feasible=False. Returns the efficiency record at the chosen position.
     """
-    xs, tol = ee.reachable_grid(params), params.wavelength * ee.POLISH_TOL_WAVELENGTHS
-    best_x, best_v = search.grid_polish_max(
-        _curve_objective(expansion, params, lambda v, r, e, ok: np.where(ok, v, -np.inf)),
-        xs, tol)
+    xs, gains = ee.grid_slice(expansion, params, *ee.reach_interval(params), grid)
+    best_x, best_v = _scan_polish(expansion, params, xs, gains,
+                                  lambda v, r, e, ok: np.where(ok, v, -np.inf))
     if best_v == -math.inf:
-        best_x, _ = search.grid_polish_max(
-            _curve_objective(expansion, params, lambda v, r, e, ok: v), xs, tol)
+        best_x, _ = _scan_polish(expansion, params, xs, gains, lambda v, r, e, ok: v)
     return ee.efficiency_at(expansion, params, best_x)
 
 
@@ -65,21 +68,22 @@ def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
     return max(ORACLE_RTOL * oracle.ee, change)
 
 
-def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
+def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams, *,
+                       grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
     """Idealized ceiling: rest position already at the gain argmax, full-block rate."""
-    return ee.ee_upper_bound(expansion, params)
+    return ee.ee_upper_bound(expansion, params, grid=grid)
 
 
-def scheme_max_throughput(expansion: channel.GainExpansion,
-                          params: SystemParams) -> ee.EEBreakdown:
+def scheme_max_throughput(expansion: channel.GainExpansion, params: SystemParams, *,
+                          grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
     """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor."""
-    best_x, _ = search.grid_polish_max(
-        _curve_objective(expansion, params, lambda v, r, e, ok: r),
-        ee.reachable_grid(params), tol=params.wavelength * ee.POLISH_TOL_WAVELENGTHS)
+    xs, gains = ee.grid_slice(expansion, params, *ee.reach_interval(params), grid)
+    best_x, _ = _scan_polish(expansion, params, xs, gains, lambda v, r, e, ok: r)
     return ee.efficiency_at(expansion, params, best_x)
 
 
-def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
+def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams, *,
+                   grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
     """Move to the reachable gain argmax (SNR is monotone in gain under MRC), cost included.
 
     The argmax is found by ee.gain_peak like the upper bound's (ties stay at
@@ -87,7 +91,7 @@ def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> ee
     position whenever the antenna can reach the whole region within one
     block.
     """
-    x_best, _ = ee.gain_peak(expansion, params, *ee.reach_interval(params))
+    x_best, _ = ee.gain_peak(expansion, params, *ee.reach_interval(params), grid)
     return ee.efficiency_at(expansion, params, x_best)
 
 
@@ -96,15 +100,16 @@ def scheme_fpa(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEB
     return ee.efficiency_at(expansion, params, params.initial_position)
 
 
-def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
+def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams, *,
+                    grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
     """Position chosen by the Dinkelbach + SCA optimizer, with the record it verified."""
-    return solver.optimize(expansion, params).result
+    return solver.optimize(expansion, params, grid=grid).result
 
 
 def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
                      schemes=SCHEME_ORDER,
-                     known: dict[str, ee.EEBreakdown] | None = None,
-                     ) -> dict[str, ee.EEBreakdown]:
+                     known: dict[str, ee.EEBreakdown] | None = None, *,
+                     grid: ee.GainGrid | None = None) -> dict[str, ee.EEBreakdown]:
     """Each requested scheme's efficiency record on one shared channel instance.
 
     The dict is keyed by scheme name in SCHEME_ORDER. known, when given, maps
@@ -112,13 +117,14 @@ def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
     differ from these at most in movement power. The MOVEMENT_POWER_FREE
     schemes among them are reused as the same objects; the
     MOVEMENT_POWER_FREE_POSITION schemes keep their known position and only
-    their efficiency there is evaluated again, with no grid search.
+    their efficiency there is evaluated again, with no grid search. Without
+    grid, each grid search builds its own ee.GainGrid, with the same result.
     """
     runners = {
-        "proposed": lambda: scheme_proposed(expansion, params),
-        "upper_bound": lambda: scheme_upper_bound(expansion, params),
-        "max_throughput": lambda: scheme_max_throughput(expansion, params),
-        "max_snr": lambda: scheme_max_snr(expansion, params),
+        "proposed": lambda: scheme_proposed(expansion, params, grid=grid),
+        "upper_bound": lambda: scheme_upper_bound(expansion, params, grid=grid),
+        "max_throughput": lambda: scheme_max_throughput(expansion, params, grid=grid),
+        "max_snr": lambda: scheme_max_snr(expansion, params, grid=grid),
         "fpa": lambda: scheme_fpa(expansion, params),
     }
     unknown = set(schemes) - set(runners)

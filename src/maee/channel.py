@@ -20,8 +20,9 @@ import numpy as np
 from .params import SystemParams
 
 # Rows per block of a grid evaluation: _GAIN_BLOCK positions, fewer once the
-# block would hold more than _BLOCK_ENTRIES steering (or Gram) entries, so one
-# block bounds the memory whatever the grid length and the path count.
+# block would hold more than _BLOCK_ENTRIES steering, channel or Gram entries,
+# so memory stays bounded whatever the grid length, L and N. No block has one
+# row, which BLAS rounds differently, so no gain depends on the grid's length.
 _GAIN_BLOCK = 2048
 _BLOCK_ENTRIES = 32 * _GAIN_BLOCK
 
@@ -131,8 +132,8 @@ def channel_vector(expansion: GainExpansion, x: float) -> np.ndarray:
     return _steering(expansion.wavenumbers, x) @ expansion.response_conj
 
 
-def _block_rows(num_paths: int) -> int:
-    return max(1, min(_GAIN_BLOCK, _BLOCK_ENTRIES // num_paths))
+def _block_rows(expansion: GainExpansion) -> int:
+    return max(2, min(_GAIN_BLOCK, _BLOCK_ENTRIES // max(expansion.response_conj.shape)))
 
 
 def _over_positions(expansion: GainExpansion, x, reduce) -> float | np.ndarray:
@@ -144,8 +145,9 @@ def _over_positions(expansion: GainExpansion, x, reduce) -> float | np.ndarray:
     else:
         flat = x_arr.reshape(-1)
         out = np.empty(flat.size)
-        block = _block_rows(expansion.num_paths)
+        block = _block_rows(expansion)
         for start in range(0, flat.size, block):
+            start = min(start, flat.size - 2)  # a one-row tail takes the row before it too
             stop = start + block
             out[start:stop] = reduce(_steering(expansion.wavenumbers, flat[start:stop, None]))
         out = out.reshape(x_arr.shape)
@@ -197,7 +199,7 @@ def gain_second_derivative(expansion: GainExpansion, tx_power: float, x) -> floa
 
 def _gram_row_blocks(expansion: GainExpansion):
     """Row blocks (start, G[start:start + rows]) of the Gram matrix G = E E^H."""
-    response_conj, rows = expansion.response_conj, _block_rows(expansion.num_paths)
+    response_conj, rows = expansion.response_conj, _block_rows(expansion)
     for start in range(0, expansion.num_paths, rows):
         yield start, response_conj[start:start + rows].conj() @ response_conj.T
 

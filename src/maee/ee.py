@@ -37,8 +37,8 @@ class EEBreakdown:
     feasible: bool
 
 
-def _efficiency(xs: np.ndarray, gain: np.ndarray, params: SystemParams):
-    """The efficiency formula: (ee, rate, energy) at positions xs with gains gain.
+def efficiency_of_gains(xs, gains, params: SystemParams):
+    """The efficiency formula: (ee, rate, energy, feasible) at positions xs with gains gains.
 
     The received SNR is P_t gain / noise_power, full-power MRC transmission
     toward the user. Any spot the antenna cannot reach within the block gets
@@ -47,11 +47,11 @@ def _efficiency(xs: np.ndarray, gain: np.ndarray, params: SystemParams):
     """
     dist = np.abs(xs - params.initial_position)
     time_left = np.maximum(params.block_duration - dist / params.speed, 0.0)
-    snr = params.max_tx_power * gain / params.noise_power
+    snr = params.max_tx_power * gains / params.noise_power
     rate = time_left * np.log2(1.0 + snr)
     energy = params.move_energy_rate * dist + params.max_tx_power * time_left
     ratio = np.divide(rate, energy, out=np.zeros_like(rate), where=energy > 0.0)
-    return ratio, rate, energy
+    return ratio, rate, energy, rate >= params.min_throughput
 
 
 def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdown:
@@ -59,7 +59,7 @@ def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdow
 
     Raises ValueError for a position outside the region or out of reach
     within the block, or for a negative gain; a move time over the block by
-    rounding only (the edge of reachable_grid) leaves no communication time,
+    rounding only (the edge of reach_interval) leaves no communication time,
     as in efficiency_curve.
     """
     if not 0.0 <= x <= params.region_length:
@@ -71,16 +71,15 @@ def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdow
         )
     if gain < 0:
         raise ValueError(f"gain must be nonnegative, got {gain}")
-    ratio, rate, energy = _efficiency(x, gain, params)
+    ratio, rate, energy, feasible = efficiency_of_gains(x, gain, params)
     return EEBreakdown(x=float(x), ee=float(ratio), throughput=float(rate),
-                       energy=float(energy), feasible=bool(rate >= params.min_throughput))
+                       energy=float(energy), feasible=bool(feasible))
 
 
 def efficiency_curve(expansion: channel.GainExpansion, params: SystemParams, xs):
     """Vectorized (ee, rate, energy, feasible) along positions xs inside the region."""
     xs = np.asarray(xs, dtype=float)
-    ratio, rate, energy = _efficiency(xs, channel.gain_eval(expansion, xs), params)
-    return ratio, rate, energy, rate >= params.min_throughput
+    return efficiency_of_gains(xs, channel.gain_eval(expansion, xs), params)
 
 
 def efficiency_at(expansion: channel.GainExpansion, params: SystemParams,
@@ -108,42 +107,62 @@ def reach_interval(params: SystemParams) -> tuple[float, float]:
     return lo, hi
 
 
-def _uniform_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
-    """Evenly spaced points from lo to hi, ends included, at most spacing apart."""
-    return np.linspace(lo, hi, max(int(math.ceil((hi - lo) / spacing)) + 1, 2))
+@dataclass(frozen=True, slots=True, eq=False)
+class GainGrid:
+    """The gain at lattice points m * wavelength/500, m = 0, 1, ..., built once per trial."""
+
+    xs: np.ndarray
+    gains: np.ndarray
 
 
-def reachable_grid(params: SystemParams) -> np.ndarray:
-    """Uniform grid over the positions reachable within one block.
+def gain_grid(expansion: channel.GainExpansion, wavelength: float, length: float) -> GainGrid:
+    """The GainGrid of points 0 .. length / spacing + 1; point m is the same at any length."""
+    spacing = wavelength / 500.0
+    xs = np.arange(int(length / spacing) + 2) * spacing
+    gains = channel.gain_eval(expansion, xs)
+    xs.flags.writeable = gains.flags.writeable = False
+    return GainGrid(xs, gains)
 
-    The grid spans reach_interval with points wavelength/500 apart and always
-    contains the rest position itself: when the reach is not a multiple of
-    the spacing it is inserted in order.
+
+def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
+               grid: GainGrid | None) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and gains of grid's points in [lo, hi], plus lo, hi and x0 where missing.
+
+    The gains of added points are evaluated here. Without a grid, the one
+    over [0, hi] is built, so a search reads the same points either way.
     """
-    xs = _uniform_grid(*reach_interval(params), params.wavelength / 500.0)
-    return search.insert_sorted(xs, params.initial_position)
+    grid = grid if grid is not None else gain_grid(expansion, params.wavelength, hi)
+    start, stop = np.searchsorted(grid.xs, lo), np.searchsorted(grid.xs, hi, side="right")
+    xs, gains = grid.xs[start:stop], grid.gains[start:stop]
+    missing = sorted({x for x in (lo, hi, params.initial_position) if x not in xs})
+    if missing:
+        at = np.searchsorted(xs, missing)
+        gains = np.insert(gains, at, channel.gain_eval(expansion, np.array(missing)))
+        xs = np.insert(xs, at, missing)
+    return xs, gains
 
 
 def gain_peak(expansion: channel.GainExpansion, params: SystemParams,
-              lo: float, hi: float) -> tuple[float, float]:
+              lo: float, hi: float, grid: GainGrid | None) -> tuple[float, float]:
     """Position and value of the largest gain on [lo, hi].
 
-    A grid with points wavelength/200 apart (at least 100 samples per gain
-    oscillation) is scanned and its argmax refined by one golden polish.
-    Ties prefer not moving: the rest position wins against any position
-    whose gain is no larger, so it needs no place on the grid.
+    The grid_slice of [lo, hi] (at least 250 samples per gain oscillation)
+    is scanned and its argmax refined by one golden polish. Ties prefer not
+    moving: the rest position, which the slice holds, wins against any
+    position whose gain is no larger.
     """
+    xs, gains = grid_slice(expansion, params, lo, hi, grid)
     x_best, gain_best = search.grid_polish_max(
-        lambda t: channel.gain_eval(expansion, t),
-        _uniform_grid(lo, hi, params.wavelength / 200.0),
+        lambda t: channel.gain_eval(expansion, t), xs, gains,
         tol=params.wavelength * POLISH_TOL_WAVELENGTHS)
-    gain_rest = channel.gain_eval(expansion, params.initial_position)
+    gain_rest = float(gains[np.searchsorted(xs, params.initial_position)])
     if gain_rest >= gain_best:
         return params.initial_position, gain_rest
     return x_best, gain_best
 
 
-def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EEBreakdown:
+def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams, *,
+                   grid: GainGrid | None = None) -> EEBreakdown:
     """Best-case efficiency: the record of a block resting at the gain peak.
 
     The bound assumes the rest position already sits at the gain argmax, so
@@ -151,5 +170,5 @@ def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EE
     The argmax is taken by gain_peak over the whole region, reachable or
     not, so the bound dominates every scheme.
     """
-    x_bar, gain = gain_peak(expansion, params, 0.0, params.region_length)
+    x_bar, gain = gain_peak(expansion, params, 0.0, params.region_length, grid)
     return energy_efficiency(x_bar, gain, replace(params, initial_position=x_bar))

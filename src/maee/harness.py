@@ -119,21 +119,22 @@ def instance_for(params: SystemParams, seed: int) -> channel.GainExpansion:
 def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
     """One record per sweep value, all from one instance drawn and expanded from cfg.base.
 
-    Sweep values whose params differ only in movement power (a power sweep)
-    share what bench.evaluate_schemes may reuse: every record of the trial
-    holds the same result object of each bench.MOVEMENT_POWER_FREE scheme,
-    and the position of each bench.MOVEMENT_POWER_FREE_POSITION scheme is
-    searched once and only its efficiency is evaluated at every value. A
-    region sweep changes the reachable positions and shares nothing.
+    Every grid search of the trial reads a slice of one ee.GainGrid over the
+    longest region of the sweep; no record holds it. Sweep values whose params
+    differ only in movement power (a power sweep) also share what
+    bench.evaluate_schemes may reuse: the same result object of each
+    bench.MOVEMENT_POWER_FREE scheme, and the position of each
+    bench.MOVEMENT_POWER_FREE_POSITION scheme, searched once.
     """
     seed = mix_seed(cfg.master_seed, trial_index)
     expansion = instance_for(cfg.base, seed)
+    values = [(v, params_for_value(cfg.base, cfg.sweep_variable, v)) for v in cfg.sweep_values]
+    grid = ee.gain_grid(expansion, cfg.base.wavelength, max(p.region_length for _, p in values))
     shared: dict[SystemParams, dict[str, ee.EEBreakdown]] = {}
     records = []
-    for value in cfg.sweep_values:
-        params = params_for_value(cfg.base, cfg.sweep_variable, value)
+    for value, params in values:
         known = shared.setdefault(replace(params, movement_power=0.0), {})
-        results = bench.evaluate_schemes(expansion, params, cfg.schemes, known)
+        results = bench.evaluate_schemes(expansion, params, cfg.schemes, known, grid=grid)
         known.update(results)
         records.append(TrialRecord(sweep_value=value, trial=trial_index,
                                    instance_seed=seed, results=results))

@@ -60,17 +60,17 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return best_x, best_f
 
 
-def grid_polish_max(f, xs, tol: float) -> tuple[float, float]:
-    """Maximize f over the sorted grid xs, then golden-polish the best cell.
+def grid_polish_max(f, xs, values, tol: float) -> tuple[float, float]:
+    """Take the best of values on the sorted grid xs, then golden-polish its cell with f.
 
-    f takes a float or an array: the scan passes it the whole grid xs and
-    the polish single Python floats, so f must give the same value for a
-    position either way. The first grid argmax wins on ties, so
-    equal-objective results resolve to the smallest x. A scan that is -inf
-    everywhere (nothing admissible on the grid) is returned as is, without a
-    polish.
+    values[i] is the objective at xs[i], computed by the caller (from gains
+    it already holds, or by one array call of f); the polish passes f single
+    Python floats, so f must give the value the caller would for a position.
+    The first grid argmax wins on ties, so equal-objective results resolve to
+    the smallest x. A scan that is -inf everywhere (nothing admissible on the
+    grid) is returned as is, without a polish.
     """
-    values = np.asarray(f(xs), dtype=float)
+    values = np.asarray(values, dtype=float)
     idx = int(np.argmax(values))
     best_x, best_f = float(xs[idx]), float(values[idx])
     if best_f == -math.inf:

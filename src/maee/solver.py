@@ -146,30 +146,31 @@ def solve_subproblem(x: float, expansion: channel.GainExpansion, params: SystemP
     lo, hi = ee.reach_interval(params)
     lo, hi = max(x - half, lo), min(x + half, hi)
     xs = search.insert_sorted(np.linspace(lo, hi, _SCAN_POINTS), x)
+    objective = _build_surrogate(expansion, params, x, alpha, curvature)
     best_x, best_val = search.grid_polish_max(
-        _build_surrogate(expansion, params, x, alpha, curvature),
-        xs, tol=params.wavelength * ee.POLISH_TOL_WAVELENGTHS)
+        objective, xs, objective(xs), tol=params.wavelength * ee.POLISH_TOL_WAVELENGTHS)
     if best_val == -math.inf:
         return None
     return best_x, best_val
 
 
-def _best_feasible_position(expansion: channel.GainExpansion,
-                            params: SystemParams) -> float | None:
+def _best_feasible_position(expansion: channel.GainExpansion, params: SystemParams,
+                            grid: ee.GainGrid | None) -> float | None:
     """Best-true-efficiency reachable position meeting the rate floor, or None.
 
     Exhaustive grid check; used to verify infeasibility before declaring it
     and to restart from a feasible point when the start violates the floor.
     """
-    xs = ee.reachable_grid(params)
-    ee_vals, _, _, feasible = ee.efficiency_curve(expansion, params, xs)
+    xs, gains = ee.grid_slice(expansion, params, *ee.reach_interval(params), grid)
+    ee_vals, _, _, feasible = ee.efficiency_of_gains(xs, gains, params)
     if not np.any(feasible):
         return None
     masked = np.where(feasible, ee_vals, -np.inf)
     return float(xs[int(np.argmax(masked))])
 
 
-def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverReport:
+def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
+             grid: ee.GainGrid | None = None) -> SolverReport:
     """Run the full Dinkelbach + SCA loop from the configured rest position.
 
     Each outer iteration runs the SCA inner loop at a fixed ratio estimate
@@ -182,17 +183,18 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     every accepted iterate feasible. The report carries the efficiency record
     computed when the last iterate was accepted; nothing is evaluated again.
 
-    A start position violating the rate floor triggers one verified grid
-    restart from the best feasible position; if no reachable position meets
-    the floor the status is "infeasible". When the movement power is below the
-    transmit power the run is flagged: the travel slack then rewards movement
-    inside the surrogate, a regime the bound analysis does not cover.
+    A start position violating the rate floor triggers one verified restart
+    from the best feasible position on grid, the instance's ee.GainGrid; if
+    no reachable position meets the floor the status is "infeasible". When
+    the movement power is below the transmit power the run is flagged: the
+    travel slack then rewards movement inside the surrogate, a regime the
+    bound analysis does not cover.
     """
     flagged = params.movement_power < params.max_tx_power
 
     result = ee.efficiency_at(expansion, params, params.initial_position)
     if not result.feasible:
-        restart = _best_feasible_position(expansion, params)
+        restart = _best_feasible_position(expansion, params, grid)
         if restart is None:
             return SolverReport(result=result, iterations=0, trace=[],
                                 status="infeasible", power_assumption_violated=flagged)

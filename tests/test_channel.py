@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from maee import channel
 from maee.channel import (
     PathResponseMatrix,
     build_expansion,
@@ -156,6 +157,32 @@ def test_gain_eval_memory_bounded(points, num_paths):
         tracemalloc.stop()
     assert gains.shape == (points,)
     assert peak <= 16 * 2**20
+
+
+def test_gain_blocks_bounded_in_antennas_as_well_as_paths(monkeypatch):
+    """A block of positions holds at most _BLOCK_ENTRIES channel entries
+    (rows x N) as well as steering entries (rows x L): at N = 4096 a block
+    takes 16 rows, not 2048. Default shapes keep 2048-row blocks."""
+    params = SystemParams(num_bs_antennas=4096, num_paths=2)
+    instance = make_instance(0, params)
+    expansion = build_expansion(instance, params.wavelength)
+    rows, original = [], channel._steering
+
+    def recorded(wavenumbers, x):
+        rows.append(len(x) if np.ndim(x) else 1)
+        return original(wavenumbers, x)
+
+    monkeypatch.setattr(channel, "_steering", recorded)
+    xs = np.linspace(0.0, params.region_length, 101)
+    gains = gain_eval(expansion, xs)
+    gain_derivative(expansion, params.max_tx_power, xs)
+    gain_second_derivative(expansion, params.max_tx_power, xs)
+    assert max(rows) * params.num_bs_antennas <= channel._BLOCK_ENTRIES
+    assert np.allclose(gains, direct_gain(instance, params.wavelength, xs), rtol=1e-9)
+    for num_paths in (10, 30):
+        default = SystemParams(num_paths=num_paths)
+        assert channel._block_rows(
+            build_expansion(make_instance(0, default), default.wavelength)) == 2048
 
 
 def test_gain_nonnegative(params):

@@ -9,7 +9,9 @@ from maee.ee import (
     ee_upper_bound,
     efficiency_curve,
     energy_efficiency,
-    reachable_grid,
+    gain_grid,
+    grid_slice,
+    reach_interval,
 )
 from maee.params import MAX_REGION_WAVELENGTHS, SystemParams
 
@@ -208,6 +210,12 @@ def test_ee_upper_bound_equality_when_recentered(params):
     assert energy_efficiency(x_bar, gain, recentered).ee == pytest.approx(bound, rel=1e-9)
 
 
+def reachable_grid(params):
+    """Positions of the reachable slice of the gain lattice."""
+    expansion = build_expansion(make_instance(0), params.wavelength)
+    return grid_slice(expansion, params, *reach_interval(params), None)[0]
+
+
 def test_reachable_grid_spans_reach(params):
     full = reachable_grid(params)
     assert full[0] == 0.0 and full[-1] == params.region_length
@@ -227,6 +235,28 @@ def test_reachable_grid_contains_rest_position(params):
     assert off_grid.initial_position in xs
     assert np.all(np.diff(xs) > 0)
     assert len(xs) == len(reachable_grid(params)) + 1
+
+
+def test_grid_slice_reads_lattice_points_whatever_the_grid_length(params):
+    """Point m is m * wavelength/500 on any grid, with the same gain, so a
+    slice of a longer grid equals the grid built for the slice alone."""
+    for num_paths, num_antennas in ((10, 16), (30, 16), (1, 16), (3, 4)):
+        scenario = replace(params, num_paths=num_paths, num_bs_antennas=num_antennas)
+        expansion = build_expansion(make_instance(1, scenario), params.wavelength)
+        longest = gain_grid(expansion, params.wavelength, 16.5 * params.wavelength)
+        # 2048 and 2049 points end on a full block and on a one-row tail
+        for steps in (0.0, 0.5, 1000.0, 2045.5, 2046.5, 2047.5, 3500.0, 8000.0):
+            length = steps * params.wavelength / 500
+            grid = gain_grid(expansion, params.wavelength, length)
+            count = len(grid.xs)
+            assert count >= 2 and grid.xs[-1] >= length
+            assert np.array_equal(grid.xs, longest.xs[:count])
+            assert np.array_equal(grid.gains, longest.gains[:count])
+        region = replace(scenario, region_length=0.07, initial_position=0.0300001)
+        alone = grid_slice(expansion, region, 0.001, 0.05, None)
+        within = grid_slice(expansion, region, 0.001, 0.05, longest)
+        for got, want in zip(within, alone):
+            assert np.array_equal(got, want)
 
 
 def test_zero_energy_position_has_zero_efficiency(params):

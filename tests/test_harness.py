@@ -1,11 +1,15 @@
 import csv
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maee import bench, channel, ee
+from maee import bench, channel, ee, solver
 from maee.bench import evaluate_schemes
 from maee.harness import (
     SweepConfig,
@@ -21,6 +25,9 @@ from maee.harness import (
     run_trial,
 )
 from maee.params import SystemParams
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_config(**overrides):
@@ -103,9 +110,9 @@ def test_run_sweep_ceiling_once_per_movement_power_free_params(
     calls = []
     original = ee.ee_upper_bound
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(ee, "ee_upper_bound", counted)
     cfg = small_config(sweep_variable=variable, sweep_values=values, trials=2,
@@ -126,24 +133,22 @@ def test_reference_positions_searched_once_per_movement_power_free_params(
         variable, values, base, per_trial, monkeypatch):
     """max_throughput and max_snr pick their positions without reading the
     movement power, so a power sweep searches once per trial and a region
-    sweep once per value; the ceiling adds one gain_peak of its own."""
-    calls = {"gain_peak": 0, "scheme_max_throughput": 0, "scheme_max_snr": 0}
-    for module, name in ((ee, "gain_peak"), (bench, "scheme_max_throughput"),
-                         (bench, "scheme_max_snr")):
-        original = getattr(module, name)
+    sweep once per value."""
+    calls = {"scheme_max_throughput": 0, "scheme_max_snr": 0}
+    for name in calls:
+        original = getattr(bench, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(bench, name, counted)
     cfg = small_config(base=base, sweep_variable=variable, sweep_values=values, trials=2,
                        schemes=bench.SCHEME_ORDER)
     records, _ = run_sweep(cfg)
     assert len(records) == 2 * len(values)
     searches = 2 * per_trial
-    assert calls == {"gain_peak": 2 * searches, "scheme_max_throughput": searches,
-                     "scheme_max_snr": searches}
+    assert calls == {"scheme_max_throughput": searches, "scheme_max_snr": searches}
 
 
 def test_power_sweep_shares_movement_power_free_results():
@@ -167,6 +172,70 @@ def test_power_sweep_shares_movement_power_free_results():
         for record in records:
             params = params_for_value(cfg.base, "power", record.sweep_value)
             assert evaluate_schemes(expansion, params) == record.results
+
+
+@pytest.mark.parametrize("variable, values, config", [
+    ("power", (0.1, 0.5, 1.0, 2.0, 5.0), None),
+    ("region", (0.5, 1.0, 1.5), None),
+    # R_TH = 10: the solver restarts from its grid scan
+    ("power", (0.1, 0.5, 1.0, 2.0, 5.0), "tight_power"),
+])
+def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, monkeypatch):
+    """Every grid search of a trial (the ceiling, max_snr, max_throughput and
+    the solver's restart scan) reads a slice of one gain grid over the longest
+    region: one gain evaluation spans the lattice, and every other one takes
+    the at most three positions a slice adds (its ends and the rest position)
+    or a single polish position."""
+    sizes, restarts = [], []
+    original_gain, original_restart = channel.gain_eval, solver._best_feasible_position
+
+    def counted_gain(*args):
+        sizes.append(np.size(args[1]))
+        return original_gain(*args)
+
+    def counted_restart(*args):
+        restarts.append(args[1].movement_power)
+        return original_restart(*args)
+
+    monkeypatch.setattr(channel, "gain_eval", counted_gain)
+    monkeypatch.setattr(solver, "_best_feasible_position", counted_restart)
+    base = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
+    # master seed 0 as in the golden sweeps: no trial of tight_power starts feasible
+    cfg = small_config(base=base, sweep_variable=variable, sweep_values=values, trials=2,
+                       master_seed=0, schemes=bench.SCHEME_ORDER)
+    run_sweep(cfg)
+    longest = params_for_value(base, variable, values[-1]).region_length
+    lattice = int(longest / (base.wavelength / 500)) + 2
+    assert [size for size in sizes if size > 3] == [lattice, lattice]
+    assert len(restarts) == (2 * len(values) if config else 0)
+
+
+# Run in a fresh interpreter, so that OpenBLAS starts with the thread count given.
+_ALONE_EQUALS_SWEEP = """
+from maee import bench, harness
+from maee.params import SystemParams
+
+for variable, values in (("power", (0.1, 1.0, 5.0)), ("region", (1.0, 4.095, 6.0))):
+    cfg = harness.SweepConfig(base=SystemParams(), sweep_variable=variable,
+                              sweep_values=values, trials=1, master_seed=3)
+    for record in harness.run_trial(cfg, 0):
+        expansion = harness.instance_for(cfg.base, record.instance_seed)
+        params = harness.params_for_value(cfg.base, variable, record.sweep_value)
+        alone = bench.evaluate_schemes(expansion, params)
+        assert alone == record.results, (variable, record.sweep_value, alone, record.results)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scheme_records_alone_equal_their_sweep_records(threads):
+    """A scheme searching a grid of its own gives the record it gives inside a
+    sweep, which reads the trial's grid over the longest region: bit for bit,
+    at one and at two BLAS threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _ALONE_EQUALS_SWEEP], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_run_sweep_order_and_rerun_identical():

@@ -434,8 +434,8 @@ def test_scheme_proposed_reuses_the_optimizer_record(params, monkeypatch):
         events.append("efficiency_at")
         return original_at(*args)
 
-    def watched_optimize(*args):
-        reports.append(original_optimize(*args))
+    def watched_optimize(*args, **kwargs):
+        reports.append(original_optimize(*args, **kwargs))
         events.append("optimize returned")
         return reports[-1]
 
