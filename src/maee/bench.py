@@ -3,8 +3,8 @@
 All schemes are evaluated through the same efficiency model and report its
 record, ee.EEBreakdown, so their results are directly comparable on a shared
 channel instance. The grid oracle is the reference the proposed optimizer is
-judged against. The ceiling, max_snr, max_throughput, the oracle and the
-optimizer's restart scan all read a slice of one ee.GainGrid per instance.
+judged against. The ceiling, max_snr, max_throughput and the oracle pick
+their positions by one search, ee.grid_max, whose ties prefer not moving.
 
 Across params that differ only in movement power, evaluate_schemes reuses
 what does not read it: the whole records of the ceiling and the fixed
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from . import channel, ee, search, solver
+from . import channel, ee, solver
 from .params import SystemParams
 
 SCHEME_ORDER = ("proposed", "upper_bound", "max_throughput", "max_snr", "fpa")
@@ -33,28 +33,21 @@ MOVEMENT_POWER_FREE_POSITION = ("max_throughput", "max_snr")
 ORACLE_RTOL = 1e-6  # relative floor of oracle_slack
 
 
-def _scan_polish(expansion, params: SystemParams, xs, gains, pick):
-    """grid_polish_max of pick(ee, rate, energy, feasible) over positions xs with gains gains."""
-    return search.grid_polish_max(
-        lambda t: pick(*ee.efficiency_curve(expansion, params, t)),
-        xs, pick(*ee.efficiency_of_gains(xs, gains, params)),
-        tol=params.wavelength * ee.POLISH_TOL_WAVELENGTHS)
-
-
 def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams, *,
                    grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
     """Exhaustive search of the true efficiency, honoring the rate floor.
 
-    Scans the reachable ee.grid_slice and polishes the best cell with a
-    golden-section pass; infeasible positions are penalized to -inf when any
-    grid position is feasible, otherwise the best efficiency is reported with
-    feasible=False. Returns the efficiency record at the chosen position.
+    ee.grid_max of ee.feasible_efficiency over the reach interval; when no
+    position meets the rate floor, of the plain efficiency, whose record
+    then reads feasible=False.
     """
-    xs, gains = ee.grid_slice(expansion, params, *ee.reach_interval(params), grid)
-    best_x, best_v = _scan_polish(expansion, params, xs, gains,
-                                  lambda v, r, e, ok: np.where(ok, v, -np.inf))
+    lo, hi = ee.reach_interval(params)
+    grid = grid if grid is not None else ee.gain_grid(expansion, params.wavelength, hi)
+    best_x, best_v = ee.grid_max(expansion, params, lo, hi,
+                                 lambda xs, g: ee.feasible_efficiency(xs, g, params), grid)
     if best_v == -math.inf:
-        best_x, _ = _scan_polish(expansion, params, xs, gains, lambda v, r, e, ok: v)
+        best_x, _ = ee.grid_max(expansion, params, lo, hi,
+                                lambda xs, g: ee.efficiency_of_gains(xs, g, params)[0], grid)
     return ee.efficiency_at(expansion, params, best_x)
 
 
@@ -77,8 +70,8 @@ def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams, *
 def scheme_max_throughput(expansion: channel.GainExpansion, params: SystemParams, *,
                           grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
     """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor."""
-    xs, gains = ee.grid_slice(expansion, params, *ee.reach_interval(params), grid)
-    best_x, _ = _scan_polish(expansion, params, xs, gains, lambda v, r, e, ok: r)
+    best_x, _ = ee.grid_max(expansion, params, *ee.reach_interval(params),
+                            lambda xs, g: ee.efficiency_of_gains(xs, g, params)[1], grid)
     return ee.efficiency_at(expansion, params, best_x)
 
 
@@ -86,12 +79,12 @@ def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams, *,
                    grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
     """Move to the reachable gain argmax (SNR is monotone in gain under MRC), cost included.
 
-    The argmax is found by ee.gain_peak like the upper bound's (ties stay at
-    rest) but over ee.reach_interval only, so the two schemes report the same
-    position whenever the antenna can reach the whole region within one
-    block.
+    ee.grid_max of the gain, as for the upper bound, but over
+    ee.reach_interval only: the two report the same position whenever the
+    reach covers the region, and both stay at rest on a tie.
     """
-    x_best, _ = ee.gain_peak(expansion, params, *ee.reach_interval(params), grid)
+    x_best, _ = ee.grid_max(expansion, params, *ee.reach_interval(params),
+                            lambda xs, gains: gains, grid)
     return ee.efficiency_at(expansion, params, x_best)
 
 

@@ -8,16 +8,13 @@ import sys
 import numpy as np
 
 from . import bench, channel, ee, harness, solver
+from .harness import fmt
 from .params import SystemParams
 
 _DEFAULT_SWEEP_VALUES = {
     "region": (0.5, 1.0, 1.5, 2.0),
     "power": (0.1, 0.5, 1.0, 2.0, 5.0),
 }
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,19 +59,20 @@ def _load_params(args) -> SystemParams:
 
 
 def _print_result(scheme: str, result: ee.EEBreakdown) -> None:
-    print(f"scheme={scheme} x={_fmt(result.x)} ee={_fmt(result.ee)} "
-          f"throughput={_fmt(result.throughput)} energy={_fmt(result.energy)} "
+    print(f"scheme={scheme} x={fmt(result.x)} ee={fmt(result.ee)} "
+          f"throughput={fmt(result.throughput)} energy={fmt(result.energy)} "
           f"feasible={int(result.feasible)}")
 
 
 def _cmd_solve(args) -> int:
     params = _load_params(args)
     expansion = harness.instance_for(params, args.seed)
+    grid = ee.gain_grid(expansion, params.wavelength, params.region_length)
     print(f"seed={args.seed}")
 
-    report = solver.optimize(expansion, params)
+    report = solver.optimize(expansion, params, grid=grid)
     results = {"proposed": report.result,
-               **bench.evaluate_schemes(expansion, params, bench.SCHEME_ORDER[1:])}
+               **bench.evaluate_schemes(expansion, params, bench.SCHEME_ORDER[1:], grid=grid)}
     for scheme, result in results.items():
         _print_result(scheme, result)
     print(f"status={report.status} iterations={report.iterations} "
@@ -82,7 +80,7 @@ def _cmd_solve(args) -> int:
     if args.trace:
         print("trace: iteration,x,alpha,objective")
         for iteration, x, alpha, objective in report.trace:
-            print(f"trace: {iteration},{_fmt(x)},{_fmt(alpha)},{_fmt(objective)}")
+            print(f"trace: {iteration},{fmt(x)},{fmt(alpha)},{fmt(objective)}")
     return 0 if any(r.feasible for r in results.values()) else 1
 
 
@@ -109,8 +107,8 @@ def _cmd_sweep(args) -> int:
     print(f"wrote {raw_path}")
     print(f"wrote {agg_path}")
     for row in aggregates:
-        print(f"{args.sweep}={_fmt(row.sweep_value)} scheme={row.scheme} "
-              f"mean_ee={_fmt(row.mean_ee)} feasible_frac={_fmt(row.feasible_frac)} "
+        print(f"{args.sweep}={fmt(row.sweep_value)} scheme={row.scheme} "
+              f"mean_ee={fmt(row.mean_ee)} feasible_frac={fmt(row.feasible_frac)} "
               f"n={row.n}")
     any_feasible = any(r.feasible for rec in records for r in rec.results.values())
     return 0 if any_feasible else 1
@@ -148,12 +146,13 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     eps = channel.curvature_bound(expansion, tx) * (1 + 1e-12) + floor2
     curvature = bool(np.all(channel.gain_second_derivative(expansion, tx, xs) <= eps))
 
-    bound = ee.ee_upper_bound(expansion, params).ee
-    ee_vals, _, _, _ = ee.efficiency_curve(expansion, params, xs)
+    grid = ee.gain_grid(expansion, params.wavelength, params.region_length)
+    bound = ee.ee_upper_bound(expansion, params, grid=grid).ee
+    ee_vals, _, _, _ = ee.efficiency_of_gains(xs, direct, params)
     dominance = bool(np.all(ee_vals <= bound * (1.0 + 1e-9)))
 
-    report = solver.optimize(expansion, params)
-    oracle = bench.grid_global_ee(expansion, params)
+    report = solver.optimize(expansion, params, grid=grid)
+    oracle = bench.grid_global_ee(expansion, params, grid=grid)
     fpa = bench.scheme_fpa(expansion, params)
     alphas = [row[2] for row in report.trace]
     bracket = True

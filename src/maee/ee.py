@@ -20,6 +20,8 @@ from .params import SystemParams
 _MOVE_TIME_ROUNDING = 1e-12
 # Every golden polish stops once its bracket is this many wavelengths wide.
 POLISH_TOL_WAVELENGTHS = 1e-6
+# grid_max keeps the rest position when its value is this close, relatively, to the best.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,23 +144,29 @@ def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float
     return xs, gains
 
 
-def gain_peak(expansion: channel.GainExpansion, params: SystemParams,
-              lo: float, hi: float, grid: GainGrid | None) -> tuple[float, float]:
-    """Position and value of the largest gain on [lo, hi].
+def feasible_efficiency(xs, gains, params: SystemParams):
+    """The efficiency at positions xs with gains gains, -inf where the rate floor is missed."""
+    ratio, _, _, feasible = efficiency_of_gains(xs, gains, params)
+    return np.where(feasible, ratio, -np.inf)
 
-    The grid_slice of [lo, hi] (at least 250 samples per gain oscillation)
-    is scanned and its argmax refined by one golden polish. Ties prefer not
-    moving: the rest position, which the slice holds, wins against any
-    position whose gain is no larger.
+
+def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
+             objective, grid: GainGrid | None) -> tuple[float, float]:
+    """Position and value of the largest objective(xs, gains) on [lo, hi].
+
+    Scans the grid_slice of [lo, hi] and golden-polishes its best cell on
+    single floats, with the gain there. Ties prefer not moving: the rest
+    position, which the slice holds, wins when within _TIE_RTOL of the best.
     """
     xs, gains = grid_slice(expansion, params, lo, hi, grid)
-    x_best, gain_best = search.grid_polish_max(
-        lambda t: channel.gain_eval(expansion, t), xs, gains,
+    values = objective(xs, gains)
+    best_x, best = search.grid_polish_max(
+        lambda t: objective(t, channel.gain_eval(expansion, t)), xs, values,
         tol=params.wavelength * POLISH_TOL_WAVELENGTHS)
-    gain_rest = float(gains[np.searchsorted(xs, params.initial_position)])
-    if gain_rest >= gain_best:
-        return params.initial_position, gain_rest
-    return x_best, gain_best
+    rest = values[np.searchsorted(xs, params.initial_position)]
+    if rest >= best - _TIE_RTOL * abs(best):
+        return params.initial_position, float(rest)
+    return best_x, float(best)
 
 
 def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams, *,
@@ -167,8 +175,9 @@ def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams, *,
 
     The bound assumes the rest position already sits at the gain argmax, so
     the whole block is spent communicating and no movement energy accrues.
-    The argmax is taken by gain_peak over the whole region, reachable or
+    The argmax is taken by grid_max over the whole region, reachable or
     not, so the bound dominates every scheme.
     """
-    x_bar, gain = gain_peak(expansion, params, 0.0, params.region_length, grid)
+    x_bar, gain = grid_max(expansion, params, 0.0, params.region_length,
+                           lambda xs, gains: gains, grid)
     return energy_efficiency(x_bar, gain, replace(params, initial_position=x_bar))

@@ -189,7 +189,8 @@ RAW_HEADER = "sweep_value,trial,scheme,x,ee,throughput,energy,feasible,seed"
 AGGREGATE_HEADER = "sweep_value,scheme,mean_ee,std_ee,feasible_frac,n"
 
 
-def _fmt(value: float) -> str:
+def fmt(value: float) -> str:
+    """value with 12 significant digits, as the CSVs and the CLI write numbers."""
     return format(float(value), ".12g")
 
 
@@ -209,8 +210,8 @@ def emit_csv(records: list[TrialRecord], aggregates: list[AggregateRow],
         for scheme in (s for s in SCHEME_ORDER if s in record.results):
             r = record.results[scheme]
             raw_lines.append(",".join((
-                _fmt(record.sweep_value), str(record.trial), scheme,
-                _fmt(r.x), _fmt(r.ee), _fmt(r.throughput), _fmt(r.energy),
+                fmt(record.sweep_value), str(record.trial), scheme,
+                fmt(r.x), fmt(r.ee), fmt(r.throughput), fmt(r.energy),
                 str(int(r.feasible)), str(record.instance_seed),
             )))
     with open(raw_path, "w", encoding="ascii", newline="") as handle:
@@ -219,8 +220,8 @@ def emit_csv(records: list[TrialRecord], aggregates: list[AggregateRow],
     agg_lines = [AGGREGATE_HEADER]
     for row in aggregates:
         agg_lines.append(",".join((
-            _fmt(row.sweep_value), row.scheme, _fmt(row.mean_ee),
-            _fmt(row.std_ee), _fmt(row.feasible_frac), str(row.n),
+            fmt(row.sweep_value), row.scheme, fmt(row.mean_ee),
+            fmt(row.std_ee), fmt(row.feasible_frac), str(row.n),
         )))
     with open(agg_path, "w", encoding="ascii", newline="") as handle:
         handle.write("\n".join(agg_lines) + "\n")

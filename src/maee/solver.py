@@ -162,11 +162,9 @@ def _best_feasible_position(expansion: channel.GainExpansion, params: SystemPara
     and to restart from a feasible point when the start violates the floor.
     """
     xs, gains = ee.grid_slice(expansion, params, *ee.reach_interval(params), grid)
-    ee_vals, _, _, feasible = ee.efficiency_of_gains(xs, gains, params)
-    if not np.any(feasible):
-        return None
-    masked = np.where(feasible, ee_vals, -np.inf)
-    return float(xs[int(np.argmax(masked))])
+    masked = ee.feasible_efficiency(xs, gains, params)
+    best = int(np.argmax(masked))
+    return None if masked[best] == -math.inf else float(xs[best])
 
 
 def optimize(expansion: channel.GainExpansion, params: SystemParams, *,

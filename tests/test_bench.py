@@ -25,12 +25,20 @@ from maee.params import SystemParams
 from conftest import make_instance, single_path_instance
 
 
-def test_oracle_single_path(params):
+@pytest.mark.parametrize("movement_power", [SystemParams().movement_power, 0.0],
+                         ids=["default_power", "free_movement"])
+def test_oracle_single_path(movement_power):
+    """One path gives the same gain everywhere. With free movement the efficiency
+    then ties to the last bits at every position that leaves communication
+    time, and every position search stays at rest."""
+    params = SystemParams(movement_power=movement_power)
     expansion = build_expansion(
         single_path_instance(response=1e-4, num_antennas=params.num_bs_antennas),
         params.wavelength)
     result = grid_global_ee(expansion, params)
-    assert result.x == pytest.approx(params.initial_position, abs=1e-9)
+    assert result.x == params.initial_position
+    for scheme in (scheme_max_throughput, scheme_max_snr, scheme_upper_bound):
+        assert scheme(expansion, params).x == params.initial_position, scheme.__name__
     expected = math.log2(
         1.0 + params.max_tx_power * expansion.constant / params.noise_power
     ) / params.max_tx_power

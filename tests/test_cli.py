@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from maee import channel
 from maee.cli import build_parser, cli_main
 from maee.harness import parse_config_text
 from maee.params import SystemParams
@@ -65,6 +67,25 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert len(rows) == 2 * 2 * 5  # values x trials x all five schemes
     assert {r["scheme"] for r in rows} == {
         "proposed", "upper_bound", "max_throughput", "max_snr", "fpa"}
+
+
+@pytest.mark.parametrize("argv, grids", [(("solve", "--seed", "3"), 1),
+                                          (("check", "--trials", "2"), 4)],
+                         ids=["solve", "check"])
+def test_one_gain_grid_per_instance(argv, grids, monkeypatch, capsys):
+    """solve evaluates the gain over many points once, on its one gain grid;
+    check twice per trial, on its 1001 sample points and on the grid."""
+    original, sizes = channel.gain_eval, []
+
+    def counted(expansion, x):
+        sizes.append(np.size(x))
+        return original(expansion, x)
+
+    _, expected, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(channel, "gain_eval", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+    assert len([size for size in sizes if size > 100]) == grids
 
 
 def test_check_command(capsys):

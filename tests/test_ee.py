@@ -10,6 +10,7 @@ from maee.ee import (
     efficiency_curve,
     energy_efficiency,
     gain_grid,
+    grid_max,
     grid_slice,
     reach_interval,
 )
@@ -190,6 +191,25 @@ def test_ee_upper_bound_constant_gain(params):
     snr = params.max_tx_power * expansion.constant / params.noise_power
     expected = math.log2(1.0 + snr) / params.max_tx_power
     assert bound == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("interval", ["reach", "region"])
+def test_grid_max_ties_stay_at_rest(interval, params):
+    """A constant objective, or one that beats the rest position by rounding
+    only, keeps the rest position; a real gain elsewhere moves."""
+    params = replace(params, speed=0.001)  # reach 5 mm around the 10 mm rest position
+    lo, hi = reach_interval(params) if interval == "reach" else (0.0, params.region_length)
+    expansion = build_expansion(make_instance(0), params.wavelength)
+    x0 = params.initial_position
+
+    def bump(size):
+        return lambda xs, gains: 1.0 + size * np.exp(-(10 * (xs - lo) / params.wavelength) ** 2)
+
+    assert grid_max(expansion, params, lo, hi, lambda xs, gains: 0.0 * gains + 1.0, None) \
+        == (x0, 1.0)
+    assert grid_max(expansion, params, lo, hi, bump(1e-13), None) == (x0, 1.0)
+    x, value = grid_max(expansion, params, lo, hi, bump(1e-9), None)
+    assert x == lo and value == 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("seed", range(5))
