@@ -52,4 +52,4 @@ print(f"\nbest grid position: {best / params.wavelength:.3f} wavelengths, "
       f"gain {np.max(gains):.3e} vs {gain_eval(expansion, params.initial_position):.3e} "
       f"at the rest position")
 print(f"curvature constant for the optimizer's quadratic bounds: "
-      f"{curvature_bound(expansion, params.max_tx_power):.3e}")
+      f"{params.max_tx_power * curvature_bound(expansion):.3e}")

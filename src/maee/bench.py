@@ -33,8 +33,7 @@ MOVEMENT_POWER_FREE_POSITION = ("max_throughput", "max_snr")
 ORACLE_RTOL = 1e-6  # relative floor of oracle_slack
 
 
-def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams, *,
-                   grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
+def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Exhaustive search of the true efficiency, honoring the rate floor.
 
     ee.grid_max of ee.feasible_efficiency over the reach interval; when no
@@ -42,12 +41,11 @@ def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams, *,
     then reads feasible=False.
     """
     lo, hi = ee.reach_interval(params)
-    grid = grid if grid is not None else ee.gain_grid(expansion, params.wavelength, hi)
     best_x, best_v = ee.grid_max(expansion, params, lo, hi,
-                                 lambda xs, g: ee.feasible_efficiency(xs, g, params), grid)
+                                 lambda xs, g: ee.feasible_efficiency(xs, g, params))
     if best_v == -math.inf:
         best_x, _ = ee.grid_max(expansion, params, lo, hi,
-                                lambda xs, g: ee.efficiency_of_gains(xs, g, params)[0], grid)
+                                lambda xs, g: ee.efficiency_of_gains(xs, g, params)[0])
     return ee.efficiency_at(expansion, params, best_x)
 
 
@@ -61,22 +59,20 @@ def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
     return max(ORACLE_RTOL * oracle.ee, change)
 
 
-def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams, *,
-                       grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
+def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Idealized ceiling: rest position already at the gain argmax, full-block rate."""
-    return ee.ee_upper_bound(expansion, params, grid=grid)
+    return ee.ee_upper_bound(expansion, params)
 
 
-def scheme_max_throughput(expansion: channel.GainExpansion, params: SystemParams, *,
-                          grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
+def scheme_max_throughput(expansion: channel.GainExpansion,
+                          params: SystemParams) -> ee.EEBreakdown:
     """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor."""
     best_x, _ = ee.grid_max(expansion, params, *ee.reach_interval(params),
-                            lambda xs, g: ee.efficiency_of_gains(xs, g, params)[1], grid)
+                            lambda xs, g: ee.efficiency_of_gains(xs, g, params)[1])
     return ee.efficiency_at(expansion, params, best_x)
 
 
-def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams, *,
-                   grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
+def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Move to the reachable gain argmax (SNR is monotone in gain under MRC), cost included.
 
     ee.grid_max of the gain, as for the upper bound, but over
@@ -84,7 +80,7 @@ def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams, *,
     reach covers the region, and both stay at rest on a tie.
     """
     x_best, _ = ee.grid_max(expansion, params, *ee.reach_interval(params),
-                            lambda xs, gains: gains, grid)
+                            lambda xs, gains: gains)
     return ee.efficiency_at(expansion, params, x_best)
 
 
@@ -93,16 +89,13 @@ def scheme_fpa(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEB
     return ee.efficiency_at(expansion, params, params.initial_position)
 
 
-def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams, *,
-                    grid: ee.GainGrid | None = None) -> ee.EEBreakdown:
+def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Position chosen by the Dinkelbach + SCA optimizer, with the record it verified."""
-    return solver.optimize(expansion, params, grid=grid).result
+    return solver.optimize(expansion, params).result
 
 
-def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
-                     schemes=SCHEME_ORDER,
-                     known: dict[str, ee.EEBreakdown] | None = None, *,
-                     grid: ee.GainGrid | None = None) -> dict[str, ee.EEBreakdown]:
+def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams, schemes=SCHEME_ORDER,
+                     known: dict[str, ee.EEBreakdown] | None = None) -> dict[str, ee.EEBreakdown]:
     """Each requested scheme's efficiency record on one shared channel instance.
 
     The dict is keyed by scheme name in SCHEME_ORDER. known, when given, maps
@@ -110,16 +103,11 @@ def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
     differ from these at most in movement power. The MOVEMENT_POWER_FREE
     schemes among them are reused as the same objects; the
     MOVEMENT_POWER_FREE_POSITION schemes keep their known position and only
-    their efficiency there is evaluated again, with no grid search. Without
-    grid, each grid search builds its own ee.GainGrid, with the same result.
+    their efficiency there is evaluated again, with no grid search.
     """
-    runners = {
-        "proposed": lambda: scheme_proposed(expansion, params, grid=grid),
-        "upper_bound": lambda: scheme_upper_bound(expansion, params, grid=grid),
-        "max_throughput": lambda: scheme_max_throughput(expansion, params, grid=grid),
-        "max_snr": lambda: scheme_max_snr(expansion, params, grid=grid),
-        "fpa": lambda: scheme_fpa(expansion, params),
-    }
+    runners = {"proposed": scheme_proposed, "upper_bound": scheme_upper_bound,
+               "max_throughput": scheme_max_throughput, "max_snr": scheme_max_snr,
+               "fpa": scheme_fpa}
     unknown = set(schemes) - set(runners)
     if unknown:
         raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -130,6 +118,6 @@ def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
             return known[name]
         if name in known and name in MOVEMENT_POWER_FREE_POSITION:
             return ee.efficiency_at(expansion, params, known[name].x)
-        return runners[name]()
+        return runners[name](expansion, params)
 
     return {name: evaluate(name) for name in SCHEME_ORDER if name in schemes}

@@ -13,7 +13,7 @@ length or path count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,12 +94,14 @@ class GainExpansion:
 
     f(x) is the steering row exp(j x wavenumbers) and response_conj = conj(E).
     constant = |E|_F^2, the trace of the Gram matrix E E^H, is the gain of a
-    single path.
+    single path. gain_grids holds the gain lattice ee.gain_grid built for
+    this channel, one per spacing; dataclasses.replace starts a new one empty.
     """
 
     constant: float
     wavenumbers: np.ndarray
     response_conj: np.ndarray
+    gain_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_paths(self) -> int:
@@ -170,23 +172,19 @@ def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
     return _over_positions(expansion, x, squared_norms)
 
 
-def gain_derivative(expansion: GainExpansion, tx_power: float, x) -> float | np.ndarray:
-    """d(tx_power * gain)/dx = P_t 2 Re(h^H h'), with h' = (f jk) conj(E)."""
-    if tx_power <= 0:
-        raise ValueError(f"tx_power must be positive, got {tx_power}")
+def gain_derivative(expansion: GainExpansion, x) -> float | np.ndarray:
+    """d gain/dx = 2 Re(h^H h'), with h' = (f jk) conj(E)."""
     jk, response_conj = 1j * expansion.wavenumbers, expansion.response_conj
 
     def slope(f):
         h, h1 = f @ response_conj, (f * jk) @ response_conj
         return np.sum(h.conj() * h1, axis=-1).real
 
-    return tx_power * 2.0 * _over_positions(expansion, x, slope)
+    return 2.0 * _over_positions(expansion, x, slope)
 
 
-def gain_second_derivative(expansion: GainExpansion, tx_power: float, x) -> float | np.ndarray:
-    """d^2(tx_power * gain)/dx^2 = P_t 2 (|h'|^2 + Re(h^H h'')), with h'' = (f (jk)^2) conj(E)."""
-    if tx_power <= 0:
-        raise ValueError(f"tx_power must be positive, got {tx_power}")
+def gain_second_derivative(expansion: GainExpansion, x) -> float | np.ndarray:
+    """d^2 gain/dx^2 = 2 (|h'|^2 + Re(h^H h'')), with h'' = (f (jk)^2) conj(E)."""
     jk, response_conj = 1j * expansion.wavenumbers, expansion.response_conj
 
     def curvature(f):
@@ -194,7 +192,7 @@ def gain_second_derivative(expansion: GainExpansion, tx_power: float, x) -> floa
         h2 = (f * (jk * jk)) @ response_conj
         return np.sum((h1.conj() * h1 + h.conj() * h2).real, axis=-1)
 
-    return tx_power * 2.0 * _over_positions(expansion, x, curvature)
+    return 2.0 * _over_positions(expansion, x, curvature)
 
 
 def _gram_row_blocks(expansion: GainExpansion):
@@ -219,18 +217,16 @@ def gain_series(expansion: GainExpansion, x) -> float | np.ndarray:
     return total
 
 
-def curvature_bound(expansion: GainExpansion, tx_power: float) -> float:
-    """Constant dominating |second derivative| of the scaled gain everywhere.
+def curvature_bound(expansion: GainExpansion) -> float:
+    """Constant dominating |second derivative| of the gain everywhere.
 
-    P_t sum_{a != b} |G_ab| (k_a - k_b)^2, the curvature amplitudes of the
+    sum_{a != b} |G_ab| (k_a - k_b)^2, the curvature amplitudes of the
     series terms. A single path has none, so its position-independent gain
     gets exactly 0; the bound carries the scale of the instance, with no
     absolute floor.
     """
-    if tx_power <= 0:
-        raise ValueError(f"tx_power must be positive, got {tx_power}")
     wavenumbers, total = expansion.wavenumbers, 0.0
     for start, gram in _gram_row_blocks(expansion):
         spread = wavenumbers[start:start + gram.shape[0], None] - wavenumbers
         total += float(np.sum(np.abs(gram) * (spread * spread)))
-    return tx_power * total
+    return total

@@ -67,12 +67,11 @@ def _print_result(scheme: str, result: ee.EEBreakdown) -> None:
 def _cmd_solve(args) -> int:
     params = _load_params(args)
     expansion = harness.instance_for(params, args.seed)
-    grid = ee.gain_grid(expansion, params.wavelength, params.region_length)
     print(f"seed={args.seed}")
 
-    report = solver.optimize(expansion, params, grid=grid)
+    report = solver.optimize(expansion, params)
     results = {"proposed": report.result,
-               **bench.evaluate_schemes(expansion, params, bench.SCHEME_ORDER[1:], grid=grid)}
+               **bench.evaluate_schemes(expansion, params, bench.SCHEME_ORDER[1:])}
     for scheme, result in results.items():
         _print_result(scheme, result)
     print(f"status={report.status} iterations={report.iterations} "
@@ -128,11 +127,11 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     sample = xs[::50]
     fd1 = (tx * channel.gain_eval(expansion, sample + step1)
            - tx * channel.gain_eval(expansion, sample - step1)) / (2 * step1)
-    an1 = channel.gain_derivative(expansion, tx, sample)
+    an1 = tx * channel.gain_derivative(expansion, sample)
     fd2 = (tx * channel.gain_eval(expansion, sample + step2)
            - 2 * tx * channel.gain_eval(expansion, sample)
            + tx * channel.gain_eval(expansion, sample - step2)) / step2**2
-    an2 = channel.gain_second_derivative(expansion, tx, sample)
+    an2 = tx * channel.gain_second_derivative(expansion, sample)
     # Rounding floors in the instance's own units: the m-th derivative's terms
     # are at most P_t |E|^2 max|k|^m, and with one path the slope and the
     # curvature are nothing but rounding of that size.
@@ -143,16 +142,15 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     derivatives = bool(np.all(np.abs(fd1 - an1) <= 1e-4 * scale1)
                        and np.all(np.abs(fd2 - an2) <= 1e-3 * scale2))
 
-    eps = channel.curvature_bound(expansion, tx) * (1 + 1e-12) + floor2
-    curvature = bool(np.all(channel.gain_second_derivative(expansion, tx, xs) <= eps))
+    eps = tx * channel.curvature_bound(expansion) * (1 + 1e-12) + floor2
+    curvature = bool(np.all(tx * channel.gain_second_derivative(expansion, xs) <= eps))
 
-    grid = ee.gain_grid(expansion, params.wavelength, params.region_length)
-    bound = ee.ee_upper_bound(expansion, params, grid=grid).ee
+    bound = ee.ee_upper_bound(expansion, params).ee
     ee_vals, _, _, _ = ee.efficiency_of_gains(xs, direct, params)
     dominance = bool(np.all(ee_vals <= bound * (1.0 + 1e-9)))
 
-    report = solver.optimize(expansion, params, grid=grid)
-    oracle = bench.grid_global_ee(expansion, params, grid=grid)
+    report = solver.optimize(expansion, params)
+    oracle = bench.grid_global_ee(expansion, params)
     fpa = bench.scheme_fpa(expansion, params)
     alphas = [row[2] for row in report.trace]
     bracket = True

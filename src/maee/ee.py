@@ -111,29 +111,36 @@ def reach_interval(params: SystemParams) -> tuple[float, float]:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class GainGrid:
-    """The gain at lattice points m * wavelength/500, m = 0, 1, ..., built once per trial."""
+    """The gain at lattice points m * wavelength/500, m = 0, 1, ..., of one channel."""
 
     xs: np.ndarray
     gains: np.ndarray
 
 
 def gain_grid(expansion: channel.GainExpansion, wavelength: float, length: float) -> GainGrid:
-    """The GainGrid of points 0 .. length / spacing + 1; point m is the same at any length."""
-    spacing = wavelength / 500.0
-    xs = np.arange(int(length / spacing) + 2) * spacing
-    gains = channel.gain_eval(expansion, xs)
-    xs.flags.writeable = gains.flags.writeable = False
-    return GainGrid(xs, gains)
+    """The GainGrid of points 0 .. length / spacing + 1, or a longer one kept on expansion.
 
-
-def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
-               grid: GainGrid | None) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and gains of grid's points in [lo, hi], plus lo, hi and x0 where missing.
-
-    The gains of added points are evaluated here. Without a grid, the one
-    over [0, hi] is built, so a search reads the same points either way.
+    A new grid takes one gain evaluation and replaces any shorter one in
+    expansion.gain_grids. Point m is the same at any length.
     """
-    grid = grid if grid is not None else gain_grid(expansion, params.wavelength, hi)
+    spacing = wavelength / 500.0
+    count = int(length / spacing) + 2
+    grid = expansion.gain_grids.get(spacing)
+    if grid is None or len(grid.xs) < count:
+        xs = np.arange(count) * spacing
+        gains = channel.gain_eval(expansion, xs)
+        xs.flags.writeable = gains.flags.writeable = False
+        grid = expansion.gain_grids[spacing] = GainGrid(xs, gains)
+    return grid
+
+
+def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float,
+               hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and gains of the gain_grid points in [lo, hi], plus lo, hi and x0 if missing.
+
+    The gains of added points are evaluated here.
+    """
+    grid = gain_grid(expansion, params.wavelength, hi)
     start, stop = np.searchsorted(grid.xs, lo), np.searchsorted(grid.xs, hi, side="right")
     xs, gains = grid.xs[start:stop], grid.gains[start:stop]
     missing = sorted({x for x in (lo, hi, params.initial_position) if x not in xs})
@@ -151,14 +158,14 @@ def feasible_efficiency(xs, gains, params: SystemParams):
 
 
 def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
-             objective, grid: GainGrid | None) -> tuple[float, float]:
+             objective) -> tuple[float, float]:
     """Position and value of the largest objective(xs, gains) on [lo, hi].
 
     Scans the grid_slice of [lo, hi] and golden-polishes its best cell on
     single floats, with the gain there. Ties prefer not moving: the rest
     position, which the slice holds, wins when within _TIE_RTOL of the best.
     """
-    xs, gains = grid_slice(expansion, params, lo, hi, grid)
+    xs, gains = grid_slice(expansion, params, lo, hi)
     values = objective(xs, gains)
     best_x, best = search.grid_polish_max(
         lambda t: objective(t, channel.gain_eval(expansion, t)), xs, values,
@@ -169,8 +176,7 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
     return best_x, float(best)
 
 
-def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams, *,
-                   grid: GainGrid | None = None) -> EEBreakdown:
+def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EEBreakdown:
     """Best-case efficiency: the record of a block resting at the gain peak.
 
     The bound assumes the rest position already sits at the gain argmax, so
@@ -179,5 +185,5 @@ def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams, *,
     not, so the bound dominates every scheme.
     """
     x_bar, gain = grid_max(expansion, params, 0.0, params.region_length,
-                           lambda xs, gains: gains, grid)
+                           lambda xs, gains: gains)
     return energy_efficiency(x_bar, gain, replace(params, initial_position=x_bar))

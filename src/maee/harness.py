@@ -119,8 +119,8 @@ def instance_for(params: SystemParams, seed: int) -> channel.GainExpansion:
 def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
     """One record per sweep value, all from one instance drawn and expanded from cfg.base.
 
-    Every grid search of the trial reads a slice of one ee.GainGrid over the
-    longest region of the sweep; no record holds it. Sweep values whose params
+    Every grid search of the trial reads a slice of the instance's one
+    ee.GainGrid over the longest region. Sweep values whose params
     differ only in movement power (a power sweep) also share what
     bench.evaluate_schemes may reuse: the same result object of each
     bench.MOVEMENT_POWER_FREE scheme, and the position of each
@@ -129,12 +129,14 @@ def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
     seed = mix_seed(cfg.master_seed, trial_index)
     expansion = instance_for(cfg.base, seed)
     values = [(v, params_for_value(cfg.base, cfg.sweep_variable, v)) for v in cfg.sweep_values]
-    grid = ee.gain_grid(expansion, cfg.base.wavelength, max(p.region_length for _, p in values))
+    # Region sweep values ascend: without the longest lattice first, 4, 8 and 16
+    # wavelengths would build 2,002 + 4,002 + 8,002 lattice points, not 8,002.
+    ee.gain_grid(expansion, cfg.base.wavelength, max(p.region_length for _, p in values))
     shared: dict[SystemParams, dict[str, ee.EEBreakdown]] = {}
     records = []
     for value, params in values:
         known = shared.setdefault(replace(params, movement_power=0.0), {})
-        results = bench.evaluate_schemes(expansion, params, cfg.schemes, known, grid=grid)
+        results = bench.evaluate_schemes(expansion, params, cfg.schemes, known)
         known.update(results)
         records.append(TrialRecord(sweep_value=value, trial=trial_index,
                                    instance_seed=seed, results=results))

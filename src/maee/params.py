@@ -8,6 +8,12 @@ from dataclasses import dataclass, fields
 # Longest region, in wavelengths, that a scenario may have. Position grids
 # are wavelength/500 apart, so this caps one grid at 5e6 points.
 MAX_REGION_WAVELENGTHS = 1e4
+# Most paths L, base-station antennas N and response entries L N. The
+# curvature bound costs L^2 N and a gain evaluation L N; at these caps one
+# `maee solve` over the default region took under 5 s on a 2-vCPU VM.
+MAX_PATHS = 2000
+MAX_BS_ANTENNAS = 4096
+MAX_RESPONSE_ENTRIES = 2**20
 
 
 def db_to_linear(db: float) -> float:
@@ -67,6 +73,11 @@ class SystemParams:
             )
         if self.num_bs_antennas < 1 or self.num_paths < 1:
             raise ValueError("antenna and path counts must be at least 1")
+        if (self.num_paths > MAX_PATHS or self.num_bs_antennas > MAX_BS_ANTENNAS
+                or self.num_paths * self.num_bs_antennas > MAX_RESPONSE_ENTRIES):
+            raise ValueError(f"{self.num_paths} paths x {self.num_bs_antennas} antennas exceed "
+                             f"the caps of {MAX_PATHS} paths, {MAX_BS_ANTENNAS} antennas "
+                             f"and {MAX_RESPONSE_ENTRIES} in all")
         if self.speed <= 0:
             raise ValueError(f"speed must be positive, got {self.speed}")
         if self.block_duration <= 0:
@@ -93,6 +104,13 @@ class SystemParams:
                 f"distance {self.distance}, pathloss_exp {self.pathloss_exp}"
             )
         object.__setattr__(self, "path_gain_variance", variance)
+        # Bounds the energy of any block; P/v or P_t T overflow into it too.
+        energy = (self.move_energy_rate * self.region_length
+                  + self.max_tx_power * self.block_duration)
+        tx_snr = self.max_tx_power / self.noise_power
+        if not (math.isfinite(energy) and math.isfinite(tx_snr)):
+            raise ValueError(f"block energy bound (P/v) A + P_t T = {energy} J or "
+                             f"P_t/sigma2 = {tx_snr} overflows")
 
     @property
     def move_energy_rate(self) -> float:

@@ -97,7 +97,7 @@ def _build_surrogate(expansion: channel.GainExpansion, params: SystemParams,
     """
     x0, noise, speed = params.initial_position, params.noise_power, params.speed
     value = params.max_tx_power * channel.gain_eval(expansion, center)
-    slope = channel.gain_derivative(expansion, params.max_tx_power, center)
+    slope = params.max_tx_power * channel.gain_derivative(expansion, center)
     half = 0.5 * curvature
     delta_local = max(abs(center - x0), params.wavelength * DELTA_FLOOR_WAVELENGTHS)
     gamma_local = max(math.log2(1.0 + max(value, 0.0) / noise), GAMMA_FLOOR)
@@ -154,21 +154,20 @@ def solve_subproblem(x: float, expansion: channel.GainExpansion, params: SystemP
     return best_x, best_val
 
 
-def _best_feasible_position(expansion: channel.GainExpansion, params: SystemParams,
-                            grid: ee.GainGrid | None) -> float | None:
+def _best_feasible_position(expansion: channel.GainExpansion,
+                            params: SystemParams) -> float | None:
     """Best-true-efficiency reachable position meeting the rate floor, or None.
 
     Exhaustive grid check; used to verify infeasibility before declaring it
     and to restart from a feasible point when the start violates the floor.
     """
-    xs, gains = ee.grid_slice(expansion, params, *ee.reach_interval(params), grid)
+    xs, gains = ee.grid_slice(expansion, params, *ee.reach_interval(params))
     masked = ee.feasible_efficiency(xs, gains, params)
     best = int(np.argmax(masked))
     return None if masked[best] == -math.inf else float(xs[best])
 
 
-def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
-             grid: ee.GainGrid | None = None) -> SolverReport:
+def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverReport:
     """Run the full Dinkelbach + SCA loop from the configured rest position.
 
     Each outer iteration runs the SCA inner loop at a fixed ratio estimate
@@ -182,8 +181,8 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
     computed when the last iterate was accepted; nothing is evaluated again.
 
     A start position violating the rate floor triggers one verified restart
-    from the best feasible position on grid, the instance's ee.GainGrid; if
-    no reachable position meets the floor the status is "infeasible". When
+    from the best feasible position of the instance's gain grid; if no
+    reachable position meets the floor the status is "infeasible". When
     the movement power is below the transmit power the run is flagged: the
     travel slack then rewards movement inside the surrogate, a regime the
     bound analysis does not cover.
@@ -192,14 +191,14 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams, *,
 
     result = ee.efficiency_at(expansion, params, params.initial_position)
     if not result.feasible:
-        restart = _best_feasible_position(expansion, params, grid)
+        restart = _best_feasible_position(expansion, params)
         if restart is None:
             return SolverReport(result=result, iterations=0, trace=[],
                                 status="infeasible", power_assumption_violated=flagged)
         result = ee.efficiency_at(expansion, params, restart)
 
     x = result.x  # the ratio estimate alpha is result.ee throughout
-    curvature = channel.curvature_bound(expansion, params.max_tx_power)
+    curvature = params.max_tx_power * channel.curvature_bound(expansion)
     objective = _build_surrogate(expansion, params, x, result.ee, curvature)(x)
     trace = [(0, x, result.ee, objective)]
 

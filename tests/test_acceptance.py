@@ -8,6 +8,7 @@ assert them.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,12 +86,12 @@ def test_criterion_2_derivative_suite(params):
         expansion = build_expansion(instance, params.wavelength)
         xs = np.linspace(1e-4, params.region_length - 1e-4, 200)
         amp1 = slope_amplitude(instance, params.wavelength, tx)
-        amp2 = curvature_bound(expansion, tx)
+        amp2 = tx * curvature_bound(expansion)
 
         step = 1e-8
         fd1 = (np.asarray(gain_eval(expansion, xs + step))
                - np.asarray(gain_eval(expansion, xs - step))) * tx / (2 * step)
-        an1 = np.asarray(gain_derivative(expansion, tx, xs))
+        an1 = tx * np.asarray(gain_derivative(expansion, xs))
         tol1 = 1e-4 * np.maximum(np.abs(an1), 1e-3 * amp1)
         assert np.all(np.abs(fd1 - an1) <= tol1)
         worst1 = max(worst1, float(np.max(np.abs(fd1 - an1) / np.maximum(amp1, 1e-300))))
@@ -99,7 +100,7 @@ def test_criterion_2_derivative_suite(params):
         fd2 = (np.asarray(gain_eval(expansion, xs + step))
                - 2 * np.asarray(gain_eval(expansion, xs))
                + np.asarray(gain_eval(expansion, xs - step))) * tx / step**2
-        an2 = np.asarray(gain_second_derivative(expansion, tx, xs))
+        an2 = tx * np.asarray(gain_second_derivative(expansion, xs))
         tol2 = 1e-3 * np.maximum(np.abs(an2), 1e-3 * amp2)
         assert np.all(np.abs(fd2 - an2) <= tol2)
         worst2 = max(worst2, float(np.max(np.abs(fd2 - an2) / np.maximum(amp2, 1e-300))))
@@ -112,12 +113,12 @@ def test_criterion_3_curvature_bound(params):
     for seed in range(50):
         expansion = build_expansion(make_instance(seed), params.wavelength)
         xs = np.linspace(0.0, params.region_length, 10_000)
-        eps = curvature_bound(expansion, tx)
-        second = np.asarray(gain_second_derivative(expansion, tx, xs))
+        eps = tx * curvature_bound(expansion)
+        second = tx * np.asarray(gain_second_derivative(expansion, xs))
         assert np.all(second <= eps * (1 + 1e-12))
     hand = build_expansion(hand_instance(), 0.01)
     expected = 8.0 * math.pi**2 * 1.0 * 1.0 * 0.5**2 / 0.01**2
-    assert curvature_bound(hand, 1.0) == pytest.approx(expected, rel=1e-15)
+    assert curvature_bound(hand) == pytest.approx(expected, rel=1e-15)
     print(f"criterion 3 PASS: curvature bound dominates on 50 instances; "
           f"hand case = {expected:.6f}")
 
@@ -159,7 +160,7 @@ def test_criterion_5_surrogate_properties():
         reach_lo, reach_hi = reach_interval(params)
         for seed in range(20):
             expansion = build_expansion(make_instance(seed, params), params.wavelength)
-            curvature = curvature_bound(expansion, params.max_tx_power)
+            curvature = params.max_tx_power * curvature_bound(expansion)
             for center in np.linspace(reach_lo, reach_hi, 5).tolist():
                 alpha = efficiency_at(expansion, params, center).ee
                 objective = _build_surrogate(expansion, params, center, alpha, curvature)
@@ -260,10 +261,10 @@ def test_criterion_9_reproducibility(region_sweep, tmp_path):
     records2, aggregates2 = run_sweep(parallel_cfg)
     second = emit_csv(records2, aggregates2, tmp_path / "run2")
 
-    raw1 = open(first[0], "rb").read()
-    raw2 = open(second[0], "rb").read()
-    agg1 = open(first[1], "rb").read()
-    agg2 = open(second[1], "rb").read()
+    raw1 = Path(first[0]).read_bytes()
+    raw2 = Path(second[0]).read_bytes()
+    agg1 = Path(first[1]).read_bytes()
+    agg2 = Path(second[1]).read_bytes()
     assert raw1 == raw2
     assert agg1 == agg2
     print(f"criterion 9 PASS: byte-identical CSVs across worker counts "

@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maee import channel
 from maee.bench import (
     evaluate_schemes,
     grid_global_ee,
@@ -20,9 +22,13 @@ from maee.ee import (
     energy_efficiency,
     reach_interval,
 )
+from maee.harness import load_config
 from maee.params import SystemParams
+from maee.solver import optimize
 
 from conftest import make_instance, single_path_instance
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("movement_power", [SystemParams().movement_power, 0.0],
@@ -241,3 +247,28 @@ def test_results_invariant_to_power_of_two_link_scale(exponent, params):
         scaled_expansion = build_expansion(make_instance(seed, scaled), scaled.wavelength)
         assert evaluate_schemes(scaled_expansion, scaled) == evaluate_schemes(expansion, params)
         assert grid_global_ee(scaled_expansion, scaled) == grid_global_ee(expansion, params)
+
+
+@pytest.mark.parametrize("config", [None, "tight_power"])
+def test_searches_on_one_expansion_share_one_gain_grid(config, monkeypatch):
+    """The optimizer (with its restart scan under tight_power's rate floor),
+    every scheme, the oracle and the ceiling read the one lattice kept on
+    the expansion: only its first build evaluates the gain over more than
+    the three positions a slice adds."""
+    params = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
+    expansion = build_expansion(make_instance(4, params), params.wavelength)
+    sizes = []
+    original = channel.gain_eval
+
+    def counted(*args):
+        sizes.append(np.size(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(channel, "gain_eval", counted)
+    report = optimize(expansion, params)
+    assert (report.trace[0][1] != params.initial_position) == (config is not None)
+    evaluate_schemes(expansion, params)
+    grid_global_ee(expansion, params)
+    ee_upper_bound(expansion, params)
+    lattice = int(params.region_length / (params.wavelength / 500)) + 2
+    assert [size for size in sizes if size > 3] == [lattice]

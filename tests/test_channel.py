@@ -86,7 +86,7 @@ def test_build_expansion_hand_case():
     # One unit cross term at wavenumber spread 100 pi: gain 2 + 2 cos(100 pi x).
     for x, expected in ((0.0, 4.0), (0.0025, 2.0 + math.sqrt(2.0)), (0.005, 2.0), (0.01, 0.0)):
         assert gain_series(expansion, x) == pytest.approx(expected, abs=1e-12)
-    assert curvature_bound(expansion, 1.0) == pytest.approx(2.0 * (100.0 * math.pi) ** 2)
+    assert curvature_bound(expansion) == pytest.approx(2.0 * (100.0 * math.pi) ** 2)
 
 
 def test_build_expansion_conjugate_on_swap():
@@ -103,7 +103,7 @@ def test_build_expansion_conjugate_on_swap():
     e2 = build_expansion(small_swapped, 0.01)
     xs = np.linspace(0, 0.02, 64)
     np.testing.assert_allclose(gain_series(e2, xs), gain_series(e1, xs), rtol=1e-12)
-    assert curvature_bound(e2, 1.0) == pytest.approx(curvature_bound(e1, 1.0), rel=1e-12)
+    assert curvature_bound(e2) == pytest.approx(curvature_bound(e1), rel=1e-12)
     np.testing.assert_allclose(gain_eval(e1, xs), gain_eval(e2, xs), rtol=1e-12)
     # Full-size instance reversed: gain unchanged as well.
     e_full = build_expansion(instance, 0.01)
@@ -175,8 +175,8 @@ def test_gain_blocks_bounded_in_antennas_as_well_as_paths(monkeypatch):
     monkeypatch.setattr(channel, "_steering", recorded)
     xs = np.linspace(0.0, params.region_length, 101)
     gains = gain_eval(expansion, xs)
-    gain_derivative(expansion, params.max_tx_power, xs)
-    gain_second_derivative(expansion, params.max_tx_power, xs)
+    gain_derivative(expansion, xs)
+    gain_second_derivative(expansion, xs)
     assert max(rows) * params.num_bs_antennas <= channel._BLOCK_ENTRIES
     assert np.allclose(gains, direct_gain(instance, params.wavelength, xs), rtol=1e-9)
     for num_paths in (10, 30):
@@ -194,8 +194,8 @@ def test_gain_nonnegative(params):
 
 def test_gain_derivative_single_path_zero():
     expansion = build_expansion(single_path_instance(), 0.01)
-    assert gain_derivative(expansion, 1.0, 0.004) == 0.0
-    assert gain_second_derivative(expansion, 1.0, 0.004) == 0.0
+    assert gain_derivative(expansion, 0.004) == 0.0
+    assert gain_second_derivative(expansion, 0.004) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -207,7 +207,7 @@ def test_gain_derivative_matches_finite_difference(seed, params):
     step = 1e-8
     fd = (np.asarray(gain_eval(expansion, xs + step))
           - np.asarray(gain_eval(expansion, xs - step))) * tx / (2 * step)
-    analytic = gain_derivative(expansion, tx, xs)
+    analytic = tx * gain_derivative(expansion, xs)
     scale = slope_amplitude(instance, params.wavelength, tx)
     assert np.all(np.abs(fd - analytic) <= 1e-4 * np.maximum(np.abs(analytic), 1e-3 * scale))
 
@@ -221,8 +221,8 @@ def test_gain_second_derivative_matches_finite_difference(seed, params):
     fd = (np.asarray(gain_eval(expansion, xs + step))
           - 2 * np.asarray(gain_eval(expansion, xs))
           + np.asarray(gain_eval(expansion, xs - step))) * tx / step**2
-    analytic = gain_second_derivative(expansion, tx, xs)
-    scale = curvature_bound(expansion, tx)
+    analytic = tx * gain_second_derivative(expansion, xs)
+    scale = tx * curvature_bound(expansion)
     assert np.all(np.abs(fd - analytic) <= 1e-3 * np.maximum(np.abs(analytic), 1e-3 * scale))
 
 
@@ -231,20 +231,20 @@ def test_gain_derivative_small_at_grid_peak(params):
     xs = np.linspace(0.0, params.region_length, 10_000)
     gains = gain_eval(expansion, xs)
     idx = int(np.argmax(gains[1:-1])) + 1  # interior stationary point
-    derivs = gain_derivative(expansion, 1.0, xs)
+    derivs = gain_derivative(expansion, xs)
     assert abs(derivs[idx]) <= 1e-3 * float(np.max(np.abs(derivs)))
 
 
 def test_curvature_bound_single_path_floor():
     # A flat gain has zero curvature; no absolute floor stands in for it.
     expansion = build_expansion(single_path_instance(), 0.01)
-    assert curvature_bound(expansion, 1.0) == 0.0
+    assert curvature_bound(expansion) == 0.0
 
 
 def test_curvature_bound_hand_value():
     expansion = build_expansion(hand_instance(), 0.01)
     expected = 8.0 * math.pi**2 * 1.0 * 1.0 * 0.5**2 / 0.01**2
-    assert curvature_bound(expansion, 1.0) == pytest.approx(expected, rel=1e-15)
+    assert curvature_bound(expansion) == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -252,14 +252,8 @@ def test_curvature_bound_dominates_grid(seed, params):
     tx = params.max_tx_power
     expansion = build_expansion(make_instance(seed), params.wavelength)
     xs = np.linspace(0.0, params.region_length, 10_000)
-    eps = curvature_bound(expansion, tx)
-    assert np.max(gain_second_derivative(expansion, tx, xs)) <= eps * (1 + 1e-12)
-
-
-def test_curvature_bound_rejects_bad_power():
-    expansion = build_expansion(hand_instance(), 0.01)
-    with pytest.raises(ValueError):
-        curvature_bound(expansion, 0.0)
+    eps = tx * curvature_bound(expansion)
+    assert np.max(tx * gain_second_derivative(expansion, xs)) <= eps * (1 + 1e-12)
 
 
 def test_sample_instance_mean_power(params):

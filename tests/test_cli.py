@@ -12,7 +12,7 @@ import pytest
 from maee import channel
 from maee.cli import build_parser, cli_main
 from maee.harness import parse_config_text
-from maee.params import SystemParams
+from maee.params import MAX_BS_ANTENNAS, MAX_PATHS, MAX_RESPONSE_ENTRIES, SystemParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -161,6 +161,36 @@ def test_tiny_wavelength_exits_2_with_one_error_line(wavelength, tmp_path, capsy
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "wavelengths" in err
+
+
+@pytest.mark.parametrize("text", [
+    "P = 1e308 W\n",                   # P/v overflows: energy = inf * 0 = nan at rest
+    "P = 1e300 W\nv = 1e-10 m/s\n",    # the same through a slow antenna
+    "P_t = 1e308 W\n",                 # P_t T and P_t/sigma2 overflow
+], ids=["movement-power", "slow-speed", "transmit-power"])
+def test_overflowing_block_energy_exits_2_with_one_error_line(text, tmp_path, capsys):
+    config = tmp_path / "huge.cfg"
+    config.write_text(text)
+    for command in ("solve", "oracle", "check"):
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err
+
+
+@pytest.mark.parametrize("text", [
+    f"L = {MAX_PATHS + 1}\n",
+    f"N = {MAX_BS_ANTENNAS + 1}\n",
+    f"L = {MAX_RESPONSE_ENTRIES // MAX_BS_ANTENNAS + 1}\nN = {MAX_BS_ANTENNAS}\n",
+], ids=["paths", "antennas", "entries"])
+def test_paths_and_antennas_over_the_caps_exit_2(text, tmp_path, capsys):
+    # SystemParams rejects the shape before any instance is sampled
+    config = tmp_path / "big.cfg"
+    config.write_text(text)
+    code, out, err = run_cli(capsys, "solve", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceed the caps" in err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

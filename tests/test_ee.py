@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from maee import channel
 from maee.channel import build_expansion, gain_eval
 from maee.ee import (
     ee_upper_bound,
@@ -205,10 +206,9 @@ def test_grid_max_ties_stay_at_rest(interval, params):
     def bump(size):
         return lambda xs, gains: 1.0 + size * np.exp(-(10 * (xs - lo) / params.wavelength) ** 2)
 
-    assert grid_max(expansion, params, lo, hi, lambda xs, gains: 0.0 * gains + 1.0, None) \
-        == (x0, 1.0)
-    assert grid_max(expansion, params, lo, hi, bump(1e-13), None) == (x0, 1.0)
-    x, value = grid_max(expansion, params, lo, hi, bump(1e-9), None)
+    assert grid_max(expansion, params, lo, hi, lambda xs, gains: 0.0 * gains + 1.0) == (x0, 1.0)
+    assert grid_max(expansion, params, lo, hi, bump(1e-13)) == (x0, 1.0)
+    x, value = grid_max(expansion, params, lo, hi, bump(1e-9))
     assert x == lo and value == 1.0 + 1e-9
 
 
@@ -233,7 +233,7 @@ def test_ee_upper_bound_equality_when_recentered(params):
 def reachable_grid(params):
     """Positions of the reachable slice of the gain lattice."""
     expansion = build_expansion(make_instance(0), params.wavelength)
-    return grid_slice(expansion, params, *reach_interval(params), None)[0]
+    return grid_slice(expansion, params, *reach_interval(params))[0]
 
 
 def test_reachable_grid_spans_reach(params):
@@ -259,24 +259,67 @@ def test_reachable_grid_contains_rest_position(params):
 
 def test_grid_slice_reads_lattice_points_whatever_the_grid_length(params):
     """Point m is m * wavelength/500 on any grid, with the same gain, so a
-    slice of a longer grid equals the grid built for the slice alone."""
+    slice of a longer grid equals the grid built for the slice alone. Each
+    grid is built on a fresh expansion, which keeps no lattice yet."""
     for num_paths, num_antennas in ((10, 16), (30, 16), (1, 16), (3, 4)):
         scenario = replace(params, num_paths=num_paths, num_bs_antennas=num_antennas)
-        expansion = build_expansion(make_instance(1, scenario), params.wavelength)
+        instance = make_instance(1, scenario)
+
+        def fresh():
+            return build_expansion(instance, params.wavelength)
+
+        expansion = fresh()
         longest = gain_grid(expansion, params.wavelength, 16.5 * params.wavelength)
         # 2048 and 2049 points end on a full block and on a one-row tail
         for steps in (0.0, 0.5, 1000.0, 2045.5, 2046.5, 2047.5, 3500.0, 8000.0):
             length = steps * params.wavelength / 500
-            grid = gain_grid(expansion, params.wavelength, length)
+            grid = gain_grid(fresh(), params.wavelength, length)
             count = len(grid.xs)
-            assert count >= 2 and grid.xs[-1] >= length
+            assert count >= 2 and grid.xs[-1] >= length and count < len(longest.xs)
             assert np.array_equal(grid.xs, longest.xs[:count])
             assert np.array_equal(grid.gains, longest.gains[:count])
         region = replace(scenario, region_length=0.07, initial_position=0.0300001)
-        alone = grid_slice(expansion, region, 0.001, 0.05, None)
-        within = grid_slice(expansion, region, 0.001, 0.05, longest)
+        alone = grid_slice(fresh(), region, 0.001, 0.05)
+        within = grid_slice(expansion, region, 0.001, 0.05)
+        assert expansion.gain_grids[params.wavelength / 500] is longest
         for got, want in zip(within, alone):
             assert np.array_equal(got, want)
+
+
+def test_gain_grid_kept_on_its_expansion(params, monkeypatch):
+    """A lattice is built once per spacing and kept on the expansion: a
+    shorter request reads it, a longer one builds it again, and another
+    spacing or a copy made by dataclasses.replace builds its own."""
+    expansion = build_expansion(make_instance(0), params.wavelength)
+    sizes = []
+    original = channel.gain_eval
+
+    def counted(*args):
+        sizes.append(np.size(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(channel, "gain_eval", counted)
+    region, wavelength = params.region_length, params.wavelength
+
+    def points(length, wavelength=wavelength):
+        return int(length / (wavelength / 500)) + 2
+
+    first = gain_grid(expansion, wavelength, region)
+    assert sizes == [points(region)] and len(first.xs) == points(region)
+    assert gain_grid(expansion, wavelength, 0.5 * region) is first
+    assert gain_grid(expansion, wavelength, first.xs[-2]) is first
+    longer = gain_grid(expansion, wavelength, 2 * region)
+    assert sizes == [points(region), points(2 * region)]
+    assert np.array_equal(longer.gains[:len(first.xs)], first.gains)
+    assert gain_grid(expansion, wavelength, region) is longer
+    other = gain_grid(expansion, 2 * wavelength, region)
+    assert sizes[2:] == [points(region, 2 * wavelength)]
+    assert gain_grid(expansion, wavelength, region) is longer
+    assert gain_grid(expansion, 2 * wavelength, region) is other
+    copy = replace(expansion, constant=expansion.constant)
+    assert copy.gain_grids == {} and copy == expansion
+    gain_grid(copy, wavelength, region)
+    assert sizes[3:] == [points(region)]
 
 
 def test_zero_energy_position_has_zero_efficiency(params):

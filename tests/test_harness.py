@@ -255,8 +255,8 @@ def test_run_sweep_worker_counts_agree(tmp_path):
     r2, a2 = run_sweep(cfg2)
     p1 = emit_csv(r1, a1, tmp_path / "w1")
     p2 = emit_csv(r2, a2, tmp_path / "w2")
-    assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
-    assert open(p1[1], "rb").read() == open(p2[1], "rb").read()
+    assert Path(p1[0]).read_bytes() == Path(p2[0]).read_bytes()
+    assert Path(p1[1]).read_bytes() == Path(p2[1]).read_bytes()
 
 
 def fake_record(value, trial, ees, feasible):
@@ -299,9 +299,9 @@ def test_aggregate_all_infeasible_is_nan():
 
 def test_emit_csv_headers_only(tmp_path):
     raw_path, agg_path = emit_csv([], [], tmp_path / "empty")
-    assert open(raw_path).read() == \
+    assert Path(raw_path).read_text() == \
         "sweep_value,trial,scheme,x,ee,throughput,energy,feasible,seed\n"
-    assert open(agg_path).read() == "sweep_value,scheme,mean_ee,std_ee,feasible_frac,n\n"
+    assert Path(agg_path).read_text() == "sweep_value,scheme,mean_ee,std_ee,feasible_frac,n\n"
 
 
 def test_emit_csv_roundtrip_12_digits(tmp_path):

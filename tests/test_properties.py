@@ -70,6 +70,33 @@ def test_schemes_finite_and_ordered(params, seed):
         assert proposed.ee <= oracle.ee + oracle_slack(expansion, params, oracle)
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(movement_power=st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e),
+       speed=st.floats(-10.0, 1.0).map(lambda e: 10.0 ** e),
+       max_tx_power=st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e),
+       seed=st.integers(0, 2**32 - 1))
+# P/v overflows: the movement energy rate is inf, and inf * 0 is nan at rest.
+@example(movement_power=1e308, speed=0.2, max_tx_power=0.01, seed=0)
+@example(movement_power=1e300, speed=1e-10, max_tx_power=0.01, seed=0)
+# P_t T and P_t/sigma2 overflow: every scheme read ee=nan, throughput=inf.
+@example(movement_power=0.5, speed=0.2, max_tx_power=1e308, seed=0)
+def test_valid_params_give_finite_records_at_extreme_powers(movement_power, speed,
+                                                             max_tx_power, seed):
+    """Params whose block energy or SNR would overflow are rejected; any
+    params that construct give finite records for every scheme and the oracle."""
+    try:
+        params = SystemParams(movement_power=movement_power, speed=speed,
+                              max_tx_power=max_tx_power)
+    except ValueError as exc:
+        assert "overflows" in str(exc)
+        return
+    expansion = build_expansion(sample_instance(params, np.random.default_rng(seed)),
+                                params.wavelength)
+    records = [*evaluate_schemes(expansion, params).values(), grid_global_ee(expansion, params)]
+    assert all(math.isfinite(value) for r in records
+               for value in (r.ee, r.throughput, r.energy))
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(pathloss_exponent=st.floats(-20.0, 5.0), distance_exponent=st.floats(0.0, 4.0),
        num_paths=st.integers(1, 300), num_bs_antennas=st.integers(1, 16),

@@ -25,7 +25,7 @@ from conftest import make_instance, single_path_instance
 
 def curvature(expansion, params):
     """The instance's curvature bound, as optimize computes it once per run."""
-    return curvature_bound(expansion, params.max_tx_power)
+    return params.max_tx_power * curvature_bound(expansion)
 
 
 def scaled_gain(expansion, params, x):
@@ -42,7 +42,7 @@ class Tangent:
         self.center, self.expansion = center, expansion
         self.curvature = curvature(expansion, params)
         self.value = scaled_gain(expansion, params, center)
-        self.slope = gain_derivative(expansion, params.max_tx_power, center)
+        self.slope = params.max_tx_power * gain_derivative(expansion, center)
         self.half = 0.5 * self.curvature
         self.delta = max(abs(center - params.initial_position),
                          params.wavelength * DELTA_FLOOR_WAVELENGTHS)
