@@ -8,7 +8,10 @@ unit-modulus steering vector f(x) whose phases grow linearly in x; the power
 gain is |h(x)|^2. Grids are worked through a block of positions at a time,
 and the curvature bound and the reference series read the path-pair Gram
 matrix E E^H a block of rows at a time, so memory stays bounded for any grid
-length or path count.
+length or path count. On the uniform lattice m * spacing the steering row
+factors, f(m spacing) = f(q B spacing) * f(r spacing) for m = q B + r, so
+gain_lattice builds its rows from two small steering tables instead of one
+complex exponential per point and path.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from .params import SystemParams
 # row, which BLAS rounds differently, so no gain depends on the grid's length.
 _GAIN_BLOCK = 2048
 _BLOCK_ENTRIES = 32 * _GAIN_BLOCK
+# B, the rows of gain_lattice's table of steering rows f(r spacing), r < B. A
+# constant, so a lattice point's gain never depends on the lattice length;
+# B * MAX_PATHS <= _BLOCK_ENTRIES keeps the table within a block's bound.
+_LATTICE_INNER = 32
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,16 @@ def _block_rows(expansion: GainExpansion) -> int:
     return max(2, min(_GAIN_BLOCK, _BLOCK_ENTRIES // max(expansion.response_conj.shape)))
 
 
+def _reduce_blocks(count: int, block: int, rows, reduce) -> np.ndarray:
+    """reduce of the steering rows rows(start, stop) over 0 .. count - 1, block rows at a time."""
+    out = np.empty(count)
+    for start in range(0, count, block):
+        start = min(start, count - 2)  # a one-row tail takes the row before it too
+        stop = min(start + block, count)
+        out[start:stop] = reduce(rows(start, stop))
+    return out
+
+
 def _over_positions(expansion: GainExpansion, x, reduce) -> float | np.ndarray:
     """reduce of the steering rows at x: one vector for a float, blocks of rows for an array."""
     x_arr = np.asarray(x, dtype=float)
@@ -146,14 +163,23 @@ def _over_positions(expansion: GainExpansion, x, reduce) -> float | np.ndarray:
         out = np.full(x_arr.shape, value) if x_arr.ndim else value
     else:
         flat = x_arr.reshape(-1)
-        out = np.empty(flat.size)
-        block = _block_rows(expansion)
-        for start in range(0, flat.size, block):
-            start = min(start, flat.size - 2)  # a one-row tail takes the row before it too
-            stop = start + block
-            out[start:stop] = reduce(_steering(expansion.wavenumbers, flat[start:stop, None]))
-        out = out.reshape(x_arr.shape)
+        out = _reduce_blocks(flat.size, _block_rows(expansion), lambda start, stop: _steering(
+            expansion.wavenumbers, flat[start:stop, None]), reduce).reshape(x_arr.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def _squared_norms(h) -> float | np.ndarray:
+    """|h|^2 of one channel vector h = f conj(E), or of each row of a block."""
+    if h.ndim == 1:
+        return np.vdot(h, h).real
+    rows = h.view(np.float64)
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def _half_slopes(expansion: GainExpansion, f, h) -> float | np.ndarray:
+    """Re(h^H h') of one steering row f, or of each row of a block, with h = f conj(E)."""
+    h1 = (f * (1j * expansion.wavenumbers)) @ expansion.response_conj
+    return np.sum(h.conj() * h1, axis=-1).real
 
 
 def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
@@ -161,26 +187,53 @@ def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
     if expansion.num_paths == 1:
         out = np.full(np.shape(x), expansion.constant)
         return float(out) if out.ndim == 0 else out
+    return _over_positions(expansion, x, lambda f: _squared_norms(f @ expansion.response_conj))
 
-    def squared_norms(f):
-        h = f @ expansion.response_conj
-        if h.ndim == 1:
-            return np.vdot(h, h).real
-        rows = h.view(np.float64)
-        return np.einsum("ij,ij->i", rows, rows)
 
-    return _over_positions(expansion, x, squared_norms)
+def gain_lattice(expansion: GainExpansion, spacing: float, count: int) -> np.ndarray:
+    """Channel power gain at the lattice points m * spacing, m = 0 .. count - 1.
+
+    The steering phases grow linearly in x, so with B = _LATTICE_INNER the
+    row of point m = q B + r is f(q B spacing) * f(r spacing): a block takes
+    the products of the rows f(q B spacing) it spans with one table of the
+    B rows f(r spacing), one complex exponential per table entry instead of
+    one per point and path. A block of B rows or more is cut at multiples of
+    B, so the products hold no rows beyond the block's; smaller blocks come
+    only with over 2048 antennas, where two tables' worth of products stay
+    within the bound too. A one-row tail gets a row past the lattice rather
+    than the row before it. Point m gets the same gain at any count.
+    """
+    if expansion.num_paths == 1:
+        return np.full(count, expansion.constant)
+    wavenumbers, block = expansion.wavenumbers, _block_rows(expansion)
+    inner = _steering(wavenumbers, (np.arange(_LATTICE_INNER) * spacing)[:, None])
+    if block >= _LATTICE_INNER:
+        block -= block % _LATTICE_INNER
+
+    def rows(start, stop):
+        first, last = start // _LATTICE_INNER, (stop - 1) // _LATTICE_INNER
+        outer = np.arange(first, last + 1) * _LATTICE_INNER * spacing
+        f = (_steering(wavenumbers, outer[:, None])[:, None] * inner).reshape(-1, inner.shape[1])
+        return f[start - first * _LATTICE_INNER:stop - first * _LATTICE_INNER]
+
+    padded = max(count + (count % block == 1), 2)
+    lattice = _reduce_blocks(padded, block, rows,
+                             lambda f: _squared_norms(f @ expansion.response_conj))
+    return lattice[:count]
+
+
+def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
+    """gain_eval and gain_derivative at one position, from one steering row: the same floats."""
+    f = _steering(expansion.wavenumbers, float(x))
+    h = f @ expansion.response_conj
+    gain = expansion.constant if expansion.num_paths == 1 else float(_squared_norms(h))
+    return gain, 2.0 * float(_half_slopes(expansion, f, h))
 
 
 def gain_derivative(expansion: GainExpansion, x) -> float | np.ndarray:
     """d gain/dx = 2 Re(h^H h'), with h' = (f jk) conj(E)."""
-    jk, response_conj = 1j * expansion.wavenumbers, expansion.response_conj
-
-    def slope(f):
-        h, h1 = f @ response_conj, (f * jk) @ response_conj
-        return np.sum(h.conj() * h1, axis=-1).real
-
-    return 2.0 * _over_positions(expansion, x, slope)
+    return 2.0 * _over_positions(
+        expansion, x, lambda f: _half_slopes(expansion, f, f @ expansion.response_conj))
 
 
 def gain_second_derivative(expansion: GainExpansion, x) -> float | np.ndarray:

@@ -120,15 +120,15 @@ class GainGrid:
 def gain_grid(expansion: channel.GainExpansion, wavelength: float, length: float) -> GainGrid:
     """The GainGrid of points 0 .. length / spacing + 1, or a longer one kept on expansion.
 
-    A new grid takes one gain evaluation and replaces any shorter one in
-    expansion.gain_grids. Point m is the same at any length.
+    A new grid takes one channel.gain_lattice build and replaces any shorter
+    one in expansion.gain_grids. Point m is the same at any length.
     """
     spacing = wavelength / 500.0
     count = int(length / spacing) + 2
     grid = expansion.gain_grids.get(spacing)
     if grid is None or len(grid.xs) < count:
         xs = np.arange(count) * spacing
-        gains = channel.gain_eval(expansion, xs)
+        gains = channel.gain_lattice(expansion, spacing, count)
         xs.flags.writeable = gains.flags.writeable = False
         grid = expansion.gain_grids[spacing] = GainGrid(xs, gains)
     return grid

@@ -14,6 +14,12 @@ MAX_REGION_WAVELENGTHS = 1e4
 MAX_PATHS = 2000
 MAX_BS_ANTENNAS = 4096
 MAX_RESPONSE_ENTRIES = 2**20
+# Factor by which the SNR and curvature scales of a scenario must stay under
+# the float range. The scales are built on the mean |E|_F^2 = L N variance; a
+# drawn gain reaches L |E|_F^2, and the solver's surrogate multiplies it
+# further. Right at the bounds some schemes overflowed with a headroom of 1e7,
+# none with 1e9 (L <= 2000, N <= 16, eight seeds each).
+SCALE_HEADROOM = 1e12
 
 
 def db_to_linear(db: float) -> float:
@@ -111,6 +117,18 @@ class SystemParams:
         if not (math.isfinite(energy) and math.isfinite(tx_snr)):
             raise ValueError(f"block energy bound (P/v) A + P_t T = {energy} J or "
                              f"P_t/sigma2 = {tx_snr} overflows")
+        # The SNR scale P_t variance L N / sigma2 and the curvature scale
+        # P_t variance L N (4 pi / wavelength)^2, the latter also without P_t,
+        # which the curvature bound is first computed without.
+        gain_scale = SCALE_HEADROOM * variance * self.num_paths * self.num_bs_antennas
+        wavenumber = 4.0 * math.pi / self.wavelength
+        snr_scale = self.max_tx_power * gain_scale / self.noise_power
+        curvature_scale = max(self.max_tx_power, 1.0) * gain_scale * wavenumber * wavenumber
+        if not (math.isfinite(snr_scale) and math.isfinite(curvature_scale)):
+            raise ValueError(
+                f"SNR scale P_t L N var / sigma2 or curvature scale P_t L N var "
+                f"(4 pi / lambda)^2 overflows with headroom {SCALE_HEADROOM:g} "
+                f"(path gain variance var = {variance})")
 
     @property
     def move_energy_rate(self) -> float:

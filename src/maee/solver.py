@@ -25,7 +25,8 @@ convex subproblem therefore collapses to a one-dimensional concave search
 over a trust window around c, solved by a scan plus golden polish. The
 window always contains c itself, which makes the surrogate objective
 sequence nondecreasing by construction. The surrogate is built once per
-subproblem and the curvature constant once per optimize run. The scan
+subproblem, from the gain and slope of one steering row at c
+(channel.gain_and_slope), and the curvature constant once per optimize run. The scan
 evaluates the surrogate on an array of positions; the golden polish
 evaluates it on Python floats, with the same IEEE operations in the same
 order, so both give identical values.
@@ -96,8 +97,8 @@ def _build_surrogate(expansion: channel.GainExpansion, params: SystemParams,
     which math.log2 differs from in the last bit), so the two agree exactly.
     """
     x0, noise, speed = params.initial_position, params.noise_power, params.speed
-    value = params.max_tx_power * channel.gain_eval(expansion, center)
-    slope = params.max_tx_power * channel.gain_derivative(expansion, center)
+    gain, gain_slope = channel.gain_and_slope(expansion, center)
+    value, slope = params.max_tx_power * gain, params.max_tx_power * gain_slope
     half = 0.5 * curvature
     delta_local = max(abs(center - x0), params.wavelength * DELTA_FLOOR_WAVELENGTHS)
     gamma_local = max(math.log2(1.0 + max(value, 0.0) / noise), GAMMA_FLOOR)

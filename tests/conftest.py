@@ -1,8 +1,11 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from maee import channel
 from maee.channel import PathResponseMatrix, build_expansion, channel_vector, sample_instance
 from maee.params import SystemParams
 
@@ -10,6 +13,26 @@ from maee.params import SystemParams
 @pytest.fixture
 def params():
     return SystemParams()
+
+
+@pytest.fixture
+def gain_reads(monkeypatch):
+    """Records, from then on, the point count of each channel.gain_lattice build
+    (lattices) and the number of positions of each channel.gain_eval call (evals)."""
+    reads = SimpleNamespace(lattices=[], evals=[])
+    lattice, evaluate = channel.gain_lattice, channel.gain_eval
+
+    def counted_lattice(expansion, spacing, count):
+        reads.lattices.append(count)
+        return lattice(expansion, spacing, count)
+
+    def counted_eval(expansion, x):
+        reads.evals.append(np.size(x))
+        return evaluate(expansion, x)
+
+    monkeypatch.setattr(channel, "gain_lattice", counted_lattice)
+    monkeypatch.setattr(channel, "gain_eval", counted_eval)
+    return reads
 
 
 def make_instance(seed, params=None):

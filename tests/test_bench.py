@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maee import channel
 from maee.bench import (
     evaluate_schemes,
     grid_global_ee,
@@ -250,25 +249,17 @@ def test_results_invariant_to_power_of_two_link_scale(exponent, params):
 
 
 @pytest.mark.parametrize("config", [None, "tight_power"])
-def test_searches_on_one_expansion_share_one_gain_grid(config, monkeypatch):
+def test_searches_on_one_expansion_share_one_gain_grid(config, gain_reads):
     """The optimizer (with its restart scan under tight_power's rate floor),
     every scheme, the oracle and the ceiling read the one lattice kept on
-    the expansion: only its first build evaluates the gain over more than
+    the expansion: it is built once, and every gain evaluation takes at most
     the three positions a slice adds."""
     params = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
     expansion = build_expansion(make_instance(4, params), params.wavelength)
-    sizes = []
-    original = channel.gain_eval
-
-    def counted(*args):
-        sizes.append(np.size(args[1]))
-        return original(*args)
-
-    monkeypatch.setattr(channel, "gain_eval", counted)
     report = optimize(expansion, params)
     assert (report.trace[0][1] != params.initial_position) == (config is not None)
     evaluate_schemes(expansion, params)
     grid_global_ee(expansion, params)
     ee_upper_bound(expansion, params)
-    lattice = int(params.region_length / (params.wavelength / 500)) + 2
-    assert [size for size in sizes if size > 3] == [lattice]
+    assert gain_reads.lattices == [int(params.region_length / (params.wavelength / 500)) + 2]
+    assert max(gain_reads.evals) <= 3

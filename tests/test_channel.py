@@ -10,8 +10,10 @@ from maee.channel import (
     build_expansion,
     channel_vector,
     curvature_bound,
+    gain_and_slope,
     gain_derivative,
     gain_eval,
+    gain_lattice,
     gain_second_derivative,
     gain_series,
     sample_instance,
@@ -183,6 +185,78 @@ def test_gain_blocks_bounded_in_antennas_as_well_as_paths(monkeypatch):
         default = SystemParams(num_paths=num_paths)
         assert channel._block_rows(
             build_expansion(make_instance(0, default), default.wavelength)) == 2048
+
+
+@pytest.mark.parametrize("num_paths, num_antennas, track_wavelengths", [
+    (1, 16, 2.0), (2, 4, 1e3), (10, 16, 1e4), (30, 16, 16.0), (200, 64, 100.0)])
+def test_gain_lattice_matches_gain_eval(num_paths, num_antennas, track_wavelengths):
+    """The lattice built from two steering tables is the gain at its points,
+    to the phase rounding both forms carry, out to 1e4 wavelengths."""
+    params = SystemParams(num_paths=num_paths, num_bs_antennas=num_antennas)
+    expansion = build_expansion(make_instance(0, params), params.wavelength)
+    spacing = params.wavelength / 500
+    count = int(track_wavelengths * 500) + 2
+    lattice = gain_lattice(expansion, spacing, count)
+    assert lattice.shape == (count,)
+    points = np.unique(np.r_[np.linspace(0, count - 1, 2001).astype(int), np.arange(70)])
+    direct = gain_eval(expansion, points * spacing)
+    assert np.all(np.abs(lattice[points] - direct) <= 1e-9 * expansion.constant)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 33, 2049, 4097])
+def test_gain_lattice_points_do_not_depend_on_its_length(count):
+    params = SystemParams(num_paths=30)
+    expansion = build_expansion(make_instance(2, params), params.wavelength)
+    longest = gain_lattice(expansion, params.wavelength / 500, 4100)
+    assert np.array_equal(gain_lattice(expansion, params.wavelength / 500, count),
+                          longest[:count])
+
+
+@pytest.mark.parametrize("num_paths, num_antennas, count", [(2000, 524, 20_000),
+                                                            (10, 4096, 300_000)])
+def test_gain_lattice_arrays_bounded_by_a_block(num_paths, num_antennas, count, monkeypatch):
+    """No steering table, steering block or channel block of the lattice holds
+    more than rows x max(L, N) entries, whatever its length: counted on each
+    array the kernel builds, with the channel products skipped so the test
+    stays small, then by tracemalloc's peak on a short lattice with them."""
+    params = SystemParams(num_paths=num_paths, num_bs_antennas=num_antennas)
+    expansion = build_expansion(make_instance(0, params), params.wavelength)
+    bound = channel._block_rows(expansion) * max(num_paths, num_antennas)
+    sizes, steering, blocks = [], channel._steering, channel._reduce_blocks
+
+    def recorded_steering(wavenumbers, x):
+        sizes.append(np.size(x) * wavenumbers.size)
+        return steering(wavenumbers, x)
+
+    def recorded_blocks(count, block, rows, reduce):
+        def recorded_rows(start, stop):
+            f = rows(start, stop)
+            sizes.append(f.base.size if f.base is not None else f.size)
+            return f
+        return blocks(count, block, recorded_rows, lambda f: np.zeros(len(f)))
+
+    monkeypatch.setattr(channel, "_steering", recorded_steering)
+    monkeypatch.setattr(channel, "_reduce_blocks", recorded_blocks)
+    gain_lattice(expansion, params.wavelength / 500, count)
+    assert len(sizes) > count // channel._block_rows(expansion)
+    assert max(sizes) <= bound
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        gain_lattice(expansion, params.wavelength / 500, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * bound
+
+
+def test_gain_and_slope_equal_gain_eval_and_gain_derivative_bit_for_bit(params):
+    for seed, num_paths in ((0, 10), (1, 1), (2, 30)):
+        scenario = SystemParams(num_paths=num_paths)
+        expansion = build_expansion(make_instance(seed, scenario), params.wavelength)
+        for x in (0.0, 0.0031, np.float64(0.0123), params.region_length):
+            assert gain_and_slope(expansion, x) == (gain_eval(expansion, x),
+                                                    gain_derivative(expansion, x))
 
 
 def test_gain_nonnegative(params):

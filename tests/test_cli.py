@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from maee import channel
@@ -69,23 +68,35 @@ def test_sweep_end_to_end(tmp_path, capsys):
         "proposed", "upper_bound", "max_throughput", "max_snr", "fpa"}
 
 
-@pytest.mark.parametrize("argv, grids", [(("solve", "--seed", "3"), 1),
-                                          (("check", "--trials", "2"), 4)],
+@pytest.mark.parametrize("argv, instances", [(("solve", "--seed", "3"), 1),
+                                              (("check", "--trials", "2"), 2)],
                          ids=["solve", "check"])
-def test_one_gain_grid_per_instance(argv, grids, monkeypatch, capsys):
-    """solve evaluates the gain over many points once, on its one gain grid;
-    check twice per trial, on its 1001 sample points and on the grid."""
-    original, sizes = channel.gain_eval, []
+def test_one_gain_grid_per_instance(argv, instances, gain_reads, capsys):
+    """Each instance builds one gain lattice, and every search reads slices of
+    it: solve evaluates the gain at no more than the three positions a slice
+    adds. check also evaluates it on its own samples: the 1001 positions and
+    the lattice slice of its closed-form row, and five 21-point finite
+    difference stencils."""
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lattice = int(SystemParams().region_length / (SystemParams().wavelength / 500)) + 2
+    assert gain_reads.lattices == [lattice] * instances
+    samples = [1001, 1001] + [21] * 5 if argv[0] == "check" else []
+    assert [size for size in gain_reads.evals if size > 3] == samples * instances
 
-    def counted(expansion, x):
-        sizes.append(np.size(x))
-        return original(expansion, x)
 
-    _, expected, _ = run_cli(capsys, *argv)
-    monkeypatch.setattr(channel, "gain_eval", counted)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and out == expected
-    assert len([size for size in sizes if size > 100]) == grids
+def test_check_fails_a_lattice_off_by_a_millionth(monkeypatch, capsys):
+    """The closed-form row compares the gain lattice with gain_eval as well as
+    the series: a lattice 1e-6 x constant off fails that row."""
+    original = channel.gain_lattice
+
+    def shifted(expansion, spacing, count):
+        return original(expansion, spacing, count) + 1e-6 * expansion.constant
+
+    monkeypatch.setattr(channel, "gain_lattice", shifted)
+    code, out, _ = run_cli(capsys, "check", "--trials", "1")
+    assert code == 1
+    assert "FAIL trial=0 closed-form equivalence" in out
 
 
 def test_check_command(capsys):
@@ -167,7 +178,10 @@ def test_tiny_wavelength_exits_2_with_one_error_line(wavelength, tmp_path, capsy
     "P = 1e308 W\n",                   # P/v overflows: energy = inf * 0 = nan at rest
     "P = 1e300 W\nv = 1e-10 m/s\n",    # the same through a slow antenna
     "P_t = 1e308 W\n",                 # P_t T and P_t/sigma2 overflow
-], ids=["movement-power", "slow-speed", "transmit-power"])
+    "rho_0 = 3080 dB\n",               # the gain's scale: every scheme read ee=inf
+    # the curvature's scale: the surrogate went nan and proposed stayed at rest
+    "lambda = 1e-200 m\nA = 2e-200 m\nx0 = 1e-200 m\n",
+], ids=["movement-power", "slow-speed", "transmit-power", "snr-scale", "curvature-scale"])
 def test_overflowing_block_energy_exits_2_with_one_error_line(text, tmp_path, capsys):
     config = tmp_path / "huge.cfg"
     config.write_text(text)

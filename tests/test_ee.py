@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maee import channel
 from maee.channel import build_expansion, gain_eval
 from maee.ee import (
     ee_upper_bound,
@@ -286,19 +285,13 @@ def test_grid_slice_reads_lattice_points_whatever_the_grid_length(params):
             assert np.array_equal(got, want)
 
 
-def test_gain_grid_kept_on_its_expansion(params, monkeypatch):
+def test_gain_grid_kept_on_its_expansion(params, gain_reads):
     """A lattice is built once per spacing and kept on the expansion: a
     shorter request reads it, a longer one builds it again, and another
-    spacing or a copy made by dataclasses.replace builds its own."""
+    spacing or a copy made by dataclasses.replace builds its own. No build
+    evaluates the gain point by point."""
     expansion = build_expansion(make_instance(0), params.wavelength)
-    sizes = []
-    original = channel.gain_eval
-
-    def counted(*args):
-        sizes.append(np.size(args[1]))
-        return original(*args)
-
-    monkeypatch.setattr(channel, "gain_eval", counted)
+    sizes = gain_reads.lattices
     region, wavelength = params.region_length, params.wavelength
 
     def points(length, wavelength=wavelength):
@@ -320,6 +313,7 @@ def test_gain_grid_kept_on_its_expansion(params, monkeypatch):
     assert copy.gain_grids == {} and copy == expansion
     gain_grid(copy, wavelength, region)
     assert sizes[3:] == [points(region)]
+    assert gain_reads.evals == []
 
 
 def test_zero_energy_position_has_zero_efficiency(params):

@@ -14,7 +14,10 @@ so the solver takes its grid restart on all 15 trial-values), and slow_power
 from the same command with --config tests/golden/slow_power/params.cfg
 --out tests/golden/slow_power (v = 0.0019 m/s: the reach v T = 0.0095 m is
 under half the track, so max_snr searches its own reachable interval and
-max_throughput a clipped grid). Rerun the command to regenerate a sweep's
+max_throughput a clipped grid), and long_power from the same command with
+--config tests/golden/long_power/params.cfg --out tests/golden/long_power
+(L = 30 paths on a 16-wavelength track: every trial reads an 8,002-point
+gain lattice). Rerun the command to regenerate a sweep's
 files after a change that is meant to move the numbers.
 """
 
@@ -28,7 +31,7 @@ from maee.params import SystemParams
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SWEEP_VARIABLE = {"power": "power", "region": "region", "tight_power": "power",
-                  "slow_power": "power"}
+                  "slow_power": "power", "long_power": "power"}
 
 
 def first_difference(expected: str, actual: str) -> str:

@@ -180,24 +180,20 @@ def test_power_sweep_shares_movement_power_free_results():
     # R_TH = 10: the solver restarts from its grid scan
     ("power", (0.1, 0.5, 1.0, 2.0, 5.0), "tight_power"),
 ])
-def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, monkeypatch):
+def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, gain_reads,
+                                              monkeypatch):
     """Every grid search of a trial (the ceiling, max_snr, max_throughput and
     the solver's restart scan) reads a slice of one gain grid over the longest
-    region: one gain evaluation spans the lattice, and every other one takes
-    the at most three positions a slice adds (its ends and the rest position)
-    or a single polish position."""
-    sizes, restarts = [], []
-    original_gain, original_restart = channel.gain_eval, solver._best_feasible_position
-
-    def counted_gain(*args):
-        sizes.append(np.size(args[1]))
-        return original_gain(*args)
+    region: one lattice build per trial, and every gain evaluation takes the
+    at most three positions a slice adds (its ends and the rest position) or
+    a single polish position."""
+    restarts = []
+    original_restart = solver._best_feasible_position
 
     def counted_restart(*args):
         restarts.append(args[1].movement_power)
         return original_restart(*args)
 
-    monkeypatch.setattr(channel, "gain_eval", counted_gain)
     monkeypatch.setattr(solver, "_best_feasible_position", counted_restart)
     base = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
     # master seed 0 as in the golden sweeps: no trial of tight_power starts feasible
@@ -206,7 +202,8 @@ def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, monkeypa
     run_sweep(cfg)
     longest = params_for_value(base, variable, values[-1]).region_length
     lattice = int(longest / (base.wavelength / 500)) + 2
-    assert [size for size in sizes if size > 3] == [lattice, lattice]
+    assert gain_reads.lattices == [lattice, lattice]
+    assert max(gain_reads.evals) <= 3
     assert len(restarts) == (2 * len(values) if config else 0)
 
 

@@ -114,3 +114,47 @@ def test_gain_finite_and_nonnegative_at_extreme_scales(pathloss_exponent, distan
     assert gain_eval(expansion, params.initial_position) >= 0.0
     # Same function as the series, to float error relative to the gain's scale.
     assert np.all(np.abs(gains - gain_series(expansion, xs)) <= 1e-9 * expansion.constant)
+
+
+
+def scenario_at(scale, value, num_paths, num_bs_antennas):
+    """Default params but for rho_0 = value dB, or for a wavelength of 10^-value m
+    with the track and rest position scaled with it: larger values overflow."""
+    if scale == "rho_0":
+        return SystemParams(pathloss_ref=10.0 ** (value / 10.0), num_paths=num_paths,
+                            num_bs_antennas=num_bs_antennas)
+    wavelength = 10.0 ** -value
+    return SystemParams(wavelength=wavelength, region_length=2.0 * wavelength,
+                        initial_position=wavelength, num_paths=num_paths,
+                        num_bs_antennas=num_bs_antennas)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(scale=st.sampled_from(["rho_0", "wavelength"]), margin=st.floats(0.0, 1.0),
+       num_paths=st.integers(1, 30), num_bs_antennas=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_params_at_the_gain_and_curvature_scale_bounds_give_finite_records(
+        scale, margin, num_paths, num_bs_antennas, seed):
+    """Params whose SNR or curvature scale would overflow are rejected. Params
+    up to a margin (dB of rho_0, decades of wavelength) inside that bound give
+    finite records for every scheme and the oracle, with no RuntimeWarning."""
+    def at(value):
+        return scenario_at(scale, value, num_paths, num_bs_antennas)
+
+    accepted, rejected = (-40.0, 3080.0) if scale == "rho_0" else (2.0, 200.0)
+    for _ in range(60):
+        middle = 0.5 * (accepted + rejected)
+        try:
+            at(middle)
+            accepted = middle
+        except ValueError as exc:
+            assert "overflows" in str(exc)
+            rejected = middle
+    with pytest.raises(ValueError, match="overflows"):
+        at(accepted + 1.0)
+    params = at(accepted - margin)
+    expansion = build_expansion(sample_instance(params, np.random.default_rng(seed)),
+                                params.wavelength)
+    records = [*evaluate_schemes(expansion, params).values(), grid_global_ee(expansion, params)]
+    assert all(math.isfinite(value) for r in records
+               for value in (r.ee, r.throughput, r.energy))

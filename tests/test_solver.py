@@ -394,7 +394,7 @@ def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
     The other gain reads are optimize's efficiency checks (the start and one
     after each inner loop), all at single positions; no final recheck."""
     calls, sizes = Counter(), set()
-    for module, name in ((solver, "solve_subproblem"), (solver.channel, "gain_derivative"),
+    for module, name in ((solver, "solve_subproblem"), (solver.channel, "gain_and_slope"),
                          (solver.channel, "gain_eval")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
@@ -403,8 +403,26 @@ def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
     optimize(build_expansion(make_instance(1), params.wavelength), params)
-    assert calls == {"solve_subproblem": 2, "gain_derivative": 3, "gain_eval": 5}
+    assert calls == {"solve_subproblem": 2, "gain_and_slope": 3, "gain_eval": 2}
     assert sizes == {1}
+
+
+def test_surrogate_built_from_one_steering_row(params, monkeypatch):
+    """A surrogate build reads the gain and its slope at the center off one
+    steering row, and evaluating the surrogate reads the channel no more."""
+    expansion = build_expansion(make_instance(3), params.wavelength)
+    calls, original = [], solver.channel._steering
+
+    def counted(wavenumbers, x):
+        calls.append(np.size(x))
+        return original(wavenumbers, x)
+
+    monkeypatch.setattr(solver.channel, "_steering", counted)
+    objective = _build_surrogate(expansion, params, 0.0123, 100.0,
+                                 params.max_tx_power * curvature_bound(expansion))
+    objective(np.linspace(0.01, 0.015, 65))
+    objective(0.0125)
+    assert calls == [1]
 
 
 def test_optimize_reports_the_accepted_record_when_a_subproblem_fails(params, monkeypatch):
