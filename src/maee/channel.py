@@ -30,7 +30,8 @@ _GAIN_BLOCK = 2048
 _BLOCK_ENTRIES = 32 * _GAIN_BLOCK
 # B, the rows of gain_lattice's table of steering rows f(r spacing), r < B. A
 # constant, so a lattice point's gain never depends on the lattice length;
-# B * MAX_PATHS <= _BLOCK_ENTRIES keeps the table within a block's bound.
+# B * params.MAX_PATHS <= _BLOCK_ENTRIES keeps the table within a block's
+# bound, which the tests check at the parameter caps.
 _LATTICE_INNER = 32
 
 

@@ -163,14 +163,19 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
 
     Scans the grid_slice of [lo, hi] and golden-polishes its best cell on
     single floats, with the gain there. Ties prefer not moving: the rest
-    position, which the slice holds, wins when within _TIE_RTOL of the best.
+    position wins when within _TIE_RTOL of the best. Its value is read as the
+    polish reads a position, not off the lattice, whose gains differ from
+    gain_eval's by phase rounding (up to ~1e-11 of the constant at 1e4
+    wavelengths), so the tie never turns on that gap.
     """
     xs, gains = grid_slice(expansion, params, lo, hi)
-    values = objective(xs, gains)
-    best_x, best = search.grid_polish_max(
-        lambda t: objective(t, channel.gain_eval(expansion, t)), xs, values,
-        tol=params.wavelength * POLISH_TOL_WAVELENGTHS)
-    rest = values[np.searchsorted(xs, params.initial_position)]
+
+    def polish(t):
+        return objective(t, channel.gain_eval(expansion, t))
+
+    best_x, best = search.grid_polish_max(polish, xs, objective(xs, gains),
+                                          tol=params.wavelength * POLISH_TOL_WAVELENGTHS)
+    rest = polish(params.initial_position)
     if rest >= best - _TIE_RTOL * abs(best):
         return params.initial_position, float(rest)
     return best_x, float(best)

@@ -65,7 +65,11 @@ def grid_polish_max(f, xs, values, tol: float) -> tuple[float, float]:
 
     values[i] is the objective at xs[i], computed by the caller (from gains
     it already holds, or by one array call of f); the polish passes f single
-    Python floats, so f must give the value the caller would for a position.
+    Python floats, so f must give the value the caller would for a position,
+    up to rounding: ee.grid_max's values come from the gain lattice, whose
+    gains differ from gain_eval's by up to ~1e-11 of the channel constant at
+    1e4 wavelengths, which can only decide between the best grid point and a
+    polish point of its bracket.
     The first grid argmax wins on ties, so equal-objective results resolve to
     the smallest x. A scan that is -inf everywhere (nothing admissible on the
     grid) is returned as is, without a polish.

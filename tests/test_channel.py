@@ -18,7 +18,7 @@ from maee.channel import (
     gain_series,
     sample_instance,
 )
-from maee.params import SystemParams
+from maee.params import MAX_BS_ANTENNAS, MAX_PATHS, MAX_RESPONSE_ENTRIES, SystemParams
 
 from conftest import (direct_gain, field_response, hand_instance, make_instance,
                       single_path_instance, slope_amplitude)
@@ -212,13 +212,17 @@ def test_gain_lattice_points_do_not_depend_on_its_length(count):
                           longest[:count])
 
 
-@pytest.mark.parametrize("num_paths, num_antennas, count", [(2000, 524, 20_000),
-                                                            (10, 4096, 300_000)])
+@pytest.mark.parametrize("num_paths, num_antennas, count", [
+    (MAX_PATHS, MAX_RESPONSE_ENTRIES // MAX_PATHS, 20_000),
+    (MAX_RESPONSE_ENTRIES // MAX_BS_ANTENNAS, MAX_BS_ANTENNAS, 20_000),
+    (10, MAX_BS_ANTENNAS, 300_000)])
 def test_gain_lattice_arrays_bounded_by_a_block(num_paths, num_antennas, count, monkeypatch):
     """No steering table, steering block or channel block of the lattice holds
     more than rows x max(L, N) entries, whatever its length: counted on each
     array the kernel builds, with the channel products skipped so the test
-    stays small, then by tracemalloc's peak on a short lattice with them."""
+    stays small, then by tracemalloc's peak on a short lattice with them. The
+    shapes are the caps of SystemParams, so raising a cap past what the
+    lattice's table of _LATTICE_INNER rows allows fails here."""
     params = SystemParams(num_paths=num_paths, num_bs_antennas=num_antennas)
     expansion = build_expansion(make_instance(0, params), params.wavelength)
     bound = channel._block_rows(expansion) * max(num_paths, num_antennas)

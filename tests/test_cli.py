@@ -76,9 +76,13 @@ def test_one_gain_grid_per_instance(argv, instances, gain_reads, capsys):
     it: solve evaluates the gain at no more than the three positions a slice
     adds. check also evaluates it on its own samples: the 1001 positions and
     the lattice slice of its closed-form row, and five 21-point finite
-    difference stencils."""
-    code, _, _ = run_cli(capsys, *argv)
-    assert code == 0
+    difference stencils. A second run in the same process reads no lattice
+    kept from the first and prints the same."""
+    _, expected, _ = run_cli(capsys, *argv)
+    gain_reads.lattices.clear()
+    gain_reads.evals.clear()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
     lattice = int(SystemParams().region_length / (SystemParams().wavelength / 500)) + 2
     assert gain_reads.lattices == [lattice] * instances
     samples = [1001, 1001] + [21] * 5 if argv[0] == "check" else []

@@ -285,6 +285,21 @@ def test_grid_slice_reads_lattice_points_whatever_the_grid_length(params):
             assert np.array_equal(got, want)
 
 
+def test_grid_max_reads_the_rest_value_off_gain_eval(params):
+    """The stay-at-rest tie reads the rest value as the polish reads a
+    position, with gain_eval, not off the lattice: 1,000 wavelengths out, at
+    lattice point 499,000, the two gains differ in their phase rounding."""
+    far = replace(params, region_length=10.0, initial_position=9.98)
+    x0 = far.initial_position
+    expansion = build_expansion(make_instance(0, far), far.wavelength)
+    x, value = grid_max(expansion, far, 9.9, 10.0,
+                        lambda xs, gains: np.where(xs == x0, gains, 0.0))
+    lattice = gain_grid(expansion, far.wavelength, 10.0)
+    rest = np.searchsorted(lattice.xs, x0)
+    assert lattice.xs[rest] == x0
+    assert x == x0 and value == gain_eval(expansion, x0) != lattice.gains[rest]
+
+
 def test_gain_grid_kept_on_its_expansion(params, gain_reads):
     """A lattice is built once per spacing and kept on the expansion: a
     shorter request reads it, a longer one builds it again, and another

@@ -17,7 +17,10 @@ under half the track, so max_snr searches its own reachable interval and
 max_throughput a clipped grid), and long_power from the same command with
 --config tests/golden/long_power/params.cfg --out tests/golden/long_power
 (L = 30 paths on a 16-wavelength track: every trial reads an 8,002-point
-gain lattice). Rerun the command to regenerate a sweep's
+gain lattice), and long_track from the same command with
+--config tests/golden/long_track/params.cfg --out tests/golden/long_track
+(a 1,000-wavelength track, where lattice and single-point gains carry the
+phase rounding of positions up to 10 m). Rerun the command to regenerate a sweep's
 files after a change that is meant to move the numbers.
 """
 
@@ -31,7 +34,8 @@ from maee.params import SystemParams
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SWEEP_VARIABLE = {"power": "power", "region": "region", "tight_power": "power",
-                  "slow_power": "power", "long_power": "power"}
+                  "slow_power": "power", "long_power": "power",
+                  "long_track": "power"}
 
 
 def first_difference(expected: str, actual: str) -> str:
