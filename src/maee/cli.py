@@ -122,8 +122,9 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     direct = channel.gain_eval(expansion, xs)
     series = channel.gain_series(expansion, xs)
     grid = ee.gain_grid(expansion, params.wavelength, params.region_length)
-    stride = max(1, len(grid.xs) // 1000)
-    lattice = channel.gain_eval(expansion, grid.xs[::stride]) - grid.gains[::stride]
+    stride = max(1, len(grid.gains) // 1000)
+    at = np.arange(0, len(grid.gains), stride) * grid.spacing
+    lattice = channel.gain_eval(expansion, at) - grid.gains[::stride]
     closed_form = bool(np.all(np.abs(series - direct) <= 1e-9 * expansion.constant)
                        and np.all(np.abs(lattice) <= 1e-9 * expansion.constant))
 

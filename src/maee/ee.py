@@ -111,9 +111,13 @@ def reach_interval(params: SystemParams) -> tuple[float, float]:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class GainGrid:
-    """The gain at lattice points m * wavelength/500, m = 0, 1, ..., of one channel."""
+    """The gain at lattice points m * spacing, m = 0, 1, ..., of one channel.
 
-    xs: np.ndarray
+    spacing is wavelength/500. Point m's position is m * spacing, computed
+    where it is needed; no array of positions is kept.
+    """
+
+    spacing: float
     gains: np.ndarray
 
 
@@ -126,12 +130,30 @@ def gain_grid(expansion: channel.GainExpansion, wavelength: float, length: float
     spacing = wavelength / 500.0
     count = int(length / spacing) + 2
     grid = expansion.gain_grids.get(spacing)
-    if grid is None or len(grid.xs) < count:
-        xs = np.arange(count) * spacing
+    if grid is None or len(grid.gains) < count:
         gains = channel.gain_lattice(expansion, spacing, count)
-        xs.flags.writeable = gains.flags.writeable = False
-        grid = expansion.gain_grids[spacing] = GainGrid(xs, gains)
+        gains.flags.writeable = False
+        grid = expansion.gain_grids[spacing] = GainGrid(spacing, gains)
     return grid
+
+
+def _rank(grid: GainGrid, x: float, side: str) -> int:
+    """np.searchsorted(positions, x, side) of the grid's positions m * spacing, by arithmetic.
+
+    x / spacing lands next to the answer; stepping over the neighbours until
+    the comparison turns settles it exactly.
+    """
+    count, spacing = len(grid.gains), grid.spacing
+
+    def before(m):
+        return m * spacing < x or (side == "right" and m * spacing == x)
+
+    m = min(max(int(x / spacing), 0), count)
+    while m > 0 and not before(m - 1):
+        m -= 1
+    while m < count and before(m):
+        m += 1
+    return m
 
 
 def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float,
@@ -141,8 +163,8 @@ def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float
     The gains of added points are evaluated here.
     """
     grid = gain_grid(expansion, params.wavelength, hi)
-    start, stop = np.searchsorted(grid.xs, lo), np.searchsorted(grid.xs, hi, side="right")
-    xs, gains = grid.xs[start:stop], grid.gains[start:stop]
+    start, stop = _rank(grid, lo, "left"), _rank(grid, hi, "right")
+    xs, gains = np.arange(start, stop) * grid.spacing, grid.gains[start:stop]
     missing = sorted({x for x in (lo, hi, params.initial_position) if x not in xs})
     if missing:
         at = np.searchsorted(xs, missing)

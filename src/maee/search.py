@@ -1,4 +1,4 @@
-"""Deterministic bounded scalar maximization: grid scan plus golden polish."""
+"""Deterministic bounded scalar maximization: grid scan plus golden polish, for ee.grid_max."""
 
 from __future__ import annotations
 
@@ -8,11 +8,6 @@ import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def insert_sorted(xs: np.ndarray, x: float) -> np.ndarray:
-    """The sorted grid xs with x inserted in order, or xs itself if it already holds x."""
-    return xs if x in xs else np.insert(xs, int(np.searchsorted(xs, x)), x)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -64,7 +59,7 @@ def grid_polish_max(f, xs, values, tol: float) -> tuple[float, float]:
     """Take the best of values on the sorted grid xs, then golden-polish its cell with f.
 
     values[i] is the objective at xs[i], computed by the caller (from gains
-    it already holds, or by one array call of f); the polish passes f single
+    it already holds); the polish passes f single
     Python floats, so f must give the value the caller would for a position,
     up to rounding: ee.grid_max's values come from the gain lattice, whose
     gains differ from gain_eval's by up to ~1e-11 of the channel constant at

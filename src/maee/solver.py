@@ -21,46 +21,56 @@ objective, so the surrogate minorizes it and touches it at c.
 For a fixed position the slacks then have closed-form optima (the rate term
 takes the lower Taylor bound; the travel slack meets the distance and the
 rate slack the linearized rate constraint under the upper bound). Each
-convex subproblem therefore collapses to a one-dimensional concave search
-over a trust window around c, solved by a scan plus golden polish. The
-window always contains c itself, which makes the surrogate objective
-sequence nondecreasing by construction. The surrogate is built once per
-subproblem, from the gain and slope of one steering row at c
-(channel.gain_and_slope), and the curvature constant once per optimize run. The scan
-evaluates the surrogate on an array of positions; the golden polish
-evaluates it on Python floats, with the same IEEE operations in the same
-order, so both give identical values.
+convex subproblem therefore collapses to a one-dimensional search over a
+trust window around c, solved directly. On either side of the rest position
+x0 the travel slack is linear in x, so the eliminated objective is concave
+on every interval where the clipped lower Taylor bound beta (see
+_build_surrogate) stays positive or stays 0: the rate term is a
+log of a concave quadratic, the AM-GM terms are minus squares of a linear
+function and of a clipped convex quadratic, and the movement term is linear
+in the travel slack, whatever the sign of P - P_t. The window is cut at x0
+and at the roots of beta into at most four such pieces, and each piece's
+maximizer is an end or a root of the closed-form derivative. The rate floor
+cuts each piece to one interval, because the objective without its movement
+term is concave there too; its ends are roots as well, placed FEASIBILITY_SLACK
+above the floor so the true rate there passes. The candidates always
+include c itself, which makes the surrogate objective sequence nondecreasing
+by construction. optimize reads the gain and slope of each iterate once, off
+one steering row (channel.gain_and_slope), and takes both the iterate's true
+efficiency and the next surrogate from them; the curvature constant is
+computed once per run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import channel, ee, search
+from . import channel, ee
 from .params import SystemParams
 
 DELTA_FLOOR_WAVELENGTHS = 1e-6   # keeps the AM-GM coefficients finite at zero travel
 GAMMA_FLOOR = 1e-12              # bits/Hz floor for the rate-slack local point
 TRUST_WINDOW_WAVELENGTHS = 0.25  # half-width of the subproblem search window
-FEASIBILITY_SLACK = 1e-9         # absolute slack on the throughput constraint
+_ROOT_TOL_WAVELENGTHS = 1e-12    # a root's bracket stops shrinking at this width
+FEASIBILITY_SLACK = 1e-9         # bits/Hz of slack on the rate floor (see solve_subproblem)
 OUTER_CAP = 100                  # Dinkelbach iterations per run
 INNER_CAP = 50                   # SCA subproblems per Dinkelbach iteration
-_SCAN_POINTS = 65
 
 
 @dataclass
 class SolverReport:
     """Outcome of one optimizer run.
 
-    result is the true efficiency record (ee.efficiency_at) of the last
-    accepted iterate, never read off a surrogate: the start, the restart, or
-    the last outer iterate that passed the check. For an infeasible run it is
-    the infeasible record at the rest position. trace rows are
-    (iteration, x, alpha, surrogate objective), one per accepted iterate; alpha
-    is the true efficiency of x.
+    result is the true efficiency record (ee.energy_efficiency at the gain
+    there) of the last accepted iterate, never read off a surrogate: the
+    start, the restart, or the last outer iterate that passed the check. For
+    an infeasible run it is the infeasible record at the rest position. trace
+    rows are (iteration, x, alpha, surrogate objective), one per accepted
+    iterate; alpha is the true efficiency of x.
     """
 
     result: ee.EEBreakdown
@@ -70,9 +80,34 @@ class SolverReport:
     power_assumption_violated: bool = False
 
 
-def _build_surrogate(expansion: channel.GainExpansion, params: SystemParams,
-                     center: float, alpha: float, curvature: float):
-    """Eliminated surrogate objective of the subproblem at center, as a function of positions.
+class _Surrogate:
+    """The eliminated surrogate of the subproblem at center (see _build_surrogate).
+
+    rate_span is where beta > 0, (inf, -inf) when nowhere; objective is the
+    subproblem objective, -inf below the floor; net is the objective without
+    its movement term; derivative(side, rate) gives the slope of either.
+    """
+
+    __slots__ = ("center", "rate_span", "objective", "net", "derivative")
+
+    def __init__(self, center: float, rate_span: tuple[float, float], objective: Callable,
+                 net: Callable, derivative: Callable):
+        self.center, self.rate_span = center, rate_span
+        self.objective, self.net, self.derivative = objective, net, derivative
+
+
+def _positive_span(value: float, slope: float, half: float) -> tuple[float, float]:
+    """Ends of the interval of u where value + slope u - half u^2 > 0 (value, half >= 0)."""
+    q = 0.5 * (slope + math.copysign(math.sqrt(slope * slope + 4.0 * half * value), slope))
+    if q == 0.0:  # slope = 0 and half * value = 0: the sign of value everywhere
+        return (-math.inf, math.inf) if value > 0.0 else (math.inf, -math.inf)
+    near, far = -value / q, q / half if half > 0.0 else math.copysign(math.inf, q)
+    return min(near, far), max(near, far)
+
+
+def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slope: float,
+                     alpha: float, curvature: float) -> _Surrogate:
+    """Eliminated surrogate of the subproblem at center, from the gain and its slope there.
 
     curvature is channel.curvature_bound of the instance at the transmit
     power. With h = P_t * gain, value = h(c), slope = h'(c) and
@@ -91,13 +126,14 @@ def _build_surrogate(expansion: channel.GainExpansion, params: SystemParams,
     net = T log2(1 + beta/sigma2) - (coef_delta delta^2 + coef_gamma gamma^2) / v,
     or -inf where net misses the rate floor by more than FEASIBILITY_SLACK.
 
-    The returned function takes a position or an array of positions. Its
-    float form repeats the array form's operations in order (max, abs and a
-    conditional for np.maximum, np.abs and np.where; the log stays np.log2,
-    which math.log2 differs from in the last bit), so the two agree exactly.
+    derivative(side, rate) is x -> d objective/dx on one side of x0 (side +1
+    to the right, -1 to the left; 0 gives d net/dx), on a piece where
+    beta > 0 (rate true: with the rate term's derivative, beta clipped at 0
+    at the piece's ends) or where beta = 0 (rate false: without it). Its
+    other terms are continuous: gamma^2 has the derivative 2 gamma gamma' on
+    both sides of gamma = 0.
     """
     x0, noise, speed = params.initial_position, params.noise_power, params.speed
-    gain, gain_slope = channel.gain_and_slope(expansion, center)
     value, slope = params.max_tx_power * gain, params.max_tx_power * gain_slope
     half = 0.5 * curvature
     delta_local = max(abs(center - x0), params.wavelength * DELTA_FLOOR_WAVELENGTHS)
@@ -107,52 +143,165 @@ def _build_surrogate(expansion: channel.GainExpansion, params: SystemParams,
     level = noise * 2.0 ** gamma_local
     level_offset, level_scale = level - noise, level * math.log(2.0)
     duration = params.block_duration
-    power_gap = params.movement_power - params.max_tx_power
+    drift = alpha * (params.movement_power - params.max_tx_power) / speed
     floor = params.min_throughput - FEASIBILITY_SLACK
+    rate_scale = duration / math.log(2.0)
+    pull, push = 2.0 * coef_delta / speed, 2.0 * coef_gamma / (level_scale * speed)
 
-    def objective(xs):
-        dx = xs - center
+    def net(x):
+        dx = x - center
         base = value + slope * dx
         curve = half * dx * dx  # lower bound: base - curve, upper: base + curve
-        if isinstance(xs, float):
-            beta = max(base - curve, 0.0)
-            gamma = max(gamma_local + (base + curve - level_offset) / level_scale, 0.0)
-            delta = abs(xs - x0)
-            rate_term = duration * float(np.log2(1.0 + beta / noise))
-            product = coef_delta * delta * delta + coef_gamma * gamma * gamma
-            net = rate_term - product / speed
-            return net - delta / speed * alpha * power_gap if net >= floor else -math.inf
-        beta = np.maximum(base - curve, 0.0)
-        gamma = np.maximum(gamma_local + (base + curve - level_offset) / level_scale, 0.0)
-        delta = np.abs(xs - x0)
-        rate_term = duration * np.log2(1.0 + beta / noise)
+        beta = max(base - curve, 0.0)
+        gamma = max(gamma_local + (base + curve - level_offset) / level_scale, 0.0)
+        delta = x - x0
         product = coef_delta * delta * delta + coef_gamma * gamma * gamma
-        net = rate_term - product / speed
-        return np.where(net >= floor, net - delta / speed * alpha * power_gap, -np.inf)
+        return duration * math.log2(1.0 + beta / noise) - product / speed
 
-    return objective
+    def objective(x):
+        total = net(x)
+        return total - abs(x - x0) * drift if total >= floor else -math.inf
+
+    def derivative(side, rate):
+        shift = side * drift
+
+        def slope_at(x):
+            dx = x - center
+            base = value + slope * dx
+            curve = half * dx * dx
+            gamma = max(gamma_local + (base + curve - level_offset) / level_scale, 0.0)
+            out = -pull * (x - x0) - push * gamma * (slope + curvature * dx) - shift
+            if rate:
+                out += rate_scale * (slope - curvature * dx) / (noise + max(base - curve, 0.0))
+            return out
+
+        return slope_at
+
+    span_lo, span_hi = _positive_span(value, slope, half)
+    return _Surrogate(center, (center + span_lo, center + span_hi), objective, net, derivative)
 
 
-def solve_subproblem(x: float, expansion: channel.GainExpansion, params: SystemParams,
-                     alpha: float, curvature: float) -> tuple[float, float] | None:
-    """Maximize the eliminated surrogate over the trust window around x.
+def _root(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
+    """The end with f > 0 of a bracket around a sign change of f, or an exact zero.
 
-    curvature is the instance's curvature bound (see _build_surrogate). The
-    window is clipped to ee.reach_interval. The candidate set always
-    contains x itself, so the accepted objective never drops below the
-    tangency value. Returns the chosen position and its surrogate objective,
-    or None when no position in the window satisfies the rate floor.
+    fa = f(a) and fb = f(b) lie on opposite sides of 0. Brent's method
+    (Brent 1973; the form of scipy's brentq): inverse quadratic or secant
+    steps while they stay short, bisection otherwise, until the bracket is at
+    most tol wide or no float splits it.
     """
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    pre, f_pre, cur, f_cur = a, fa, b, fb
+    blk, f_blk, step_pre, step = a, fa, b - a, b - a  # blk: the far end of the bracket
+    half_tol = 0.5 * tol
+    while True:
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            blk, f_blk = pre, f_pre
+            step_pre = step = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk = cur, blk, cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        bisect = 0.5 * (blk - cur)
+        if abs(bisect) <= half_tol or cur + bisect in (cur, blk):
+            return cur if f_cur > 0.0 else blk
+        if abs(step_pre) > half_tol and abs(f_cur) < abs(f_pre):
+            if pre == blk:  # secant
+                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre, d_blk = (f_pre - f_cur) / (pre - cur), (f_blk - f_cur) / (blk - cur)
+                trial = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(bisect) - half_tol):
+                step_pre, step = step, trial
+            else:
+                step_pre = step = bisect
+        else:
+            step_pre = step = bisect
+        pre, f_pre = cur, f_cur
+        cur += step if abs(step) > half_tol else math.copysign(half_tol, bisect)
+        f_cur = f(cur)
+        if f_cur == 0.0:
+            return cur
+
+
+def _concave_max(slope_at, a: float, b: float, tol: float) -> float:
+    """Maximizer on [a, b] of a concave function with derivative slope_at; ties take a."""
+    da = slope_at(a)
+    if da <= 0.0:
+        return a
+    db = slope_at(b)
+    if db >= 0.0:
+        return b
+    return _root(slope_at, a, da, b, db, tol)
+
+
+def _piece_max(s: _Surrogate, a: float, b: float, side: float, rate: bool, target: float,
+               tol: float) -> tuple[float, float]:
+    """Best (x, objective) on a piece [a, b] of the window where s is concave,
+    among the positions whose net reaches target.
+
+    The piece's maximizer is an end or a root of the derivative. When its
+    net falls short of target, the best position that reaches it is the end
+    of {net >= target} on the maximizer's side (net is concave on the piece
+    too, so that set is one interval): a root of net - target, bracketed by
+    the maximizer and an anchor that reaches target. The anchor is the
+    center when it lies in the piece and reaches target, otherwise net's own
+    maximizer; when that falls short too, the piece's value is -inf.
+    """
+    def excess(t):
+        return s.net(t) - target
+
+    x = _concave_max(s.derivative(side, rate), a, b, tol)
+    at_x = excess(x)
+    if at_x >= 0.0:
+        return x, s.objective(x)
+    anchor = s.center
+    if not (a <= anchor <= b and excess(anchor) >= 0.0):
+        anchor = _concave_max(s.derivative(0.0, rate), a, b, tol)
+    at_anchor = excess(anchor)
+    if at_anchor < 0.0:
+        return anchor, -math.inf
+    if x < anchor:
+        x = _root(excess, x, at_x, anchor, at_anchor, tol)
+    else:
+        x = _root(excess, anchor, at_anchor, x, at_x, tol)
+    return x, s.objective(x)
+
+
+def solve_subproblem(surrogate: _Surrogate, params: SystemParams) -> tuple[float, float] | None:
+    """Maximize the eliminated surrogate over the trust window around its center.
+
+    The window is clipped to ee.reach_interval and cut at the rest position
+    and at the ends of surrogate.rate_span into pieces on which the
+    surrogate is concave (_piece_max). A new position must clear the rate
+    floor by FEASIBILITY_SLACK: the surrogate's own floor lies that much
+    below it, so that the center, whose net equals its true rate up to
+    rounding, stays admissible, and the margin above keeps a position found
+    on the floor's boundary from failing optimize's true-rate check by
+    rounding. Where beta = 0, net <= 0, so such a piece is skipped when that
+    target is positive. The candidates always include the center itself, so
+    the accepted objective never drops below the tangency value, and equal
+    values resolve to the smaller position. Returns the chosen position and
+    its surrogate objective, or None when no position in the window meets
+    the rate floor.
+    """
+    center, x0 = surrogate.center, params.initial_position
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
     lo, hi = ee.reach_interval(params)
-    lo, hi = max(x - half, lo), min(x + half, hi)
-    xs = search.insert_sorted(np.linspace(lo, hi, _SCAN_POINTS), x)
-    objective = _build_surrogate(expansion, params, x, alpha, curvature)
-    best_x, best_val = search.grid_polish_max(
-        objective, xs, objective(xs), tol=params.wavelength * ee.POLISH_TOL_WAVELENGTHS)
-    if best_val == -math.inf:
-        return None
-    return best_x, best_val
+    lo, hi = max(center - half, lo), min(center + half, hi)
+    span_lo, span_hi = surrogate.rate_span
+    cuts = sorted({lo, hi, *(t for t in (x0, span_lo, span_hi) if lo < t < hi)})
+    target = params.min_throughput + FEASIBILITY_SLACK
+    tol = params.wavelength * _ROOT_TOL_WAVELENGTHS
+    best_x, best = center, surrogate.objective(center)
+    for a, b in zip(cuts, cuts[1:]):
+        rate = span_lo < 0.5 * (a + b) < span_hi
+        if not rate and target > 0.0:
+            continue
+        x, value = _piece_max(surrogate, a, b, 1.0 if a >= x0 else -1.0, rate, target, tol)
+        if value > best or (value == best and x < best_x):
+            best_x, best = x, value
+    return None if best == -math.inf else (best_x, best)
 
 
 def _best_feasible_position(expansion: channel.GainExpansion,
@@ -178,8 +327,10 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     the estimate (possible only through the tiny slack floors), or that misses
     the true rate floor (the surrogate allows FEASIBILITY_SLACK), is rejected
     and treated as converged; this keeps the ratio sequence nondecreasing and
-    every accepted iterate feasible. The report carries the efficiency record
-    computed when the last iterate was accepted; nothing is evaluated again.
+    every accepted iterate feasible. Each iterate's channel is read once: its
+    gain and slope give both its efficiency record and the next surrogate.
+    The report carries the record computed when the last iterate was
+    accepted; nothing is evaluated again.
 
     A start position violating the rate floor triggers one verified restart
     from the best feasible position of the instance's gain grid; if no
@@ -190,18 +341,21 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     """
     flagged = params.movement_power < params.max_tx_power
 
-    result = ee.efficiency_at(expansion, params, params.initial_position)
+    x = params.initial_position
+    gain, slope = channel.gain_and_slope(expansion, x)
+    result = ee.energy_efficiency(x, gain, params)
     if not result.feasible:
-        restart = _best_feasible_position(expansion, params)
-        if restart is None:
+        x = _best_feasible_position(expansion, params)
+        if x is None:
             return SolverReport(result=result, iterations=0, trace=[],
                                 status="infeasible", power_assumption_violated=flagged)
-        result = ee.efficiency_at(expansion, params, restart)
+        gain, slope = channel.gain_and_slope(expansion, x)
+        result = ee.energy_efficiency(x, gain, params)
 
-    x = result.x  # the ratio estimate alpha is result.ee throughout
+    # the ratio estimate alpha is result.ee throughout
     curvature = params.max_tx_power * channel.curvature_bound(expansion)
-    objective = _build_surrogate(expansion, params, x, result.ee, curvature)(x)
-    trace = [(0, x, result.ee, objective)]
+    surrogate = _build_surrogate(params, x, gain, slope, result.ee, curvature)
+    trace = [(0, x, result.ee, surrogate.objective(x))]
 
     status = "iteration-cap"
     outer_used = 0
@@ -210,20 +364,23 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
         stalled = False
         inner_prev = -math.inf
         for _ in range(INNER_CAP):
-            step = solve_subproblem(x, expansion, params, result.ee, curvature)
+            step = solve_subproblem(surrogate, params)
             if step is None:
                 stalled = True
                 break
             x, objective = step
+            if x != surrogate.center:  # gain and slope hold the center's
+                gain, slope = channel.gain_and_slope(expansion, x)
             improvement = objective - inner_prev
             inner_prev = objective
             if improvement <= params.tolerance:
                 break
+            surrogate = _build_surrogate(params, x, gain, slope, result.ee, curvature)
         if stalled:
             status = "converged"
             break
 
-        checked = ee.efficiency_at(expansion, params, x)
+        checked = ee.energy_efficiency(x, gain, params)
         if checked.ee < result.ee or not checked.feasible:
             # Slack artifact: keep the previous iterate and stop.
             status = "converged"
@@ -234,6 +391,7 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
         if finished:
             status = "converged"
             break
+        surrogate = _build_surrogate(params, x, gain, slope, result.ee, curvature)
 
     return SolverReport(result=result, iterations=outer_used, trace=trace,
                         status=status, power_assumption_violated=flagged)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -273,9 +274,10 @@ def test_grid_slice_reads_lattice_points_whatever_the_grid_length(params):
         for steps in (0.0, 0.5, 1000.0, 2045.5, 2046.5, 2047.5, 3500.0, 8000.0):
             length = steps * params.wavelength / 500
             grid = gain_grid(fresh(), params.wavelength, length)
-            count = len(grid.xs)
-            assert count >= 2 and grid.xs[-1] >= length and count < len(longest.xs)
-            assert np.array_equal(grid.xs, longest.xs[:count])
+            count = len(grid.gains)
+            assert grid.spacing == longest.spacing == params.wavelength / 500
+            assert count >= 2 and (count - 1) * grid.spacing >= length
+            assert count < len(longest.gains)
             assert np.array_equal(grid.gains, longest.gains[:count])
         region = replace(scenario, region_length=0.07, initial_position=0.0300001)
         alone = grid_slice(fresh(), region, 0.001, 0.05)
@@ -283,6 +285,51 @@ def test_grid_slice_reads_lattice_points_whatever_the_grid_length(params):
         assert expansion.gain_grids[params.wavelength / 500] is longest
         for got, want in zip(within, alone):
             assert np.array_equal(got, want)
+
+
+def test_grid_slice_matches_searchsorted_on_the_lattice_positions(params):
+    """grid_slice finds its index range by arithmetic. It must pick the
+    lattice points that np.searchsorted picks on the positions m * spacing,
+    which a stored array used to hold, with their lattice gains: at lattice
+    points, one ulp either side of them and in between, on a short track and
+    on the 1e4-wavelength cap."""
+    rng = np.random.default_rng(5)
+    for region in (params.region_length, MAX_REGION_WAVELENGTHS * params.wavelength):
+        scenario = replace(params, region_length=region)
+        expansion = build_expansion(make_instance(0, scenario), scenario.wavelength)
+        grid = gain_grid(expansion, scenario.wavelength, region)
+        positions = np.arange(len(grid.gains)) * grid.spacing
+        picks = positions[rng.integers(0, len(positions) - 1, 30)].tolist()
+        starts = [0.0, *picks, *rng.uniform(0.0, region, 30).tolist()]
+        for lo in [math.nextafter(x, d) for x in starts for d in (-1.0, 2.0 * region)] + starts:
+            for width in (0.0, 0.5, 1.0, 3.0):
+                lo = min(max(lo, 0.0), region)
+                hi = min(lo + width * grid.spacing, region)
+                first = np.searchsorted(positions, lo)
+                last = np.searchsorted(positions, hi, side="right")
+                want = dict(zip(positions[first:last].tolist(), grid.gains[first:last].tolist()))
+                missing = sorted({lo, hi, scenario.initial_position} - want.keys())
+                if missing:  # the added points' gains, read as grid_slice reads them
+                    want.update(zip(missing, gain_eval(expansion, np.array(missing)).tolist()))
+                xs, gains = grid_slice(expansion, scenario, lo, hi)
+                assert xs.tolist() == sorted(want)
+                assert gains.tolist() == [want[x] for x in sorted(want)]
+
+
+def test_gain_grid_holds_one_float_array(params):
+    """A lattice over the 1e4-wavelength cap (5,000,002 points) keeps its
+    gains and nothing the size of its positions (numpy reports its buffers to
+    tracemalloc)."""
+    region = MAX_REGION_WAVELENGTHS * params.wavelength
+    expansion = build_expansion(single_path_instance(), params.wavelength)
+    tracemalloc.start()
+    try:
+        grid = gain_grid(expansion, params.wavelength, region)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid.gains) == 5_000_002
+    assert 8 * len(grid.gains) <= held <= 8 * len(grid.gains) + 2**16
 
 
 def test_grid_max_reads_the_rest_value_off_gain_eval(params):
@@ -295,8 +342,8 @@ def test_grid_max_reads_the_rest_value_off_gain_eval(params):
     x, value = grid_max(expansion, far, 9.9, 10.0,
                         lambda xs, gains: np.where(xs == x0, gains, 0.0))
     lattice = gain_grid(expansion, far.wavelength, 10.0)
-    rest = np.searchsorted(lattice.xs, x0)
-    assert lattice.xs[rest] == x0
+    rest = 499_000
+    assert rest * lattice.spacing == x0
     assert x == x0 and value == gain_eval(expansion, x0) != lattice.gains[rest]
 
 
@@ -313,12 +360,13 @@ def test_gain_grid_kept_on_its_expansion(params, gain_reads):
         return int(length / (wavelength / 500)) + 2
 
     first = gain_grid(expansion, wavelength, region)
-    assert sizes == [points(region)] and len(first.xs) == points(region)
+    count = len(first.gains)
+    assert sizes == [points(region)] and count == points(region)
     assert gain_grid(expansion, wavelength, 0.5 * region) is first
-    assert gain_grid(expansion, wavelength, first.xs[-2]) is first
+    assert gain_grid(expansion, wavelength, (count - 2) * first.spacing) is first
     longer = gain_grid(expansion, wavelength, 2 * region)
     assert sizes == [points(region), points(2 * region)]
-    assert np.array_equal(longer.gains[:len(first.xs)], first.gains)
+    assert np.array_equal(longer.gains[:count], first.gains)
     assert gain_grid(expansion, wavelength, region) is longer
     other = gain_grid(expansion, 2 * wavelength, region)
     assert sizes[2:] == [points(region, 2 * wavelength)]

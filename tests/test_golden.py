@@ -22,6 +22,14 @@ gain lattice), and long_track from the same command with
 (a 1,000-wavelength track, where lattice and single-point gains carry the
 phase rounding of positions up to 10 m). Rerun the command to regenerate a sweep's
 files after a change that is meant to move the numbers.
+
+The proposed rows alone were regenerated when each SCA subproblem came to be
+solved by derivative roots instead of a 65-point scan plus golden polish: the
+solver reaches each subproblem's maximum to rounding rather than to the
+polish tolerance, and no other scheme calls it. Their ee moved by at most
+1.7e-9 relative on power, region, long_power and long_track, and by at most
+2.4e-7 on tight_power, where the rate floor binds (the summed proposed ee
+rose); no feasible flag changed, and slow_power stayed byte-identical.
 """
 
 from pathlib import Path

@@ -8,11 +8,18 @@ import pytest
 
 from maee import solver
 from maee.bench import grid_global_ee, scheme_proposed
-from maee.channel import build_expansion, curvature_bound, gain_derivative, gain_eval
+from maee.channel import (
+    build_expansion,
+    curvature_bound,
+    gain_and_slope,
+    gain_derivative,
+    gain_eval,
+)
 from maee.ee import ee_upper_bound, efficiency_at, energy_efficiency
 from maee.params import SystemParams
 from maee.solver import (
     DELTA_FLOOR_WAVELENGTHS,
+    FEASIBILITY_SLACK,
     GAMMA_FLOOR,
     TRUST_WINDOW_WAVELENGTHS,
     _build_surrogate,
@@ -26,6 +33,11 @@ from conftest import make_instance, single_path_instance
 def curvature(expansion, params):
     """The instance's curvature bound, as optimize computes it once per run."""
     return params.max_tx_power * curvature_bound(expansion)
+
+
+def surrogate_at(expansion, params, center, alpha, curvature):
+    """The subproblem surrogate at center, from the gain and slope optimize reads there."""
+    return _build_surrogate(params, center, *gain_and_slope(expansion, center), alpha, curvature)
 
 
 def scaled_gain(expansion, params, x):
@@ -79,9 +91,8 @@ def eliminated_slacks(x, tangent, params):
 
 def eliminated_objective(x, tangent, params, alpha):
     """Eliminated surrogate objective at one position; -inf when the floor fails."""
-    objective = _build_surrogate(tangent.expansion, params, tangent.center, alpha,
-                                 tangent.curvature)
-    return float(objective(np.array([x]))[0])
+    return surrogate_at(tangent.expansion, params, tangent.center, alpha,
+                        tangent.curvature).objective(x)
 
 
 def surrogate_value(x, beta, gamma, delta, tangent, params, alpha):
@@ -239,8 +250,8 @@ def test_solve_subproblem_single_path_stays(params):
         single_path_instance(response=1e-4, num_antennas=params.num_bs_antennas),
         params.wavelength)
     _, alpha = tangent_state(params.initial_position, expansion, params)
-    x, _ = solve_subproblem(params.initial_position, expansion, params, alpha,
-                            curvature(expansion, params))
+    x, _ = solve_subproblem(surrogate_at(expansion, params, params.initial_position, alpha,
+                                         curvature(expansion, params)), params)
     assert x == pytest.approx(params.initial_position, abs=1e-12)
 
 
@@ -249,8 +260,8 @@ def test_solve_subproblem_fixed_point_at_peak(params):
     x_bar = ee_upper_bound(expansion, params).x
     recentered = replace(params, initial_position=x_bar)
     _, alpha = tangent_state(x_bar, expansion, recentered)
-    x, _ = solve_subproblem(x_bar, expansion, recentered, alpha,
-                            curvature(expansion, recentered))
+    x, _ = solve_subproblem(surrogate_at(expansion, recentered, x_bar, alpha,
+                                         curvature(expansion, recentered)), recentered)
     assert abs(x - x_bar) <= recentered.wavelength * 1e-4
 
 
@@ -261,7 +272,8 @@ def test_solve_subproblem_matches_joint_grid(seed, offset, params):
     expansion = build_expansion(make_instance(seed), params.wavelength)
     x_i = params.initial_position + offset
     tangent, alpha = tangent_state(x_i, expansion, params)
-    _, objective = solve_subproblem(x_i, expansion, params, alpha, curvature(expansion, params))
+    _, objective = solve_subproblem(
+        surrogate_at(expansion, params, x_i, alpha, curvature(expansion, params)), params)
 
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
     lo = max(0.0, x_i - half)
@@ -281,27 +293,87 @@ _FORM_CASES = {
 }
 
 
+def array_objective(xs, tangent, params, alpha):
+    """The eliminated objective on an array of positions, transcribed from the
+    bound forms with numpy (-inf where net misses the floor by more than
+    FEASIBILITY_SLACK), and net."""
+    noise = params.noise_power
+    level = noise * 2.0 ** tangent.gamma
+    beta = np.maximum(tangent.lower(xs), 0.0)
+    gamma = np.maximum(tangent.gamma + (tangent.upper(xs) - (level - noise))
+                       / (level * math.log(2.0)), 0.0)
+    delta = np.abs(xs - params.initial_position)
+    value = surrogate_value(xs, beta, gamma, delta, tangent, params, alpha)
+    net = params.block_duration * np.log2(1.0 + beta / noise) \
+        - tangent.product_bound(delta, gamma) / params.speed
+    return np.where(net >= params.min_throughput - FEASIBILITY_SLACK, value, -np.inf), net
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("case", sorted(_FORM_CASES))
 def test_surrogate_float_form_matches_array_form(case, seed):
-    """The golden polish evaluates the surrogate on floats, the scan on arrays:
-    both forms must agree bit for bit, on the trust-window edges, at x == x0,
-    and where the rate floor binds (both -inf)."""
+    """The surrogate has one form, on Python floats, which the subproblem
+    solve evaluates. It must match an array transcription of the bound forms
+    (array_objective) to rounding, on the trust-window edges, at x == x0 and
+    where the rate floor binds, where both read -inf."""
     params = _FORM_CASES[case]
     expansion = build_expansion(make_instance(seed, params), params.wavelength)
     x0, half = params.initial_position, TRUST_WINDOW_WAVELENGTHS * params.wavelength
     blocked = 0
     for center in (0.0, x0 - 0.13 * half, x0, x0 + 1.24 * half, params.region_length):
         alpha = efficiency_at(expansion, params, center).ee
-        objective = _build_surrogate(expansion, params, center, alpha, curvature(expansion, params))
+        surrogate = surrogate_at(expansion, params, center, alpha, curvature(expansion, params))
         lo = max(0.0, center - half)
         hi = min(params.region_length, center + half)
         xs = np.unique(np.append(np.linspace(lo, hi, 65), [center, x0]))
-        for x, value in zip(xs.tolist(), objective(xs)):
-            scalar = objective(x)
-            assert type(scalar) is float
-            assert scalar == value, (center, x)
-        blocked += int(np.sum(objective(xs) == -np.inf))
+        reference, net = array_objective(xs, Tangent(center, expansion, params), params, alpha)
+        values = [surrogate.objective(x) for x in xs.tolist()]
+        assert all(type(value) is float for value in values)
+        values = np.array(values)
+        near_floor = np.abs(net - (params.min_throughput - FEASIBILITY_SLACK)) <= 1e-9
+        finite = np.isfinite(reference)
+        assert np.array_equal(finite | near_floor, np.isfinite(values) | near_floor)
+        both = finite & np.isfinite(values)
+        np.testing.assert_allclose(values[both], reference[both], rtol=1e-11, atol=1e-11)
+        blocked += int(np.sum(~finite))
+    if case == "binding_floor":
+        assert blocked > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", sorted(_FORM_CASES))
+def test_surrogate_derivative_matches_central_differences(case, seed):
+    """derivative(side, rate)(x) is the slope of the objective on side's side
+    of x0, or of net for side 0, with the rate term's slope where beta > 0:
+    central differences agree away from the kinks at x0, beta = 0 and
+    gamma = 0, on the trust-window edges and where the rate floor binds."""
+    params = _FORM_CASES[case]
+    expansion = build_expansion(make_instance(seed, params), params.wavelength)
+    x0, half = params.initial_position, TRUST_WINDOW_WAVELENGTHS * params.wavelength
+    step = params.wavelength * 1e-7
+    checked = blocked = 0
+    for center in (0.0, x0 - 0.13 * half, x0, x0 + 1.24 * half, params.region_length):
+        alpha = efficiency_at(expansion, params, center).ee
+        surrogate = surrogate_at(expansion, params, center, alpha, curvature(expansion, params))
+        tangent = Tangent(center, expansion, params)
+        for x in np.linspace(center - half, center + half, 41).tolist():
+            ends = (x - step, x + step)
+            (beta_lo, gamma_lo, _), (beta_hi, gamma_hi, _) = (
+                eliminated_slacks(t, tangent, params) for t in ends)
+            if ends[0] <= x0 <= ends[1] or (beta_lo > 0) != (beta_hi > 0) \
+                    or (gamma_lo > 0) != (gamma_hi > 0):
+                continue
+            side = 1.0 if x > x0 else -1.0
+            for f, f_side in ((surrogate.net, 0.0), (surrogate.objective, side)):
+                lo, hi = f(ends[0]), f(ends[1])
+                if not math.isfinite(lo + hi):
+                    blocked += 1
+                    continue
+                slope = surrogate.derivative(f_side, beta_lo > 0)(x)
+                rounding = 1e-13 * max(abs(lo), abs(hi)) / step
+                assert (hi - lo) / (2 * step) == pytest.approx(slope, rel=1e-5, abs=rounding)
+                checked += 1
+    assert checked > 100
     if case == "binding_floor":
         assert blocked > 0
 
@@ -389,27 +461,40 @@ def test_optimize_restarts_from_feasible_region():
 
 
 def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
-    """Each surrogate build reads the gain and its slope at the iterate once:
-    one build per subproblem plus the start objective's, none per evaluation.
-    The other gain reads are optimize's efficiency checks (the start and one
-    after each inner loop), all at single positions; no final recheck."""
-    calls, sizes = Counter(), set()
-    for module, name in ((solver, "solve_subproblem"), (solver.channel, "gain_and_slope"),
+    """optimize reads each iterate's channel once: gain_and_slope at the start
+    and at each subproblem result that moved off its center, one steering row
+    each. The start's trace objective and the first subproblem share one
+    surrogate, and each iterate's efficiency record comes from the gain
+    already read, so no gain_eval runs and no surrogate is built twice."""
+    calls = Counter()
+    for module, name in ((solver, "_build_surrogate"), (solver.channel, "gain_and_slope"),
                          (solver.channel, "gain_eval")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
-            if _name == "gain_eval":
-                sizes.add(np.size(args[1]))
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
-    optimize(build_expansion(make_instance(1), params.wavelength), params)
-    assert calls == {"solve_subproblem": 2, "gain_and_slope": 3, "gain_eval": 2}
-    assert sizes == {1}
+    subproblem = solver.solve_subproblem
+
+    def counted_subproblem(surrogate, *args):
+        step = subproblem(surrogate, *args)
+        calls["solve_subproblem"] += 1
+        calls["moved"] += step is not None and step[0] != surrogate.center
+        return step
+
+    monkeypatch.setattr(solver, "solve_subproblem", counted_subproblem)
+    runs = 5
+    for seed in range(runs):
+        optimize(build_expansion(make_instance(seed), params.wavelength), params)
+    assert calls["moved"] > 0 and calls["solve_subproblem"] > calls["moved"]
+    assert calls["gain_and_slope"] == runs + calls["moved"]
+    assert calls["_build_surrogate"] == calls["solve_subproblem"]
+    assert calls["gain_eval"] == 0
 
 
 def test_surrogate_built_from_one_steering_row(params, monkeypatch):
-    """A surrogate build reads the gain and its slope at the center off one
-    steering row, and evaluating the surrogate reads the channel no more."""
+    """A surrogate is built from the gain and slope at its center, read off
+    one steering row; evaluating it and solving its subproblem read the
+    channel no more."""
     expansion = build_expansion(make_instance(3), params.wavelength)
     calls, original = [], solver.channel._steering
 
@@ -418,10 +503,11 @@ def test_surrogate_built_from_one_steering_row(params, monkeypatch):
         return original(wavenumbers, x)
 
     monkeypatch.setattr(solver.channel, "_steering", counted)
-    objective = _build_surrogate(expansion, params, 0.0123, 100.0,
+    surrogate = _build_surrogate(params, 0.0123, *gain_and_slope(expansion, 0.0123), 100.0,
                                  params.max_tx_power * curvature_bound(expansion))
-    objective(np.linspace(0.01, 0.015, 65))
-    objective(0.0125)
+    surrogate.objective(0.0125)
+    surrogate.derivative(1.0, True)(0.0125)
+    solve_subproblem(surrogate, params)
     assert calls == [1]
 
 
@@ -446,10 +532,10 @@ def test_scheme_proposed_reuses_the_optimizer_record(params, monkeypatch):
     """The proposed scheme's record is the one optimize verified: no
     efficiency evaluation follows the optimizer run."""
     events, reports = [], []
-    original_at, original_optimize = solver.ee.efficiency_at, solver.optimize
+    original_at, original_optimize = solver.ee.energy_efficiency, solver.optimize
 
     def counted_at(*args):
-        events.append("efficiency_at")
+        events.append("energy_efficiency")
         return original_at(*args)
 
     def watched_optimize(*args, **kwargs):
@@ -457,10 +543,10 @@ def test_scheme_proposed_reuses_the_optimizer_record(params, monkeypatch):
         events.append("optimize returned")
         return reports[-1]
 
-    monkeypatch.setattr(solver.ee, "efficiency_at", counted_at)
+    monkeypatch.setattr(solver.ee, "energy_efficiency", counted_at)
     monkeypatch.setattr(solver, "optimize", watched_optimize)
     result = scheme_proposed(build_expansion(make_instance(1), params.wavelength), params)
-    assert events.count("efficiency_at") >= 2
+    assert events.count("energy_efficiency") >= 2
     assert events[-1] == "optimize returned"
     assert result is reports[0].result
 
@@ -479,31 +565,38 @@ def test_optimize_computes_curvature_bound_once(params, monkeypatch):
     assert calls["curvature_bound"] == 1
 
 
-def test_optimize_scans_surrogate_arrays_once_per_subproblem(params, monkeypatch):
-    """The array form runs once per subproblem scan; the golden polish and the
-    start objective evaluate the float form."""
-    kinds = Counter()
+def test_subproblem_evaluates_the_surrogate_a_few_times(monkeypatch):
+    """A subproblem evaluates the surrogate at piece ends and root-search
+    points only: a few dozen float calls at most, where the scan plus golden
+    polish it replaced took a 65-point array and ~24 float calls."""
+    counts, current = [], []
     build, subproblem = solver._build_surrogate, solver.solve_subproblem
 
-    def counted_build(*args):
-        objective = build(*args)
+    def counted(fn):
+        def wrapper(*args):
+            current[-1] += 1
+            return fn(*args)
+        return wrapper
 
-        def counted(xs):
-            kinds[type(xs).__name__] += 1
-            return objective(xs)
-        return counted
+    def counted_build(*args):
+        s = build(*args)
+        return solver._Surrogate(s.center, s.rate_span, counted(s.objective), counted(s.net),
+                                 lambda side, rate: counted(s.derivative(side, rate)))
 
     def counted_subproblem(*args):
-        kinds["solve_subproblem"] += 1
-        return subproblem(*args)
+        current.append(0)
+        step = subproblem(*args)
+        counts.append(current[-1])
+        return step
 
     monkeypatch.setattr(solver, "_build_surrogate", counted_build)
     monkeypatch.setattr(solver, "solve_subproblem", counted_subproblem)
-    optimize(build_expansion(make_instance(1), params.wavelength), params)
-    assert kinds["solve_subproblem"] > 1
-    assert kinds["ndarray"] == kinds["solve_subproblem"]
-    assert kinds["float"] > kinds["solve_subproblem"]
-    assert set(kinds) == {"ndarray", "float", "solve_subproblem"}
+    current.append(0)  # counts the start's trace objective, outside any subproblem
+    for params in _FORM_CASES.values():
+        for seed in range(10):
+            optimize(build_expansion(make_instance(seed, params), params.wavelength), params)
+    assert len(counts) >= 30
+    assert max(counts) <= 40
 
 
 def test_optimize_flags_low_movement_power(params):
