@@ -41,19 +41,23 @@ def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams) -> ee
     then reads feasible=False.
     """
     lo, hi = ee.reach_interval(params)
+
+    def ee_slope(x, side, gain, slope):
+        return ee.efficiency_slopes(x, side, gain, slope, params)[1]
+
     best_x, best_v = ee.grid_max(expansion, params, lo, hi,
-                                 lambda xs, g: ee.feasible_efficiency(xs, g, params))
+                                 lambda xs, g: ee.feasible_efficiency(xs, g, params), ee_slope)
     if best_v == -math.inf:
         best_x, _ = ee.grid_max(expansion, params, lo, hi,
-                                lambda xs, g: ee.efficiency_of_gains(xs, g, params)[0])
+                                lambda xs, g: ee.efficiency_of_gains(xs, g, params)[0], ee_slope)
     return ee.efficiency_at(expansion, params, best_x)
 
 
 def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
                  oracle: ee.EEBreakdown) -> float:
     """How far the proposed optimizer may land above the oracle: the larger of
-    ORACLE_RTOL and the efficiency change over the oracle's polish tolerance."""
-    tol = params.wavelength * ee.POLISH_TOL_WAVELENGTHS
+    ORACLE_RTOL and the efficiency change over the oracle's root tolerance."""
+    tol = params.wavelength * ee.ROOT_TOL_WAVELENGTHS
     nearby = np.clip([oracle.x - tol, oracle.x + tol], *ee.reach_interval(params))
     change = float(np.max(np.abs(ee.efficiency_curve(expansion, params, nearby)[0] - oracle.ee)))
     return max(ORACLE_RTOL * oracle.ee, change)
@@ -67,8 +71,10 @@ def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -
 def scheme_max_throughput(expansion: channel.GainExpansion,
                           params: SystemParams) -> ee.EEBreakdown:
     """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor."""
-    best_x, _ = ee.grid_max(expansion, params, *ee.reach_interval(params),
-                            lambda xs, g: ee.efficiency_of_gains(xs, g, params)[1])
+    best_x, _ = ee.grid_max(
+        expansion, params, *ee.reach_interval(params),
+        lambda xs, g: ee.efficiency_of_gains(xs, g, params)[1],
+        lambda x, side, gain, slope: ee.efficiency_slopes(x, side, gain, slope, params)[0])
     return ee.efficiency_at(expansion, params, best_x)
 
 
@@ -80,7 +86,7 @@ def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> ee
     reach covers the region, and both stay at rest on a tie.
     """
     x_best, _ = ee.grid_max(expansion, params, *ee.reach_interval(params),
-                            lambda xs, gains: gains)
+                            lambda xs, gains: gains, lambda x, side, gain, slope: slope)
     return ee.efficiency_at(expansion, params, x_best)
 
 

@@ -8,6 +8,7 @@ bits/Hz divided by the total energy of both phases.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -18,8 +19,8 @@ from .params import SystemParams
 
 # Relative float error of a move time computed at the edge of the reach.
 _MOVE_TIME_ROUNDING = 1e-12
-# Every golden polish stops once its bracket is this many wavelengths wide.
-POLISH_TOL_WAVELENGTHS = 1e-6
+# Every derivative root (search.root) stops once its bracket is this many wavelengths wide.
+ROOT_TOL_WAVELENGTHS = 1e-12
 # grid_max keeps the rest position when its value is this close, relatively, to the best.
 _TIE_RTOL = 1e-12
 
@@ -54,6 +55,29 @@ def efficiency_of_gains(xs, gains, params: SystemParams):
     energy = params.move_energy_rate * dist + params.max_tx_power * time_left
     ratio = np.divide(rate, energy, out=np.zeros_like(rate), where=energy > 0.0)
     return ratio, rate, energy, rate >= params.min_throughput
+
+
+def efficiency_slopes(x: float, side: float, gain: float, gain_slope: float,
+                      params: SystemParams) -> tuple[float, float]:
+    """d rate/dx and d ee/dx of efficiency_of_gains at a reachable x with gain and gain_slope there.
+
+    side is +1 right of the rest position x0 and -1 left of it: the travel
+    |x - x0| has slope side, so at x0 itself side picks the one-sided
+    derivative. Where the energy is zero the efficiency is 0, and so is its
+    slope.
+    """
+    dist = abs(x - params.initial_position)
+    time_left = max(params.block_duration - dist / params.speed, 0.0)
+    time_slope = -side / params.speed
+    snr_ratio = params.max_tx_power / params.noise_power
+    spectral = math.log2(1.0 + snr_ratio * gain)
+    rate_slope = (time_slope * spectral + time_left * snr_ratio * gain_slope
+                  / ((1.0 + snr_ratio * gain) * math.log(2.0)))
+    energy = params.move_energy_rate * dist + params.max_tx_power * time_left
+    if energy <= 0.0:
+        return rate_slope, 0.0
+    energy_slope = side * params.move_energy_rate + params.max_tx_power * time_slope
+    return rate_slope, (rate_slope - time_left * spectral / energy * energy_slope) / energy
 
 
 def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdown:
@@ -180,27 +204,51 @@ def feasible_efficiency(xs, gains, params: SystemParams):
 
 
 def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
-             objective) -> tuple[float, float]:
+             objective, slope) -> tuple[float, float]:
     """Position and value of the largest objective(xs, gains) on [lo, hi].
 
-    Scans the grid_slice of [lo, hi] and golden-polishes its best cell on
-    single floats, with the gain there. Ties prefer not moving: the rest
-    position wins when within _TIE_RTOL of the best. Its value is read as the
-    polish reads a position, not off the lattice, whose gains differ from
-    gain_eval's by phase rounding (up to ~1e-11 of the constant at 1e4
-    wavelengths), so the tie never turns on that gap.
+    Scans the grid_slice of [lo, hi], then polishes the one or two lattice
+    cells next to its best point. slope(x, side, gain, gain_slope) is the
+    objective's derivative at x on one side of the rest position x0 (side
+    +1 right, -1 left; see efficiency_slopes); x0 is a slice point, so no
+    cell has it inside. On a cell the maximum is taken as an end or a root
+    of the slope (search.concave_max), with the gain and its slope read at
+    each position by one channel.gain_and_slope, whose gain is gain_eval's;
+    the value there is the objective at that gain. An objective that is
+    -inf where the rate floor is missed (feasible_efficiency) and is -inf at
+    that maximum takes the root of rate - R_TH between it and the scan's best
+    point instead, as in the solver's subproblem. A scan that is -inf
+    everywhere is returned as is. Ties prefer not moving: the rest position
+    wins when within _TIE_RTOL of the best. Its value is read with gain_eval,
+    not off the lattice, whose gains differ from gain_eval's by phase
+    rounding (up to ~1e-11 of the constant at 1e4 wavelengths), so the tie
+    never turns on that gap.
     """
     xs, gains = grid_slice(expansion, params, lo, hi)
+    values = objective(xs, gains)
+    i = int(np.argmax(values))
+    anchor, best = float(xs[i]), float(values[i])
+    best_x, x0 = anchor, params.initial_position
+    read = functools.cache(functools.partial(channel.gain_and_slope, expansion))
 
-    def polish(t):
-        return objective(t, channel.gain_eval(expansion, t))
+    def excess(t):
+        return float(efficiency_of_gains(t, read(t)[0], params)[1]) - params.min_throughput
 
-    best_x, best = search.grid_polish_max(polish, xs, objective(xs, gains),
-                                          tol=params.wavelength * POLISH_TOL_WAVELENGTHS)
-    rest = polish(params.initial_position)
+    tol = params.wavelength * ROOT_TOL_WAVELENGTHS
+    ends = xs[max(i - 1, 0):i + 2].tolist() if best > -math.inf else []
+    for a, b in zip(ends, ends[1:]):
+        side = 1.0 if a >= x0 else -1.0
+        x = search.concave_max(lambda t: slope(t, side, *read(t)), a, b, tol)
+        value = float(objective(x, read(x)[0]))
+        if value == -math.inf and excess(anchor) >= 0.0:
+            x = search.root(excess, anchor, excess(anchor), x, excess(x), tol)
+            value = float(objective(x, read(x)[0]))
+        if value > best or (value == best and x < best_x):
+            best_x, best = x, value
+    rest = float(objective(x0, channel.gain_eval(expansion, x0)))
     if rest >= best - _TIE_RTOL * abs(best):
-        return params.initial_position, float(rest)
-    return best_x, float(best)
+        return x0, rest
+    return best_x, best
 
 
 def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EEBreakdown:
@@ -212,5 +260,5 @@ def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EE
     not, so the bound dominates every scheme.
     """
     x_bar, gain = grid_max(expansion, params, 0.0, params.region_length,
-                           lambda xs, gains: gains)
+                           lambda xs, gains: gains, lambda x, side, gain, slope: slope)
     return energy_efficiency(x_bar, gain, replace(params, initial_position=x_bar))

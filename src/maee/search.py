@@ -1,83 +1,66 @@
-"""Deterministic bounded scalar maximization: grid scan plus golden polish, for ee.grid_max."""
+"""Bracketed scalar maximization by derivative roots, for the solver and ee.grid_max."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+def root(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
+    """The end with f > 0 of a bracket around a sign change of f, or an exact zero.
 
-
-def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for a maximum of f on [lo, hi].
-
-    Returns the best (x, f(x)) among all evaluated points once the interval
-    has shrunk below tol; ties resolve to the smallest x. f is assumed
-    unimodal on the interval, otherwise the result is still the best
-    sampled point.
+    fa = f(a) and fb = f(b) lie on opposite sides of 0. Brent's method
+    (Brent 1973; the form of scipy's brentq): inverse quadratic or secant
+    steps while they stay short, bisection otherwise, until the bracket is at
+    most tol wide or no float splits it. An inverse quadratic step whose
+    divisor underflows to 0 or overflows (|f| below ~1e-110 or huge) bisects
+    instead, so the result does not depend on the scale of f.
     """
-    if hi < lo:
-        lo, hi = hi, lo
-    best_x, best_f = lo, f(lo)
-    f_hi = f(hi)
-    if f_hi > best_f:
-        best_x, best_f = hi, f_hi
-
-    width = hi - lo
-    if width <= tol:
-        return best_x, best_f
-    steps = int(math.ceil(math.log(tol / width) / math.log(_INV_PHI)))
-
-    c = lo + _INV_PHI2 * width
-    d = lo + _INV_PHI * width
-    yc, yd = f(c), f(d)
-    for x, y in ((c, yc), (d, yd)):
-        if y > best_f or (y == best_f and x < best_x):
-            best_x, best_f = x, y
-
-    for _ in range(max(steps - 1, 0)):
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            width *= _INV_PHI
-            c = lo + _INV_PHI2 * width
-            yc = f(c)
-            x, y = c, yc
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    pre, f_pre, cur, f_cur = a, fa, b, fb
+    blk, f_blk, step_pre, step = a, fa, b - a, b - a  # blk: the far end of the bracket
+    half_tol = 0.5 * tol
+    while True:
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            blk, f_blk = pre, f_pre
+            step_pre = step = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk = cur, blk, cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        bisect = 0.5 * (blk - cur)
+        if abs(bisect) <= half_tol or cur + bisect in (cur, blk):
+            return cur if f_cur > 0.0 else blk
+        if abs(step_pre) > half_tol and abs(f_cur) < abs(f_pre):
+            if pre == blk:  # secant
+                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre, d_blk = (f_pre - f_cur) / (pre - cur), (f_blk - f_cur) / (blk - cur)
+                divisor = d_blk * d_pre * (f_blk - f_pre)
+                trial = (-f_cur * (f_blk * d_blk - f_pre * d_pre) / divisor
+                         if divisor != 0.0 and math.isfinite(divisor) else math.inf)
+            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(bisect) - half_tol):
+                step_pre, step = step, trial
+            else:
+                step_pre = step = bisect
         else:
-            lo, c, yc = c, d, yd
-            width *= _INV_PHI
-            d = lo + _INV_PHI * width
-            yd = f(d)
-            x, y = d, yd
-        if y > best_f or (y == best_f and x < best_x):
-            best_x, best_f = x, y
-    return best_x, best_f
+            step_pre = step = bisect
+        pre, f_pre = cur, f_cur
+        cur += step if abs(step) > half_tol else math.copysign(half_tol, bisect)
+        f_cur = f(cur)
+        if f_cur == 0.0:
+            return cur
 
 
-def grid_polish_max(f, xs, values, tol: float) -> tuple[float, float]:
-    """Take the best of values on the sorted grid xs, then golden-polish its cell with f.
+def concave_max(slope_at, a: float, b: float, tol: float) -> float:
+    """Maximizer on [a, b] of a concave function with derivative slope_at; ties take a.
 
-    values[i] is the objective at xs[i], computed by the caller (from gains
-    it already holds); the polish passes f single
-    Python floats, so f must give the value the caller would for a position,
-    up to rounding: ee.grid_max's values come from the gain lattice, whose
-    gains differ from gain_eval's by up to ~1e-11 of the channel constant at
-    1e4 wavelengths, which can only decide between the best grid point and a
-    polish point of its bracket.
-    The first grid argmax wins on ties, so equal-objective results resolve to
-    the smallest x. A scan that is -inf everywhere (nothing admissible on the
-    grid) is returned as is, without a polish.
+    An end where the slope points out of [a, b], else a root of the slope
+    (root), within tol.
     """
-    values = np.asarray(values, dtype=float)
-    idx = int(np.argmax(values))
-    best_x, best_f = float(xs[idx]), float(values[idx])
-    if best_f == -math.inf:
-        return best_x, best_f
-
-    bracket_lo = float(xs[max(idx - 1, 0)])
-    bracket_hi = float(xs[min(idx + 1, len(xs) - 1)])
-    px, pf = golden_section_max(f, bracket_lo, bracket_hi, tol)
-    if pf > best_f or (pf == best_f and px < best_x):
-        return px, pf
-    return best_x, best_f
+    da = slope_at(a)
+    if da <= 0.0:
+        return a
+    db = slope_at(b)
+    if db >= 0.0:
+        return b
+    return root(slope_at, a, da, b, db, tol)

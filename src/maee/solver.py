@@ -49,13 +49,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import channel, ee
+from . import channel, ee, search
 from .params import SystemParams
 
 DELTA_FLOOR_WAVELENGTHS = 1e-6   # keeps the AM-GM coefficients finite at zero travel
 GAMMA_FLOOR = 1e-12              # bits/Hz floor for the rate-slack local point
 TRUST_WINDOW_WAVELENGTHS = 0.25  # half-width of the subproblem search window
-_ROOT_TOL_WAVELENGTHS = 1e-12    # a root's bracket stops shrinking at this width
 FEASIBILITY_SLACK = 1e-9         # bits/Hz of slack on the rate floor (see solve_subproblem)
 OUTER_CAP = 100                  # Dinkelbach iterations per run
 INNER_CAP = 50                   # SCA subproblems per Dinkelbach iteration
@@ -181,60 +180,6 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
     return _Surrogate(center, (center + span_lo, center + span_hi), objective, net, derivative)
 
 
-def _root(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
-    """The end with f > 0 of a bracket around a sign change of f, or an exact zero.
-
-    fa = f(a) and fb = f(b) lie on opposite sides of 0. Brent's method
-    (Brent 1973; the form of scipy's brentq): inverse quadratic or secant
-    steps while they stay short, bisection otherwise, until the bracket is at
-    most tol wide or no float splits it.
-    """
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
-    pre, f_pre, cur, f_cur = a, fa, b, fb
-    blk, f_blk, step_pre, step = a, fa, b - a, b - a  # blk: the far end of the bracket
-    half_tol = 0.5 * tol
-    while True:
-        if (f_pre > 0.0) != (f_cur > 0.0):
-            blk, f_blk = pre, f_pre
-            step_pre = step = cur - pre
-        if abs(f_blk) < abs(f_cur):
-            pre, cur, blk = cur, blk, cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        bisect = 0.5 * (blk - cur)
-        if abs(bisect) <= half_tol or cur + bisect in (cur, blk):
-            return cur if f_cur > 0.0 else blk
-        if abs(step_pre) > half_tol and abs(f_cur) < abs(f_pre):
-            if pre == blk:  # secant
-                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
-            else:  # inverse quadratic
-                d_pre, d_blk = (f_pre - f_cur) / (pre - cur), (f_blk - f_cur) / (blk - cur)
-                trial = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                         / (d_blk * d_pre * (f_blk - f_pre)))
-            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(bisect) - half_tol):
-                step_pre, step = step, trial
-            else:
-                step_pre = step = bisect
-        else:
-            step_pre = step = bisect
-        pre, f_pre = cur, f_cur
-        cur += step if abs(step) > half_tol else math.copysign(half_tol, bisect)
-        f_cur = f(cur)
-        if f_cur == 0.0:
-            return cur
-
-
-def _concave_max(slope_at, a: float, b: float, tol: float) -> float:
-    """Maximizer on [a, b] of a concave function with derivative slope_at; ties take a."""
-    da = slope_at(a)
-    if da <= 0.0:
-        return a
-    db = slope_at(b)
-    if db >= 0.0:
-        return b
-    return _root(slope_at, a, da, b, db, tol)
-
-
 def _piece_max(s: _Surrogate, a: float, b: float, side: float, rate: bool, target: float,
                tol: float) -> tuple[float, float]:
     """Best (x, objective) on a piece [a, b] of the window where s is concave,
@@ -251,20 +196,20 @@ def _piece_max(s: _Surrogate, a: float, b: float, side: float, rate: bool, targe
     def excess(t):
         return s.net(t) - target
 
-    x = _concave_max(s.derivative(side, rate), a, b, tol)
+    x = search.concave_max(s.derivative(side, rate), a, b, tol)
     at_x = excess(x)
     if at_x >= 0.0:
         return x, s.objective(x)
     anchor = s.center
     if not (a <= anchor <= b and excess(anchor) >= 0.0):
-        anchor = _concave_max(s.derivative(0.0, rate), a, b, tol)
+        anchor = search.concave_max(s.derivative(0.0, rate), a, b, tol)
     at_anchor = excess(anchor)
     if at_anchor < 0.0:
         return anchor, -math.inf
     if x < anchor:
-        x = _root(excess, x, at_x, anchor, at_anchor, tol)
+        x = search.root(excess, x, at_x, anchor, at_anchor, tol)
     else:
-        x = _root(excess, anchor, at_anchor, x, at_x, tol)
+        x = search.root(excess, anchor, at_anchor, x, at_x, tol)
     return x, s.objective(x)
 
 
@@ -292,7 +237,7 @@ def solve_subproblem(surrogate: _Surrogate, params: SystemParams) -> tuple[float
     span_lo, span_hi = surrogate.rate_span
     cuts = sorted({lo, hi, *(t for t in (x0, span_lo, span_hi) if lo < t < hi)})
     target = params.min_throughput + FEASIBILITY_SLACK
-    tol = params.wavelength * _ROOT_TOL_WAVELENGTHS
+    tol = params.wavelength * ee.ROOT_TOL_WAVELENGTHS
     best_x, best = center, surrogate.objective(center)
     for a, b in zip(cuts, cuts[1:]):
         rate = span_lo < 0.5 * (a + b) < span_hi

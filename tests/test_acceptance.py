@@ -197,9 +197,7 @@ def test_subproblem_reaches_the_dense_grid_maximum():
     1e-12, on every scenario of criterion 5, and a position other than the
     center clears the rate floor by FEASIBILITY_SLACK. The nine centers span
     the reach, so x0 lies inside some windows, on the edge of others and
-    outside the rest. The 65-point scan plus golden polish it replaced fell
-    short on 4 of the 1,001 subproblems with a point above the floor, by up
-    to 2.1e-4 relative."""
+    outside the rest."""
     subproblems, worst = 0, -math.inf
     for params in _MINORIZER_CASES.values():
         x0, half = params.initial_position, TRUST_WINDOW_WAVELENGTHS * params.wavelength

@@ -8,6 +8,7 @@ import pytest
 from maee.bench import (
     evaluate_schemes,
     grid_global_ee,
+    oracle_slack,
     scheme_fpa,
     scheme_max_snr,
     scheme_max_throughput,
@@ -18,7 +19,10 @@ from maee.channel import build_expansion, gain_eval, sample_instance
 from maee.ee import (
     ee_upper_bound,
     efficiency_curve,
+    efficiency_of_gains,
     energy_efficiency,
+    feasible_efficiency,
+    grid_slice,
     reach_interval,
 )
 from maee.harness import load_config
@@ -58,6 +62,66 @@ def test_oracle_resolution_refinement(seed, params):
     ee_vals, _, _, feasible = efficiency_curve(expansion, params, dense)
     best_dense = float(np.max(np.where(feasible, ee_vals, -np.inf)))
     assert grid_global_ee(expansion, params).ee == pytest.approx(best_dense, rel=1e-6)
+
+
+def _searches(params):
+    """Each grid search as (name, scheme, interval, objective, value of its record)."""
+    reach = reach_interval(params)
+
+    def gains(xs, g):
+        return g
+
+    def efficiency(feasible):
+        return (lambda xs, g: feasible_efficiency(xs, g, params)) if feasible else (
+            lambda xs, g: efficiency_of_gains(xs, g, params)[0])
+
+    return [
+        ("upper_bound", scheme_upper_bound, (0.0, params.region_length), lambda r: gains,
+         lambda e, r: gain_eval(e, r.x)),
+        ("max_snr", scheme_max_snr, reach, lambda r: gains, lambda e, r: gain_eval(e, r.x)),
+        ("max_throughput", scheme_max_throughput, reach,
+         lambda r: lambda xs, g: efficiency_of_gains(xs, g, params)[1],
+         lambda e, r: r.throughput),
+        ("oracle", grid_global_ee, reach, lambda r: efficiency(r.feasible), lambda e, r: r.ee),
+    ]
+
+
+@pytest.mark.parametrize("config", ["default", "tight_power"])
+def test_grid_searches_polish_their_cells(config):
+    """Each of the four grid searches returns a value at least the best of
+    its lattice scan and the best of a 2001-point gain_eval scan over the
+    lattice cells on both sides of its record, to a relative 1e-12. On
+    tight_power the rate floor cuts the oracle's best cell on 9 of the 50
+    seeds, where the answer is a root of rate - R_TH."""
+    params = (load_config(GOLDEN / config / "params.cfg") if config != "default"
+              else SystemParams())
+    for seed in range(50):
+        expansion = build_expansion(make_instance(seed, params), params.wavelength)
+        for name, scheme, interval, objective_of, value_of in _searches(params):
+            record = scheme(expansion, params)
+            objective, value = objective_of(record), value_of(expansion, record)
+            xs, gains = grid_slice(expansion, params, *interval)
+            if name == "oracle":  # a floor root lands on the feasible side
+                assert record.feasible == bool(np.any(efficiency_of_gains(xs, gains, params)[3]))
+            near = int(np.argmin(np.abs(xs - record.x)))
+            cells = np.linspace(xs[max(near - 1, 0)], xs[min(near + 1, len(xs) - 1)], 2001)
+            for best in (np.max(objective(xs, gains)),
+                         np.max(objective(cells, gain_eval(expansion, cells)))):
+                assert value >= best - 1e-12 * abs(best), (config, seed, name)
+
+
+def test_oracle_slack_at_the_rest_cusp():
+    """Moving 1e-6 m costs 10 times the whole block's energy when the reach is
+    that short, so the efficiency has a cusp at x0, where the oracle stays.
+    The slack is the change over the oracle's root tolerance, not over a
+    coarser polish bracket, which read 0.83 of the efficiency here."""
+    params = SystemParams(speed=1e-4, block_duration=0.01, movement_power=5.0,
+                          min_throughput=0.0)
+    for seed in range(4):
+        expansion = build_expansion(make_instance(seed, params), params.wavelength)
+        oracle = grid_global_ee(expansion, params)
+        assert oracle.x == params.initial_position
+        assert oracle_slack(expansion, params, oracle) <= 1e-5 * oracle.ee
 
 
 @pytest.mark.parametrize("seed", range(6))

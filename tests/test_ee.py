@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maee.channel import build_expansion, gain_eval
+from maee.channel import build_expansion, gain_and_slope, gain_eval
 from maee.ee import (
     ee_upper_bound,
     efficiency_curve,
+    efficiency_of_gains,
+    efficiency_slopes,
     energy_efficiency,
     gain_grid,
     grid_max,
@@ -194,6 +196,31 @@ def test_ee_upper_bound_constant_gain(params):
     assert bound == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("movement_power", [0.5, 0.001])
+@pytest.mark.parametrize("seed", range(3))
+def test_efficiency_slopes_match_differences(seed, movement_power, params):
+    """The closed-form slopes of the rate and the efficiency match central
+    differences of efficiency_of_gains on either side of x0, and one-sided
+    differences at x0, with the movement power above and below P_t."""
+    params = replace(params, movement_power=movement_power)
+    expansion = build_expansion(make_instance(seed), params.wavelength)
+    x0, step = params.initial_position, 1e-7 * params.wavelength
+
+    def rate_and_ee(x):
+        ratio, rate, _, _ = efficiency_of_gains(x, gain_eval(expansion, x), params)
+        return np.array([rate, ratio])
+
+    for x, side in ((x0 - 0.3 * params.wavelength, -1.0), (x0 + 0.2 * params.wavelength, 1.0),
+                    (x0, 1.0), (x0, -1.0)):
+        slopes = np.array(efficiency_slopes(x, side, *gain_and_slope(expansion, x), params))
+        if x == x0:
+            expected = (rate_and_ee(x0 + side * step) - rate_and_ee(x0)) / (side * step)
+        else:
+            expected = (rate_and_ee(x + step) - rate_and_ee(x - step)) / (2 * step)
+        scale = rate_and_ee(x) / params.wavelength
+        assert np.all(np.abs(slopes - expected) <= 1e-5 * scale), (x, side)
+
+
 @pytest.mark.parametrize("interval", ["reach", "region"])
 def test_grid_max_ties_stay_at_rest(interval, params):
     """A constant objective, or one that beats the rest position by rounding
@@ -203,12 +230,19 @@ def test_grid_max_ties_stay_at_rest(interval, params):
     expansion = build_expansion(make_instance(0), params.wavelength)
     x0 = params.initial_position
 
-    def bump(size):
-        return lambda xs, gains: 1.0 + size * np.exp(-(10 * (xs - lo) / params.wavelength) ** 2)
+    scale = 10 / params.wavelength
 
-    assert grid_max(expansion, params, lo, hi, lambda xs, gains: 0.0 * gains + 1.0) == (x0, 1.0)
-    assert grid_max(expansion, params, lo, hi, bump(1e-13)) == (x0, 1.0)
-    x, value = grid_max(expansion, params, lo, hi, bump(1e-9))
+    def bump(size):
+        return (lambda xs, gains: 1.0 + size * np.exp(-(scale * (xs - lo)) ** 2),
+                lambda x, side, gain, slope: (-2.0 * size * scale * scale * (x - lo)
+                                              * math.exp(-(scale * (x - lo)) ** 2)))
+
+    def flat(xs, gains):
+        return 0.0 * gains + 1.0
+
+    assert grid_max(expansion, params, lo, hi, flat, lambda x, side, gain, slope: 0.0) == (x0, 1.0)
+    assert grid_max(expansion, params, lo, hi, *bump(1e-13)) == (x0, 1.0)
+    x, value = grid_max(expansion, params, lo, hi, *bump(1e-9))
     assert x == lo and value == 1.0 + 1e-9
 
 
@@ -333,14 +367,15 @@ def test_gain_grid_holds_one_float_array(params):
 
 
 def test_grid_max_reads_the_rest_value_off_gain_eval(params):
-    """The stay-at-rest tie reads the rest value as the polish reads a
-    position, with gain_eval, not off the lattice: 1,000 wavelengths out, at
+    """The stay-at-rest tie reads the rest value with gain_eval, as the
+    polish reads a position, not off the lattice: 1,000 wavelengths out, at
     lattice point 499,000, the two gains differ in their phase rounding."""
     far = replace(params, region_length=10.0, initial_position=9.98)
     x0 = far.initial_position
     expansion = build_expansion(make_instance(0, far), far.wavelength)
     x, value = grid_max(expansion, far, 9.9, 10.0,
-                        lambda xs, gains: np.where(xs == x0, gains, 0.0))
+                        lambda xs, gains: np.where(xs == x0, gains, 0.0),
+                        lambda x, side, gain, slope: 0.0)
     lattice = gain_grid(expansion, far.wavelength, 10.0)
     rest = 499_000
     assert rest * lattice.spacing == x0

@@ -30,6 +30,18 @@ polish tolerance, and no other scheme calls it. Their ee moved by at most
 1.7e-9 relative on power, region, long_power and long_track, and by at most
 2.4e-7 on tight_power, where the rate floor binds (the summed proposed ee
 rose); no feasible flag changed, and slow_power stayed byte-identical.
+
+The upper_bound, max_snr and max_throughput rows of all six sweeps were
+regenerated when ee.grid_max came to polish its best lattice cells by a root
+of the objective's closed-form slope (stopping at wavelength * 1e-12) instead
+of a golden section (stopping at wavelength * 1e-6). The proposed and fpa
+rows stayed byte-identical. upper_bound's ee stayed the same at printed
+precision and its x moved by at most 1.7e-9 m; the std_ee of its aggregate
+rows moved in the 12th digit on power, region, tight_power and slow_power.
+max_snr's ee moved by at most 3.9e-7 relative (slow_power) and
+max_throughput's by at most 4.5e-7 (long_power); both optimize the gain or
+the rate, not the efficiency, so their ee moves either way. No feasible
+flag changed.
 """
 
 from pathlib import Path

@@ -567,8 +567,7 @@ def test_optimize_computes_curvature_bound_once(params, monkeypatch):
 
 def test_subproblem_evaluates_the_surrogate_a_few_times(monkeypatch):
     """A subproblem evaluates the surrogate at piece ends and root-search
-    points only: a few dozen float calls at most, where the scan plus golden
-    polish it replaced took a 65-point array and ~24 float calls."""
+    points only: a few dozen float calls at most."""
     counts, current = [], []
     build, subproblem = solver._build_surrogate, solver.solve_subproblem
 
