@@ -81,12 +81,11 @@ def scheme_max_throughput(expansion: channel.GainExpansion,
 def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Move to the reachable gain argmax (SNR is monotone in gain under MRC), cost included.
 
-    ee.grid_max of the gain, as for the upper bound, but over
-    ee.reach_interval only: the two report the same position whenever the
-    reach covers the region, and both stay at rest on a tie.
+    ee.gain_peak, as for the upper bound, but over ee.reach_interval only.
+    Whenever the reach covers the region the two read the same kept search,
+    so they report the same position; both stay at rest on a tie.
     """
-    x_best, _ = ee.grid_max(expansion, params, *ee.reach_interval(params),
-                            lambda xs, gains: gains, lambda x, side, gain, slope: slope)
+    x_best, _ = ee.gain_peak(expansion, params, *ee.reach_interval(params))
     return ee.efficiency_at(expansion, params, x_best)
 
 

@@ -16,6 +16,7 @@ complex exponential per point and path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,16 +101,31 @@ def _steering(wavenumbers: np.ndarray, x) -> np.ndarray:
 class GainExpansion:
     """The channel of one environment in direct form: h(x) = f(x) response_conj.
 
-    f(x) is the steering row exp(j x wavenumbers) and response_conj = conj(E).
-    constant = |E|_F^2, the trace of the Gram matrix E E^H, is the gain of a
-    single path. gain_grids holds the gain lattice ee.gain_grid built for
-    this channel, one per spacing; dataclasses.replace starts a new one empty.
+    f(x) is the steering row exp(j x wavenumbers) and response_conj = conj(E);
+    slope_conj = jk conj(E), each path's row scaled by j k, gives the slope
+    h'(x) = f(x) slope_conj with one product. constant = |E|_F^2, the trace
+    of the Gram matrix E E^H, is the gain of a single path. What is computed
+    per channel is kept on it, and dataclasses.replace starts a copy without
+    it: gain_grids holds the gain lattice ee.gain_grid built for this
+    channel, one per spacing, gain_peaks the gain searches of ee.gain_peak,
+    and curvature is curvature_bound, computed on first use.
     """
 
     constant: float
     wavenumbers: np.ndarray
     response_conj: np.ndarray
+    slope_conj: np.ndarray = field(init=False, repr=False, compare=False)
     gain_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    gain_peaks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slope_conj",
+                           (1j * self.wavenumbers)[:, None] * self.response_conj)
+
+    @functools.cached_property
+    def curvature(self) -> float:
+        """curvature_bound of this channel, computed on first use and kept."""
+        return curvature_bound(self)
 
     @property
     def num_paths(self) -> int:
@@ -179,7 +195,9 @@ def _squared_norms(h) -> float | np.ndarray:
 
 def _half_slopes(expansion: GainExpansion, f, h) -> float | np.ndarray:
     """Re(h^H h') of one steering row f, or of each row of a block, with h = f conj(E)."""
-    h1 = (f * (1j * expansion.wavenumbers)) @ expansion.response_conj
+    h1 = f @ expansion.slope_conj
+    if h.ndim == 1:
+        return np.vdot(h, h1).real
     return np.sum(h.conj() * h1, axis=-1).real
 
 
@@ -232,7 +250,7 @@ def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
 
 
 def gain_derivative(expansion: GainExpansion, x) -> float | np.ndarray:
-    """d gain/dx = 2 Re(h^H h'), with h' = (f jk) conj(E)."""
+    """d gain/dx = 2 Re(h^H h'), with h' = f (jk conj(E)) = f slope_conj."""
     return 2.0 * _over_positions(
         expansion, x, lambda f: _half_slopes(expansion, f, f @ expansion.response_conj))
 
@@ -242,7 +260,7 @@ def gain_second_derivative(expansion: GainExpansion, x) -> float | np.ndarray:
     jk, response_conj = 1j * expansion.wavenumbers, expansion.response_conj
 
     def curvature(f):
-        h, h1 = f @ response_conj, (f * jk) @ response_conj
+        h, h1 = f @ response_conj, f @ expansion.slope_conj
         h2 = (f * (jk * jk)) @ response_conj
         return np.sum((h1.conj() * h1 + h.conj() * h2).real, axis=-1)
 
@@ -277,7 +295,7 @@ def curvature_bound(expansion: GainExpansion) -> float:
     sum_{a != b} |G_ab| (k_a - k_b)^2, the curvature amplitudes of the
     series terms. A single path has none, so its position-independent gain
     gets exactly 0; the bound carries the scale of the instance, with no
-    absolute floor.
+    absolute floor. GainExpansion.curvature keeps it, one per channel.
     """
     wavenumbers, total = expansion.wavenumbers, 0.0
     for start, gram in _gram_row_blocks(expansion):

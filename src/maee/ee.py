@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,6 +41,23 @@ class EEBreakdown:
     feasible: bool
 
 
+def _efficiency(xs, gains, params: SystemParams, ops):
+    """The efficiency formula, with ops giving maximum, log2 and where (numpy, or _FLOAT_OPS)."""
+    dist = abs(xs - params.initial_position)
+    time_left = ops.maximum(params.block_duration - dist / params.speed, 0.0)
+    snr = params.max_tx_power * gains / params.noise_power
+    rate = time_left * ops.log2(1.0 + snr)
+    energy = params.move_energy_rate * dist + params.max_tx_power * time_left
+    ratio = rate / ops.where(energy > 0.0, energy, math.inf)
+    return ratio, rate, energy, rate >= params.min_throughput
+
+
+# numpy's maximum, log2 and where on Python floats, for one position. The log is
+# numpy's, so a float gets the bits of the same entry of an array.
+_FLOAT_OPS = SimpleNamespace(maximum=max, log2=lambda value: float(np.log2(value)),
+                             where=lambda condition, a, b: a if condition else b)
+
+
 def efficiency_of_gains(xs, gains, params: SystemParams):
     """The efficiency formula: (ee, rate, energy, feasible) at positions xs with gains gains.
 
@@ -48,13 +66,7 @@ def efficiency_of_gains(xs, gains, params: SystemParams):
     zero communication time. Where the energy is zero (free movement and no
     time left) the rate is zero too, and the efficiency is defined as 0.
     """
-    dist = np.abs(xs - params.initial_position)
-    time_left = np.maximum(params.block_duration - dist / params.speed, 0.0)
-    snr = params.max_tx_power * gains / params.noise_power
-    rate = time_left * np.log2(1.0 + snr)
-    energy = params.move_energy_rate * dist + params.max_tx_power * time_left
-    ratio = np.divide(rate, energy, out=np.zeros_like(rate), where=energy > 0.0)
-    return ratio, rate, energy, rate >= params.min_throughput
+    return _efficiency(xs, gains, params, np)
 
 
 def efficiency_slopes(x: float, side: float, gain: float, gain_slope: float,
@@ -83,6 +95,7 @@ def efficiency_slopes(x: float, side: float, gain: float, gain_slope: float,
 def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdown:
     """The efficiency record of a block with the antenna at x and gain there.
 
+    efficiency_of_gains' formula on Python floats, with the same bits.
     Raises ValueError for a position outside the region or out of reach
     within the block, or for a negative gain; a move time over the block by
     rounding only (the edge of reach_interval) leaves no communication time,
@@ -97,9 +110,8 @@ def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdow
         )
     if gain < 0:
         raise ValueError(f"gain must be nonnegative, got {gain}")
-    ratio, rate, energy, feasible = efficiency_of_gains(x, gain, params)
-    return EEBreakdown(x=float(x), ee=float(ratio), throughput=float(rate),
-                       energy=float(energy), feasible=bool(feasible))
+    ratio, rate, energy, feasible = _efficiency(float(x), float(gain), params, _FLOAT_OPS)
+    return EEBreakdown(x=float(x), ee=ratio, throughput=rate, energy=energy, feasible=feasible)
 
 
 def efficiency_curve(expansion: channel.GainExpansion, params: SystemParams, xs):
@@ -184,12 +196,15 @@ def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float
                hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions and gains of the gain_grid points in [lo, hi], plus lo, hi and x0 if missing.
 
-    The gains of added points are evaluated here.
+    x0 is added only when it lies in [lo, hi]. The gains of added points are
+    evaluated here.
     """
     grid = gain_grid(expansion, params.wavelength, hi)
     start, stop = _rank(grid, lo, "left"), _rank(grid, hi, "right")
     xs, gains = np.arange(start, stop) * grid.spacing, grid.gains[start:stop]
-    missing = sorted({x for x in (lo, hi, params.initial_position) if x not in xs})
+    x0 = params.initial_position
+    ends = (lo, hi, x0) if lo <= x0 <= hi else (lo, hi)
+    missing = sorted({x for x in ends if x not in xs})
     if missing:
         at = np.searchsorted(xs, missing)
         gains = np.insert(gains, at, channel.gain_eval(expansion, np.array(missing)))
@@ -218,11 +233,11 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
     -inf where the rate floor is missed (feasible_efficiency) and is -inf at
     that maximum takes the root of rate - R_TH between it and the scan's best
     point instead, as in the solver's subproblem. A scan that is -inf
-    everywhere is returned as is. Ties prefer not moving: the rest position
-    wins when within _TIE_RTOL of the best. Its value is read with gain_eval,
-    not off the lattice, whose gains differ from gain_eval's by phase
-    rounding (up to ~1e-11 of the constant at 1e4 wavelengths), so the tie
-    never turns on that gap.
+    everywhere is returned as is. Ties prefer not moving: the rest position,
+    when it lies in [lo, hi], wins when within _TIE_RTOL of the best. Its
+    value is read with gain_eval, not off the lattice, whose gains differ
+    from gain_eval's by phase rounding (up to ~1e-11 of the constant at 1e4
+    wavelengths), so the tie never turns on that gap.
     """
     xs, gains = grid_slice(expansion, params, lo, hi)
     values = objective(xs, gains)
@@ -245,10 +260,28 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
             value = float(objective(x, read(x)[0]))
         if value > best or (value == best and x < best_x):
             best_x, best = x, value
-    rest = float(objective(x0, channel.gain_eval(expansion, x0)))
-    if rest >= best - _TIE_RTOL * abs(best):
-        return x0, rest
+    if lo <= x0 <= hi:
+        rest = float(objective(x0, channel.gain_eval(expansion, x0)))
+        if rest >= best - _TIE_RTOL * abs(best):
+            return x0, rest
     return best_x, best
+
+
+def gain_peak(expansion: channel.GainExpansion, params: SystemParams, lo: float,
+              hi: float) -> tuple[float, float]:
+    """grid_max of the gain on [lo, hi]: the best-gain position and its gain.
+
+    That search reads params only through x0 and the wavelength, so its
+    answer is kept in expansion.gain_peaks under (lo, hi, x0, wavelength):
+    the ceiling and max_snr search once per instance whenever the reach
+    covers the region.
+    """
+    key = (lo, hi, params.initial_position, params.wavelength)
+    peak = expansion.gain_peaks.get(key)
+    if peak is None:
+        peak = expansion.gain_peaks[key] = grid_max(
+            expansion, params, lo, hi, lambda xs, gains: gains, lambda x, side, gain, slope: slope)
+    return peak
 
 
 def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EEBreakdown:
@@ -256,9 +289,8 @@ def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EE
 
     The bound assumes the rest position already sits at the gain argmax, so
     the whole block is spent communicating and no movement energy accrues.
-    The argmax is taken by grid_max over the whole region, reachable or
+    The argmax is taken by gain_peak over the whole region, reachable or
     not, so the bound dominates every scheme.
     """
-    x_bar, gain = grid_max(expansion, params, 0.0, params.region_length,
-                           lambda xs, gains: gains, lambda x, side, gain, slope: slope)
+    x_bar, gain = gain_peak(expansion, params, 0.0, params.region_length)
     return energy_efficiency(x_bar, gain, replace(params, initial_position=x_bar))

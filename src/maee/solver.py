@@ -37,8 +37,11 @@ above the floor so the true rate there passes. The candidates always
 include c itself, which makes the surrogate objective sequence nondecreasing
 by construction. optimize reads the gain and slope of each iterate once, off
 one steering row (channel.gain_and_slope), and takes both the iterate's true
-efficiency and the next surrogate from them; the curvature constant is
-computed once per run.
+efficiency and the next surrogate from them. The curvature constant is
+computed once per instance and kept on it (GainExpansion.curvature); the
+reach interval and the root tolerance once per run. An inner loop whose
+subproblem returns its own center ends there, since the surrogate rebuilt at
+that point would be the one just solved.
 """
 
 from __future__ import annotations
@@ -213,12 +216,15 @@ def _piece_max(s: _Surrogate, a: float, b: float, side: float, rate: bool, targe
     return x, s.objective(x)
 
 
-def solve_subproblem(surrogate: _Surrogate, params: SystemParams) -> tuple[float, float] | None:
+def solve_subproblem(surrogate: _Surrogate, params: SystemParams, reach: tuple[float, float],
+                     tol: float) -> tuple[float, float] | None:
     """Maximize the eliminated surrogate over the trust window around its center.
 
-    The window is clipped to ee.reach_interval and cut at the rest position
-    and at the ends of surrogate.rate_span into pieces on which the
-    surrogate is concave (_piece_max). A new position must clear the rate
+    reach is ee.reach_interval(params) and tol the root tolerance, wavelength
+    * ee.ROOT_TOL_WAVELENGTHS; both are fixed for a run. The window is
+    clipped to reach and cut at the rest position and at the ends of
+    surrogate.rate_span into pieces on which the surrogate is concave
+    (_piece_max). A new position must clear the rate
     floor by FEASIBILITY_SLACK: the surrogate's own floor lies that much
     below it, so that the center, whose net equals its true rate up to
     rounding, stays admissible, and the margin above keeps a position found
@@ -232,12 +238,10 @@ def solve_subproblem(surrogate: _Surrogate, params: SystemParams) -> tuple[float
     """
     center, x0 = surrogate.center, params.initial_position
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
-    lo, hi = ee.reach_interval(params)
-    lo, hi = max(center - half, lo), min(center + half, hi)
+    lo, hi = max(center - half, reach[0]), min(center + half, reach[1])
     span_lo, span_hi = surrogate.rate_span
     cuts = sorted({lo, hi, *(t for t in (x0, span_lo, span_hi) if lo < t < hi)})
     target = params.min_throughput + FEASIBILITY_SLACK
-    tol = params.wavelength * ee.ROOT_TOL_WAVELENGTHS
     best_x, best = center, surrogate.objective(center)
     for a, b in zip(cuts, cuts[1:]):
         rate = span_lo < 0.5 * (a + b) < span_hi
@@ -266,16 +270,20 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     """Run the full Dinkelbach + SCA loop from the configured rest position.
 
     Each outer iteration runs the SCA inner loop at a fixed ratio estimate
-    until the surrogate objective stalls, then refreshes the estimate with the
-    true efficiency of the new iterate. The outer loop stops once the estimate
-    moves by less than the configured tolerance. An iterate that would lower
+    until the surrogate objective improves by no more than the tolerance, or
+    a subproblem returns its own center (its surrogate, rebuilt there, would
+    be the same and return the same step), then refreshes the estimate with
+    the true efficiency of the new iterate. The outer loop stops once the
+    estimate moves by less than the configured tolerance. An iterate that would lower
     the estimate (possible only through the tiny slack floors), or that misses
     the true rate floor (the surrogate allows FEASIBILITY_SLACK), is rejected
     and treated as converged; this keeps the ratio sequence nondecreasing and
     every accepted iterate feasible. Each iterate's channel is read once: its
     gain and slope give both its efficiency record and the next surrogate.
     The report carries the record computed when the last iterate was
-    accepted; nothing is evaluated again.
+    accepted; nothing is evaluated again. The curvature constant is the
+    instance's, computed by its first run and kept on the expansion
+    (GainExpansion.curvature).
 
     A start position violating the rate floor triggers one verified restart
     from the best feasible position of the instance's gain grid; if no
@@ -298,7 +306,8 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
         result = ee.energy_efficiency(x, gain, params)
 
     # the ratio estimate alpha is result.ee throughout
-    curvature = params.max_tx_power * channel.curvature_bound(expansion)
+    curvature = params.max_tx_power * expansion.curvature
+    reach, tol = ee.reach_interval(params), params.wavelength * ee.ROOT_TOL_WAVELENGTHS
     surrogate = _build_surrogate(params, x, gain, slope, result.ee, curvature)
     trace = [(0, x, result.ee, surrogate.objective(x))]
 
@@ -309,13 +318,16 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
         stalled = False
         inner_prev = -math.inf
         for _ in range(INNER_CAP):
-            step = solve_subproblem(surrogate, params)
+            step = solve_subproblem(surrogate, params, reach, tol)
             if step is None:
                 stalled = True
                 break
             x, objective = step
-            if x != surrogate.center:  # gain and slope hold the center's
-                gain, slope = channel.gain_and_slope(expansion, x)
+            if x == surrogate.center:
+                # Rebuilt here, the surrogate would be this one (same center, gain,
+                # slope, alpha and curvature): the same step again, improvement 0.
+                break
+            gain, slope = channel.gain_and_slope(expansion, x)
             improvement = objective - inner_prev
             inner_prev = objective
             if improvement <= params.tolerance:

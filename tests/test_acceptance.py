@@ -24,6 +24,7 @@ from maee.channel import (
     gain_series,
 )
 from maee.ee import (
+    ROOT_TOL_WAVELENGTHS,
     ee_upper_bound,
     efficiency_at,
     efficiency_curve,
@@ -214,7 +215,8 @@ def test_subproblem_reaches_the_dense_grid_maximum():
                 if lo <= x0 <= hi:
                     xs.append(x0)
                 best = max(map(surrogate.objective, xs))
-                step = solve_subproblem(surrogate, params)
+                step = solve_subproblem(surrogate, params, (reach_lo, reach_hi),
+                                        params.wavelength * ROOT_TOL_WAVELENGTHS)
                 if best == -math.inf:
                     continue
                 x, value = step

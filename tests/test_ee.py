@@ -174,15 +174,33 @@ def test_zero_move_independent_of_movement_params(params):
 
 
 def test_efficiency_curve_matches_scalar(params):
+    """energy_efficiency runs efficiency_of_gains' formula on Python floats
+    with numpy's log2, so its record holds the bits of the array entries, on
+    random params, positions (the reach ends and the rest position among
+    them) and gains from 0 to SNRs of ~1e6."""
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        region = float(rng.uniform(0.005, 0.05))
+        scenario = replace(
+            params, region_length=region, initial_position=float(rng.uniform(0.0, region)),
+            movement_power=float(rng.choice([0.0, rng.uniform(0.001, 5.0)])),
+            speed=float(10.0 ** rng.uniform(-3.5, 0.0)), block_duration=float(rng.uniform(0.5, 10.0)),
+            max_tx_power=float(10.0 ** rng.uniform(-3.0, 0.0)),
+            min_throughput=float(rng.uniform(0.0, 20.0)))
+        lo, hi = reach_interval(scenario)
+        xs = np.array([lo, hi, scenario.initial_position, *rng.uniform(lo, hi, 40)])
+        gains = np.array([0.0, *(10.0 ** rng.uniform(-14.0, -4.0, len(xs) - 1))])
+        ee_vals, rates, energies, feasible = efficiency_of_gains(xs, gains, scenario)
+        for i, (x, gain) in enumerate(zip(xs.tolist(), gains.tolist())):
+            b = energy_efficiency(x, gain, scenario)
+            assert (b.ee, b.throughput, b.energy, b.feasible) == (
+                ee_vals[i], rates[i], energies[i], feasible[i])
     expansion = build_expansion(make_instance(4), params.wavelength)
     xs = np.linspace(0.0, params.region_length, 64)
-    ee_vals, rates, energies, feasible = efficiency_curve(expansion, params, xs)
-    for i, x in enumerate(xs):
-        b = energy_efficiency(float(x), max(gain_eval(expansion, float(x)), 0.0), params)
-        assert ee_vals[i] == pytest.approx(b.ee, rel=1e-12)
-        assert rates[i] == pytest.approx(b.throughput, rel=1e-12, abs=1e-15)
-        assert energies[i] == pytest.approx(b.energy, rel=1e-12)
-        assert bool(feasible[i]) == b.feasible
+    curve = zip(*efficiency_curve(expansion, params, xs))
+    for x, gain, entries in zip(xs.tolist(), gain_eval(expansion, xs).tolist(), curve):
+        b = energy_efficiency(x, gain, params)
+        assert (b.ee, b.throughput, b.energy, b.feasible) == entries
 
 
 def test_ee_upper_bound_constant_gain(params):
@@ -326,7 +344,7 @@ def test_grid_slice_matches_searchsorted_on_the_lattice_positions(params):
     lattice points that np.searchsorted picks on the positions m * spacing,
     which a stored array used to hold, with their lattice gains: at lattice
     points, one ulp either side of them and in between, on a short track and
-    on the 1e4-wavelength cap."""
+    on the 1e4-wavelength cap. The rest position is added only inside [lo, hi]."""
     rng = np.random.default_rng(5)
     for region in (params.region_length, MAX_REGION_WAVELENGTHS * params.wavelength):
         scenario = replace(params, region_length=region)
@@ -342,7 +360,9 @@ def test_grid_slice_matches_searchsorted_on_the_lattice_positions(params):
                 first = np.searchsorted(positions, lo)
                 last = np.searchsorted(positions, hi, side="right")
                 want = dict(zip(positions[first:last].tolist(), grid.gains[first:last].tolist()))
-                missing = sorted({lo, hi, scenario.initial_position} - want.keys())
+                x0 = scenario.initial_position
+                ends = {lo, hi, x0} if lo <= x0 <= hi else {lo, hi}
+                missing = sorted(ends - want.keys())
                 if missing:  # the added points' gains, read as grid_slice reads them
                     want.update(zip(missing, gain_eval(expansion, np.array(missing)).tolist()))
                 xs, gains = grid_slice(expansion, scenario, lo, hi)

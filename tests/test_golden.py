@@ -42,6 +42,18 @@ max_snr's ee moved by at most 3.9e-7 relative (slow_power) and
 max_throughput's by at most 4.5e-7 (long_power); both optimize the gain or
 the rate, not the efficiency, so their ee moves either way. No feasible
 flag changed.
+
+The upper_bound and max_snr rows of power, region, tight_power and
+slow_power were regenerated when channel.gain_and_slope came to read the
+slope h' off a kept table jk conj(E) instead of scaling the steering row by
+jk first, which rounds the slope differently in its last bits; the polish
+roots of the gain search moved with it. Their x moved by at most 1e-14 m.
+ee stayed the same at printed precision, except max_snr's on slow_power
+(at most 1.5e-11 relative); max_snr's energy moved by at most 1.9e-12 and
+its throughput by at most 1.2e-11 relative, and max_snr's aggregate std_ee
+moved in the 12th digit on power, region and tight_power. The proposed,
+fpa and max_throughput rows and long_power and long_track stayed
+byte-identical, and no feasible flag changed.
 """
 
 from pathlib import Path

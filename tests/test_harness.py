@@ -151,6 +151,35 @@ def test_reference_positions_searched_once_per_movement_power_free_params(
     assert calls == {"scheme_max_throughput": searches, "scheme_max_snr": searches}
 
 
+@pytest.mark.parametrize("config, per_trial", [(None, 2), ("slow_power", 3)])
+def test_ceiling_and_max_snr_share_one_gain_search(config, per_trial, monkeypatch):
+    """When the reach covers the track, max_snr reads the ceiling's gain
+    search (ee.gain_peak): a power trial runs ee.grid_max twice, once for
+    both and once for max_throughput. slow_power's reach covers under half
+    the track, so max_snr searches on its own: three runs."""
+    calls = []
+    original = ee.grid_max
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ee, "grid_max", counted)
+    base = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
+    cfg = small_config(base=base, sweep_variable="power", sweep_values=(0.1, 0.5, 1.0, 2.0, 5.0),
+                       schemes=bench.SCHEME_ORDER)
+    for trial in range(3):
+        calls.clear()
+        records = run_trial(cfg, trial)
+        assert len(calls) == per_trial
+        # the shared search gives max_snr the position of its own search
+        params = params_for_value(base, "power", 0.1)
+        own, _ = original(instance_for(base, records[0].instance_seed), params,
+                          *ee.reach_interval(params), lambda xs, gains: gains,
+                          lambda x, side, gain, slope: slope)
+        assert records[0].results["max_snr"].x == own
+
+
 def test_power_sweep_shares_movement_power_free_results():
     # the default reach covers the track; v = 0.0019 m/s reaches under half of it
     for base in (SystemParams(), SystemParams(speed=0.0019)):

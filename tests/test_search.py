@@ -159,7 +159,17 @@ def test_grid_polish_never_worse_than_grid_best(seed):
     best = float(np.max(wiggly(grid_slice(expansion, PARAMS, lo, hi)[0])))
     assert fx >= best - 1e-12 * abs(best)
     assert fx == wiggly(x)
-    assert lo <= x <= hi or x == PARAMS.initial_position
+    assert lo <= x <= hi  # the rest position too only when it lies in [lo, hi]
+
+
+def test_grid_polish_stays_in_an_interval_beside_the_rest_position():
+    """A rest position outside [lo, hi] is neither scanned nor kept by the tie
+    rule, even where its value would be the best."""
+    x0 = PARAMS.initial_position
+    for lo, hi in ((0.0, 0.5 * x0), (1.5 * x0, PARAMS.region_length)):
+        x, fx = polish(lambda t: -(t - x0) ** 2, lambda t: -2.0 * (t - x0), lo, hi)
+        nearest = hi if hi < x0 else lo
+        assert (x, fx) == (nearest, -(nearest - x0) ** 2)
 
 
 def test_grid_polish_feeds_plain_floats_to_the_polish():

@@ -15,7 +15,14 @@ from maee.channel import (
     gain_derivative,
     gain_eval,
 )
-from maee.ee import ee_upper_bound, efficiency_at, energy_efficiency
+from maee.ee import (
+    ROOT_TOL_WAVELENGTHS,
+    ee_upper_bound,
+    efficiency_at,
+    energy_efficiency,
+    reach_interval,
+)
+from maee.harness import SweepConfig, run_trial
 from maee.params import SystemParams
 from maee.solver import (
     DELTA_FLOOR_WAVELENGTHS,
@@ -31,8 +38,13 @@ from conftest import make_instance, single_path_instance
 
 
 def curvature(expansion, params):
-    """The instance's curvature bound, as optimize computes it once per run."""
+    """The instance's curvature bound at the transmit power, as optimize reads it."""
     return params.max_tx_power * curvature_bound(expansion)
+
+
+def run_limits(params):
+    """The reach interval and root tolerance optimize hands each subproblem of a run."""
+    return reach_interval(params), params.wavelength * ROOT_TOL_WAVELENGTHS
 
 
 def surrogate_at(expansion, params, center, alpha, curvature):
@@ -251,7 +263,8 @@ def test_solve_subproblem_single_path_stays(params):
         params.wavelength)
     _, alpha = tangent_state(params.initial_position, expansion, params)
     x, _ = solve_subproblem(surrogate_at(expansion, params, params.initial_position, alpha,
-                                         curvature(expansion, params)), params)
+                                         curvature(expansion, params)),
+                            params, *run_limits(params))
     assert x == pytest.approx(params.initial_position, abs=1e-12)
 
 
@@ -261,7 +274,8 @@ def test_solve_subproblem_fixed_point_at_peak(params):
     recentered = replace(params, initial_position=x_bar)
     _, alpha = tangent_state(x_bar, expansion, recentered)
     x, _ = solve_subproblem(surrogate_at(expansion, recentered, x_bar, alpha,
-                                         curvature(expansion, recentered)), recentered)
+                                         curvature(expansion, recentered)),
+                            recentered, *run_limits(recentered))
     assert abs(x - x_bar) <= recentered.wavelength * 1e-4
 
 
@@ -273,7 +287,8 @@ def test_solve_subproblem_matches_joint_grid(seed, offset, params):
     x_i = params.initial_position + offset
     tangent, alpha = tangent_state(x_i, expansion, params)
     _, objective = solve_subproblem(
-        surrogate_at(expansion, params, x_i, alpha, curvature(expansion, params)), params)
+        surrogate_at(expansion, params, x_i, alpha, curvature(expansion, params)),
+        params, *run_limits(params))
 
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
     lo = max(0.0, x_i - half)
@@ -507,7 +522,7 @@ def test_surrogate_built_from_one_steering_row(params, monkeypatch):
                                  params.max_tx_power * curvature_bound(expansion))
     surrogate.objective(0.0125)
     surrogate.derivative(1.0, True)(0.0125)
-    solve_subproblem(surrogate, params)
+    solve_subproblem(surrogate, params, *run_limits(params))
     assert calls == [1]
 
 
@@ -552,7 +567,10 @@ def test_scheme_proposed_reuses_the_optimizer_record(params, monkeypatch):
 
 
 def test_optimize_computes_curvature_bound_once(params, monkeypatch):
-    """The Taylor curvature constant depends only on the instance."""
+    """The Taylor curvature constant depends only on the instance: it is kept
+    on the expansion, so every run on it, and every sweep value of a 5-value
+    power trial, reads one computation; a dataclasses.replace copy computes
+    its own."""
     calls = Counter()
     original = solver.channel.curvature_bound
 
@@ -561,8 +579,96 @@ def test_optimize_computes_curvature_bound_once(params, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(solver.channel, "curvature_bound", counted)
-    optimize(build_expansion(make_instance(1), params.wavelength), params)
+    expansion = build_expansion(make_instance(1), params.wavelength)
+    optimize(expansion, params)
+    optimize(expansion, replace(params, movement_power=2.0))
     assert calls["curvature_bound"] == 1
+    optimize(replace(expansion, constant=expansion.constant), params)
+    assert calls["curvature_bound"] == 2
+    cfg = SweepConfig(base=params, sweep_variable="power",
+                      sweep_values=(0.1, 0.5, 1.0, 2.0, 5.0), trials=1)
+    run_trial(cfg, 0)
+    assert calls["curvature_bound"] == 3
+
+
+def optimize_without_early_stop(expansion, params):
+    """optimize with an inner loop that, when a subproblem returns its own
+    center, rebuilds the surrogate there and solves it again."""
+    x = params.initial_position
+    gain, slope = gain_and_slope(expansion, x)
+    result = energy_efficiency(x, gain, params)
+    flagged = params.movement_power < params.max_tx_power
+    if not result.feasible:
+        x = solver._best_feasible_position(expansion, params)
+        if x is None:
+            return solver.SolverReport(result, 0, [], "infeasible", flagged)
+        gain, slope = gain_and_slope(expansion, x)
+        result = energy_efficiency(x, gain, params)
+    curvature = params.max_tx_power * curvature_bound(expansion)
+    surrogate = solver._build_surrogate(params, x, gain, slope, result.ee, curvature)
+    trace, status, outer_used = [(0, x, result.ee, surrogate.objective(x))], "iteration-cap", 0
+    for outer in range(1, solver.OUTER_CAP + 1):
+        outer_used, stalled, inner_prev = outer, False, -math.inf
+        for _ in range(solver.INNER_CAP):
+            step = solver.solve_subproblem(surrogate, params, *run_limits(params))
+            if step is None:
+                stalled = True
+                break
+            x, objective = step
+            if x != surrogate.center:
+                gain, slope = gain_and_slope(expansion, x)
+            improvement, inner_prev = objective - inner_prev, objective
+            if improvement <= params.tolerance:
+                break
+            surrogate = solver._build_surrogate(params, x, gain, slope, result.ee, curvature)
+        if stalled:
+            status = "converged"
+            break
+        checked = energy_efficiency(x, gain, params)
+        if checked.ee < result.ee or not checked.feasible:
+            status = "converged"
+            break
+        trace.append((outer, x, checked.ee, objective))
+        finished, result = abs(checked.ee - result.ee) <= params.tolerance, checked
+        if finished:
+            status = "converged"
+            break
+        surrogate = solver._build_surrogate(params, x, gain, slope, result.ee, curvature)
+    return solver.SolverReport(result, outer_used, trace, status, flagged)
+
+
+def test_optimize_never_solves_the_same_subproblem_twice(params, monkeypatch):
+    """A subproblem that returns its own center ends the inner loop: on seeds
+    0-19 no subproblem gets a surrogate with the previous one's center and
+    alpha, every report equals the one of the loop that solves it again, and
+    that loop solves more subproblems."""
+    built, solved = {}, []
+    build, subproblem = solver._build_surrogate, solver.solve_subproblem
+
+    def recorded_build(params, center, gain, slope, alpha, curvature):
+        surrogate = build(params, center, gain, slope, alpha, curvature)
+        built[id(surrogate)] = (surrogate, center, alpha)  # kept alive, so no id is reused
+        return surrogate
+
+    def recorded_subproblem(surrogate, *args):
+        solved.append(built[id(surrogate)][1:])
+        return subproblem(surrogate, *args)
+
+    monkeypatch.setattr(solver, "_build_surrogate", recorded_build)
+    monkeypatch.setattr(solver, "solve_subproblem", recorded_subproblem)
+    saved = 0
+    for seed in range(20):
+        expansion = build_expansion(make_instance(seed), params.wavelength)
+        for power in (0.1, 1.0, 5.0):
+            scenario = replace(params, movement_power=power)
+            solved.clear()
+            reference = optimize_without_early_stop(expansion, scenario)
+            saved += len(solved)
+            solved.clear()
+            assert optimize(expansion, scenario) == reference
+            assert all(a != b for a, b in zip(solved, solved[1:]))
+            saved -= len(solved)
+    assert saved > 0
 
 
 def test_subproblem_evaluates_the_surrogate_a_few_times(monkeypatch):
