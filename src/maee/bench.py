@@ -6,11 +6,10 @@ channel instance. The grid oracle is the reference the proposed optimizer is
 judged against. The ceiling, max_snr, max_throughput and the oracle pick
 their positions by one search, ee.grid_max, whose ties prefer not moving.
 
-Across params that differ only in movement power, evaluate_schemes reuses
-what does not read it: the whole records of the ceiling and the fixed
-antenna, and the positions of max_throughput and max_snr, whose efficiency
-alone is evaluated again. Only the proposed optimizer runs at every
-movement power.
+Every scheme runs in full at every params. The searches of the ceiling,
+max_snr and max_throughput are kept on the instance under the params fields
+they read (ee.kept_grid_max): params that differ elsewhere only, such as in
+the movement power, search once.
 """
 
 from __future__ import annotations
@@ -23,13 +22,6 @@ from . import channel, ee, solver
 from .params import SystemParams
 
 SCHEME_ORDER = ("proposed", "upper_bound", "max_throughput", "max_snr", "fpa")
-# Schemes whose result never reads the movement power: the ceiling assumes no
-# movement, and the fixed antenna never moves, so its movement energy is 0.
-MOVEMENT_POWER_FREE = ("upper_bound", "fpa")
-# Schemes whose position never reads the movement power, though their
-# efficiency does: the delivered rate, the gain and the reachable positions
-# hold no P.
-MOVEMENT_POWER_FREE_POSITION = ("max_throughput", "max_snr")
 ORACLE_RTOL = 1e-6  # relative floor of oracle_slack
 
 
@@ -70,9 +62,14 @@ def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -
 
 def scheme_max_throughput(expansion: channel.GainExpansion,
                           params: SystemParams) -> ee.EEBreakdown:
-    """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor."""
-    best_x, _ = ee.grid_max(
-        expansion, params, *ee.reach_interval(params),
+    """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor.
+
+    The rate and its slope read T, v, P_t and sigma2 besides x0: never P or R_TH.
+    """
+    reads = ("rate", params.block_duration, params.speed, params.max_tx_power,
+             params.noise_power)
+    best_x, _ = ee.kept_grid_max(
+        expansion, params, *ee.reach_interval(params), reads,
         lambda xs, g: ee.efficiency_of_gains(xs, g, params)[1],
         lambda x, side, gain, slope: ee.efficiency_slopes(x, side, gain, slope, params)[0])
     return ee.efficiency_at(expansion, params, best_x)
@@ -99,30 +96,13 @@ def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams) -> e
     return solver.optimize(expansion, params).result
 
 
-def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams, schemes=SCHEME_ORDER,
-                     known: dict[str, ee.EEBreakdown] | None = None) -> dict[str, ee.EEBreakdown]:
-    """Each requested scheme's efficiency record on one shared channel instance.
-
-    The dict is keyed by scheme name in SCHEME_ORDER. known, when given, maps
-    scheme names to records already computed on this instance for params that
-    differ from these at most in movement power. The MOVEMENT_POWER_FREE
-    schemes among them are reused as the same objects; the
-    MOVEMENT_POWER_FREE_POSITION schemes keep their known position and only
-    their efficiency there is evaluated again, with no grid search.
-    """
+def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
+                     schemes=SCHEME_ORDER) -> dict[str, ee.EEBreakdown]:
+    """Each requested scheme's record on one shared channel instance, by name in SCHEME_ORDER."""
     runners = {"proposed": scheme_proposed, "upper_bound": scheme_upper_bound,
                "max_throughput": scheme_max_throughput, "max_snr": scheme_max_snr,
                "fpa": scheme_fpa}
     unknown = set(schemes) - set(runners)
     if unknown:
         raise ValueError(f"unknown schemes: {sorted(unknown)}")
-    known = known or {}
-
-    def evaluate(name: str) -> ee.EEBreakdown:
-        if name in known and name in MOVEMENT_POWER_FREE:
-            return known[name]
-        if name in known and name in MOVEMENT_POWER_FREE_POSITION:
-            return ee.efficiency_at(expansion, params, known[name].x)
-        return runners[name](expansion, params)
-
-    return {name: evaluate(name) for name in SCHEME_ORDER if name in schemes}
+    return {name: runners[name](expansion, params) for name in SCHEME_ORDER if name in schemes}

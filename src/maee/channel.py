@@ -107,8 +107,9 @@ class GainExpansion:
     of the Gram matrix E E^H, is the gain of a single path. What is computed
     per channel is kept on it, and dataclasses.replace starts a copy without
     it: gain_grids holds the gain lattice ee.gain_grid built for this
-    channel, one per spacing, gain_peaks the gain searches of ee.gain_peak,
-    and curvature is curvature_bound, computed on first use.
+    channel, one per spacing, searches every ee.grid_max kept by
+    ee.kept_grid_max under the inputs it reads, and curvature is
+    curvature_bound, computed on first use.
     """
 
     constant: float
@@ -116,7 +117,7 @@ class GainExpansion:
     response_conj: np.ndarray
     slope_conj: np.ndarray = field(init=False, repr=False, compare=False)
     gain_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    gain_peaks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    searches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slope_conj",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -267,21 +267,31 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
     return best_x, best
 
 
+def kept_grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
+                  reads: tuple, objective, slope) -> tuple[float, float]:
+    """grid_max(expansion, params, lo, hi, objective, slope), kept in expansion.searches.
+
+    reads names the objective, then the value of each params field it and
+    slope read; grid_max itself reads only x0 and the wavelength for an
+    objective that is never -inf. Params equal on the key (reads, lo, hi,
+    x0, wavelength) share one search.
+    """
+    key = (reads, lo, hi, params.initial_position, params.wavelength)
+    found = expansion.searches.get(key)
+    if found is None:
+        found = expansion.searches[key] = grid_max(expansion, params, lo, hi, objective, slope)
+    return found
+
+
 def gain_peak(expansion: channel.GainExpansion, params: SystemParams, lo: float,
               hi: float) -> tuple[float, float]:
-    """grid_max of the gain on [lo, hi]: the best-gain position and its gain.
+    """kept_grid_max of the gain on [lo, hi]: the best-gain position and its gain.
 
-    That search reads params only through x0 and the wavelength, so its
-    answer is kept in expansion.gain_peaks under (lo, hi, x0, wavelength):
-    the ceiling and max_snr search once per instance whenever the reach
-    covers the region.
+    The gain reads no params field, so the ceiling and max_snr share one
+    search whenever the reach covers the region.
     """
-    key = (lo, hi, params.initial_position, params.wavelength)
-    peak = expansion.gain_peaks.get(key)
-    if peak is None:
-        peak = expansion.gain_peaks[key] = grid_max(
-            expansion, params, lo, hi, lambda xs, gains: gains, lambda x, side, gain, slope: slope)
-    return peak
+    return kept_grid_max(expansion, params, lo, hi, ("gain",),
+                         lambda xs, gains: gains, lambda x, side, gain, slope: slope)
 
 
 def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EEBreakdown:
@@ -290,7 +300,10 @@ def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EE
     The bound assumes the rest position already sits at the gain argmax, so
     the whole block is spent communicating and no movement energy accrues.
     The argmax is taken by gain_peak over the whole region, reachable or
-    not, so the bound dominates every scheme.
+    not, so the bound dominates every scheme. The formula reads a position
+    only through its travel from x0, so that record is the formula's at x0
+    itself with the peak's gain, reported at the peak.
     """
     x_bar, gain = gain_peak(expansion, params, 0.0, params.region_length)
-    return energy_efficiency(x_bar, gain, replace(params, initial_position=x_bar))
+    ratio, rate, energy, feasible = _efficiency(params.initial_position, gain, params, _FLOAT_OPS)
+    return EEBreakdown(x=float(x_bar), ee=ratio, throughput=rate, energy=energy, feasible=feasible)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -48,7 +48,8 @@ class SweepConfig:
 
     sweep_variable "region" interprets the values as region lengths in
     wavelengths (the normalized region size); "power" interprets them as the
-    movement power in watts.
+    movement power in watts. params holds each value's params_for_value,
+    built once here: a value that gives invalid params fails at construction.
     """
 
     base: SystemParams
@@ -58,6 +59,7 @@ class SweepConfig:
     master_seed: int = 0
     schemes: tuple[str, ...] = SCHEME_ORDER
     workers: int = 1
+    params: tuple[SystemParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sweep_variable not in SWEEP_VARIABLES:
@@ -75,6 +77,8 @@ class SweepConfig:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        object.__setattr__(self, "params", tuple(
+            params_for_value(self.base, self.sweep_variable, v) for v in values))
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,27 +123,23 @@ def instance_for(params: SystemParams, seed: int) -> channel.GainExpansion:
 def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
     """One record per sweep value, all from one instance drawn and expanded from cfg.base.
 
-    Every grid search of the trial reads a slice of the instance's one
-    ee.GainGrid over the longest region. Sweep values whose params
-    differ only in movement power (a power sweep) also share what
-    bench.evaluate_schemes may reuse: the same result object of each
-    bench.MOVEMENT_POWER_FREE scheme, and the position of each
-    bench.MOVEMENT_POWER_FREE_POSITION scheme, searched once.
+    Every scheme runs at every value. The trial's grid searches read slices
+    of the instance's one ee.GainGrid over the longest region, and a search
+    whose inputs repeat across values runs once (ee.kept_grid_max). Equal
+    records are kept as one object, held and pickled once.
     """
     seed = mix_seed(cfg.master_seed, trial_index)
     expansion = instance_for(cfg.base, seed)
-    values = [(v, params_for_value(cfg.base, cfg.sweep_variable, v)) for v in cfg.sweep_values]
     # Region sweep values ascend: without the longest lattice first, 4, 8 and 16
     # wavelengths would build 2,002 + 4,002 + 8,002 lattice points, not 8,002.
-    ee.gain_grid(expansion, cfg.base.wavelength, max(p.region_length for _, p in values))
-    shared: dict[SystemParams, dict[str, ee.EEBreakdown]] = {}
+    ee.gain_grid(expansion, cfg.base.wavelength, max(p.region_length for p in cfg.params))
+    seen: dict[ee.EEBreakdown, ee.EEBreakdown] = {}
     records = []
-    for value, params in values:
-        known = shared.setdefault(replace(params, movement_power=0.0), {})
-        results = bench.evaluate_schemes(expansion, params, cfg.schemes, known)
-        known.update(results)
-        records.append(TrialRecord(sweep_value=value, trial=trial_index,
-                                   instance_seed=seed, results=results))
+    for value, params in zip(cfg.sweep_values, cfg.params):
+        results = bench.evaluate_schemes(expansion, params, cfg.schemes)
+        records.append(TrialRecord(
+            sweep_value=value, trial=trial_index, instance_seed=seed,
+            results={name: seen.setdefault(r, r) for name, r in results.items()}))
     return records
 
 
@@ -147,13 +147,14 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[TrialRecord], list[AggregateRow]]:
     """Run all trials of a sweep and aggregate them.
 
     Each trial builds its instance once and evaluates it at every sweep value;
-    with workers > 1 the trials run in a process pool. Records are merged in
-    (value index, trial index) order either way, so the output is identical
-    for any worker count.
+    the trials run in a process pool of min(workers, trials) processes when
+    that is more than one. Records are merged in (value index, trial index)
+    order either way, so the output is identical for any worker count.
     """
     trial = partial(run_trial, cfg)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, cfg.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             by_trial = list(pool.map(trial, range(cfg.trials)))
     else:
         by_trial = list(map(trial, range(cfg.trials)))
@@ -288,8 +289,8 @@ def _parse_value(key: str, text: str) -> float | int:
 
 
 def parse_config_text(text: str) -> SystemParams:
-    """Build SystemParams from "key = value" lines; unset keys keep defaults."""
-    overrides = {}
+    """Build SystemParams from "key = value" lines, a key at most once; unset keys keep defaults."""
+    overrides, set_on = {}, {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -299,6 +300,9 @@ def parse_config_text(text: str) -> SystemParams:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ValueError(f"line {lineno}: {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         overrides[_CONFIG_KEYS[key]] = _parse_value(key, value)
     return replace(SystemParams(), **overrides)
 

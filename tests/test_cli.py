@@ -211,6 +211,20 @@ def test_paths_and_antennas_over_the_caps_exit_2(text, tmp_path, capsys):
     assert "exceed the caps" in err
 
 
+def test_sweep_value_with_invalid_params_exits_2_before_any_trial(tmp_path, monkeypatch,
+                                                                   capsys):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(channel, "sample_instance", no_trial)
+    code, out, err = run_cli(capsys, "sweep", "--sweep", "region", "--values", "20000",
+                             "--workers", "2", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: region length") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "solve", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2

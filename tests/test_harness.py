@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maee import bench, channel, ee, solver
+from maee import bench, channel, ee, harness, solver
 from maee.bench import evaluate_schemes
 from maee.harness import (
     SweepConfig,
@@ -99,22 +99,66 @@ def test_run_sweep_builds_each_instance_once(monkeypatch):
     assert calls == {"sample_instance": 2, "build_expansion": 2}
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Patch module.name to append its arguments to the returned list on every call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 4])
+def test_sweep_config_builds_each_value_params_once(trials, monkeypatch):
+    original = harness.params_for_value
+    calls = count_calls(monkeypatch, harness, "params_for_value")
+    values = (0.5, 1.0, 1.5)
+    cfg = small_config(sweep_values=values, trials=trials)
+    run_sweep(cfg)
+    assert len(calls) == len(values)
+    assert cfg.params == tuple(original(cfg.base, "region", v) for v in values)
+
+
+@pytest.mark.parametrize("workers, trials, pool_size", [(500, 2, 2), (2, 5, 2), (3, 1, None)])
+def test_run_sweep_starts_at_most_one_worker_per_trial(workers, trials, pool_size,
+                                                       monkeypatch):
+    """The pool gets min(workers, trials) processes; one trial runs in this
+    process. The stand-in pool records its size and starts no process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    records, _ = run_sweep(small_config(workers=workers, trials=trials))
+    assert len(records) == 2 * trials
+    assert sizes == ([pool_size] if pool_size else [])
+
+
 @pytest.mark.parametrize("variable, values, per_trial", [
     ("power", (0.1, 0.5, 1.0, 2.0, 5.0), 1),
     ("region", (0.5, 1.0, 1.5), 3),
 ])
 def test_run_sweep_ceiling_once_per_movement_power_free_params(
         variable, values, per_trial, monkeypatch):
-    """Movement power never reaches the ceiling, so a power sweep computes it
-    once per trial; a region sweep changes the region and needs it per value."""
-    calls = []
-    original = ee.ee_upper_bound
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ee, "ee_upper_bound", counted)
+    """Movement power never reaches the ceiling's gain search, so a power
+    sweep runs it once per trial; a region sweep changes the region and
+    runs it once per value."""
+    calls = count_calls(monkeypatch, ee, "grid_max")
     cfg = small_config(sweep_variable=variable, sweep_values=values, trials=2,
                        schemes=("upper_bound", "fpa"))
     records, _ = run_sweep(cfg)
@@ -131,76 +175,67 @@ def test_run_sweep_ceiling_once_per_movement_power_free_params(
 ])
 def test_reference_positions_searched_once_per_movement_power_free_params(
         variable, values, base, per_trial, monkeypatch):
-    """max_throughput and max_snr pick their positions without reading the
-    movement power, so a power sweep searches once per trial and a region
-    sweep once per value."""
-    calls = {"scheme_max_throughput": 0, "scheme_max_snr": 0}
-    for name in calls:
-        original = getattr(bench, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(bench, name, counted)
+    """max_throughput and max_snr search for their positions without reading
+    the movement power, so a power sweep runs each search once per trial and
+    a region sweep once per value."""
+    calls = count_calls(monkeypatch, ee, "grid_max")
     cfg = small_config(base=base, sweep_variable=variable, sweep_values=values, trials=2,
-                       schemes=bench.SCHEME_ORDER)
+                       schemes=("max_throughput", "max_snr"))
     records, _ = run_sweep(cfg)
     assert len(records) == 2 * len(values)
-    searches = 2 * per_trial
-    assert calls == {"scheme_max_throughput": searches, "scheme_max_snr": searches}
+    assert len(calls) == 2 * 2 * per_trial
 
 
-@pytest.mark.parametrize("config, per_trial", [(None, 2), ("slow_power", 3)])
-def test_ceiling_and_max_snr_share_one_gain_search(config, per_trial, monkeypatch):
-    """When the reach covers the track, max_snr reads the ceiling's gain
-    search (ee.gain_peak): a power trial runs ee.grid_max twice, once for
-    both and once for max_throughput. slow_power's reach covers under half
-    the track, so max_snr searches on its own: three runs."""
-    calls = []
-    original = ee.grid_max
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(ee, "grid_max", counted)
+@pytest.mark.parametrize("variable, config, per_trial", [
+    ("power", None, 2),
+    ("power", "slow_power", 3),
+    ("region", None, 6),
+    # R_TH = 10: the solver restarts from its own grid scan, not from ee.grid_max
+    ("power", "tight_power", 2),
+], ids=["None-2", "slow_power-3", "region-6", "tight_power-2"])
+def test_ceiling_and_max_snr_share_one_gain_search(variable, config, per_trial, monkeypatch):
+    """A trial runs ee.grid_max once per distinct search inputs. When the
+    reach covers the track, max_snr reads the ceiling's gain search
+    (ee.gain_peak), and neither it nor max_throughput's rate search reads
+    the movement power or the rate floor: a power trial runs ee.grid_max
+    twice, and a 3-value region trial twice per value. slow_power's reach
+    covers under half the track, so max_snr searches on its own: three runs."""
+    calls = count_calls(monkeypatch, ee, "grid_max")
     base = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
-    cfg = small_config(base=base, sweep_variable="power", sweep_values=(0.1, 0.5, 1.0, 2.0, 5.0),
+    values = (0.1, 0.5, 1.0, 2.0, 5.0) if variable == "power" else (0.5, 1.0, 1.5)
+    cfg = small_config(base=base, sweep_variable=variable, sweep_values=values,
                        schemes=bench.SCHEME_ORDER)
     for trial in range(3):
         calls.clear()
         records = run_trial(cfg, trial)
         assert len(calls) == per_trial
-        # the shared search gives max_snr the position of its own search
-        params = params_for_value(base, "power", 0.1)
-        own, _ = original(instance_for(base, records[0].instance_seed), params,
-                          *ee.reach_interval(params), lambda xs, gains: gains,
-                          lambda x, side, gain, slope: slope)
-        assert records[0].results["max_snr"].x == own
+        # a kept search gives max_snr the position of its own search
+        for record, params in zip(records, cfg.params):
+            own, _ = ee.gain_peak(instance_for(base, record.instance_seed), params,
+                                  *ee.reach_interval(params))
+            assert record.results["max_snr"].x == own
 
 
 def test_power_sweep_shares_movement_power_free_results():
+    """A trial keeps one object per distinct record, also after pickle: the
+    ceiling and the fixed antenna read no movement power, so every value of
+    a power sweep holds the same two objects."""
     # the default reach covers the track; v = 0.0019 m/s reaches under half of it
     for base in (SystemParams(), SystemParams(speed=0.0019)):
         cfg = small_config(base=base, sweep_variable="power", sweep_values=(0.2, 1.0, 3.0),
                            schemes=bench.SCHEME_ORDER)
         records = run_trial(cfg, 1)
-        first = records[0].results
-        for record in records[1:]:
-            for scheme in bench.MOVEMENT_POWER_FREE_POSITION:
-                assert record.results[scheme] is not first[scheme]
-                assert record.results[scheme].x is first[scheme].x
         for trial_records in (records, pickle.loads(pickle.dumps(records))):
             first = trial_records[0].results
             for record in trial_records[1:]:
-                for scheme in bench.MOVEMENT_POWER_FREE:
+                for scheme in ("upper_bound", "fpa"):
                     assert record.results[scheme] is first[scheme]
+            every = [r for record in trial_records for r in record.results.values()]
+            assert len({id(r) for r in every}) == len(set(every))
         # every record equals what its sweep value computes on its own
-        expansion = instance_for(cfg.base, records[0].instance_seed)
-        for record in records:
-            params = params_for_value(cfg.base, "power", record.sweep_value)
-            assert evaluate_schemes(expansion, params) == record.results
+        for record, params in zip(records, cfg.params):
+            alone = evaluate_schemes(instance_for(cfg.base, record.instance_seed), params)
+            assert alone == record.results
 
 
 @pytest.mark.parametrize("variable, values, config", [
@@ -382,6 +417,9 @@ def test_sweep_config_validation():
         small_config(workers=0)
     with pytest.raises(ValueError):
         small_config(sweep_variable="frequency")
+    # a value whose params are invalid: 2e4 wavelengths exceed the longest track
+    with pytest.raises(ValueError, match="exceeds"):
+        small_config(sweep_values=(1.0, 2e4))
 
 
 def test_parse_config_defaults_on_empty():
@@ -450,6 +488,8 @@ def test_parse_config_rejects_bad_input():
         parse_config_text("N = 2.5")
     with pytest.raises(ValueError):
         parse_config_text("just some words")
+    with pytest.raises(ValueError, match="line 3: 'A' already set on line 1"):
+        parse_config_text("A = 0.02 m\nL = 4\nA = 0.04 m")
     # values that are not finite, as written or once converted from dB/dBm
     for text in ("L = inf", "A = inf", "P_t = 4000 dBm", "rho_0 = 4000 dB", "P = nan W",
                  "T = inf", "P_t = inf W", "P = -inf dBm"):

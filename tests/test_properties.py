@@ -1,8 +1,10 @@
 """Property tests over the valid SystemParams ranges: the gain is finite and
-nonnegative, and every scheme and the grid oracle return finite efficiencies
-that keep their order."""
+nonnegative, every scheme and the grid oracle return finite efficiencies
+that keep their order, and the searches kept on an instance are keyed on
+every field they read."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from maee.bench import evaluate_schemes, grid_global_ee, oracle_slack  # noqa: E402
+from maee.bench import SCHEME_ORDER, evaluate_schemes, grid_global_ee, oracle_slack  # noqa: E402
 from maee.channel import build_expansion, gain_eval, gain_series, sample_instance  # noqa: E402
 from maee.params import SystemParams  # noqa: E402
 
@@ -158,3 +160,39 @@ def test_params_at_the_gain_and_curvature_scale_bounds_give_finite_records(
     records = [*evaluate_schemes(expansion, params).values(), grid_global_ee(expansion, params)]
     assert all(math.isfinite(value) for r in records
                for value in (r.ee, r.throughput, r.energy))
+
+
+# The new value of one field from a unit draw u, given the base params: T, v,
+# P_t, sigma2, x0, A (x0 stays inside, the track shrinks or grows), R_TH or P.
+NEW_VALUE = {
+    "block_duration": lambda base, u: 0.5 + 9.5 * u,
+    "speed": lambda base, u: 10.0 ** (3.5 * u - 3.5),
+    "max_tx_power": lambda base, u: 10.0 ** (3.0 * u - 3.0),
+    "noise_power": lambda base, u: 10.0 ** (4.0 * u - 12.0),
+    "initial_position": lambda base, u: u * base.region_length,
+    "region_length": lambda base, u: base.initial_position + (0.5 + 7.5 * u) * base.wavelength,
+    "min_throughput": lambda base, u: 12.0 * u,
+    "movement_power": lambda base, u: 5.0 * u,
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(speed=st.sampled_from([0.2, 0.0019]), rest=st.sampled_from([0.0, 0.5, 1.0]),
+       field=st.sampled_from(sorted(NEW_VALUE)), u=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_kept_searches_key_on_every_field_they_read(speed, rest, field, u, seed):
+    """Evaluated at params and then at a copy with one field changed, one
+    expansion gives every scheme but the proposed optimizer the records a
+    fresh expansion gives: the searches it keeps (ee.kept_grid_max) cannot
+    answer for params they do not read alike. At v = 0.0019 m/s the reach
+    covers under half the track, so T, v and x0 move the searched interval;
+    from a rest position at an end of the track, only its other end moves."""
+    default = SystemParams()
+    base = SystemParams(speed=speed, initial_position=rest * default.region_length)
+    changed = replace(base, **{field: NEW_VALUE[field](base, u)})
+    instance = sample_instance(base, np.random.default_rng(seed))
+    schemes = SCHEME_ORDER[1:]
+    shared = build_expansion(instance, base.wavelength)
+    evaluate_schemes(shared, base, schemes)
+    fresh = build_expansion(instance, base.wavelength)
+    assert evaluate_schemes(shared, changed, schemes) == evaluate_schemes(fresh, changed, schemes)
