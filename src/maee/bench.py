@@ -99,6 +99,9 @@ def scheme_proposed(expansion: channel.GainExpansion, params: SystemParams) -> e
 def evaluate_schemes(expansion: channel.GainExpansion, params: SystemParams,
                      schemes=SCHEME_ORDER) -> dict[str, ee.EEBreakdown]:
     """Each requested scheme's record on one shared channel instance, by name in SCHEME_ORDER."""
+    # Built at call time from the module's names: a module-level table would
+    # hold the functions themselves and bypass the wrappers benchmarks/tracer.py
+    # sets on this module's attributes.
     runners = {"proposed": scheme_proposed, "upper_bound": scheme_upper_bound,
                "max_throughput": scheme_max_throughput, "max_snr": scheme_max_snr,
                "fpa": scheme_fpa}

@@ -194,14 +194,6 @@ def _squared_norms(h) -> float | np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _half_slopes(expansion: GainExpansion, f, h) -> float | np.ndarray:
-    """Re(h^H h') of one steering row f, or of each row of a block, with h = f conj(E)."""
-    h1 = f @ expansion.slope_conj
-    if h.ndim == 1:
-        return np.vdot(h, h1).real
-    return np.sum(h.conj() * h1, axis=-1).real
-
-
 def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
     """Channel power gain |f(x) conj(E)|^2 at position(s) x; exactly the constant for one path."""
     if expansion.num_paths == 1:
@@ -243,17 +235,11 @@ def gain_lattice(expansion: GainExpansion, spacing: float, count: int) -> np.nda
 
 
 def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
-    """gain_eval and gain_derivative at one position, from one steering row: the same floats."""
+    """gain_eval's gain, bit for bit, and the slope 2 Re(h^H f slope_conj) at one position x."""
     f = _steering(expansion.wavenumbers, float(x))
     h = f @ expansion.response_conj
     gain = expansion.constant if expansion.num_paths == 1 else float(_squared_norms(h))
-    return gain, 2.0 * float(_half_slopes(expansion, f, h))
-
-
-def gain_derivative(expansion: GainExpansion, x) -> float | np.ndarray:
-    """d gain/dx = 2 Re(h^H h'), with h' = f (jk conj(E)) = f slope_conj."""
-    return 2.0 * _over_positions(
-        expansion, x, lambda f: _half_slopes(expansion, f, f @ expansion.response_conj))
+    return gain, 2.0 * float(np.vdot(h, f @ expansion.slope_conj).real)
 
 
 def gain_second_derivative(expansion: GainExpansion, x) -> float | np.ndarray:

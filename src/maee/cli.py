@@ -17,6 +17,13 @@ _DEFAULT_SWEEP_VALUES = {
 }
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maee",
@@ -26,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key = value parameter file")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
 
     p_solve = sub.add_parser("solve", help="evaluate all schemes on one random instance")
     common(p_solve)
@@ -132,7 +139,7 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     sample = xs[::50]
     fd1 = (tx * channel.gain_eval(expansion, sample + step1)
            - tx * channel.gain_eval(expansion, sample - step1)) / (2 * step1)
-    an1 = tx * channel.gain_derivative(expansion, sample)
+    an1 = tx * np.array([channel.gain_and_slope(expansion, x)[1] for x in sample])
     fd2 = (tx * channel.gain_eval(expansion, sample + step2)
            - 2 * tx * channel.gain_eval(expansion, sample)
            + tx * channel.gain_eval(expansion, sample - step2)) / step2**2

@@ -235,9 +235,9 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
     point instead, as in the solver's subproblem. A scan that is -inf
     everywhere is returned as is. Ties prefer not moving: the rest position,
     when it lies in [lo, hi], wins when within _TIE_RTOL of the best. Its
-    value is read with gain_eval, not off the lattice, whose gains differ
-    from gain_eval's by phase rounding (up to ~1e-11 of the constant at 1e4
-    wavelengths), so the tie never turns on that gap.
+    value is read the way the polish reads a position, not off the lattice,
+    whose gains differ from gain_eval's by phase rounding (up to ~1e-11 of
+    the constant at 1e4 wavelengths), so the tie never turns on that gap.
     """
     xs, gains = grid_slice(expansion, params, lo, hi)
     values = objective(xs, gains)
@@ -261,7 +261,7 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
         if value > best or (value == best and x < best_x):
             best_x, best = x, value
     if lo <= x0 <= hi:
-        rest = float(objective(x0, channel.gain_eval(expansion, x0)))
+        rest = float(objective(x0, read(x0)[0]))
         if rest >= best - _TIE_RTOL * abs(best):
             return x0, rest
     return best_x, best

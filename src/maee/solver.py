@@ -209,10 +209,7 @@ def _piece_max(s: _Surrogate, a: float, b: float, side: float, rate: bool, targe
     at_anchor = excess(anchor)
     if at_anchor < 0.0:
         return anchor, -math.inf
-    if x < anchor:
-        x = search.root(excess, x, at_x, anchor, at_anchor, tol)
-    else:
-        x = search.root(excess, anchor, at_anchor, x, at_x, tol)
+    x = search.root(excess, anchor, at_anchor, x, at_x, tol)
     return x, s.objective(x)
 
 

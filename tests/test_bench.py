@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maee import bench
 from maee.bench import (
     evaluate_schemes,
     grid_global_ee,
@@ -255,6 +256,21 @@ def test_scheme_results_mutually_consistent(params):
         if result.energy > 0:
             assert result.ee * result.energy == pytest.approx(result.throughput,
                                                               rel=1e-9, abs=1e-12)
+
+
+def test_evaluate_schemes_calls_the_module_attribute(params, monkeypatch):
+    """Schemes are looked up on maee.bench at call time, so a wrapper set on
+    the module attribute, as benchmarks/tracer.py sets, is the one called."""
+    calls = []
+
+    def wrapped(expansion, params):
+        calls.append(expansion)
+        return scheme_fpa(expansion, params)
+
+    monkeypatch.setattr(bench, "scheme_fpa", wrapped)
+    expansion = build_expansion(make_instance(1), params.wavelength)
+    results = evaluate_schemes(expansion, params, schemes=("fpa",))
+    assert calls == [expansion] and results["fpa"] == scheme_fpa(expansion, params)
 
 
 def test_evaluate_schemes_subset_and_order(params):

@@ -11,7 +11,6 @@ from maee.channel import (
     channel_vector,
     curvature_bound,
     gain_and_slope,
-    gain_derivative,
     gain_eval,
     gain_lattice,
     gain_second_derivative,
@@ -20,7 +19,7 @@ from maee.channel import (
 )
 from maee.params import MAX_BS_ANTENNAS, MAX_PATHS, MAX_RESPONSE_ENTRIES, SystemParams
 
-from conftest import (direct_gain, field_response, hand_instance, make_instance,
+from conftest import (direct_gain, field_response, gain_slopes, hand_instance, make_instance,
                       single_path_instance, slope_amplitude)
 
 
@@ -177,7 +176,6 @@ def test_gain_blocks_bounded_in_antennas_as_well_as_paths(monkeypatch):
     monkeypatch.setattr(channel, "_steering", recorded)
     xs = np.linspace(0.0, params.region_length, 101)
     gains = gain_eval(expansion, xs)
-    gain_derivative(expansion, xs)
     gain_second_derivative(expansion, xs)
     assert max(rows) * params.num_bs_antennas <= channel._BLOCK_ENTRIES
     assert np.allclose(gains, direct_gain(instance, params.wavelength, xs), rtol=1e-9)
@@ -254,13 +252,12 @@ def test_gain_lattice_arrays_bounded_by_a_block(num_paths, num_antennas, count, 
     assert peak <= 4 * 16 * bound
 
 
-def test_gain_and_slope_equal_gain_eval_and_gain_derivative_bit_for_bit(params):
+def test_gain_and_slope_gain_equals_gain_eval_bit_for_bit(params):
     for seed, num_paths in ((0, 10), (1, 1), (2, 30)):
         scenario = SystemParams(num_paths=num_paths)
         expansion = build_expansion(make_instance(seed, scenario), params.wavelength)
         for x in (0.0, 0.0031, np.float64(0.0123), params.region_length):
-            assert gain_and_slope(expansion, x) == (gain_eval(expansion, x),
-                                                    gain_derivative(expansion, x))
+            assert gain_and_slope(expansion, x)[0] == gain_eval(expansion, x)
 
 
 @pytest.mark.parametrize("num_paths", [1, 10, 30])
@@ -292,7 +289,7 @@ def test_gain_nonnegative(params):
 
 def test_gain_derivative_single_path_zero():
     expansion = build_expansion(single_path_instance(), 0.01)
-    assert gain_derivative(expansion, 0.004) == 0.0
+    assert gain_and_slope(expansion, 0.004)[1] == 0.0
     assert gain_second_derivative(expansion, 0.004) == 0.0
 
 
@@ -305,7 +302,7 @@ def test_gain_derivative_matches_finite_difference(seed, params):
     step = 1e-8
     fd = (np.asarray(gain_eval(expansion, xs + step))
           - np.asarray(gain_eval(expansion, xs - step))) * tx / (2 * step)
-    analytic = tx * gain_derivative(expansion, xs)
+    analytic = tx * gain_slopes(expansion, xs)
     scale = slope_amplitude(instance, params.wavelength, tx)
     assert np.all(np.abs(fd - analytic) <= 1e-4 * np.maximum(np.abs(analytic), 1e-3 * scale))
 
@@ -329,7 +326,7 @@ def test_gain_derivative_small_at_grid_peak(params):
     xs = np.linspace(0.0, params.region_length, 10_000)
     gains = gain_eval(expansion, xs)
     idx = int(np.argmax(gains[1:-1])) + 1  # interior stationary point
-    derivs = gain_derivative(expansion, xs)
+    derivs = gain_slopes(expansion, xs)
     assert abs(derivs[idx]) <= 1e-3 * float(np.max(np.abs(derivs)))
 
 

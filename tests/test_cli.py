@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from maee import channel
+from maee import channel, cli
 from maee.cli import build_parser, cli_main
 from maee.harness import parse_config_text
 from maee.params import MAX_BS_ANTENNAS, MAX_PATHS, MAX_RESPONSE_ENTRIES, SystemParams
@@ -103,6 +103,19 @@ def test_check_fails_a_lattice_off_by_a_millionth(monkeypatch, capsys):
     assert "FAIL trial=0 closed-form equivalence" in out
 
 
+def test_check_reads_the_slope_production_reads(monkeypatch):
+    """The derivative row checks channel.gain_and_slope, the one read of the
+    slope the solver and the grid polish make: scaled by 1.01, it fails."""
+    original = channel.gain_and_slope
+
+    def scaled(expansion, x):
+        gain, slope = original(expansion, x)
+        return gain, 1.01 * slope
+
+    monkeypatch.setattr(channel, "gain_and_slope", scaled)
+    assert dict(cli._check_instance(SystemParams(), 0))["derivative consistency"] is False
+
+
 def test_check_command(capsys):
     code, out, _ = run_cli(capsys, "check", "--trials", "1")
     assert code == 0
@@ -151,6 +164,18 @@ def test_unknown_flag_exits_2(capsys):
         code, _, err = run_cli(capsys, "solve", *flag)
         assert code == 2
         assert "usage" in err.lower()
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "check", "sweep"])
+def test_negative_seed_exits_2_at_the_parser(command, tmp_path, capsys):
+    """Every command rejects a negative --seed, naming the flag, before it
+    draws or writes anything: numpy's generators take none."""
+    out_dir = tmp_path / "out"
+    extra = ("--sweep", "power", "--out", str(out_dir)) if command == "sweep" else ()
+    code, out, err = run_cli(capsys, command, *extra, "--seed", "-3")
+    assert code == 2 and out == ""
+    assert "error: argument --seed: must be a non-negative integer, got '-3'" in err
+    assert not out_dir.exists()
 
 
 def test_unknown_command_exits_2(capsys):

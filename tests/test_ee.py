@@ -386,10 +386,11 @@ def test_gain_grid_holds_one_float_array(params):
     assert 8 * len(grid.gains) <= held <= 8 * len(grid.gains) + 2**16
 
 
-def test_grid_max_reads_the_rest_value_off_gain_eval(params):
-    """The stay-at-rest tie reads the rest value with gain_eval, as the
+def test_grid_max_reads_the_rest_value_off_gain_and_slope(params):
+    """The stay-at-rest tie reads the rest value with gain_and_slope, as the
     polish reads a position, not off the lattice: 1,000 wavelengths out, at
-    lattice point 499,000, the two gains differ in their phase rounding."""
+    lattice point 499,000, the two gains differ in their phase rounding.
+    gain_and_slope's gain is gain_eval's bit for bit."""
     far = replace(params, region_length=10.0, initial_position=9.98)
     x0 = far.initial_position
     expansion = build_expansion(make_instance(0, far), far.wavelength)

@@ -115,12 +115,18 @@ def test_grid_polish_argmax_at_last_point():
 
 
 def test_grid_polish_all_minus_inf_returned_without_polish(monkeypatch):
-    reads = []
-    monkeypatch.setattr(ee.channel, "gain_and_slope", lambda *args: reads.append(args))
+    """No cell is polished; the rest tie reads the channel once, at x0."""
+    reads, original = [], ee.channel.gain_and_slope
+
+    def counted(expansion, x):
+        reads.append(x)
+        return original(expansion, x)
+
+    monkeypatch.setattr(ee.channel, "gain_and_slope", counted)
     x, fx = polish(lambda t: np.full(np.shape(t), -np.inf), lambda t: 0.0)
     assert fx == -math.inf
     assert x == PARAMS.initial_position  # the rest position ties with the scan
-    assert reads == []
+    assert reads == [PARAMS.initial_position]
 
 
 def test_grid_polish_ties_resolve_to_smallest_x():

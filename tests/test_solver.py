@@ -12,7 +12,6 @@ from maee.channel import (
     build_expansion,
     curvature_bound,
     gain_and_slope,
-    gain_derivative,
     gain_eval,
 )
 from maee.ee import (
@@ -66,7 +65,7 @@ class Tangent:
         self.center, self.expansion = center, expansion
         self.curvature = curvature(expansion, params)
         self.value = scaled_gain(expansion, params, center)
-        self.slope = params.max_tx_power * gain_derivative(expansion, center)
+        self.slope = params.max_tx_power * gain_and_slope(expansion, center)[1]
         self.half = 0.5 * self.curvature
         self.delta = max(abs(center - params.initial_position),
                          params.wavelength * DELTA_FLOOR_WAVELENGTHS)
@@ -164,7 +163,7 @@ def test_dinkelbach_zero_gain(params):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_taylor_tangency(seed, params):
-    """The bounds touch h at the center with gain_derivative's slope."""
+    """The bounds touch h at the center with gain_and_slope's slope."""
     expansion = build_expansion(make_instance(seed), params.wavelength)
     x_i = 0.0123
     tangent = Tangent(x_i, expansion, params)
