@@ -24,6 +24,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _values(text: str) -> tuple[float, ...]:
+    """A --values list: one or more comma-separated numbers."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maee",
@@ -44,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--sweep", choices=harness.SWEEP_VARIABLES, required=True,
                          help="sweep variable: region (in wavelengths) or power (W)")
-    p_sweep.add_argument("--values", help="comma-separated sweep values")
+    p_sweep.add_argument("--values", type=_values, help="comma-separated sweep values")
     p_sweep.add_argument("--trials", type=int, default=200)
     p_sweep.add_argument("--out", default="results",
                          help="output directory for raw.csv and aggregate.csv")
@@ -100,13 +109,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    params = _load_params(args)
-    if args.values:
-        values = tuple(float(v) for v in args.values.split(","))
-    else:
-        values = _DEFAULT_SWEEP_VALUES[args.sweep]
     cfg = harness.SweepConfig(
-        base=params, sweep_variable=args.sweep, sweep_values=values,
+        base=_load_params(args), sweep_variable=args.sweep,
+        sweep_values=args.values or _DEFAULT_SWEEP_VALUES[args.sweep],
         trials=args.trials, master_seed=args.seed, workers=args.workers)
     records, aggregates = harness.run_sweep(cfg)
     raw_path, agg_path = harness.emit_csv(records, aggregates, args.out)

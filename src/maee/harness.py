@@ -232,82 +232,79 @@ def emit_csv(records: list[TrialRecord], aggregates: list[AggregateRow],
 
 
 # Configuration files use the conventional symbol names, one "key = value"
-# per line; dB/dBm units are converted here so everything downstream is
-# linear watts.
+# per line. Each key maps to its SystemParams field and to the units its value
+# may carry, each with its conversion to the linear value a bare number gives.
 _CONFIG_KEYS = {
-    "lambda": "wavelength",
-    "A": "region_length",
-    "N": "num_bs_antennas",
-    "L": "num_paths",
-    "P_t": "max_tx_power",
-    "P": "movement_power",
-    "v": "speed",
-    "T": "block_duration",
-    "R_TH": "min_throughput",
-    "sigma2": "noise_power",
-    "x0": "initial_position",
-    "rho_0": "pathloss_ref",
-    "d": "distance",
-    "alpha_tilde": "pathloss_exp",
-    "epsilon": "tolerance",
+    "lambda": ("wavelength", {"m": float}),
+    "A": ("region_length", {"m": float}),
+    "N": ("num_bs_antennas", {}),
+    "L": ("num_paths", {}),
+    "P_t": ("max_tx_power", {"W": float, "dBm": dbm_to_watt}),
+    "P": ("movement_power", {"W": float, "dBm": dbm_to_watt}),
+    "v": ("speed", {"m/s": float}),
+    "T": ("block_duration", {"s": float}),
+    "R_TH": ("min_throughput", {"bits/Hz": float}),
+    "sigma2": ("noise_power", {"W": float, "dBm": dbm_to_watt}),
+    "x0": ("initial_position", {"m": float}),
+    "rho_0": ("pathloss_ref", {"dB": db_to_linear}),
+    "d": ("distance", {"m": float}),
+    "alpha_tilde": ("pathloss_exp", {}),
+    "epsilon": ("tolerance", {}),
 }
-_INT_KEYS = {"N", "L"}
-_POWER_KEYS = {"P_t", "P", "sigma2"}
-_RATIO_KEYS = {"rho_0"}
-_PLAIN_UNITS = {"", "W", "m", "s", "m/s", "bits/Hz"}
 
 
 def _parse_value(key: str, text: str) -> float | int:
-    tokens = text.split()
-    if not tokens or len(tokens) > 2:
-        raise ValueError(f"malformed value for {key!r}: {text!r}")
+    """The linear value of text: a bare number, or one carrying a unit of key's row."""
+    name, units = _CONFIG_KEYS[key]
+    tokens = text.split(maxsplit=1)
     try:
         number = float(tokens[0])
-    except ValueError as exc:
+    except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed value for {key!r}: {text!r}") from exc
-    if not math.isfinite(number):
-        raise ValueError(f"{key!r} must be finite, got {text!r}")
-    unit = tokens[1] if len(tokens) == 2 else ""
+    unit = tokens[1] if len(tokens) == 2 else None
+    if unit and unit not in units:
+        raise ValueError(f"unit {unit!r} not valid for {key!r}, which takes "
+                         f"{' or '.join(units) or 'no unit'}")
     try:
-        if unit == "dBm":
-            if key not in _POWER_KEYS:
-                raise ValueError(f"unit dBm not valid for {key!r}")
-            number = dbm_to_watt(number)
-        elif unit == "dB":
-            if key not in _RATIO_KEYS:
-                raise ValueError(f"unit dB not valid for {key!r}")
-            number = db_to_linear(number)
-        elif unit not in _PLAIN_UNITS:
-            raise ValueError(f"unknown unit {unit!r} for {key!r}")
-    except OverflowError as exc:  # the linear value is not finite
-        raise ValueError(f"{key!r} must be finite, got {text!r}") from exc
-    if key in _INT_KEYS:
-        if number != int(number):
+        value = units[unit](number) if unit else number
+    except OverflowError:  # the linear value is not finite
+        value = math.inf
+    if not (math.isfinite(number) and math.isfinite(value)):
+        raise ValueError(f"{key!r} must be finite, got {text!r}")
+    if type(getattr(SystemParams, name)) is int:
+        if value != int(value):
             raise ValueError(f"{key!r} must be an integer, got {text!r}")
-        return int(number)
-    return number
+        return int(value)
+    return value
 
 
 def parse_config_text(text: str) -> SystemParams:
-    """Build SystemParams from "key = value" lines, a key at most once; unset keys keep defaults."""
+    """SystemParams from "key = value" lines, a key at most once; unset keys keep defaults."""
     overrides, set_on = {}, {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key in set_on:
-            raise ValueError(f"line {lineno}: {key!r} already set on line {set_on[key]}")
-        set_on[key] = lineno
-        overrides[_CONFIG_KEYS[key]] = _parse_value(key, value)
-    return replace(SystemParams(), **overrides)
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected 'key = value', got {raw_line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in set_on:
+                raise ValueError(f"{key!r} already set on line {set_on[key]}")
+            set_on[key] = lineno
+            overrides[_CONFIG_KEYS[key][0]] = _parse_value(key, value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    return SystemParams(**overrides)
 
 
 def load_config(path) -> SystemParams:
     """Read a configuration file; see parse_config_text for the format."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return parse_config_text(text)

@@ -20,6 +20,11 @@ MAX_RESPONSE_ENTRIES = 2**20
 # further. Right at the bounds some schemes overflowed with a headroom of 1e7,
 # none with 1e9 (L <= 2000, N <= 16, eight seeds each).
 SCALE_HEADROOM = 1e12
+# Fields that must be positive and fields that must be nonnegative; the
+# counts, the tolerance and x0 have range checks of their own.
+_POSITIVE = frozenset({"wavelength", "region_length", "max_tx_power", "speed",
+                       "block_duration", "noise_power", "distance"})
+_NONNEGATIVE = frozenset({"movement_power", "pathloss_ref"})
 
 
 def db_to_linear(db: float) -> float:
@@ -63,10 +68,10 @@ class SystemParams:
             value = getattr(self, spec.name)
             if not math.isfinite(value):
                 raise ValueError(f"{spec.name} must be finite, got {value}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if self.region_length <= 0:
-            raise ValueError(f"region length must be positive, got {self.region_length}")
+            if spec.name in _POSITIVE and value <= 0:
+                raise ValueError(f"{spec.name} must be positive, got {value}")
+            if spec.name in _NONNEGATIVE and value < 0:
+                raise ValueError(f"{spec.name} must be nonnegative, got {value}")
         if self.region_length > MAX_REGION_WAVELENGTHS * self.wavelength:
             raise ValueError(
                 f"region length {self.region_length} m exceeds {MAX_REGION_WAVELENGTHS:g} "
@@ -84,22 +89,8 @@ class SystemParams:
             raise ValueError(f"{self.num_paths} paths x {self.num_bs_antennas} antennas exceed "
                              f"the caps of {MAX_PATHS} paths, {MAX_BS_ANTENNAS} antennas "
                              f"and {MAX_RESPONSE_ENTRIES} in all")
-        if self.speed <= 0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
-        if self.block_duration <= 0:
-            raise ValueError(f"block duration must be positive, got {self.block_duration}")
-        if self.max_tx_power <= 0:
-            raise ValueError(f"transmit power must be positive, got {self.max_tx_power}")
-        if self.movement_power < 0:
-            raise ValueError(f"movement power must be nonnegative, got {self.movement_power}")
-        if self.noise_power <= 0:
-            raise ValueError(f"noise power must be positive, got {self.noise_power}")
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
-        if self.distance <= 0:
-            raise ValueError(f"distance must be positive, got {self.distance}")
-        if self.pathloss_ref < 0:
-            raise ValueError(f"reference path gain must be nonnegative, got {self.pathloss_ref}")
         try:
             variance = self.pathloss_ref * self.distance ** (-self.pathloss_exp) / self.num_paths
         except OverflowError:

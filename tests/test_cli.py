@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from maee import channel, cli
+from maee import channel, cli, harness
 from maee.cli import build_parser, cli_main
 from maee.harness import parse_config_text
 from maee.params import MAX_BS_ANTENNAS, MAX_PATHS, MAX_RESPONSE_ENTRIES, SystemParams
@@ -176,6 +176,42 @@ def test_negative_seed_exits_2_at_the_parser(command, tmp_path, capsys):
     assert code == 2 and out == ""
     assert "error: argument --seed: must be a non-negative integer, got '-3'" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("values", ["", "1,a", "0.1,,2"])
+def test_bad_sweep_values_exit_2_at_the_parser(values, tmp_path, capsys):
+    """An empty or non-numeric --values list is a usage error naming the flag,
+    not a silent run of the default values."""
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "sweep", "--sweep", "power", "--values", values,
+                             "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert f"error: argument --values: must be comma-separated numbers, got {values!r}" in err
+    assert not out_dir.exists()
+
+
+def test_sweep_values_parse_to_floats():
+    args = build_parser().parse_args(["sweep", "--sweep", "power", "--values", "0.5, 2,1e1"])
+    assert args.values == (0.5, 2.0, 10.0)
+
+
+def test_undecodable_config_names_the_file(tmp_path, capsys):
+    config = tmp_path / "binary.cfg"
+    config.write_bytes(b"\xffA = 0.02 m\n")
+    code, out, err = run_cli(capsys, "solve", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {config}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["A = 0.02 s", "T = 5 m/s", "P = 0.5 m", "N = 16 W",
+                                  "lambda = 0.01 bits/Hz"])
+def test_foreign_unit_exits_2_naming_the_line(line, tmp_path, capsys):
+    config = tmp_path / "unit.cfg"
+    config.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "solve", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1
 
 
 def test_unknown_command_exits_2(capsys):
@@ -368,6 +404,9 @@ def test_readme_sample_config_is_the_default():
     text = README.read_text()
     sample = re.search(r"symbol names.*?\n```\n(.*?)```", text, re.S).group(1)
     assert parse_config_text(sample) == SystemParams()
+    # the block shows every key; parsing it checks that each unit is one its key takes
+    keys = {line.split("=", 1)[0].strip() for line in sample.splitlines()}
+    assert keys == set(harness._CONFIG_KEYS)
 
 
 def test_module_entry_point_runs_without_warnings():

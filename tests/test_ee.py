@@ -460,6 +460,16 @@ def test_params_bound_the_region_in_wavelengths():
             SystemParams(wavelength=wavelength)
 
 
+@pytest.mark.parametrize("name, bad", [
+    *((name, 0.0) for name in ("wavelength", "region_length", "max_tx_power", "speed",
+                               "block_duration", "noise_power", "distance")),
+    *((name, -1.0) for name in ("movement_power", "pathloss_ref")),
+])
+def test_params_sign_checks_name_the_field(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be (positive|nonnegative), got"):
+        SystemParams(**{name: bad})
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(region_length=-1.0)

@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -500,6 +501,41 @@ def test_parse_config_rejects_bad_input():
     for text in ("d = 0", "d = -50 m", "alpha_tilde = -1000", "rho_0 = -5", "d = 1e-300 m"):
         with pytest.raises(ValueError):
             parse_config_text(text)
+
+
+# Each config key with a value valid for it, and the units it takes besides a
+# bare number, as the README states them.
+KEY_UNITS = {
+    "lambda": ("0.01", ("m",)),
+    "A": ("0.02", ("m",)),
+    "N": ("16", ()),
+    "L": ("10", ()),
+    "P_t": ("0.01", ("W", "dBm")),
+    "P": ("0.5", ("W", "dBm")),
+    "v": ("0.2", ("m/s",)),
+    "T": ("5", ("s",)),
+    "R_TH": ("5", ("bits/Hz",)),
+    "sigma2": ("1e-10", ("W", "dBm")),
+    "x0": ("0.01", ("m",)),
+    "rho_0": ("1e-4", ("dB",)),
+    "d": ("50", ("m",)),
+    "alpha_tilde": ("2.8", ()),
+    "epsilon": ("1e-4", ()),
+}
+ALL_UNITS = {unit for _, units in KEY_UNITS.values() for unit in units}
+
+
+@pytest.mark.parametrize("key", sorted(KEY_UNITS))
+def test_config_key_takes_a_bare_number_or_its_own_units(key):
+    number, units = KEY_UNITS[key]
+    bare = parse_config_text(f"{key} = {number}")
+    for unit in units:
+        parsed = parse_config_text(f"{key} = {number} {unit}")
+        if unit not in ("dB", "dBm"):  # a linear unit leaves the number as written
+            assert parsed == bare
+    for unit in sorted(ALL_UNITS - set(units)):
+        with pytest.raises(ValueError, match=f"^line 2: .*{re.escape(unit)}"):
+            parse_config_text(f"# a foreign unit\n{key} = {number} {unit}")
 
 
 def test_load_config_roundtrip(tmp_path):
