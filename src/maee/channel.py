@@ -108,8 +108,9 @@ class GainExpansion:
     per channel is kept on it, and dataclasses.replace starts a copy without
     it: gain_grids holds the gain lattice ee.gain_grid built for this
     channel, one per spacing, searches every ee.grid_max kept by
-    ee.kept_grid_max under the inputs it reads, and curvature is
-    curvature_bound, computed on first use.
+    ee.kept_grid_max under the inputs it reads, points the point reads kept
+    by kept_gain_and_slope, and curvature is curvature_bound, computed on
+    first use.
     """
 
     constant: float
@@ -118,6 +119,7 @@ class GainExpansion:
     slope_conj: np.ndarray = field(init=False, repr=False, compare=False)
     gain_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     searches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slope_conj",
@@ -242,6 +244,15 @@ def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
     return gain, 2.0 * float(np.vdot(h, f @ expansion.slope_conj).real)
 
 
+def kept_gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
+    """gain_and_slope at x, kept in expansion.points: for the few positions read at
+    every sweep value (the rest position and each scheme's reported position)."""
+    found = expansion.points.get(x)
+    if found is None:
+        found = expansion.points[x] = gain_and_slope(expansion, x)
+    return found
+
+
 def gain_second_derivative(expansion: GainExpansion, x) -> float | np.ndarray:
     """d^2 gain/dx^2 = 2 (|h'|^2 + Re(h^H h'')), with h'' = (f (jk)^2) conj(E)."""
     jk, response_conj = 1j * expansion.wavenumbers, expansion.response_conj
@@ -267,13 +278,11 @@ def gain_series(expansion: GainExpansion, x) -> float | np.ndarray:
     The same function as gain_eval, built from the path pairs of the Gram
     matrix G = E E^H instead of the channel vector: the reference maee check
     and the tests compare gain_eval against. The optimizer does not use it.
+    Each block of steering rows is built once and read by every Gram row block.
     """
-    total = 0.0
-    for start, gram in _gram_row_blocks(expansion):
-        stop = start + gram.shape[0]
-        total = total + _over_positions(expansion, x, lambda f: np.sum(
-            f[..., start:stop].conj() * (f @ gram.T), axis=-1).real)
-    return total
+    return _over_positions(expansion, x, lambda f: sum(
+        np.sum(f[..., start:start + len(gram)].conj() * (f @ gram.T), axis=-1).real
+        for start, gram in _gram_row_blocks(expansion)))
 
 
 def curvature_bound(expansion: GainExpansion) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 # Longest region, in wavelengths, that a scenario may have. Position grids
 # are wavelength/500 apart, so this caps one grid at 5e6 points.
@@ -66,6 +67,8 @@ class SystemParams:
     def __post_init__(self) -> None:
         for spec in fields(self):
             value = getattr(self, spec.name)
+            if spec.type == "int" and (type(value) is bool or not isinstance(value, Integral)):
+                raise ValueError(f"{spec.name} must be an integer, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{spec.name} must be finite, got {value}")
             if spec.name in _POSITIVE and value <= 0:

@@ -20,16 +20,15 @@ def root(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
     pre, f_pre, cur, f_cur = a, fa, b, fb
     blk, f_blk, step_pre, step = a, fa, b - a, b - a  # blk: the far end of the bracket
     half_tol = 0.5 * tol
+    up = fb > 0.0  # the sign of f_cur; f_blk has the other
     while True:
-        if (f_pre > 0.0) != (f_cur > 0.0):
-            blk, f_blk = pre, f_pre
-            step_pre = step = cur - pre
         if abs(f_blk) < abs(f_cur):
             pre, cur, blk = cur, blk, cur
             f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+            up = not up
         bisect = 0.5 * (blk - cur)
-        if abs(bisect) <= half_tol or cur + bisect in (cur, blk):
-            return cur if f_cur > 0.0 else blk
+        if abs(bisect) <= half_tol or cur + bisect == cur or cur + bisect == blk:
+            return cur if up else blk
         if abs(step_pre) > half_tol and abs(f_cur) < abs(f_pre):
             if pre == blk:  # secant
                 trial = -f_cur * (cur - pre) / (f_cur - f_pre)
@@ -38,7 +37,8 @@ def root(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
                 divisor = d_blk * d_pre * (f_blk - f_pre)
                 trial = (-f_cur * (f_blk * d_blk - f_pre * d_pre) / divisor
                          if divisor != 0.0 and math.isfinite(divisor) else math.inf)
-            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(bisect) - half_tol):
+            limit, width = 3.0 * abs(bisect) - half_tol, abs(step_pre)
+            if 2.0 * abs(trial) < (limit if limit < width else width):  # min(width, limit)
                 step_pre, step = step, trial
             else:
                 step_pre = step = bisect
@@ -49,6 +49,10 @@ def root(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
         f_cur = f(cur)
         if f_cur == 0.0:
             return cur
+        if (f_cur > 0.0) != up:  # the sign changed: pre is the new far end
+            blk, f_blk = pre, f_pre
+            step_pre = step = cur - pre
+            up = not up
 
 
 def concave_max(slope_at, a: float, b: float, tol: float) -> float:

@@ -37,11 +37,13 @@ above the floor so the true rate there passes. The candidates always
 include c itself, which makes the surrogate objective sequence nondecreasing
 by construction. optimize reads the gain and slope of each iterate once, off
 one steering row (channel.gain_and_slope), and takes both the iterate's true
-efficiency and the next surrogate from them. The curvature constant is
-computed once per instance and kept on it (GainExpansion.curvature); the
+efficiency and the next surrogate from them; the start, the rest position, is
+read once per instance (channel.kept_gain_and_slope). The curvature constant
+is computed once per instance and kept on it (GainExpansion.curvature); the
 reach interval and the root tolerance once per run. An inner loop whose
 subproblem returns its own center ends there, since the surrogate rebuilt at
-that point would be the one just solved.
+that point would be the one just solved. The surrogate's functions run once
+per root step, so they clamp by comparison, not by max, and reuse net.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ TRUST_WINDOW_WAVELENGTHS = 0.25  # half-width of the subproblem search window
 FEASIBILITY_SLACK = 1e-9         # bits/Hz of slack on the rate floor (see solve_subproblem)
 OUTER_CAP = 100                  # Dinkelbach iterations per run
 INNER_CAP = 50                   # SCA subproblems per Dinkelbach iteration
+_LN2 = math.log(2.0)
 
 
 @dataclass
@@ -143,25 +146,26 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
     coef_delta = 0.5 * (gamma_local / delta_local)
     coef_gamma = 0.5 * (delta_local / gamma_local)
     level = noise * 2.0 ** gamma_local
-    level_offset, level_scale = level - noise, level * math.log(2.0)
+    level_offset, level_scale = level - noise, level * _LN2
     duration = params.block_duration
     drift = alpha * (params.movement_power - params.max_tx_power) / speed
     floor = params.min_throughput - FEASIBILITY_SLACK
-    rate_scale = duration / math.log(2.0)
+    rate_scale = duration / _LN2
     pull, push = 2.0 * coef_delta / speed, 2.0 * coef_gamma / (level_scale * speed)
 
     def net(x):
         dx = x - center
         base = value + slope * dx
         curve = half * dx * dx  # lower bound: base - curve, upper: base + curve
-        beta = max(base - curve, 0.0)
-        gamma = max(gamma_local + (base + curve - level_offset) / level_scale, 0.0)
+        beta = 0.0 if base < curve else base - curve  # max(base - curve, 0.0), bit for bit
+        gamma = gamma_local + (base + curve - level_offset) / level_scale
+        gamma = 0.0 if gamma < 0.0 else gamma  # max(gamma, 0.0), -0.0 and NaN included
         delta = x - x0
         product = coef_delta * delta * delta + coef_gamma * gamma * gamma
         return duration * math.log2(1.0 + beta / noise) - product / speed
 
-    def objective(x):
-        total = net(x)
+    def objective(x, total=None):  # total: net(x), when known
+        total = net(x) if total is None else total
         return total - abs(x - x0) * drift if total >= floor else -math.inf
 
     def derivative(side, rate):
@@ -171,10 +175,12 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
             dx = x - center
             base = value + slope * dx
             curve = half * dx * dx
-            gamma = max(gamma_local + (base + curve - level_offset) / level_scale, 0.0)
+            gamma = gamma_local + (base + curve - level_offset) / level_scale
+            gamma = 0.0 if gamma < 0.0 else gamma
             out = -pull * (x - x0) - push * gamma * (slope + curvature * dx) - shift
             if rate:
-                out += rate_scale * (slope - curvature * dx) / (noise + max(base - curve, 0.0))
+                beta = 0.0 if base < curve else base - curve
+                out += rate_scale * (slope - curvature * dx) / (noise + beta)
             return out
 
         return slope_at
@@ -200,16 +206,16 @@ def _piece_max(s: _Surrogate, a: float, b: float, side: float, rate: bool, targe
         return s.net(t) - target
 
     x = search.concave_max(s.derivative(side, rate), a, b, tol)
-    at_x = excess(x)
-    if at_x >= 0.0:
-        return x, s.objective(x)
+    total = s.net(x)
+    if total - target >= 0.0:
+        return x, s.objective(x, total)
     anchor = s.center
     if not (a <= anchor <= b and excess(anchor) >= 0.0):
         anchor = search.concave_max(s.derivative(0.0, rate), a, b, tol)
     at_anchor = excess(anchor)
     if at_anchor < 0.0:
         return anchor, -math.inf
-    x = search.root(excess, anchor, at_anchor, x, at_x, tol)
+    x = search.root(excess, anchor, at_anchor, x, total - target, tol)
     return x, s.objective(x)
 
 
@@ -292,7 +298,7 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     flagged = params.movement_power < params.max_tx_power
 
     x = params.initial_position
-    gain, slope = channel.gain_and_slope(expansion, x)
+    gain, slope = channel.kept_gain_and_slope(expansion, x)
     result = ee.energy_efficiency(x, gain, params)
     if not result.feasible:
         x = _best_feasible_position(expansion, params)

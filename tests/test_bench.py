@@ -332,8 +332,9 @@ def test_results_invariant_to_power_of_two_link_scale(exponent, params):
 def test_searches_on_one_expansion_share_one_gain_grid(config, gain_reads):
     """The optimizer (with its restart scan under tight_power's rate floor),
     every scheme, the oracle and the ceiling read the one lattice kept on
-    the expansion: it is built once, and every gain evaluation takes at most
-    the three positions a slice adds."""
+    the expansion: it is built once. The slices' ends and rest position are
+    lattice points here, so no slice adds a position, and a reported
+    position is read by gain_and_slope: no gain_eval runs at all."""
     params = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
     expansion = build_expansion(make_instance(4, params), params.wavelength)
     report = optimize(expansion, params)
@@ -342,4 +343,4 @@ def test_searches_on_one_expansion_share_one_gain_grid(config, gain_reads):
     grid_global_ee(expansion, params)
     ee_upper_bound(expansion, params)
     assert gain_reads.lattices == [int(params.region_length / (params.wavelength / 500)) + 2]
-    assert max(gain_reads.evals) <= 3
+    assert gain_reads.evals == []

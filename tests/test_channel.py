@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from maee.channel import (
     gain_lattice,
     gain_second_derivative,
     gain_series,
+    kept_gain_and_slope,
     sample_instance,
 )
 from maee.params import MAX_BS_ANTENNAS, MAX_PATHS, MAX_RESPONSE_ENTRIES, SystemParams
@@ -250,6 +252,49 @@ def test_gain_lattice_arrays_bounded_by_a_block(num_paths, num_antennas, count, 
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 16 * bound
+
+
+def test_gain_series_builds_each_steering_block_once(monkeypatch):
+    """gain_series reads every Gram row block against a block of steering
+    rows built once: one _steering call per block of positions, not one per
+    block of positions and Gram row block."""
+    scenario = SystemParams(num_paths=600)
+    expansion = build_expansion(make_instance(0, scenario), scenario.wavelength)
+    rows = channel._block_rows(expansion)
+    assert rows == 109  # six Gram row blocks of 600 paths
+    calls, original = [], channel._steering
+
+    def counted(wavenumbers, x):
+        calls.append(np.size(x))
+        return original(wavenumbers, x)
+
+    monkeypatch.setattr(channel, "_steering", counted)
+    xs = np.linspace(0.0, scenario.region_length, 500)
+    series = gain_series(expansion, xs)
+    assert calls == [109] * 4 + [64]  # five blocks of positions
+    assert gain_series(expansion, 0.0123) == pytest.approx(gain_eval(expansion, 0.0123),
+                                                           rel=1e-12)
+    assert np.all(np.abs(series - gain_eval(expansion, xs)) <= 1e-9 * expansion.constant)
+
+
+def test_kept_point_read_once_per_instance(params, monkeypatch):
+    """kept_gain_and_slope reads a position once per instance and gives
+    gain_and_slope's pair; a copy made by dataclasses.replace starts without
+    the kept reads."""
+    expansion = build_expansion(make_instance(2), params.wavelength)
+    reads, original = [], channel.gain_and_slope
+
+    def counted(expansion, x):
+        reads.append(x)
+        return original(expansion, x)
+
+    monkeypatch.setattr(channel, "gain_and_slope", counted)
+    first = kept_gain_and_slope(expansion, 0.0123)
+    assert kept_gain_and_slope(expansion, 0.0123) is first
+    assert reads == [0.0123] and expansion.points == {0.0123: first}
+    assert first == original(expansion, 0.0123)
+    copy = replace(expansion, constant=expansion.constant)
+    assert copy.points == {} and copy == expansion
 
 
 def test_gain_and_slope_gain_equals_gain_eval_bit_for_bit(params):

@@ -470,6 +470,20 @@ def test_params_sign_checks_name_the_field(name, bad):
         SystemParams(**{name: bad})
 
 
+@pytest.mark.parametrize("name, bad", [("num_paths", 2.5), ("num_paths", 10.0),
+                                       ("num_bs_antennas", True), ("num_bs_antennas", "16")])
+def test_params_count_fields_must_be_integers(name, bad):
+    """A count that is a float, a bool or a string fails at construction with
+    one ValueError naming the field, not later inside numpy."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        SystemParams(**{name: bad})
+
+
+def test_params_count_fields_take_numpy_integers():
+    params = SystemParams(num_paths=np.int64(3), num_bs_antennas=np.int32(4))
+    assert make_instance(0, params).entries.shape == (3, 4)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(region_length=-1.0)

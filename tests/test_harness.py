@@ -5,12 +5,13 @@ import pickle
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maee import bench, channel, ee, harness, solver
+from maee import bench, channel, ee, harness, search, solver
 from maee.bench import evaluate_schemes
 from maee.harness import (
     SweepConfig,
@@ -249,9 +250,9 @@ def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, gain_rea
                                               monkeypatch):
     """Every grid search of a trial (the ceiling, max_snr, max_throughput and
     the solver's restart scan) reads a slice of one gain grid over the longest
-    region: one lattice build per trial, and every gain evaluation takes the
-    at most three positions a slice adds (its ends and the rest position) or
-    a single polish position."""
+    region: one lattice build per trial. gain_eval runs only for the
+    positions a slice adds (its ends and the rest position, when off the
+    lattice); a single position is read by gain_and_slope."""
     restarts = []
     original_restart = solver._best_feasible_position
 
@@ -268,8 +269,30 @@ def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, gain_rea
     longest = params_for_value(base, variable, values[-1]).region_length
     lattice = int(longest / (base.wavelength / 500)) + 2
     assert gain_reads.lattices == [lattice, lattice]
-    assert max(gain_reads.evals) <= 3
+    # Every slice end and rest position of the power tracks is a lattice point;
+    # the 1.5-wavelength track's end and rest position are not, and each of a
+    # trial's two searches over it (the gain and the rate) adds both.
+    assert gain_reads.evals == ([2, 2] * 2 if variable == "region" else [])
     assert len(restarts) == (2 * len(values) if config else 0)
+
+
+def test_golden_power_sweep_point_reads_and_steps(monkeypatch):
+    """The golden power sweep (default params, five powers, 3 trials, seed 0)
+    reads the channel at single points 213 times, all by gain_and_slope: the
+    rest position and each scheme's reported position once per trial (kept
+    on the instance by channel.kept_gain_and_slope), each solver iterate and
+    polish probe where it is read. The solver's steps are pinned with them:
+    178 SCA subproblems and 173 roots."""
+    calls = Counter()
+    for module, name in ((channel, "gain_and_slope"), (channel, "gain_eval"),
+                         (solver, "solve_subproblem"), (search, "root")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    run_sweep(SweepConfig(base=SystemParams(), sweep_variable="power",
+                          sweep_values=(0.1, 0.5, 1.0, 2.0, 5.0), trials=3, master_seed=0))
+    assert dict(calls) == {"gain_and_slope": 213, "solve_subproblem": 178, "root": 173}
 
 
 # Run in a fresh interpreter, so that OpenBLAS starts with the thread count given.

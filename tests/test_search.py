@@ -3,15 +3,20 @@
 grid_max scans the lattice and polishes the cells next to its best point with
 concave_max; the grid_polish tests check that on synthetic objectives with
 closed-form slopes, on the default two-wavelength track (lattice spacing
-wavelength / 500, rest position at its center).
+wavelength / 500, rest position at its center). root is checked against
+reference_root, a frozen copy of its loop in the form that recomputes every
+sign and absolute value at each step: the two must evaluate f at the same
+points and return the same float.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maee import ee
+from maee import ee, harness, search
 from maee.channel import build_expansion
 from maee.ee import grid_max, grid_slice
 from maee.params import SystemParams
@@ -20,6 +25,7 @@ from maee.search import concave_max, root
 from conftest import make_instance
 
 PARAMS = SystemParams()
+GOLDEN = Path(__file__).resolve().parent / "golden"
 TOL = ee.ROOT_TOL_WAVELENGTHS * PARAMS.wavelength
 
 
@@ -30,6 +36,98 @@ def counted(f):
         return f(t)
     wrapper.calls = []
     return wrapper
+
+
+def reference_root(f, a, fa, b, fb, tol):
+    """search.root's Brent loop, frozen in its plain form: the reference its steps are held to."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    pre, f_pre, cur, f_cur = a, fa, b, fb
+    blk, f_blk, step_pre, step = a, fa, b - a, b - a
+    half_tol = 0.5 * tol
+    while True:
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            blk, f_blk = pre, f_pre
+            step_pre = step = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk = cur, blk, cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        bisect = 0.5 * (blk - cur)
+        if abs(bisect) <= half_tol or cur + bisect in (cur, blk):
+            return cur if f_cur > 0.0 else blk
+        if abs(step_pre) > half_tol and abs(f_cur) < abs(f_pre):
+            if pre == blk:
+                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:
+                d_pre, d_blk = (f_pre - f_cur) / (pre - cur), (f_blk - f_cur) / (blk - cur)
+                divisor = d_blk * d_pre * (f_blk - f_pre)
+                trial = (-f_cur * (f_blk * d_blk - f_pre * d_pre) / divisor
+                         if divisor != 0.0 and math.isfinite(divisor) else math.inf)
+            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(bisect) - half_tol):
+                step_pre, step = step, trial
+            else:
+                step_pre = step = bisect
+        else:
+            step_pre = step = bisect
+        pre, f_pre = cur, f_cur
+        cur += step if abs(step) > half_tol else math.copysign(half_tol, bisect)
+        f_cur = f(cur)
+        if f_cur == 0.0:
+            return cur
+
+
+def assert_reference_steps(f, a, fa, b, fb, tol):
+    """root and reference_root evaluate f at the same points and return the same float."""
+    ours, theirs = counted(f), counted(f)
+    x = root(ours, a, fa, b, fb, tol)
+    assert (x, ours.calls) == (reference_root(theirs, a, fa, b, fb, tol), theirs.calls)
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(coeffs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+       wave=st.tuples(st.floats(0.0, 3.0), st.floats(0.1, 60.0)),
+       a=st.floats(-2.0, 2.0), width=st.floats(1e-9, 4.0), level=st.floats(0.01, 0.99),
+       scale=st.sampled_from([1e-150, 1e-110, 1.0, 1e100]),
+       tol=st.sampled_from([0.0, 1e-15, 1e-12, 1e-6, 1e-2]), swap=st.booleans())
+def test_root_takes_the_reference_steps(coeffs, wave, a, width, level, scale, tol, swap):
+    """On polynomials plus a cosine, shifted to change sign on [a, b], with
+    one or many roots, at scales where the inverse quadratic step underflows,
+    and with tol 0, where the loop ends only once no float splits the bracket."""
+    amplitude, freq = wave
+
+    def g(t):
+        return sum(c * t**k for k, c in enumerate(coeffs)) + amplitude * math.cos(freq * t)
+
+    b = a + width
+    shift = g(a) + level * (g(b) - g(a))
+
+    def f(t):
+        return scale * (g(t) - shift)
+
+    fa, fb = f(a), f(b)
+    if fa * fb > 0.0 or math.isnan(fa * fb):
+        return
+    if swap:
+        a, fa, b, fb = b, fb, a, fa
+    assert_reference_steps(f, a, fa, b, fb, tol)
+
+
+@pytest.mark.parametrize("config", [None, "tight_power"])
+def test_root_takes_the_reference_steps_on_a_sweep(config, monkeypatch):
+    """Every root of a power sweep, the solver's slopes and floor crossings and
+    the grid polish's slopes and rate roots, takes the reference steps."""
+    roots = []
+
+    def checked(f, *args):
+        roots.append(assert_reference_steps(f, *args))
+        return roots[-1]
+
+    monkeypatch.setattr(search, "root", checked)
+    base = harness.load_config(GOLDEN / config / "params.cfg") if config else PARAMS
+    harness.run_sweep(harness.SweepConfig(base=base, sweep_variable="power",
+                                          sweep_values=(0.1, 1.0, 5.0), trials=2))
+    assert len(roots) > 20
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-110, 1e-150])
