@@ -245,8 +245,9 @@ def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
 
 
 def kept_gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
-    """gain_and_slope at x, kept in expansion.points: for the few positions read at
-    every sweep value (the rest position and each scheme's reported position)."""
+    """gain_and_slope at x, kept in expansion.points: for the positions that more than
+    one search or sweep value may read (the rest position, ee.grid_max's polish
+    probes and each scheme's reported position)."""
     found = expansion.points.get(x)
     if found is None:
         found = expansion.points[x] = gain_and_slope(expansion, x)

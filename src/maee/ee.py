@@ -20,7 +20,9 @@ from .params import SystemParams
 
 # Relative float error of a move time computed at the edge of the reach.
 _MOVE_TIME_ROUNDING = 1e-12
-# Every derivative root (search.root) stops once its bracket is this many wavelengths wide.
+# Every derivative root stops within this many wavelengths of the root: a polish root
+# (search.root) once its bracket is this wide, a solver root (search.newton_max, newton_root)
+# once its bracket is this wide or its Newton step, summed at its rate of convergence, is shorter.
 ROOT_TOL_WAVELENGTHS = 1e-12
 # grid_max keeps the rest position when its value is this close, relatively, to the best.
 _TIE_RTOL = 1e-12
@@ -228,24 +230,25 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
     +1 right, -1 left; see efficiency_slopes); x0 is a slice point, so no
     cell has it inside. On a cell the maximum is taken as an end or a root
     of the slope (search.concave_max), with the gain and its slope read at
-    each position by one channel.gain_and_slope, whose gain is gain_eval's;
-    the value there is the objective at that gain. An objective that is
-    -inf where the rate floor is missed (feasible_efficiency) and is -inf at
-    that maximum takes the root of rate - R_TH between it and the scan's best
-    point instead, as in the solver's subproblem. A scan that is -inf
-    everywhere is returned as is. Ties prefer not moving: the rest position,
-    when it lies in [lo, hi], wins when within _TIE_RTOL of the best. Its
-    gain is read once per instance (channel.kept_gain_and_slope), the gain a
-    polish gets, not off the lattice, whose gains differ from gain_eval's by
-    phase rounding (up to ~1e-11 of the constant at 1e4 wavelengths), so the
-    tie never turns on that gap.
+    each position once per instance (channel.kept_gain_and_slope, whose gain
+    is gain_eval's), so a position that another search on the instance or a
+    scheme's report reads again is not read twice; the value there is the
+    objective at that gain. An objective that is -inf where the rate floor
+    is missed (feasible_efficiency) and is -inf at that maximum takes the
+    root of rate - R_TH between it and the scan's best point instead, as in
+    the solver's subproblem. A scan that is -inf everywhere is returned as
+    is. Ties prefer not moving: the rest position, when it lies in [lo, hi],
+    wins when within _TIE_RTOL of the best. Its gain is read as a polished
+    position's is, not off the lattice, whose gains differ from gain_eval's
+    by phase rounding (up to ~1e-11 of the constant at 1e4 wavelengths), so
+    the tie never turns on that gap.
     """
     xs, gains = grid_slice(expansion, params, lo, hi)
     values = objective(xs, gains)
     i = int(np.argmax(values))
     anchor, best = float(xs[i]), float(values[i])
     best_x, x0 = anchor, params.initial_position
-    read = functools.cache(functools.partial(channel.gain_and_slope, expansion))
+    read = functools.partial(channel.kept_gain_and_slope, expansion)
 
     def excess(t):
         return float(efficiency_of_gains(t, read(t)[0], params)[1]) - params.min_throughput
@@ -262,7 +265,7 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
         if value > best or (value == best and x < best_x):
             best_x, best = x, value
     if lo <= x0 <= hi:
-        rest = float(objective(x0, channel.kept_gain_and_slope(expansion, x0)[0]))
+        rest = float(objective(x0, read(x0)[0]))
         if rest >= best - _TIE_RTOL * abs(best):
             return x0, rest
     return best_x, best

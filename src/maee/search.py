@@ -1,4 +1,9 @@
-"""Bracketed scalar maximization by derivative roots, for the solver and ee.grid_max."""
+"""Bracketed scalar maximization by derivative roots.
+
+root (Brent) and concave_max serve ee.grid_max, whose slopes have no
+closed-form curvature; newton_max and newton_root (safeguarded Newton steps)
+serve the solver, whose surrogate gives its second derivative in closed form.
+"""
 
 from __future__ import annotations
 
@@ -68,3 +73,96 @@ def concave_max(slope_at, a: float, b: float, tol: float) -> float:
     if db >= 0.0:
         return b
     return root(slope_at, a, da, b, db, tol)
+
+
+def _newton(fd, x: float, fx: float, dfx: float, far: float, f_far, tol: float,
+            positive: bool) -> float:
+    """The safeguarded Newton loop (rtsafe, Numerical Recipes §9.4) of newton_max and newton_root.
+
+    fd(t) gives f and its derivative at t. [x, far] holds the sign change
+    of f: x is the latest point read (fx, dfx there) and far the other end,
+    unread while f_far is None. Each step is the Newton step from x while it
+    stays inside the bracket and is at most half the step before last (the
+    first two may cross the bracket); otherwise the search reads far if it
+    is unread, and returns far when f keeps the sign of fx there, or else
+    bisects. A zero or non-finite derivative bisects too, so any f ends.
+
+    The search ends when the bracket is at most tol wide (returning its end
+    with f > 0), when no float splits it, or when a Newton step, summed as a
+    geometric series at its ratio to the last step (Newton's rate at a
+    multiple root), is under tol: then x is returned, unless positive asks
+    for f > 0 and f(x) < 0, and the point half tol past the root is read
+    next. The first step from a point has no ratio, and a tiny one may mean
+    a pole of f nearby (beta -> 0 in the solver) rather than a root: the
+    point tol away is read instead, which brackets the root within tol when
+    f changes sign there.
+    """
+    half_tol = 0.5 * tol
+    before = last = math.inf
+    while True:
+        if f_far is not None and abs(far - x) <= tol:
+            return x if fx > 0.0 else far
+        step = -fx / dfx if 0.0 < abs(dfx) < math.inf else math.inf
+        if abs(step) * (abs(last) + tol) < tol * abs(last):  # tested before the bracket
+            if fx > 0.0 or not positive:
+                return x
+            step += math.copysign(half_tol, far - x)
+        elif abs(step) < tol:
+            step = math.copysign(tol, step)
+        new = x + step
+        if not (min(x, far) < new < max(x, far) and 2.0 * abs(step) <= abs(before)):
+            if f_far is None:
+                f_far, df_far = fd(far)
+                if f_far == 0.0 or (f_far > 0.0) == (fx > 0.0):
+                    return far
+                x, fx, dfx, far, f_far = far, f_far, df_far, x, fx
+                before = last = math.inf
+                continue
+            new = x + 0.5 * (far - x)
+            if new == x or new == far:
+                return x if fx > 0.0 else far
+        before, last = last, new - x
+        f_new, df_new = fd(new)
+        if f_new == 0.0:
+            return new
+        if (f_new > 0.0) != (fx > 0.0):
+            far, f_far = x, fx
+        x, fx, dfx = new, f_new, df_new
+
+
+def newton_max(fd, a: float, b: float, x: float, tol: float) -> float:
+    """Maximizer on [a, b] of a concave function, by Newton steps on its slope from x.
+
+    fd(t) gives the slope and the second derivative at t, and x lies in
+    [a, b]. Returns x when the slope is 0 there or points out of [a, b] at
+    x, the end the slope points out of, or else a point within tol of the
+    slope's root (_newton). The end toward which the slope at x points is
+    read only when a step would leave [a, b] or stops halving.
+    """
+    fx, dfx = fd(x)
+    end = b if fx > 0.0 else a
+    if fx == 0.0 or x == end:
+        return x
+    return _newton(fd, x, fx, dfx, end, None, tol, False)
+
+
+def newton_root(fd, a: float, fa: float, b: float, fb: float, tol: float) -> float:
+    """root's result by Newton steps: a point with f > 0 within tol of a root, or an exact zero.
+
+    fd(t) gives f and its derivative at t; fa = f(a) and fb = f(b) lie on
+    opposite sides of 0. The first point read is the secant's root (the
+    midpoint if that falls outside), and the search goes on from there
+    (_newton).
+    """
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    new = a - fa * (b - a) / (fb - fa)
+    if not min(a, b) < new < max(a, b):
+        new = a + 0.5 * (b - a)
+        if new == a or new == b:
+            return a if fa > 0.0 else b
+    f_new, df_new = fd(new)
+    if f_new == 0.0:
+        return new
+    far, f_far = (a, fa) if (fa > 0.0) != (f_new > 0.0) else (b, fb)
+    return _newton(fd, new, f_new, df_new, far, f_far, tol, True)

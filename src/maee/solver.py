@@ -30,9 +30,14 @@ log of a concave quadratic, the AM-GM terms are minus squares of a linear
 function and of a clipped convex quadratic, and the movement term is linear
 in the travel slack, whatever the sign of P - P_t. The window is cut at x0
 and at the roots of beta into at most four such pieces, and each piece's
-maximizer is an end or a root of the closed-form derivative. The rate floor
+maximizer is an end or a root of the closed-form derivative. The surrogate
+gives its second derivative in closed form too, so every root is taken by
+safeguarded Newton steps (search.newton_max), from the center on the piece
+that holds it and from the end nearest the center on the others; the far
+end is read only when a step would leave the piece. The rate floor
 cuts each piece to one interval, because the objective without its movement
-term is concave there too; its ends are roots as well, placed FEASIBILITY_SLACK
+term is concave there too; its ends are roots as well (search.newton_root,
+which returns a point on the floor's feasible side), placed FEASIBILITY_SLACK
 above the floor so the true rate there passes. The candidates always
 include c itself, which makes the surrogate objective sequence nondecreasing
 by construction. optimize reads the gain and slope of each iterate once, off
@@ -43,7 +48,7 @@ is computed once per instance and kept on it (GainExpansion.curvature); the
 reach interval and the root tolerance once per run. An inner loop whose
 subproblem returns its own center ends there, since the surrogate rebuilt at
 that point would be the one just solved. The surrogate's functions run once
-per root step, so they clamp by comparison, not by max, and reuse net.
+per Newton step, so they clamp by comparison, not by max, and reuse net.
 """
 
 from __future__ import annotations
@@ -90,7 +95,8 @@ class _Surrogate:
 
     rate_span is where beta > 0, (inf, -inf) when nowhere; objective is the
     subproblem objective, -inf below the floor; net is the objective without
-    its movement term; derivative(side, rate) gives the slope of either.
+    its movement term; derivative(side, rate) gives the slope and second
+    derivative of either.
     """
 
     __slots__ = ("center", "rate_span", "objective", "net", "derivative")
@@ -131,12 +137,15 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
     net = T log2(1 + beta/sigma2) - (coef_delta delta^2 + coef_gamma gamma^2) / v,
     or -inf where net misses the rate floor by more than FEASIBILITY_SLACK.
 
-    derivative(side, rate) is x -> d objective/dx on one side of x0 (side +1
-    to the right, -1 to the left; 0 gives d net/dx), on a piece where
-    beta > 0 (rate true: with the rate term's derivative, beta clipped at 0
-    at the piece's ends) or where beta = 0 (rate false: without it). Its
-    other terms are continuous: gamma^2 has the derivative 2 gamma gamma' on
-    both sides of gamma = 0.
+    derivative(side, rate) is x -> (d objective/dx, d^2 objective/dx^2) on
+    one side of x0 (side +1 to the right, -1 to the left; 0 gives net's), on
+    a piece where beta > 0 (rate true: with the rate term's derivatives,
+    beta clipped at 0 at the piece's ends) or where beta = 0 (rate false:
+    without them). The second derivative is the same on both sides, since
+    the movement term is linear. The first derivative's other terms are
+    continuous: gamma^2 has the derivative 2 gamma gamma' on both sides of
+    gamma = 0; the second derivative drops gamma's terms where gamma is
+    clipped.
     """
     x0, noise, speed = params.initial_position, params.noise_power, params.speed
     value, slope = params.max_tx_power * gain, params.max_tx_power * gain_slope
@@ -175,13 +184,23 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
             dx = x - center
             base = value + slope * dx
             curve = half * dx * dx
+            rising = slope + curvature * dx  # d(base + curve)/dx
             gamma = gamma_local + (base + curve - level_offset) / level_scale
-            gamma = 0.0 if gamma < 0.0 else gamma
-            out = -pull * (x - x0) - push * gamma * (slope + curvature * dx) - shift
+            if gamma < 0.0:  # gamma clipped at 0: its terms vanish
+                out, second = -pull * (x - x0) - shift, -pull
+            else:
+                out = -pull * (x - x0) - push * gamma * rising - shift
+                second = -pull - push * (rising * rising / level_scale + gamma * curvature)
             if rate:
-                beta = 0.0 if base < curve else base - curve
-                out += rate_scale * (slope - curvature * dx) / (noise + beta)
-            return out
+                falling = slope - curvature * dx  # d(base - curve)/dx
+                if base < curve:  # beta clipped at 0, at a piece's end only
+                    out += rate_scale * falling / noise
+                    second -= rate_scale * curvature / noise
+                else:
+                    power = noise + (base - curve)  # noise + beta
+                    out += rate_scale * falling / power
+                    second -= rate_scale * (curvature + falling * falling / power) / power
+            return out, second
 
         return slope_at
 
@@ -194,28 +213,34 @@ def _piece_max(s: _Surrogate, a: float, b: float, side: float, rate: bool, targe
     """Best (x, objective) on a piece [a, b] of the window where s is concave,
     among the positions whose net reaches target.
 
-    The piece's maximizer is an end or a root of the derivative. When its
-    net falls short of target, the best position that reaches it is the end
-    of {net >= target} on the maximizer's side (net is concave on the piece
-    too, so that set is one interval): a root of net - target, bracketed by
-    the maximizer and an anchor that reaches target. The anchor is the
+    The piece's maximizer is an end or a root of the derivative, searched
+    from the center or the piece's end nearest it. When its net falls short
+    of target, the best position that reaches it is the end of
+    {net >= target} on the maximizer's side (net is concave on the piece
+    too, so that set is one interval): a root of net - target with net's
+    slope as its derivative, bracketed by the maximizer and an anchor that
+    reaches target, and returned where net >= target. The anchor is the
     center when it lies in the piece and reaches target, otherwise net's own
     maximizer; when that falls short too, the piece's value is -inf.
     """
-    def excess(t):
-        return s.net(t) - target
-
-    x = search.concave_max(s.derivative(side, rate), a, b, tol)
+    start = min(max(s.center, a), b)  # the center, or the piece's end nearest it
+    x = search.newton_max(s.derivative(side, rate), a, b, start, tol)
     total = s.net(x)
     if total - target >= 0.0:
         return x, s.objective(x, total)
+    net_slope = s.derivative(0.0, rate)
+
+    def excess_and_slope(t):
+        return s.net(t) - target, net_slope(t)[0]
+
     anchor = s.center
-    if not (a <= anchor <= b and excess(anchor) >= 0.0):
-        anchor = search.concave_max(s.derivative(0.0, rate), a, b, tol)
-    at_anchor = excess(anchor)
-    if at_anchor < 0.0:
-        return anchor, -math.inf
-    x = search.root(excess, anchor, at_anchor, x, total - target, tol)
+    at_anchor = s.net(anchor) - target if a <= anchor <= b else -math.inf
+    if not at_anchor >= 0.0:
+        anchor = search.newton_max(net_slope, a, b, start, tol)
+        at_anchor = s.net(anchor) - target
+        if at_anchor < 0.0:
+            return anchor, -math.inf
+    x = search.newton_root(excess_and_slope, anchor, at_anchor, x, total - target, tol)
     return x, s.objective(x)
 
 

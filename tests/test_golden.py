@@ -54,6 +54,22 @@ its throughput by at most 1.2e-11 relative, and max_snr's aggregate std_ee
 moved in the 12th digit on power, region and tight_power. The proposed,
 fpa and max_throughput rows and long_power and long_track stayed
 byte-identical, and no feasible flag changed.
+
+The proposed rows alone were regenerated when the solver came to take each
+subproblem root by safeguarded Newton steps on the surrogate's closed-form
+second derivative (search.newton_max and newton_root) instead of Brent's
+method. The roots moved within the root tolerance, wavelength * 1e-12, and
+the solver can amplify last-bit changes (CHANGES.md records a 1e-14 change
+in the gain that moved one region row's ee by 3.7e-3), so the tolerance
+stated for this regeneration is 1e-10 relative on a proposed ee. Measured: 1 row moved
+on power, 3 on region, 2 on tight_power, 1 on long_power and 1 on
+long_track; ee stayed the same at printed precision, x moved by at most
+1e-13 m and throughput and energy by at most 2e-12 relative. No feasible
+flag changed, and slow_power and every aggregate.csv stayed byte-identical.
+Over seeds 0-199 at P in {0.1, 0.5, 1, 2, 5} W on the default, R_TH = 10
+and L = 30 on 16 wavelengths configs (3000 runs), the proposed ee moved by
+at most 2.0e-12 relative, and no status, outer-iteration count or feasible
+flag changed.
 """
 
 from pathlib import Path

@@ -278,21 +278,42 @@ def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, gain_rea
 
 def test_golden_power_sweep_point_reads_and_steps(monkeypatch):
     """The golden power sweep (default params, five powers, 3 trials, seed 0)
-    reads the channel at single points 213 times, all by gain_and_slope: the
-    rest position and each scheme's reported position once per trial (kept
-    on the instance by channel.kept_gain_and_slope), each solver iterate and
-    polish probe where it is read. The solver's steps are pinned with them:
-    178 SCA subproblems and 173 roots."""
+    reads the channel at single points 203 times, all by gain_and_slope: the
+    rest position, each polish probe and each scheme's reported position
+    once per instance (kept on it by channel.kept_gain_and_slope), and each
+    solver iterate where it is read. The solver's steps are pinned with them:
+    178 SCA subproblems, whose 280 maximizer searches (search.newton_max; no
+    rate floor binds, so newton_root never runs) read the surrogate's slope
+    and curvature 716 times. 167 of the searches end at a root of the slope,
+    with 603 of those reads: 3.6 per root, where Brent's method took 6.8
+    (1135 reads inside the same 167 roots, 1649 in all). The polish's 6 roots
+    stay Brent's (search.root)."""
     calls = Counter()
-    for module, name in ((channel, "gain_and_slope"), (channel, "gain_eval"),
-                         (solver, "solve_subproblem"), (search, "root")):
+    for module, name in ((channel, "gain_and_slope"), (solver, "solve_subproblem"),
+                         (search, "root"), (search, "newton_root")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
+
+    def newton_max(fd, a, b, x, tol, _original=search.newton_max):
+        def read(t):
+            calls["slope reads"] += 1
+            return fd(t)
+        before = calls["slope reads"]
+        found = _original(read, a, b, x, tol)
+        calls["newton_max"] += 1
+        if found not in (a, b, x):
+            calls["roots"] += 1
+            calls["slope reads in roots"] += calls["slope reads"] - before
+        return found
+
+    monkeypatch.setattr(search, "newton_max", newton_max)
     run_sweep(SweepConfig(base=SystemParams(), sweep_variable="power",
                           sweep_values=(0.1, 0.5, 1.0, 2.0, 5.0), trials=3, master_seed=0))
-    assert dict(calls) == {"gain_and_slope": 213, "solve_subproblem": 178, "root": 173}
+    assert dict(calls) == {"gain_and_slope": 203, "solve_subproblem": 178, "root": 6,
+                           "newton_max": 280, "slope reads": 716, "roots": 167,
+                           "slope reads in roots": 603}
 
 
 # Run in a fresh interpreter, so that OpenBLAS starts with the thread count given.

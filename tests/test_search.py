@@ -115,8 +115,10 @@ def test_root_takes_the_reference_steps(coeffs, wave, a, width, level, scale, to
 
 @pytest.mark.parametrize("config", [None, "tight_power"])
 def test_root_takes_the_reference_steps_on_a_sweep(config, monkeypatch):
-    """Every root of a power sweep, the solver's slopes and floor crossings and
-    the grid polish's slopes and rate roots, takes the reference steps."""
+    """Every root of a power sweep takes the reference steps. They are the
+    grid polish's roots of the gain's and the rate's slopes, one of each per
+    instance where the two searches do not share a point; the solver takes
+    its roots by newton_max and newton_root."""
     roots = []
 
     def checked(f, *args):
@@ -126,8 +128,8 @@ def test_root_takes_the_reference_steps_on_a_sweep(config, monkeypatch):
     monkeypatch.setattr(search, "root", checked)
     base = harness.load_config(GOLDEN / config / "params.cfg") if config else PARAMS
     harness.run_sweep(harness.SweepConfig(base=base, sweep_variable="power",
-                                          sweep_values=(0.1, 1.0, 5.0), trials=2))
-    assert len(roots) > 20
+                                          sweep_values=(0.1, 1.0, 5.0), trials=10))
+    assert len(roots) > 15
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-110, 1e-150])

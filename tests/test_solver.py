@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maee import solver
+from maee import search, solver
 from maee.bench import grid_global_ee, scheme_proposed
 from maee.channel import (
     build_expansion,
@@ -358,9 +359,10 @@ def test_surrogate_float_form_matches_array_form(case, seed):
 @pytest.mark.parametrize("case", sorted(_FORM_CASES))
 def test_surrogate_derivative_matches_central_differences(case, seed):
     """derivative(side, rate)(x) is the slope of the objective on side's side
-    of x0, or of net for side 0, with the rate term's slope where beta > 0:
-    central differences agree away from the kinks at x0, beta = 0 and
-    gamma = 0, on the trust-window edges and where the rate floor binds."""
+    of x0, or of net for side 0, with the rate term's slope where beta > 0,
+    and the second derivative: central differences of the objective and of
+    the slope agree away from the kinks at x0, beta = 0 and gamma = 0, on
+    the trust-window edges and where the rate floor binds."""
     params = _FORM_CASES[case]
     expansion = build_expansion(make_instance(seed, params), params.wavelength)
     x0, half = params.initial_position, TRUST_WINDOW_WAVELENGTHS * params.wavelength
@@ -383,13 +385,95 @@ def test_surrogate_derivative_matches_central_differences(case, seed):
                 if not math.isfinite(lo + hi):
                     blocked += 1
                     continue
-                slope = surrogate.derivative(f_side, beta_lo > 0)(x)
+                slope_at = surrogate.derivative(f_side, beta_lo > 0)
+                slope, second = slope_at(x)
                 rounding = 1e-13 * max(abs(lo), abs(hi)) / step
                 assert (hi - lo) / (2 * step) == pytest.approx(slope, rel=1e-5, abs=rounding)
+                lo, hi = slope_at(ends[0])[0], slope_at(ends[1])[0]
+                rounding = 1e-13 * max(abs(lo), abs(hi)) / step
+                assert (hi - lo) / (2 * step) == pytest.approx(second, rel=1e-5, abs=rounding)
                 checked += 1
     assert checked > 100
     if case == "binding_floor":
         assert blocked > 0
+
+
+# The most surrogate evaluations one piece of a subproblem takes: four searches
+# worth (the maximizer, net's maximizer, and the floor crossing, which reads net
+# and its slope at each point), each at worst twice as many steps as bisecting
+# the trust window down to the root tolerance (a Newton step need only halve
+# the step before last), plus a few reads of the ends and of net.
+_PIECE_EVALUATIONS = 4 * (2 * math.ceil(math.log2(2.0 * TRUST_WINDOW_WAVELENGTHS
+                                                  / ROOT_TOL_WAVELENGTHS)) + 6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(scale=st.sampled_from([1e-150, 1e-100, 1e-20, 1.0, 1e20, 1e100]),
+       gain=st.floats(0.0, 2.0), tilt=st.floats(-1.0, 1.0), bound=st.floats(0.0, 4.0),
+       alpha=st.floats(0.0, 1e3), movement_power=st.sampled_from([0.001, 0.5, 50.0]),
+       offset=st.floats(-1.0, 1.0), level=st.floats(0.0, 1.0),
+       second=st.sampled_from([None, math.nan, math.inf, -math.inf, 0.0]))
+def test_newton_roots_match_brent_and_keep_to_the_floor(scale, gain, tilt, bound, alpha,
+                                                         movement_power, offset, level, second):
+    """The surrogate's roots by safeguarded Newton steps, on surrogates drawn
+    across gain scales 1e-150 to 1e100 (slope and curvature scaled by the
+    wavenumber), flagged P < P_t, pieces where beta is clipped at 0 and
+    targets across the range of net on a piece. The slope is at most
+    sqrt(2 gain curvature), as a curvature bound makes it: the upper Taylor
+    bound then stays >= 0, and gamma meets its clip at 0 only by rounding,
+    at the smallest scales. Each piece's maximizer is at least as good as
+    Brent's (search.concave_max on the slope alone) less rounding, or within
+    tol of it where net's terms cancel to far below their own size; a finite
+    floor crossing has net >= target; and no piece takes more than
+    _PIECE_EVALUATIONS evaluations. A second derivative replaced by nan,
+    +-inf or 0 still ends within that cap."""
+    params = SystemParams(movement_power=movement_power)
+    x0, k = params.initial_position, 2.0 * math.pi / params.wavelength
+    center = x0 + offset * x0
+    slope = tilt * math.sqrt(2.0 * gain * bound)
+    built = _build_surrogate(params, center, scale * gain, scale * k * slope, alpha,
+                             params.max_tx_power * scale * k * k * bound)
+    count = [0]
+
+    def counted(fn):
+        def wrapper(t):
+            count[0] += 1
+            return fn(t)
+        return wrapper
+
+    def derivative(side, rate):
+        slope_at = built.derivative(side, rate)
+        if second is None:
+            return counted(slope_at)
+        return counted(lambda t: (slope_at(t)[0], second))
+
+    s = solver._Surrogate(center, built.rate_span, built.objective, counted(built.net), derivative)
+    drift = alpha * (params.movement_power - params.max_tx_power) / params.speed
+
+    def value(t):  # the objective without its floor
+        return built.net(t) - abs(t - x0) * drift
+
+    reach, tol = run_limits(params)
+    half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
+    lo, hi = max(center - half, reach[0]), min(center + half, reach[1])
+    cuts = sorted({lo, hi, *(t for t in (x0, *s.rate_span) if lo < t < hi)})
+    for a, b in zip(cuts, cuts[1:]):
+        side, rate = (1.0 if a >= x0 else -1.0), s.rate_span[0] < 0.5 * (a + b) < s.rate_span[1]
+        x = search.newton_max(derivative(side, rate), a, b, min(max(center, a), b), tol)
+        brent = search.concave_max(lambda t: built.derivative(side, rate)(t)[0], a, b, tol)
+        assert a <= x <= b
+        if second is None:  # a concave value within tol of its peak is short by at most |slope| tol
+            margin = (1e-12 * (abs(built.net(brent)) + abs((brent - x0) * drift))
+                      + abs(built.derivative(side, rate)(x)[0]) * tol + 1e-300)
+            assert value(x) >= value(brent) - margin or abs(x - brent) <= tol
+        nets = [built.net(t) for t in np.linspace(a, b, 17).tolist()]
+        target = min(nets) + level * (max(nets) - min(nets))
+        count[0] = 0
+        x, objective = solver._piece_max(s, a, b, side, rate, target, tol)
+        assert count[0] <= _PIECE_EVALUATIONS
+        assert a <= x <= b
+        if objective > -math.inf:
+            assert built.net(x) >= target
 
 
 def test_optimize_single_path(params):
@@ -671,8 +755,9 @@ def test_optimize_never_solves_the_same_subproblem_twice(params, monkeypatch):
 
 
 def test_subproblem_evaluates_the_surrogate_a_few_times(monkeypatch):
-    """A subproblem evaluates the surrogate at piece ends and root-search
-    points only: a few dozen float calls at most."""
+    """A subproblem evaluates the surrogate at piece ends and Newton points
+    only: a few dozen float calls at most (17 at most on these runs, 20
+    under Brent's method)."""
     counts, current = [], []
     build, subproblem = solver._build_surrogate, solver.solve_subproblem
 
