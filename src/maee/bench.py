@@ -4,12 +4,13 @@ All schemes are evaluated through the same efficiency model and report its
 record, ee.EEBreakdown, so their results are directly comparable on a shared
 channel instance. The grid oracle is the reference the proposed optimizer is
 judged against. The ceiling, max_snr, max_throughput and the oracle pick
-their positions by one search, ee.grid_max, whose ties prefer not moving.
+their positions by one search, ee.grid_max of an ee.Objective record, whose
+ties prefer not moving.
 
-Every scheme runs in full at every params. The searches of the ceiling,
-max_snr and max_throughput are kept on the instance under the params fields
-they read (ee.kept_grid_max): params that differ elsewhere only, such as in
-the movement power, search once.
+Every scheme runs in full at every params. ee.grid_max keeps each search on
+the instance under the params fields its record reads: params that differ
+elsewhere only, such as max_snr's and max_throughput's in the movement
+power, search once.
 """
 
 from __future__ import annotations
@@ -28,20 +29,14 @@ ORACLE_RTOL = 1e-6  # relative floor of oracle_slack
 def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Exhaustive search of the true efficiency, honoring the rate floor.
 
-    ee.grid_max of ee.feasible_efficiency over the reach interval; when no
-    position meets the rate floor, of the plain efficiency, whose record
-    then reads feasible=False.
+    ee.grid_max of ee.FEASIBLE_EFFICIENCY over the reach interval; when no
+    position meets the rate floor, of ee.EFFICIENCY, whose record then reads
+    feasible=False.
     """
     lo, hi = ee.reach_interval(params)
-
-    def ee_slope(x, side, gain, slope):
-        return ee.efficiency_slopes(x, side, gain, slope, params)[1]
-
-    best_x, best_v = ee.grid_max(expansion, params, lo, hi,
-                                 lambda xs, g: ee.feasible_efficiency(xs, g, params), ee_slope)
-    if best_v == -math.inf:
-        best_x, _ = ee.grid_max(expansion, params, lo, hi,
-                                lambda xs, g: ee.efficiency_of_gains(xs, g, params)[0], ee_slope)
+    best_x, best = ee.grid_max(expansion, params, lo, hi, ee.FEASIBLE_EFFICIENCY)
+    if best == -math.inf:
+        best_x, _ = ee.grid_max(expansion, params, lo, hi, ee.EFFICIENCY)
     return ee.efficiency_at(expansion, params, best_x)
 
 
@@ -62,27 +57,19 @@ def scheme_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -
 
 def scheme_max_throughput(expansion: channel.GainExpansion,
                           params: SystemParams) -> ee.EEBreakdown:
-    """Move wherever the delivered bits/Hz peaks, ignoring energy and the rate floor.
-
-    The rate and its slope read T, v, P_t and sigma2 besides x0: never P or R_TH.
-    """
-    reads = ("rate", params.block_duration, params.speed, params.max_tx_power,
-             params.noise_power)
-    best_x, _ = ee.kept_grid_max(
-        expansion, params, *ee.reach_interval(params), reads,
-        lambda xs, g: ee.efficiency_of_gains(xs, g, params)[1],
-        lambda x, side, gain, slope: ee.efficiency_slopes(x, side, gain, slope, params)[0])
+    """Move wherever the delivered bits/Hz (ee.RATE) peaks, ignoring energy and the rate floor."""
+    best_x, _ = ee.grid_max(expansion, params, *ee.reach_interval(params), ee.RATE)
     return ee.efficiency_at(expansion, params, best_x)
 
 
 def scheme_max_snr(expansion: channel.GainExpansion, params: SystemParams) -> ee.EEBreakdown:
     """Move to the reachable gain argmax (SNR is monotone in gain under MRC), cost included.
 
-    ee.gain_peak, as for the upper bound, but over ee.reach_interval only.
-    Whenever the reach covers the region the two read the same kept search,
-    so they report the same position; both stay at rest on a tie.
+    ee.grid_max of ee.GAIN, as for the upper bound, but over ee.reach_interval
+    only. Whenever the reach covers the region the two read the same kept
+    search, so they report the same position; both stay at rest on a tie.
     """
-    x_best, _ = ee.gain_peak(expansion, params, *ee.reach_interval(params))
+    x_best, _ = ee.grid_max(expansion, params, *ee.reach_interval(params), ee.GAIN)
     return ee.efficiency_at(expansion, params, x_best)
 
 

@@ -107,8 +107,8 @@ class GainExpansion:
     of the Gram matrix E E^H, is the gain of a single path. What is computed
     per channel is kept on it, and dataclasses.replace starts a copy without
     it: gain_grids holds the gain lattice ee.gain_grid built for this
-    channel, one per spacing, searches every ee.grid_max kept by
-    ee.kept_grid_max under the inputs it reads, points the point reads kept
+    channel, one per spacing, searches every ee.grid_max answer under the
+    params fields its ee.Objective record reads, points the point reads kept
     by kept_gain_and_slope, and curvature is curvature_bound, computed on
     first use.
     """

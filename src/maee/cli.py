@@ -159,7 +159,7 @@ def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
     derivatives = bool(np.all(np.abs(fd1 - an1) <= 1e-4 * scale1)
                        and np.all(np.abs(fd2 - an2) <= 1e-3 * scale2))
 
-    eps = tx * channel.curvature_bound(expansion) * (1 + 1e-12) + floor2
+    eps = tx * expansion.curvature * (1 + 1e-12) + floor2
     curvature = bool(np.all(tx * channel.gain_second_derivative(expansion, xs) <= eps))
 
     bound = ee.ee_upper_bound(expansion, params).ee

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -92,6 +93,41 @@ def efficiency_slopes(x: float, side: float, gain: float, gain_slope: float,
         return rate_slope, 0.0
     energy_slope = side * params.move_energy_rate + params.max_tx_power * time_slope
     return rate_slope, (rate_slope - time_left * spectral / energy * energy_slope) / energy
+
+
+@dataclass(frozen=True, slots=True)
+class Objective:
+    """What a grid_max search maximizes, with the params fields it reads besides x0 and λ.
+
+    values(xs, gains, params) is the objective at positions xs with gains
+    gains; slope(x, side, gain, gain_slope, params) is its derivative at a
+    reachable x on one side of x0 (side +1 right, -1 left; see
+    efficiency_slopes). Neither reads a params field outside fields, x0 and λ.
+    """
+
+    name: str
+    fields: tuple[str, ...]
+    values: Callable
+    slope: Callable
+
+
+GAIN = Objective("gain", (), lambda xs, gains, params: gains,
+                 lambda x, side, gain, gain_slope, params: gain_slope)
+RATE = Objective("rate", ("block_duration", "speed", "max_tx_power", "noise_power"),
+                 lambda *at: efficiency_of_gains(*at)[1], lambda *at: efficiency_slopes(*at)[0])
+EFFICIENCY = Objective("efficiency", RATE.fields + ("movement_power",),
+                       lambda *at: efficiency_of_gains(*at)[0],
+                       lambda *at: efficiency_slopes(*at)[1])
+
+
+def _floored_efficiency(xs, gains, params: SystemParams):
+    """FEASIBLE_EFFICIENCY's values: the efficiency, -inf where the rate floor is missed."""
+    ratio, _, _, feasible = efficiency_of_gains(xs, gains, params)
+    return np.where(feasible, ratio, -np.inf)
+
+
+FEASIBLE_EFFICIENCY = Objective("feasible efficiency", EFFICIENCY.fields + ("min_throughput",),
+                                _floored_efficiency, EFFICIENCY.slope)
 
 
 def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdown:
@@ -214,37 +250,38 @@ def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float
     return xs, gains
 
 
-def feasible_efficiency(xs, gains, params: SystemParams):
-    """The efficiency at positions xs with gains gains, -inf where the rate floor is missed."""
-    ratio, _, _, feasible = efficiency_of_gains(xs, gains, params)
-    return np.where(feasible, ratio, -np.inf)
-
-
 def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
-             objective, slope) -> tuple[float, float]:
-    """Position and value of the largest objective(xs, gains) on [lo, hi].
+             objective: Objective) -> tuple[float, float]:
+    """Position and value of the largest objective on [lo, hi], kept in expansion.searches.
 
     Scans the grid_slice of [lo, hi], then polishes the one or two lattice
-    cells next to its best point. slope(x, side, gain, gain_slope) is the
-    objective's derivative at x on one side of the rest position x0 (side
-    +1 right, -1 left; see efficiency_slopes); x0 is a slice point, so no
-    cell has it inside. On a cell the maximum is taken as an end or a root
-    of the slope (search.concave_max), with the gain and its slope read at
-    each position once per instance (channel.kept_gain_and_slope, whose gain
-    is gain_eval's), so a position that another search on the instance or a
-    scheme's report reads again is not read twice; the value there is the
-    objective at that gain. An objective that is -inf where the rate floor
-    is missed (feasible_efficiency) and is -inf at that maximum takes the
-    root of rate - R_TH between it and the scan's best point instead, as in
-    the solver's subproblem. A scan that is -inf everywhere is returned as
-    is. Ties prefer not moving: the rest position, when it lies in [lo, hi],
-    wins when within _TIE_RTOL of the best. Its gain is read as a polished
+    cells next to its best point. x0 is a slice point, so no cell has it
+    inside, and the objective's slope is continuous on each. On a cell the
+    maximum is taken as an end or a root of the slope (search.concave_max),
+    with the gain and its slope read at each position once per instance
+    (channel.kept_gain_and_slope, whose gain is gain_eval's), so a position
+    that another search on the instance or a scheme's report reads again is
+    not read twice; the value there is the objective at that gain. An
+    objective that is -inf where the rate floor is missed
+    (FEASIBLE_EFFICIENCY) and is -inf at that maximum takes the root of rate
+    - R_TH between it and the scan's best point instead, as in the solver's
+    subproblem. A scan that is -inf everywhere is returned as is. Ties
+    prefer not moving: the rest position, when it lies in [lo, hi], wins
+    when within _TIE_RTOL of the best. Its gain is read as a polished
     position's is, not off the lattice, whose gains differ from gain_eval's
     by phase rounding (up to ~1e-11 of the constant at 1e4 wavelengths), so
     the tie never turns on that gap.
+
+    The answer is kept under everything the search reads: the objective's
+    name and the values of its fields, lo, hi, x0 and the wavelength. Params
+    equal on that key read the kept answer; any other params search anew.
     """
+    key = (objective.name, *(getattr(params, name) for name in objective.fields), lo, hi,
+           params.initial_position, params.wavelength)
+    if key in expansion.searches:
+        return expansion.searches[key]
     xs, gains = grid_slice(expansion, params, lo, hi)
-    values = objective(xs, gains)
+    values = objective.values(xs, gains, params)
     i = int(np.argmax(values))
     anchor, best = float(xs[i]), float(values[i])
     best_x, x0 = anchor, params.initial_position
@@ -257,45 +294,19 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
     ends = xs[max(i - 1, 0):i + 2].tolist() if best > -math.inf else []
     for a, b in zip(ends, ends[1:]):
         side = 1.0 if a >= x0 else -1.0
-        x = search.concave_max(lambda t: slope(t, side, *read(t)), a, b, tol)
-        value = float(objective(x, read(x)[0]))
+        x = search.concave_max(lambda t: objective.slope(t, side, *read(t), params), a, b, tol)
+        value = float(objective.values(x, read(x)[0], params))
         if value == -math.inf and excess(anchor) >= 0.0:
             x = search.root(excess, anchor, excess(anchor), x, excess(x), tol)
-            value = float(objective(x, read(x)[0]))
+            value = float(objective.values(x, read(x)[0], params))
         if value > best or (value == best and x < best_x):
             best_x, best = x, value
     if lo <= x0 <= hi:
-        rest = float(objective(x0, read(x0)[0]))
+        rest = float(objective.values(x0, read(x0)[0], params))
         if rest >= best - _TIE_RTOL * abs(best):
-            return x0, rest
+            best_x, best = x0, rest
+    expansion.searches[key] = best_x, best
     return best_x, best
-
-
-def kept_grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
-                  reads: tuple, objective, slope) -> tuple[float, float]:
-    """grid_max(expansion, params, lo, hi, objective, slope), kept in expansion.searches.
-
-    reads names the objective, then the value of each params field it and
-    slope read; grid_max itself reads only x0 and the wavelength for an
-    objective that is never -inf. Params equal on the key (reads, lo, hi,
-    x0, wavelength) share one search.
-    """
-    key = (reads, lo, hi, params.initial_position, params.wavelength)
-    found = expansion.searches.get(key)
-    if found is None:
-        found = expansion.searches[key] = grid_max(expansion, params, lo, hi, objective, slope)
-    return found
-
-
-def gain_peak(expansion: channel.GainExpansion, params: SystemParams, lo: float,
-              hi: float) -> tuple[float, float]:
-    """kept_grid_max of the gain on [lo, hi]: the best-gain position and its gain.
-
-    The gain reads no params field, so the ceiling and max_snr share one
-    search whenever the reach covers the region.
-    """
-    return kept_grid_max(expansion, params, lo, hi, ("gain",),
-                         lambda xs, gains: gains, lambda x, side, gain, slope: slope)
 
 
 def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EEBreakdown:
@@ -303,11 +314,11 @@ def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EE
 
     The bound assumes the rest position already sits at the gain argmax, so
     the whole block is spent communicating and no movement energy accrues.
-    The argmax is taken by gain_peak over the whole region, reachable or
-    not, so the bound dominates every scheme. The formula reads a position
+    The argmax is taken by grid_max of GAIN over the whole region, reachable
+    or not, so the bound dominates every scheme. The formula reads a position
     only through its travel from x0, so that record is the formula's at x0
     itself with the peak's gain, reported at the peak.
     """
-    x_bar, gain = gain_peak(expansion, params, 0.0, params.region_length)
+    x_bar, gain = grid_max(expansion, params, 0.0, params.region_length, GAIN)
     ratio, rate, energy, feasible = _efficiency(params.initial_position, gain, params, _FLOAT_OPS)
     return EEBreakdown(x=float(x_bar), ee=ratio, throughput=rate, energy=energy, feasible=feasible)

@@ -125,7 +125,7 @@ def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
 
     Every scheme runs at every value. The trial's grid searches read slices
     of the instance's one ee.GainGrid over the longest region, and a search
-    whose inputs repeat across values runs once (ee.kept_grid_max). Equal
+    whose record's fields repeat across values runs once (ee.grid_max). Equal
     records are kept as one object, held and pickled once.
     """
     seed = mix_seed(cfg.master_seed, trial_index)

@@ -289,7 +289,7 @@ def _best_feasible_position(expansion: channel.GainExpansion,
     and to restart from a feasible point when the start violates the floor.
     """
     xs, gains = ee.grid_slice(expansion, params, *ee.reach_interval(params))
-    masked = ee.feasible_efficiency(xs, gains, params)
+    masked = ee.FEASIBLE_EFFICIENCY.values(xs, gains, params)
     best = int(np.argmax(masked))
     return None if masked[best] == -math.inf else float(xs[best])
 

@@ -18,11 +18,14 @@ from maee.bench import (
 )
 from maee.channel import build_expansion, gain_eval, sample_instance
 from maee.ee import (
+    EFFICIENCY,
+    FEASIBLE_EFFICIENCY,
+    GAIN,
+    RATE,
     ee_upper_bound,
     efficiency_curve,
     efficiency_of_gains,
     energy_efficiency,
-    feasible_efficiency,
     grid_slice,
     reach_interval,
 )
@@ -66,24 +69,16 @@ def test_oracle_resolution_refinement(seed, params):
 
 
 def _searches(params):
-    """Each grid search as (name, scheme, interval, objective, value of its record)."""
+    """Each grid search as (name, scheme, interval, objective record, value of its record)."""
     reach = reach_interval(params)
-
-    def gains(xs, g):
-        return g
-
-    def efficiency(feasible):
-        return (lambda xs, g: feasible_efficiency(xs, g, params)) if feasible else (
-            lambda xs, g: efficiency_of_gains(xs, g, params)[0])
-
     return [
-        ("upper_bound", scheme_upper_bound, (0.0, params.region_length), lambda r: gains,
+        ("upper_bound", scheme_upper_bound, (0.0, params.region_length), lambda r: GAIN,
          lambda e, r: gain_eval(e, r.x)),
-        ("max_snr", scheme_max_snr, reach, lambda r: gains, lambda e, r: gain_eval(e, r.x)),
-        ("max_throughput", scheme_max_throughput, reach,
-         lambda r: lambda xs, g: efficiency_of_gains(xs, g, params)[1],
+        ("max_snr", scheme_max_snr, reach, lambda r: GAIN, lambda e, r: gain_eval(e, r.x)),
+        ("max_throughput", scheme_max_throughput, reach, lambda r: RATE,
          lambda e, r: r.throughput),
-        ("oracle", grid_global_ee, reach, lambda r: efficiency(r.feasible), lambda e, r: r.ee),
+        ("oracle", grid_global_ee, reach,
+         lambda r: FEASIBLE_EFFICIENCY if r.feasible else EFFICIENCY, lambda e, r: r.ee),
     ]
 
 
@@ -106,8 +101,8 @@ def test_grid_searches_polish_their_cells(config):
                 assert record.feasible == bool(np.any(efficiency_of_gains(xs, gains, params)[3]))
             near = int(np.argmin(np.abs(xs - record.x)))
             cells = np.linspace(xs[max(near - 1, 0)], xs[min(near + 1, len(xs) - 1)], 2001)
-            for best in (np.max(objective(xs, gains)),
-                         np.max(objective(cells, gain_eval(expansion, cells)))):
+            for best in (np.max(objective.values(xs, gains, params)),
+                         np.max(objective.values(cells, gain_eval(expansion, cells), params))):
                 assert value >= best - 1e-12 * abs(best), (config, seed, name)
 
 

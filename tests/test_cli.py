@@ -116,6 +116,21 @@ def test_check_reads_the_slope_production_reads(monkeypatch):
     assert dict(cli._check_instance(SystemParams(), 0))["derivative consistency"] is False
 
 
+def test_check_computes_the_curvature_bound_once(monkeypatch):
+    """The curvature row and the solver read the one bound kept on the
+    instance (GainExpansion.curvature), which costs L^2 N to compute."""
+    calls = []
+    original = channel.curvature_bound
+
+    def counted(expansion):
+        calls.append(expansion)
+        return original(expansion)
+
+    monkeypatch.setattr(channel, "curvature_bound", counted)
+    assert all(ok for _, ok in cli._check_instance(SystemParams(), 0))
+    assert len(calls) == 1
+
+
 def test_check_command(capsys):
     code, out, _ = run_cli(capsys, "check", "--trials", "1")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 
 from maee.channel import build_expansion, gain_and_slope, gain_eval
 from maee.ee import (
+    Objective,
     ee_upper_bound,
     efficiency_curve,
     efficiency_of_gains,
@@ -251,16 +252,17 @@ def test_grid_max_ties_stay_at_rest(interval, params):
     scale = 10 / params.wavelength
 
     def bump(size):
-        return (lambda xs, gains: 1.0 + size * np.exp(-(scale * (xs - lo)) ** 2),
-                lambda x, side, gain, slope: (-2.0 * size * scale * scale * (x - lo)
-                                              * math.exp(-(scale * (x - lo)) ** 2)))
+        return Objective(f"bump {size}", (),
+                         lambda xs, gains, params: 1.0 + size * np.exp(-(scale * (xs - lo)) ** 2),
+                         lambda x, side, gain, slope, params: (
+                             -2.0 * size * scale * scale * (x - lo)
+                             * math.exp(-(scale * (x - lo)) ** 2)))
 
-    def flat(xs, gains):
-        return 0.0 * gains + 1.0
-
-    assert grid_max(expansion, params, lo, hi, flat, lambda x, side, gain, slope: 0.0) == (x0, 1.0)
-    assert grid_max(expansion, params, lo, hi, *bump(1e-13)) == (x0, 1.0)
-    x, value = grid_max(expansion, params, lo, hi, *bump(1e-9))
+    flat = Objective("flat", (), lambda xs, gains, params: 0.0 * gains + 1.0,
+                     lambda x, side, gain, slope, params: 0.0)
+    assert grid_max(expansion, params, lo, hi, flat) == (x0, 1.0)
+    assert grid_max(expansion, params, lo, hi, bump(1e-13)) == (x0, 1.0)
+    x, value = grid_max(expansion, params, lo, hi, bump(1e-9))
     assert x == lo and value == 1.0 + 1e-9
 
 
@@ -394,9 +396,9 @@ def test_grid_max_reads_the_rest_value_off_gain_and_slope(params):
     far = replace(params, region_length=10.0, initial_position=9.98)
     x0 = far.initial_position
     expansion = build_expansion(make_instance(0, far), far.wavelength)
-    x, value = grid_max(expansion, far, 9.9, 10.0,
-                        lambda xs, gains: np.where(xs == x0, gains, 0.0),
-                        lambda x, side, gain, slope: 0.0)
+    x, value = grid_max(expansion, far, 9.9, 10.0, Objective(
+        "gain at rest", (), lambda xs, gains, params: np.where(xs == x0, gains, 0.0),
+        lambda x, side, gain, slope, params: 0.0))
     lattice = gain_grid(expansion, far.wavelength, 10.0)
     rest = 499_000
     assert rest * lattice.spacing == x0

@@ -114,6 +114,21 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def searches_run(monkeypatch):
+    """Patch harness.instance_for to keep each expansion it builds; the returned
+    function counts the searches run on them so far (ee.grid_max keeps each
+    search it runs in its expansion's searches, one key per search)."""
+    expansions = []
+    original = harness.instance_for
+
+    def recorded(*args):
+        expansions.append(original(*args))
+        return expansions[-1]
+
+    monkeypatch.setattr(harness, "instance_for", recorded)
+    return lambda: sum(len(expansion.searches) for expansion in expansions)
+
+
 @pytest.mark.parametrize("trials", [1, 4])
 def test_sweep_config_builds_each_value_params_once(trials, monkeypatch):
     original = harness.params_for_value
@@ -160,12 +175,12 @@ def test_run_sweep_ceiling_once_per_movement_power_free_params(
     """Movement power never reaches the ceiling's gain search, so a power
     sweep runs it once per trial; a region sweep changes the region and
     runs it once per value."""
-    calls = count_calls(monkeypatch, ee, "grid_max")
+    searches = searches_run(monkeypatch)
     cfg = small_config(sweep_variable=variable, sweep_values=values, trials=2,
                        schemes=("upper_bound", "fpa"))
     records, _ = run_sweep(cfg)
     assert len(records) == 2 * len(values)
-    assert len(calls) == 2 * per_trial
+    assert searches() == 2 * per_trial
 
 
 @pytest.mark.parametrize("variable, values, base, per_trial", [
@@ -180,12 +195,12 @@ def test_reference_positions_searched_once_per_movement_power_free_params(
     """max_throughput and max_snr search for their positions without reading
     the movement power, so a power sweep runs each search once per trial and
     a region sweep once per value."""
-    calls = count_calls(monkeypatch, ee, "grid_max")
+    searches = searches_run(monkeypatch)
     cfg = small_config(base=base, sweep_variable=variable, sweep_values=values, trials=2,
                        schemes=("max_throughput", "max_snr"))
     records, _ = run_sweep(cfg)
     assert len(records) == 2 * len(values)
-    assert len(calls) == 2 * 2 * per_trial
+    assert searches() == 2 * 2 * per_trial
 
 
 @pytest.mark.parametrize("variable, config, per_trial", [
@@ -196,25 +211,25 @@ def test_reference_positions_searched_once_per_movement_power_free_params(
     ("power", "tight_power", 2),
 ], ids=["None-2", "slow_power-3", "region-6", "tight_power-2"])
 def test_ceiling_and_max_snr_share_one_gain_search(variable, config, per_trial, monkeypatch):
-    """A trial runs ee.grid_max once per distinct search inputs. When the
-    reach covers the track, max_snr reads the ceiling's gain search
-    (ee.gain_peak), and neither it nor max_throughput's rate search reads
-    the movement power or the rate floor: a power trial runs ee.grid_max
-    twice, and a 3-value region trial twice per value. slow_power's reach
-    covers under half the track, so max_snr searches on its own: three runs."""
-    calls = count_calls(monkeypatch, ee, "grid_max")
+    """A trial runs one search per distinct search inputs. When the reach
+    covers the track, max_snr reads the ceiling's gain search (ee.GAIN), and
+    neither it nor max_throughput's rate search (ee.RATE) reads the movement
+    power or the rate floor: a power trial runs two searches, and a 3-value
+    region trial two per value. slow_power's reach covers under half the
+    track, so max_snr searches on its own: three searches."""
+    searches = searches_run(monkeypatch)
     base = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
     values = (0.1, 0.5, 1.0, 2.0, 5.0) if variable == "power" else (0.5, 1.0, 1.5)
     cfg = small_config(base=base, sweep_variable=variable, sweep_values=values,
                        schemes=bench.SCHEME_ORDER)
     for trial in range(3):
-        calls.clear()
+        before = searches()
         records = run_trial(cfg, trial)
-        assert len(calls) == per_trial
+        assert searches() - before == per_trial
         # a kept search gives max_snr the position of its own search
         for record, params in zip(records, cfg.params):
-            own, _ = ee.gain_peak(instance_for(base, record.instance_seed), params,
-                                  *ee.reach_interval(params))
+            own, _ = ee.grid_max(instance_for(base, record.instance_seed), params,
+                                 *ee.reach_interval(params), ee.GAIN)
             assert record.results["max_snr"].x == own
 
 

@@ -1,7 +1,8 @@
 """Property tests over the valid SystemParams ranges: the gain is finite and
 nonnegative, every scheme and the grid oracle return finite efficiencies
-that keep their order, and the searches kept on an instance are keyed on
-every field they read."""
+that keep their order, and the searches ee.grid_max keeps on an instance,
+the schemes' and the oracle's, are keyed on every field their ee.Objective
+record reads."""
 
 import math
 from dataclasses import replace
@@ -183,7 +184,7 @@ NEW_VALUE = {
 def test_kept_searches_key_on_every_field_they_read(speed, rest, field, u, seed):
     """Evaluated at params and then at a copy with one field changed, one
     expansion gives every scheme but the proposed optimizer the records a
-    fresh expansion gives: the searches it keeps (ee.kept_grid_max) cannot
+    fresh expansion gives: the searches it keeps (ee.grid_max) cannot
     answer for params they do not read alike. At v = 0.0019 m/s the reach
     covers under half the track, so T, v and x0 move the searched interval;
     from a rest position at an end of the track, only its other end moves."""
@@ -196,3 +197,31 @@ def test_kept_searches_key_on_every_field_they_read(speed, rest, field, u, seed)
     evaluate_schemes(shared, base, schemes)
     fresh = build_expansion(instance, base.wavelength)
     assert evaluate_schemes(shared, changed, schemes) == evaluate_schemes(fresh, changed, schemes)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(speed=st.sampled_from([0.2, 0.0019]), rest=st.sampled_from([0.0, 0.5, 1.0]),
+       floor=st.sampled_from([SystemParams().min_throughput, 1e3]),
+       field=st.sampled_from(sorted(NEW_VALUE)), u=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+# At R_TH = 1e3 the fallback's answer moves with T, from the rest position
+# 0 to 8.6 mm; at R_TH = 9 bits/Hz the floor moves the answer from 0 to 8.3 mm.
+@example(speed=0.2, rest=0.0, floor=1e3, field="block_duration", u=0.75, seed=0)
+@example(speed=0.2, rest=0.0, floor=SystemParams().min_throughput, field="min_throughput",
+         u=0.75, seed=0)
+def test_kept_oracle_keys_on_every_field_it_reads(speed, rest, floor, field, u, seed):
+    """Evaluated at params and then at a copy with one field changed, one
+    expansion gives the oracle record a fresh expansion gives: its kept
+    searches (ee.FEASIBLE_EFFICIENCY, and ee.EFFICIENCY where no position
+    meets the rate floor) cannot answer for params they do not read alike.
+    No position meets a floor of 1e3 bits/Hz, so the oracle falls back to
+    ee.EFFICIENCY at every such params but a changed floor."""
+    default = SystemParams()
+    base = SystemParams(speed=speed, initial_position=rest * default.region_length,
+                        min_throughput=floor)
+    changed = replace(base, **{field: NEW_VALUE[field](base, u)})
+    instance = sample_instance(base, np.random.default_rng(seed))
+    shared = build_expansion(instance, base.wavelength)
+    grid_global_ee(shared, base)
+    fresh = build_expansion(instance, base.wavelength)
+    assert grid_global_ee(shared, changed) == grid_global_ee(fresh, changed)

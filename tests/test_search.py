@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from maee import ee, harness, search
 from maee.channel import build_expansion
-from maee.ee import grid_max, grid_slice
+from maee.ee import Objective, grid_max, grid_slice
 from maee.params import SystemParams
 from maee.search import concave_max, root
 
@@ -193,8 +193,9 @@ def test_concave_max_ties_take_a():
 def polish(objective, slope, lo=0.0, hi=PARAMS.region_length):
     """grid_max of objective(xs) with slope(x) on [lo, hi] of seed 0's channel."""
     expansion = build_expansion(make_instance(0), PARAMS.wavelength)
-    return grid_max(expansion, PARAMS, lo, hi, lambda xs, gains: objective(xs),
-                    lambda x, side, gain, gain_slope: slope(x))
+    return grid_max(expansion, PARAMS, lo, hi, Objective(
+        "synthetic", (), lambda xs, gains, params: objective(xs),
+        lambda x, side, gain, gain_slope, params: slope(x)))
 
 
 @pytest.mark.parametrize("peak", [0.0123, 0.5, 0.77777])
@@ -281,13 +282,13 @@ def test_grid_polish_stays_in_an_interval_beside_the_rest_position():
 def test_grid_polish_feeds_plain_floats_to_the_polish():
     kinds = []
 
-    def slope(x, side, gain, gain_slope):
+    def slope(x, side, gain, gain_slope, params):
         kinds.append((type(x), type(side), type(gain), type(gain_slope)))
         return -2.0 * (x - 0.003)
 
     expansion = build_expansion(make_instance(0), PARAMS.wavelength)
-    x, fx = grid_max(expansion, PARAMS, 0.0, PARAMS.region_length,
-                     lambda xs, gains: -(xs - 0.003) ** 2, slope)
+    x, fx = grid_max(expansion, PARAMS, 0.0, PARAMS.region_length, Objective(
+        "parabola", (), lambda xs, gains, params: -(xs - 0.003) ** 2, slope))
     assert abs(x - 0.003) <= TOL
     assert type(fx) is float
     assert len(kinds) > 2
