@@ -1,4 +1,9 @@
-"""Command-line front end: solve one instance, run sweeps, grid search, self-check."""
+"""Command-line front end: solve one instance, run sweeps, grid search, self-check.
+
+check runs invariants.BATTERY on random instances and prints one line per
+check, ``ok trial=<t> <name> margin=<m>`` or ``FAIL ...``: m is the worst
+error the check finds divided by the error it allows, so m <= 1 passes.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import bench, channel, ee, harness, solver
+from . import bench, ee, harness, invariants, solver
 from .harness import fmt
 from .params import SystemParams
 
@@ -125,65 +130,12 @@ def _cmd_sweep(args) -> int:
     return 0 if any_feasible else 1
 
 
-def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, bool]]:
-    """Invariant battery on one random instance; returns (name, ok) pairs."""
+def _check_instance(params: SystemParams, seed: int) -> list[tuple[str, float]]:
+    """(name, margin) of each check of invariants.BATTERY on one random instance,
+    at 1001 positions spanning the region."""
     expansion = harness.instance_for(params, seed)
     xs = np.linspace(0.0, params.region_length, 1001)
-    tx = params.max_tx_power
-
-    direct = channel.gain_eval(expansion, xs)
-    series = channel.gain_series(expansion, xs)
-    grid = ee.gain_grid(expansion, params.wavelength, params.region_length)
-    stride = max(1, len(grid.gains) // 1000)
-    at = np.arange(0, len(grid.gains), stride) * grid.spacing
-    lattice = channel.gain_eval(expansion, at) - grid.gains[::stride]
-    closed_form = bool(np.all(np.abs(series - direct) <= 1e-9 * expansion.constant)
-                       and np.all(np.abs(lattice) <= 1e-9 * expansion.constant))
-
-    step1, step2 = params.wavelength * 1e-6, params.wavelength * 1e-4
-    sample = xs[::50]
-    fd1 = (tx * channel.gain_eval(expansion, sample + step1)
-           - tx * channel.gain_eval(expansion, sample - step1)) / (2 * step1)
-    an1 = tx * np.array([channel.gain_and_slope(expansion, x)[1] for x in sample])
-    fd2 = (tx * channel.gain_eval(expansion, sample + step2)
-           - 2 * tx * channel.gain_eval(expansion, sample)
-           + tx * channel.gain_eval(expansion, sample - step2)) / step2**2
-    an2 = tx * channel.gain_second_derivative(expansion, sample)
-    # Rounding floors in the instance's own units: the m-th derivative's terms
-    # are at most P_t |E|^2 max|k|^m, and with one path the slope and the
-    # curvature are nothing but rounding of that size.
-    top = float(np.max(np.abs(expansion.wavenumbers)))
-    floor1, floor2 = (1e-9 * tx * expansion.constant * top**m for m in (1, 2))
-    scale1 = float(np.max(np.abs(an1))) + floor1
-    scale2 = float(np.max(np.abs(an2))) + floor2
-    derivatives = bool(np.all(np.abs(fd1 - an1) <= 1e-4 * scale1)
-                       and np.all(np.abs(fd2 - an2) <= 1e-3 * scale2))
-
-    eps = tx * expansion.curvature * (1 + 1e-12) + floor2
-    curvature = bool(np.all(tx * channel.gain_second_derivative(expansion, xs) <= eps))
-
-    bound = ee.ee_upper_bound(expansion, params).ee
-    ee_vals, _, _, _ = ee.efficiency_of_gains(xs, direct, params)
-    dominance = bool(np.all(ee_vals <= bound * (1.0 + 1e-9)))
-
-    report = solver.optimize(expansion, params)
-    oracle = bench.grid_global_ee(expansion, params)
-    fpa = bench.scheme_fpa(expansion, params)
-    alphas = [row[2] for row in report.trace]
-    bracket = True
-    if report.status != "infeasible":
-        proposed = report.result.ee
-        bracket = (proposed <= oracle.ee + bench.oracle_slack(expansion, params, oracle)
-                   and (not fpa.feasible or proposed >= fpa.ee - 1e-9)
-                   and all(b >= a - 1e-9 for a, b in zip(alphas, alphas[1:])))
-
-    return [
-        ("closed-form equivalence", closed_form),
-        ("derivative consistency", derivatives),
-        ("curvature dominance", curvature),
-        ("upper-bound dominance", dominance),
-        ("solver bracketing", bracket),
-    ]
+    return [(name, check(expansion, params, xs)) for name, check in invariants.BATTERY]
 
 
 def _cmd_check(args) -> int:
@@ -192,9 +144,10 @@ def _cmd_check(args) -> int:
         raise ValueError("need at least one trial")
     all_ok = True
     for trial in range(args.trials):
-        for name, ok in _check_instance(params, args.seed + trial):
+        for name, margin in _check_instance(params, args.seed + trial):
+            ok = margin <= 1.0
             all_ok = all_ok and ok
-            print(f"{'ok' if ok else 'FAIL'} trial={trial} {name}")
+            print(f"{'ok' if ok else 'FAIL'} trial={trial} {name} margin={margin:.3g}")
     print("all checks passed" if all_ok else "CHECKS FAILED")
     return 0 if all_ok else 1
 

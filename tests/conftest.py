@@ -66,23 +66,6 @@ def direct_gain(instance, wavelength, xs):
     return np.sum(np.abs(h) ** 2, axis=1)
 
 
-def gain_slopes(expansion, xs):
-    """The gain's slope at each position of xs, read point by point with
-    channel.gain_and_slope, the one read production makes."""
-    return np.array([channel.gain_and_slope(expansion, x)[1] for x in xs])
-
-
-def slope_amplitude(instance, wavelength, tx):
-    """tx * sum_{a != b} |G_ab| |k_a - k_b| over the Gram matrix G = E E^H.
-
-    The sum of the path-pair amplitudes of the scaled gain's slope: no
-    position has a steeper one.
-    """
-    gram = instance.entries @ instance.entries.conj().T
-    k = 2.0 * np.pi / wavelength * instance.virtual_aoa
-    return float(tx * np.sum(np.abs(gram) * np.abs(k[:, None] - k)))
-
-
 def field_response(virtual_aoa, wavelength, x):
     """Steering vector exp(j 2 pi x virtual_aoa / wavelength) of the given paths.
 

@@ -19,10 +19,11 @@ from maee.channel import (
     kept_gain_and_slope,
     sample_instance,
 )
+from maee.invariants import gain_forms
 from maee.params import MAX_BS_ANTENNAS, MAX_PATHS, MAX_RESPONSE_ENTRIES, SystemParams
 
-from conftest import (direct_gain, field_response, gain_slopes, hand_instance, make_instance,
-                      single_path_instance, slope_amplitude)
+from conftest import (direct_gain, field_response, hand_instance, make_instance,
+                      single_path_instance)
 
 
 def test_field_response_zero_position():
@@ -192,15 +193,14 @@ def test_gain_blocks_bounded_in_antennas_as_well_as_paths(monkeypatch):
 def test_gain_lattice_matches_gain_eval(num_paths, num_antennas, track_wavelengths):
     """The lattice built from two steering tables is the gain at its points,
     to the phase rounding both forms carry, out to 1e4 wavelengths."""
-    params = SystemParams(num_paths=num_paths, num_bs_antennas=num_antennas)
+    params = SystemParams(num_paths=num_paths, num_bs_antennas=num_antennas,
+                          region_length=track_wavelengths * SystemParams().wavelength)
     expansion = build_expansion(make_instance(0, params), params.wavelength)
     spacing = params.wavelength / 500
     count = int(track_wavelengths * 500) + 2
-    lattice = gain_lattice(expansion, spacing, count)
-    assert lattice.shape == (count,)
+    assert gain_lattice(expansion, spacing, count).shape == (count,)
     points = np.unique(np.r_[np.linspace(0, count - 1, 2001).astype(int), np.arange(70)])
-    direct = gain_eval(expansion, points * spacing)
-    assert np.all(np.abs(lattice[points] - direct) <= 1e-9 * expansion.constant)
+    assert gain_forms(expansion, params, points * spacing) <= 1.0
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 33, 2049, 4097])
@@ -270,11 +270,11 @@ def test_gain_series_builds_each_steering_block_once(monkeypatch):
 
     monkeypatch.setattr(channel, "_steering", counted)
     xs = np.linspace(0.0, scenario.region_length, 500)
-    series = gain_series(expansion, xs)
+    gain_series(expansion, xs)
     assert calls == [109] * 4 + [64]  # five blocks of positions
     assert gain_series(expansion, 0.0123) == pytest.approx(gain_eval(expansion, 0.0123),
                                                            rel=1e-12)
-    assert np.all(np.abs(series - gain_eval(expansion, xs)) <= 1e-9 * expansion.constant)
+    assert gain_forms(expansion, scenario, xs) <= 1.0
 
 
 def test_kept_point_read_once_per_instance(params, monkeypatch):
@@ -338,40 +338,12 @@ def test_gain_derivative_single_path_zero():
     assert gain_second_derivative(expansion, 0.004) == 0.0
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gain_derivative_matches_finite_difference(seed, params):
-    tx = 1.0
-    instance = make_instance(seed)
-    expansion = build_expansion(instance, params.wavelength)
-    xs = np.linspace(1e-4, params.region_length - 1e-4, 200)
-    step = 1e-8
-    fd = (np.asarray(gain_eval(expansion, xs + step))
-          - np.asarray(gain_eval(expansion, xs - step))) * tx / (2 * step)
-    analytic = tx * gain_slopes(expansion, xs)
-    scale = slope_amplitude(instance, params.wavelength, tx)
-    assert np.all(np.abs(fd - analytic) <= 1e-4 * np.maximum(np.abs(analytic), 1e-3 * scale))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_gain_second_derivative_matches_finite_difference(seed, params):
-    tx = 1.0
-    expansion = build_expansion(make_instance(seed), params.wavelength)
-    xs = np.linspace(1e-4, params.region_length - 1e-4, 200)
-    step = 1e-6
-    fd = (np.asarray(gain_eval(expansion, xs + step))
-          - 2 * np.asarray(gain_eval(expansion, xs))
-          + np.asarray(gain_eval(expansion, xs - step))) * tx / step**2
-    analytic = tx * gain_second_derivative(expansion, xs)
-    scale = tx * curvature_bound(expansion)
-    assert np.all(np.abs(fd - analytic) <= 1e-3 * np.maximum(np.abs(analytic), 1e-3 * scale))
-
-
 def test_gain_derivative_small_at_grid_peak(params):
     expansion = build_expansion(make_instance(9), params.wavelength)
     xs = np.linspace(0.0, params.region_length, 10_000)
     gains = gain_eval(expansion, xs)
     idx = int(np.argmax(gains[1:-1])) + 1  # interior stationary point
-    derivs = gain_slopes(expansion, xs)
+    derivs = np.array([gain_and_slope(expansion, x)[1] for x in xs])
     assert abs(derivs[idx]) <= 1e-3 * float(np.max(np.abs(derivs)))
 
 
@@ -385,15 +357,6 @@ def test_curvature_bound_hand_value():
     expansion = build_expansion(hand_instance(), 0.01)
     expected = 8.0 * math.pi**2 * 1.0 * 1.0 * 0.5**2 / 0.01**2
     assert curvature_bound(expansion) == pytest.approx(expected, rel=1e-15)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_curvature_bound_dominates_grid(seed, params):
-    tx = params.max_tx_power
-    expansion = build_expansion(make_instance(seed), params.wavelength)
-    xs = np.linspace(0.0, params.region_length, 10_000)
-    eps = tx * curvature_bound(expansion)
-    assert np.max(tx * gain_second_derivative(expansion, xs)) <= eps * (1 + 1e-12)
 
 
 def test_sample_instance_mean_power(params):

@@ -1,17 +1,23 @@
+import contextlib
 import csv
+import io
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from maee import channel, cli, harness
+from maee import channel, cli, harness, invariants, solver
 from maee.cli import build_parser, cli_main
 from maee.harness import parse_config_text
-from maee.params import MAX_BS_ANTENNAS, MAX_PATHS, MAX_RESPONSE_ENTRIES, SystemParams
+from maee.params import (MAX_BS_ANTENNAS, MAX_PATHS, MAX_REGION_WAVELENGTHS, MAX_RESPONSE_ENTRIES,
+                         SystemParams)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,6 +26,19 @@ def run_cli(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_config(tmp_path, text):
+    """The path, as a string, of a config file holding text."""
+    config = tmp_path / "params.cfg"
+    config.write_text(text)
+    return str(config)
+
+
+def assert_one_error(code, out, err, message=""):
+    """Exit 2 with nothing on stdout and one error line, holding message, on stderr."""
+    assert code == 2 and out == "", (out, err)
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
 def test_solve_deterministic(capsys):
@@ -74,9 +93,10 @@ def test_sweep_end_to_end(tmp_path, capsys):
 def test_one_gain_grid_per_instance(argv, instances, gain_reads, capsys):
     """Each instance builds one gain lattice, and every search reads slices of
     it: solve evaluates the gain at no more than the three positions a slice
-    adds. check also evaluates it on its own samples: the 1001 positions and
-    the lattice slice of its closed-form row, and five 21-point finite
-    difference stencils. A second run in the same process reads no lattice
+    adds. check also evaluates it on its own samples: its 1001 positions and
+    the lattice points nearest them for the closed-form row, five
+    finite-difference stencils of those positions, and the positions again
+    for the ceiling row. A second run in the same process reads no lattice
     kept from the first and prints the same."""
     _, expected, _ = run_cli(capsys, *argv)
     gain_reads.lattices.clear()
@@ -85,7 +105,7 @@ def test_one_gain_grid_per_instance(argv, instances, gain_reads, capsys):
     assert code == 0 and out == expected
     lattice = int(SystemParams().region_length / (SystemParams().wavelength / 500)) + 2
     assert gain_reads.lattices == [lattice] * instances
-    samples = [1001, 1001] + [21] * 5 if argv[0] == "check" else []
+    samples = [1001] * 8 if argv[0] == "check" else []
     assert [size for size in gain_reads.evals if size > 3] == samples * instances
 
 
@@ -113,7 +133,7 @@ def test_check_reads_the_slope_production_reads(monkeypatch):
         return gain, 1.01 * slope
 
     monkeypatch.setattr(channel, "gain_and_slope", scaled)
-    assert dict(cli._check_instance(SystemParams(), 0))["derivative consistency"] is False
+    assert dict(cli._check_instance(SystemParams(), 0))["derivative consistency"] > 1.0
 
 
 def test_check_computes_the_curvature_bound_once(monkeypatch):
@@ -127,31 +147,49 @@ def test_check_computes_the_curvature_bound_once(monkeypatch):
         return original(expansion)
 
     monkeypatch.setattr(channel, "curvature_bound", counted)
-    assert all(ok for _, ok in cli._check_instance(SystemParams(), 0))
+    assert all(margin <= 1.0 for _, margin in cli._check_instance(SystemParams(), 0))
     assert len(calls) == 1
 
 
 def test_check_command(capsys):
     code, out, _ = run_cli(capsys, "check", "--trials", "1")
-    assert code == 0
-    assert "all checks passed" in out
+    *rows, last = out.splitlines()
+    assert code == 0 and last == "all checks passed"
+    for row, (name, _) in zip(rows, invariants.BATTERY, strict=True):
+        assert re.fullmatch(rf"ok trial=0 {name} margin=\S+", row)
+
+
+@pytest.mark.parametrize("text, fault", [
+    # at P_t = 1e9 W the efficiency is ~4e-8, so 0.98x of it falls only ~1e-9
+    # short of the fixed antenna: a bound relative to the efficiency catches it
+    ("P_t = 1e9 W\n", lambda report: replace(
+        report, result=replace(report.result, ee=0.98 * report.result.ee))),
+    # infeasible, while the grid oracle meets the rate floor
+    ("", lambda report: replace(report, status="infeasible", trace=[])),
+], ids=["short-at-high-power", "false-infeasible"])
+def test_check_fails_a_faulty_optimizer(text, fault, tmp_path, monkeypatch, capsys):
+    original = solver.optimize
+    monkeypatch.setattr(solver, "optimize",
+                        lambda expansion, params: fault(original(expansion, params)))
+    code, out, _ = run_cli(capsys, "check", "--trials", "1", "--config",
+                           write_config(tmp_path, text))
+    assert code == 1
+    assert "FAIL trial=0 solver bracketing" in out
 
 
 def test_check_passes_within_oracle_resolution(tmp_path, capsys):
     # R_TH = 10 bits/Hz, P = 5 W, seed 9: the solver lands ~1e-6 relative above
     # the grid oracle, within the oracle's resolution (bench.oracle_slack)
-    config = tmp_path / "tight.cfg"
-    config.write_text("R_TH = 10 bits/Hz\nP = 5 W\n")
+    config = write_config(tmp_path, "R_TH = 10 bits/Hz\nP = 5 W\n")
     code, out, err = run_cli(capsys, "check", "--trials", "1", "--seed", "9",
-                             "--config", str(config))
+                             "--config", config)
     assert code == 0, out + err
     assert "ok trial=0 solver bracketing" in out
 
 
 def test_solve_status_flags_movement_power_below_transmit_power(tmp_path, capsys):
-    config = tmp_path / "cheap.cfg"
-    config.write_text("P = 0.001 W\n")  # below P_t = 10 dBm = 0.01 W
-    code, out, err = run_cli(capsys, "solve", "--seed", "5", "--config", str(config))
+    config = write_config(tmp_path, "P = 0.001 W\n")  # below P_t = 10 dBm = 0.01 W
+    code, out, err = run_cli(capsys, "solve", "--seed", "5", "--config", config)
     assert code == 0, err
     assert "flagged=1" in next(line for line in out.splitlines() if line.startswith("status="))
     _, out, _ = run_cli(capsys, "solve", "--seed", "5")
@@ -159,17 +197,15 @@ def test_solve_status_flags_movement_power_below_transmit_power(tmp_path, capsys
 
 
 def test_missing_config_keys_fall_back_to_defaults(tmp_path, capsys):
-    config = tmp_path / "partial.cfg"
-    config.write_text("T = 5.0\nR_TH = 5.0\n")  # explicit defaults only
-    _, out_with, _ = run_cli(capsys, "solve", "--seed", "5", "--config", str(config))
+    config = write_config(tmp_path, "T = 5.0\nR_TH = 5.0\n")  # explicit defaults only
+    _, out_with, _ = run_cli(capsys, "solve", "--seed", "5", "--config", config)
     _, out_without, _ = run_cli(capsys, "solve", "--seed", "5")
     assert out_with == out_without
 
 
 def test_config_accepts_dbm(tmp_path, capsys):
-    config = tmp_path / "units.cfg"
-    config.write_text("P_t = 10 dBm\nsigma2 = -70 dBm\nrho_0 = -40 dB\n")
-    _, out_with, _ = run_cli(capsys, "solve", "--seed", "5", "--config", str(config))
+    config = write_config(tmp_path, "P_t = 10 dBm\nsigma2 = -70 dBm\nrho_0 = -40 dB\n")
+    _, out_with, _ = run_cli(capsys, "solve", "--seed", "5", "--config", config)
     _, out_without, _ = run_cli(capsys, "solve", "--seed", "5")
     assert out_with == out_without
 
@@ -214,19 +250,15 @@ def test_undecodable_config_names_the_file(tmp_path, capsys):
     config = tmp_path / "binary.cfg"
     config.write_bytes(b"\xffA = 0.02 m\n")
     code, out, err = run_cli(capsys, "solve", "--config", str(config))
-    assert code == 2 and out == ""
+    assert_one_error(code, out, err)
     assert err.startswith(f"error: {config}: 'utf-8' codec can't decode")
-    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("line", ["A = 0.02 s", "T = 5 m/s", "P = 0.5 m", "N = 16 W",
                                   "lambda = 0.01 bits/Hz"])
 def test_foreign_unit_exits_2_naming_the_line(line, tmp_path, capsys):
-    config = tmp_path / "unit.cfg"
-    config.write_text(line + "\n")
-    code, out, err = run_cli(capsys, "solve", "--config", str(config))
-    assert code == 2 and out == ""
-    assert err.startswith("error: line 1: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "solve", "--config", write_config(tmp_path, line + "\n"))
+    assert_one_error(code, out, err, "error: line 1: ")
 
 
 def test_unknown_command_exits_2(capsys):
@@ -235,23 +267,17 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("bandwidth = 10\n")
-    code, _, err = run_cli(capsys, "solve", "--config", str(config))
-    assert code == 2
-    assert "bandwidth" in err
+    code, out, err = run_cli(capsys, "solve", "--config",
+                             write_config(tmp_path, "bandwidth = 10\n"))
+    assert_one_error(code, out, err, "bandwidth")
 
 
 @pytest.mark.parametrize("wavelength", ["1e-308", "1e-200"])
 def test_tiny_wavelength_exits_2_with_one_error_line(wavelength, tmp_path, capsys):
     # the track would span ~1e198 to ~1e306 wavelengths: no grid is ever sized
-    config = tmp_path / "tiny.cfg"
-    config.write_text(f"lambda = {wavelength} m\n")
-    code, out, err = run_cli(capsys, "solve", "--config", str(config))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "wavelengths" in err
+    config = write_config(tmp_path, f"lambda = {wavelength} m\n")
+    code, out, err = run_cli(capsys, "solve", "--config", config)
+    assert_one_error(code, out, err, "wavelengths")
 
 
 @pytest.mark.parametrize("text", [
@@ -263,13 +289,10 @@ def test_tiny_wavelength_exits_2_with_one_error_line(wavelength, tmp_path, capsy
     "lambda = 1e-200 m\nA = 2e-200 m\nx0 = 1e-200 m\n",
 ], ids=["movement-power", "slow-speed", "transmit-power", "snr-scale", "curvature-scale"])
 def test_overflowing_block_energy_exits_2_with_one_error_line(text, tmp_path, capsys):
-    config = tmp_path / "huge.cfg"
-    config.write_text(text)
+    config = write_config(tmp_path, text)
     for command in ("solve", "oracle", "check"):
-        code, out, err = run_cli(capsys, command, "--config", str(config))
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "overflows" in err
+        code, out, err = run_cli(capsys, command, "--config", config)
+        assert_one_error(code, out, err, "overflows")
 
 
 @pytest.mark.parametrize("text", [
@@ -279,12 +302,8 @@ def test_overflowing_block_energy_exits_2_with_one_error_line(text, tmp_path, ca
 ], ids=["paths", "antennas", "entries"])
 def test_paths_and_antennas_over_the_caps_exit_2(text, tmp_path, capsys):
     # SystemParams rejects the shape before any instance is sampled
-    config = tmp_path / "big.cfg"
-    config.write_text(text)
-    code, out, err = run_cli(capsys, "solve", "--config", str(config))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "exceed the caps" in err
+    code, out, err = run_cli(capsys, "solve", "--config", write_config(tmp_path, text))
+    assert_one_error(code, out, err, "exceed the caps")
 
 
 def test_sweep_value_with_invalid_params_exits_2_before_any_trial(tmp_path, monkeypatch,
@@ -295,9 +314,7 @@ def test_sweep_value_with_invalid_params_exits_2_before_any_trial(tmp_path, monk
     monkeypatch.setattr(channel, "sample_instance", no_trial)
     code, out, err = run_cli(capsys, "sweep", "--sweep", "region", "--values", "20000",
                              "--workers", "2", "--out", str(tmp_path / "out"))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: region length") and err.count("\n") == 1
+    assert_one_error(code, out, err, "error: region length")
     assert not (tmp_path / "out").exists()
 
 
@@ -307,29 +324,26 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 
 def test_infeasible_floor_exits_1(tmp_path, capsys):
-    config = tmp_path / "strict.cfg"
-    config.write_text("R_TH = 1e6\n")
-    code, out, _ = run_cli(capsys, "solve", "--seed", "2", "--config", str(config))
+    code, out, _ = run_cli(capsys, "solve", "--seed", "2", "--config",
+                           write_config(tmp_path, "R_TH = 1e6\n"))
     assert code == 1
     assert "feasible=0" in out
 
 
 def test_slow_antenna_config_solves_and_sweeps(tmp_path, capsys):
     # at 1 mm/s the reach (5 mm) is shorter than the 20 mm track
-    config = tmp_path / "slow.cfg"
-    config.write_text("v = 0.001 m/s\n")
-    code, out, err = run_cli(capsys, "solve", "--seed", "3", "--config", str(config))
+    config = write_config(tmp_path, "v = 0.001 m/s\n")
+    code, out, err = run_cli(capsys, "solve", "--seed", "3", "--config", config)
     assert code == 0, err
     assert "scheme=max_snr" in out
     code, _, err = run_cli(capsys, "sweep", "--sweep", "power", "--trials", "2",
-                           "--config", str(config), "--out", str(tmp_path / "out"))
+                           "--config", config, "--out", str(tmp_path / "out"))
     assert code == 0, err
 
 
 def test_tiny_reach_oracle_matches_fixed_antenna(tmp_path, capsys):
-    config = tmp_path / "tiny.cfg"
-    config.write_text("v = 0.0001 m/s\nT = 0.01 s\nP = 5 W\nR_TH = 0 bits/Hz\n")
-    code, out, err = run_cli(capsys, "oracle", "--seed", "0", "--config", str(config))
+    config = write_config(tmp_path, "v = 0.0001 m/s\nT = 0.01 s\nP = 5 W\nR_TH = 0 bits/Hz\n")
+    code, out, err = run_cli(capsys, "oracle", "--seed", "0", "--config", config)
     assert code == 0, err
     fields = dict(item.split("=") for item in out.splitlines()[1].split()[1:])
     assert float(fields["ee"]) >= 231.369749163
@@ -338,21 +352,19 @@ def test_tiny_reach_oracle_matches_fixed_antenna(tmp_path, capsys):
 def test_reach_edge_far_from_the_track_start_solves(tmp_path, capsys):
     # x0 is 7e4 reaches from 0, so x0 - v T rounds past the reach by far more
     # than the move-time rounding allowance of the block
-    config = tmp_path / "edge.cfg"
-    config.write_text("x0 = 0.007 m\nv = 1e-5 m/s\nT = 0.01 s\nR_TH = 0 bits/Hz\n")
-    code, out, err = run_cli(capsys, "solve", "--seed", "0", "--config", str(config))
+    config = write_config(tmp_path, "x0 = 0.007 m\nv = 1e-5 m/s\nT = 0.01 s\nR_TH = 0 bits/Hz\n")
+    code, out, err = run_cli(capsys, "solve", "--seed", "0", "--config", config)
     assert code == 0, err
     assert "scheme=max_snr" in out
 
 
 def test_free_movement_config_oracle_and_check(tmp_path, capsys):
     # the reach edge has zero time and zero energy left
-    config = tmp_path / "free.cfg"
-    config.write_text("P = 0 W\nv = 0.001 m/s\nR_TH = 0 bits/Hz\n")
-    code, out, err = run_cli(capsys, "oracle", "--seed", "3", "--config", str(config))
+    config = write_config(tmp_path, "P = 0 W\nv = 0.001 m/s\nR_TH = 0 bits/Hz\n")
+    code, out, err = run_cli(capsys, "oracle", "--seed", "3", "--config", config)
     assert code == 0, err
     assert "nan" not in out
-    code, out, err = run_cli(capsys, "check", "--trials", "2", "--config", str(config))
+    code, out, err = run_cli(capsys, "check", "--trials", "2", "--config", config)
     assert code == 0, err
     assert "all checks passed" in out
 
@@ -366,38 +378,26 @@ def test_check_derivatives_scale_with_wavelength(wavelength, paths, tmp_path, ca
     # finite-difference steps fixed in meters break down far from lambda = 1 cm;
     # with one path the slope and curvature are pure rounding, so the floors
     # must carry the instance's own scale
-    config = tmp_path / "scaled.cfg"
-    config.write_text(f"lambda = {wavelength} m\nA = {2 * wavelength} m\nx0 = {wavelength} m\n"
-                      f"L = {paths}\n")
-    code, out, err = run_cli(capsys, "check", "--trials", "3", "--config", str(config))
+    config = write_config(tmp_path, f"lambda = {wavelength} m\nA = {2 * wavelength} m\n"
+                                    f"x0 = {wavelength} m\nL = {paths}\n")
+    code, out, err = run_cli(capsys, "check", "--trials", "3", "--config", config)
     assert code == 0, out + err
     assert "ok trial=2 derivative consistency" in out
     assert "ok trial=2 curvature dominance" in out
 
 
 def test_check_without_trials_exits_2(capsys):
-    code, out, err = run_cli(capsys, "check", "--trials", "0")
-    assert code == 2
-    assert "error:" in err
-    assert "passed" not in out
+    assert_one_error(*run_cli(capsys, "check", "--trials", "0"))
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):
-    config = tmp_path / "inf.cfg"
-    config.write_text("T = inf s\n")
-    code, out, err = run_cli(capsys, "solve", "--config", str(config))
-    assert code == 2
-    assert "error:" in err and "finite" in err
-    assert "scheme=" not in out
+    code, out, err = run_cli(capsys, "solve", "--config", write_config(tmp_path, "T = inf s\n"))
+    assert_one_error(code, out, err, "finite")
 
 
 def test_negative_distance_exits_2(tmp_path, capsys):
-    config = tmp_path / "distance.cfg"
-    config.write_text("d = -50 m\n")
-    code, out, err = run_cli(capsys, "solve", "--config", str(config))
-    assert code == 2
-    assert "error:" in err and "distance" in err
-    assert "scheme=" not in out
+    code, out, err = run_cli(capsys, "solve", "--config", write_config(tmp_path, "d = -50 m\n"))
+    assert_one_error(code, out, err, "distance")
 
 
 def test_readme_command_lines_parse():
@@ -433,3 +433,73 @@ def test_module_entry_point_runs_without_warnings():
                           timeout=300)
     assert done.returncode == 0, done.stderr
     assert "all checks passed" in done.stdout
+
+
+def _log(lo, hi):
+    """10**e for e drawn from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# Each config key's numbers over its legal range and past it: linear ones, then
+# dB or dBm ones for a key that takes those. fuzz_configs draws lambda, A, x0,
+# L and N itself, and keeps L N A/lambda, the gain lattice's work, under 1e5.
+_FUZZ_NUMBERS = {
+    "P_t": (_log(-6, 10), st.floats(-30, 130)),
+    "P": (st.just(0.0) | _log(-6, 4), st.floats(-30, 70)),
+    "v": (_log(-7, 2),),
+    "T": (_log(-4, 3),),
+    "R_TH": (st.floats(-1, 60),),
+    "sigma2": (_log(-16, -4), st.floats(-130, -10)),
+    "rho_0": (_log(-9, 1), st.floats(-90, 10)),
+    "d": (_log(-1, 5),),
+    "alpha_tilde": (st.floats(0, 6),),
+    "epsilon": (_log(-10, 0.1),),
+}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Config text setting any of harness._CONFIG_KEYS, each bare or in any unit it takes."""
+    defaults, lines = SystemParams(), []
+
+    def setting(key, numbers):
+        """A number for key, written if drawn, or key's default if not."""
+        name, units = harness._CONFIG_KEYS[key]
+        unit = draw(st.sampled_from(["", *units]))
+        number = draw(numbers[unit.startswith("dB")])
+        if not draw(st.booleans()):
+            return getattr(defaults, name)
+        lines.append(f"{key} = {number!r} {unit}".rstrip())
+        return number
+
+    wavelength = setting("lambda", (_log(-7, 1),))
+    region = setting("A", (_log(-3, 4.05).map(lambda n: n * wavelength),))
+    setting("x0", ((st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)).map(lambda u: u * region),))
+    work = region / wavelength * setting("L", (_log(0, 3.33).map(round),))
+    assume(work * setting("N", (_log(0, 3.63).map(round),)) <= 1e5)
+    for key in harness._CONFIG_KEYS:
+        if key not in {"lambda", "A", "x0", "L", "N"}:
+            setting(key, _FUZZ_NUMBERS[key])
+    return "".join(f"{line}\n" for line in lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=fuzz_configs(), seed=st.integers(0, 2**32 - 1))
+@example(text=f"L = {MAX_PATHS}\n", seed=0)
+@example(text=f"A = {MAX_REGION_WAVELENGTHS * SystemParams().wavelength} m\n", seed=0)
+def test_solve_and_oracle_exit_cleanly_on_any_config(text, seed, tmp_path_factory):
+    """Exit 0 or 1 with every printed number finite, or exit 2 with one error
+    line, and never a traceback."""
+    config = write_config(tmp_path_factory.mktemp("fuzz"), text)
+    for command in ("solve", "oracle"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main([command, "--seed", str(seed), "--config", config])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            assert_one_error(code, out, err)
+            continue
+        assert code in (0, 1) and err == "", (text, code, err)
+        values = re.findall(r"=(\S+)", out)
+        numbers = [float(v) for v in values if re.fullmatch(r"[-+.\deinaf]+", v)]
+        assert numbers and all(math.isfinite(n) for n in numbers), (text, out)

@@ -266,15 +266,6 @@ def test_grid_max_ties_stay_at_rest(interval, params):
     assert x == lo and value == 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_ee_upper_bound_dominates_grid(seed, params):
-    expansion = build_expansion(make_instance(seed), params.wavelength)
-    bound = ee_upper_bound(expansion, params).ee
-    xs = np.linspace(0.0, params.region_length, 2000)
-    ee_vals, _, _, _ = efficiency_curve(expansion, params, xs)
-    assert np.all(ee_vals <= bound * (1.0 + 1e-9))
-
-
 def test_ee_upper_bound_equality_when_recentered(params):
     expansion = build_expansion(make_instance(8), params.wavelength)
     ceiling = ee_upper_bound(expansion, params)

@@ -13,8 +13,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from maee.bench import SCHEME_ORDER, evaluate_schemes, grid_global_ee, oracle_slack  # noqa: E402
-from maee.channel import build_expansion, gain_eval, gain_series, sample_instance  # noqa: E402
+from maee.bench import SCHEME_ORDER, evaluate_schemes, grid_global_ee  # noqa: E402
+from maee.channel import build_expansion, gain_eval, sample_instance  # noqa: E402
+from maee.invariants import gain_forms, solver_bracketing  # noqa: E402
 from maee.params import SystemParams  # noqa: E402
 
 RTOL = 1e-9
@@ -64,13 +65,11 @@ def test_schemes_finite_and_ordered(params, seed):
     assert all(math.isfinite(r.ee) for r in everything)
     ceiling = results["upper_bound"].ee
     assert all(r.ee <= ceiling * (1.0 + RTOL) for r in everything)
-    proposed, fpa = results["proposed"], results["fpa"]
+    fpa = results["fpa"]
     if fpa.feasible:
-        assert proposed.ee >= fpa.ee * (1.0 - RTOL)
         assert oracle.ee >= fpa.ee * (1.0 - RTOL)
-    if oracle.feasible:
-        assert proposed.feasible
-        assert proposed.ee <= oracle.ee + oracle_slack(expansion, params, oracle)
+    # proposed between fpa and the oracle, and infeasible only when the oracle is
+    assert solver_bracketing(expansion, params) <= 1.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -115,8 +114,8 @@ def test_gain_finite_and_nonnegative_at_extreme_scales(pathloss_exponent, distan
     gains = gain_eval(expansion, xs)
     assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
     assert gain_eval(expansion, params.initial_position) >= 0.0
-    # Same function as the series, to float error relative to the gain's scale.
-    assert np.all(np.abs(gains - gain_series(expansion, xs)) <= 1e-9 * expansion.constant)
+    # Same function as the series and the lattice, to float error relative to the gain's scale.
+    assert gain_forms(expansion, params, xs) <= 1.0
 
 
 
