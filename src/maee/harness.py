@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -143,21 +141,35 @@ def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
     return records
 
 
+def _run_share(cfg: SweepConfig, share: int, workers: int) -> list[list[TrialRecord]]:
+    """run_trial's records for trials share, share + workers, share + 2 workers, ..."""
+    return [run_trial(cfg, i) for i in range(share, cfg.trials, workers)]
+
+
 def run_sweep(cfg: SweepConfig) -> tuple[list[TrialRecord], list[AggregateRow]]:
     """Run all trials of a sweep and aggregate them.
 
-    Each trial builds its instance once and evaluates it at every sweep value;
-    the trials run in a process pool of min(workers, trials) processes when
-    that is more than one. Records are merged in (value index, trial index)
-    order either way, so the output is identical for any worker count.
+    Each trial builds its instance once and evaluates it at every sweep value.
+    With workers = min(cfg.workers, cfg.trials), trial i belongs to share
+    i % workers. The calling process runs share 0; each other share goes as
+    one task to its own process of a pool that this call starts and closes,
+    on return and on a raised trial alike. Records are merged in
+    (value index, trial index) order, so the output is identical for any
+    worker count.
     """
-    trial = partial(run_trial, cfg)
     workers = min(cfg.workers, cfg.trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            by_trial = list(pool.map(trial, range(cfg.trials)))
+    if workers == 1:
+        shares = [_run_share(cfg, 0, 1)]
     else:
-        by_trial = list(map(trial, range(cfg.trials)))
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep loads it
+
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            children = [pool.submit(_run_share, cfg, share, workers)
+                        for share in range(1, workers)]
+            shares = [_run_share(cfg, 0, workers)] + [child.result() for child in children]
+    by_trial: list = [None] * cfg.trials
+    for share, per_trial in enumerate(shares):
+        by_trial[share::workers] = per_trial
     records = [record for per_value in zip(*by_trial) for record in per_value]
     return records, aggregate(records, cfg.schemes)
 

@@ -330,6 +330,31 @@ def test_infeasible_floor_exits_1(tmp_path, capsys):
     assert "feasible=0" in out
 
 
+# At 0.1 um/s the antenna barely leaves x0, where seed 0 falls short of this
+# floor; only the idealized ceiling, resting at the gain peak, meets it.
+_CEILING_ONLY = "v = 1e-7 m/s\nR_TH = 11.6637 bits/Hz\n"
+
+
+def test_solve_exits_1_when_only_the_ceiling_is_feasible(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "solve", "--seed", "0", "--config",
+                           write_config(tmp_path, _CEILING_ONLY))
+    assert "scheme=upper_bound" in out and "status=infeasible" in out
+    feasible = dict(re.findall(r"scheme=(\w+) .* feasible=(\d)", out))
+    assert feasible == {"proposed": "0", "upper_bound": "1", "max_throughput": "0",
+                        "max_snr": "0", "fpa": "0"}, out
+    assert code == 1
+
+
+def test_sweep_exits_1_when_only_the_ceiling_is_feasible(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--sweep", "power", "--trials", "2",
+                           "--config", write_config(tmp_path, _CEILING_ONLY),
+                           "--out", str(tmp_path / "out"))
+    counts = re.findall(r"scheme=(\w+) .* n=(\d+)", out)
+    assert counts and all(n == "0" for scheme, n in counts if scheme != "upper_bound"), out
+    assert any(n != "0" for scheme, n in counts if scheme == "upper_bound"), out
+    assert code == 1
+
+
 def test_slow_antenna_config_solves_and_sweeps(tmp_path, capsys):
     # at 1 mm/s the reach (5 mm) is shorter than the 20 mm track
     config = write_config(tmp_path, "v = 0.001 m/s\n")

@@ -94,7 +94,7 @@ def first_difference(expected: str, actual: str) -> str:
     return f"line counts differ: expected {len(expected_lines)}, got {len(actual_lines)}"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("sweep", list(SWEEP_VARIABLE))
 def test_sweep_matches_golden_csv(sweep, workers, tmp_path):
     config = GOLDEN / sweep / "params.cfg"

@@ -1,11 +1,14 @@
+import concurrent.futures
 import csv
 import math
+import multiprocessing
 import os
 import pickle
 import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -140,16 +143,18 @@ def test_sweep_config_builds_each_value_params_once(trials, monkeypatch):
     assert cfg.params == tuple(original(cfg.base, "region", v) for v in values)
 
 
-@pytest.mark.parametrize("workers, trials, pool_size", [(500, 2, 2), (2, 5, 2), (3, 1, None)])
-def test_run_sweep_starts_at_most_one_worker_per_trial(workers, trials, pool_size,
-                                                       monkeypatch):
-    """The pool gets min(workers, trials) processes; one trial runs in this
-    process. The stand-in pool records its size and starts no process."""
-    sizes = []
+@pytest.mark.parametrize("workers, trials, children", [
+    (500, 2, 1), (2, 5, 1), (3, 7, 2), (7, 7, 6), (1, 4, 0), (3, 1, 0), (2, 1, 0)])
+def test_run_sweep_sends_each_child_one_share(workers, trials, children, monkeypatch):
+    """The calling process runs one share of the trials, and the pool gets
+    min(workers, trials) - 1 processes with one task each; no pool starts
+    when one process is enough. The stand-in pool records what it is given,
+    runs each task inline and starts no process."""
+    pools, tasks = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -157,13 +162,54 @@ def test_run_sweep_starts_at_most_one_worker_per_trial(workers, trials, pool_siz
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            tasks.append(args)
+            done = concurrent.futures.Future()
+            done.set_result(fn(*args))
+            return done
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     records, _ = run_sweep(small_config(workers=workers, trials=trials))
     assert len(records) == 2 * trials
-    assert sizes == ([pool_size] if pool_size else [])
+    assert pools == ([children] if children else [])
+    assert len(tasks) == children
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+def test_run_sweep_uneven_shares_match_the_serial_sweep(workers):
+    cfg = small_config(trials=7)
+    assert run_sweep(replace(cfg, workers=workers)) == run_sweep(cfg)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failing_trial", [0, 1], ids=["parent_share", "child_share"])
+def test_run_sweep_raises_a_failed_trial(failing_trial, monkeypatch):
+    """A trial's ValueError surfaces from run_sweep, from the calling process's
+    share (trial 0) and from a child's (trial 1): a forked child inherits the
+    patched run_trial. No child outlives the sweep either way."""
+    original = harness.run_trial
+
+    def failing(cfg, trial_index):
+        if trial_index == failing_trial:
+            raise ValueError(f"trial {trial_index} failed")
+        return original(cfg, trial_index)
+
+    monkeypatch.setattr(harness, "run_trial", failing)
+    with pytest.raises(ValueError, match=f"trial {failing_trial} failed"):
+        run_sweep(small_config(workers=2, trials=4))
+    assert multiprocessing.active_children() == []
+
+
+def test_import_loads_no_process_pool():
+    """A 1-worker sweep never starts a pool, so importing maee does not load one."""
+    code = ("import sys, maee, maee.cli; print(' '.join(m for m in ('multiprocessing', "
+            "'concurrent.futures', 'concurrent.futures.process') if m in sys.modules))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "", done.stdout
 
 
 @pytest.mark.parametrize("variable, values, per_trial", [
