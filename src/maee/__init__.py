@@ -7,8 +7,9 @@ analytic ceiling, a Dinkelbach + SCA position optimizer, benchmark schemes with
 a grid-search oracle, and a seeded Monte-Carlo sweep harness with CSV output.
 
 The top level re-exports the names of the library quick start and the demos;
-everything else is imported from its submodule (maee.channel, maee.ee,
-maee.search, maee.solver, maee.bench, maee.harness, maee.cli).
+everything else is imported from its submodule (maee.params, maee.channel,
+maee.ee, maee.search, maee.solver, maee.bench, maee.invariants, maee.harness,
+maee.cli).
 """
 
 from .bench import grid_global_ee, scheme_fpa, scheme_max_snr

@@ -146,27 +146,81 @@ def _run_share(cfg: SweepConfig, share: int, workers: int) -> list[list[TrialRec
     return [run_trial(cfg, i) for i in range(share, cfg.trials, workers)]
 
 
+def _send_share(conn, cfg: SweepConfig, share: int, workers: int, caller_end) -> None:
+    """A pool child's work: send _run_share's records, or the exception it raised, down conn.
+
+    caller_end is the pipe's receiving end, which a forked child inherits. It
+    is closed first: once the caller is gone, nothing else reads the pipe, and
+    a send too large for its buffer then fails instead of waiting forever.
+    """
+    caller_end.close()
+    try:
+        result = _run_share(cfg, share, workers)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _run_pooled(cfg: SweepConfig, workers: int) -> list[list[list[TrialRecord]]]:
+    """Every share's records: share 0 from this process, each other from its own child.
+
+    Each child gets one one-way pipe and sends one message. The pipes are read
+    in share order before any child is joined, since a child blocks until its
+    records, which can outgrow the pipe's buffer, have been read. A child's
+    exception is raised again here; a child that ends without a message raises
+    a RuntimeError. If anything raises here, live children are terminated, and
+    no child outlives the call.
+    """
+    import multiprocessing  # only a pooled sweep loads it
+
+    children, pipes = [], []
+    try:
+        for share in range(1, workers):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            pipes.append(receive)
+            child = multiprocessing.Process(
+                target=_send_share, args=(send, cfg, share, workers, receive), daemon=True)
+            child.start()
+            children.append(child)
+            send.close()  # so the child's exit closes its pipe's last send end
+        shares = [_run_share(cfg, 0, workers)]
+        for share, (child, receive) in enumerate(zip(children, pipes), start=1):
+            try:
+                result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"sweep share {share} ended with exit code "
+                                   f"{child.exitcode} before sending its records") from None
+            if isinstance(result, Exception):
+                raise result
+            shares.append(result)
+        return shares
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+        for receive in pipes:
+            receive.close()
+
+
 def run_sweep(cfg: SweepConfig) -> tuple[list[TrialRecord], list[AggregateRow]]:
     """Run all trials of a sweep and aggregate them.
 
     Each trial builds its instance once and evaluates it at every sweep value.
     With workers = min(cfg.workers, cfg.trials), trial i belongs to share
-    i % workers. The calling process runs share 0; each other share goes as
-    one task to its own process of a pool that this call starts and closes,
-    on return and on a raised trial alike. Records are merged in
+    i % workers. The calling process runs share 0; each other share runs in
+    its own child process, started by this call with one pipe for its
+    records (_run_pooled). A trial's exception, in any share, is raised
+    here, and no child outlives the call. Records are merged in
     (value index, trial index) order, so the output is identical for any
     worker count.
     """
     workers = min(cfg.workers, cfg.trials)
-    if workers == 1:
-        shares = [_run_share(cfg, 0, 1)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep loads it
-
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            children = [pool.submit(_run_share, cfg, share, workers)
-                        for share in range(1, workers)]
-            shares = [_run_share(cfg, 0, workers)] + [child.result() for child in children]
+    shares = [_run_share(cfg, 0, 1)] if workers == 1 else _run_pooled(cfg, workers)
     by_trial: list = [None] * cfg.trials
     for share, per_trial in enumerate(shares):
         by_trial[share::workers] = per_trial

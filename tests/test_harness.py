@@ -1,12 +1,14 @@
-import concurrent.futures
 import csv
 import math
 import multiprocessing
 import os
 import pickle
 import re
+import select
+import signal
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +35,9 @@ from maee.params import SystemParams
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+# The environment of a fresh interpreter that imports maee from this checkout.
+SRC_ENV = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
 
 
 def small_config(**overrides):
@@ -143,36 +148,42 @@ def test_sweep_config_builds_each_value_params_once(trials, monkeypatch):
     assert cfg.params == tuple(original(cfg.base, "region", v) for v in values)
 
 
+def record_children(monkeypatch) -> list:
+    """Each multiprocessing.Process that run_sweep builds, with its constructor's
+    keyword arguments (as .kwargs) and how often it was started (as .starts)."""
+    children = []
+
+    class RecordingProcess(multiprocessing.Process):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.kwargs, self.starts = kwargs, 0
+            children.append(self)
+
+        def start(self):
+            self.starts += 1
+            super().start()
+
+    monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
+    return children
+
+
 @pytest.mark.parametrize("workers, trials, children", [
     (500, 2, 1), (2, 5, 1), (3, 7, 2), (7, 7, 6), (1, 4, 0), (3, 1, 0), (2, 1, 0)])
 def test_run_sweep_sends_each_child_one_share(workers, trials, children, monkeypatch):
-    """The calling process runs one share of the trials, and the pool gets
-    min(workers, trials) - 1 processes with one task each; no pool starts
-    when one process is enough. The stand-in pool records what it is given,
-    runs each task inline and starts no process."""
-    pools, tasks = [], []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            tasks.append(args)
-            done = concurrent.futures.Future()
-            done.set_result(fn(*args))
-            return done
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    """The calling process runs share 0 of the trials, and min(workers, trials) - 1
+    daemon children, each started once, run shares 1, 2, ...; no child starts
+    when one process is enough."""
+    started = record_children(monkeypatch)
     records, _ = run_sweep(small_config(workers=workers, trials=trials))
     assert len(records) == 2 * trials
-    assert pools == ([children] if children else [])
-    assert len(tasks) == children
+    assert len(started) == children
+    assert [child.starts for child in started] == [1] * children
+    assert all(child.kwargs["target"] is harness._send_share and child.kwargs["daemon"]
+               for child in started)
+    assert [child.kwargs["args"][2:4] for child in started] == [
+        (share, min(workers, trials)) for share in range(1, children + 1)]
+    assert [child.exitcode for child in started] == [0] * children
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
@@ -200,16 +211,92 @@ def test_run_sweep_raises_a_failed_trial(failing_trial, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_run_sweep_names_a_child_that_ends_without_a_message(monkeypatch):
+    """A child that exits before sending its records (here os._exit(3) in trial 1,
+    of share 1) raises one RuntimeError naming its share and exit code."""
+    original = harness.run_trial
+
+    def exiting(cfg, trial_index):
+        if trial_index == 1:
+            os._exit(3)
+        return original(cfg, trial_index)
+
+    monkeypatch.setattr(harness, "run_trial", exiting)
+    with pytest.raises(RuntimeError, match="share 1 ended with exit code 3 "):
+        run_sweep(small_config(workers=2, trials=4))
+    assert multiprocessing.active_children() == []
+
+
+def test_run_sweep_terminates_children_when_the_caller_fails(monkeypatch):
+    """A ValueError in the caller's share (trial 0) surfaces while the child's
+    trial 1 still waits on an event that is never set: the child is ended by
+    SIGTERM, not left to run out its 60 s wait."""
+    original = harness.run_trial
+    never = multiprocessing.Event()
+
+    def stalled(cfg, trial_index):
+        if trial_index == 0:
+            raise ValueError("trial 0 failed")
+        if not never.wait(60):
+            raise TimeoutError(f"trial {trial_index} was not stopped")
+        return original(cfg, trial_index)
+
+    monkeypatch.setattr(harness, "run_trial", stalled)
+    started = record_children(monkeypatch)
+    with pytest.raises(ValueError, match="trial 0 failed"):
+        run_sweep(small_config(workers=2, trials=4))
+    assert [child.exitcode for child in started] == [-signal.SIGTERM]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_sweep_child_ends_when_its_caller_is_killed():
+    """With the caller killed, a child whose records outgrow its pipe's buffer
+    does not wait forever for a reader. Its exit is seen as the end of a pipe
+    whose write end only the caller and the child hold."""
+    code = textwrap.dedent("""
+        import multiprocessing, os, signal
+        from maee import SystemParams, harness
+
+        def run_trial(cfg, trial_index):
+            if trial_index == 0:
+                print(multiprocessing.active_children()[0].pid, flush=True)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return bytes(1 << 20)
+
+        harness.run_trial = run_trial
+        harness.run_sweep(harness.SweepConfig(base=SystemParams(), sweep_variable="power",
+                                              sweep_values=(1.0,), trials=2, workers=2))
+    """)
+    alive_read, alive_write = os.pipe()
+    caller = subprocess.Popen([sys.executable, "-c", code], env=SRC_ENV, pass_fds=(alive_write,),
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    os.close(alive_write)
+    child, ended = int(caller.stdout.readline()), []
+    try:
+        assert caller.wait(timeout=60) == -signal.SIGKILL
+        ended, _, _ = select.select([alive_read], [], [], 60)
+        assert ended and os.read(alive_read, 1) == b""
+    finally:
+        os.close(alive_read)
+        caller.stdout.close()
+        if not ended:
+            os.kill(child, signal.SIGKILL)
+
+
 def test_import_loads_no_process_pool():
-    """A 1-worker sweep never starts a pool, so importing maee does not load one."""
-    code = ("import sys, maee, maee.cli; print(' '.join(m for m in ('multiprocessing', "
-            "'concurrent.futures', 'concurrent.futures.process') if m in sys.modules))")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    """A 1-worker sweep never starts a pool, so importing maee does not load one;
+    a pooled sweep loads multiprocessing but not concurrent.futures."""
+    code = ("import sys, maee, maee.cli\n"
+            "loaded = lambda: ' '.join(m for m in ('multiprocessing', 'concurrent.futures', "
+            "'concurrent.futures.process') if m in sys.modules)\n"
+            "print(loaded())\n"
+            "maee.run_sweep(maee.SweepConfig(base=maee.SystemParams(), sweep_variable='power', "
+            "sweep_values=(1.0,), trials=2, schemes=('fpa',), workers=2))\n"
+            "print(loaded())\n")
+    done = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "", done.stdout
+    assert done.stdout.split("\n") == ["", "multiprocessing", ""], done.stdout
 
 
 @pytest.mark.parametrize("variable, values, per_trial", [
@@ -398,8 +485,7 @@ def test_scheme_records_alone_equal_their_sweep_records(threads):
     """A scheme searching a grid of its own gives the record it gives inside a
     sweep, which reads the trial's grid over the longest region: bit for bit,
     at one and at two BLAS threads."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env = {**SRC_ENV, "OPENBLAS_NUM_THREADS": threads}
     done = subprocess.run([sys.executable, "-c", _ALONE_EQUALS_SWEEP], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
