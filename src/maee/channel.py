@@ -236,34 +236,44 @@ def gain_lattice(expansion: GainExpansion, spacing: float, count: int) -> np.nda
     return lattice[:count]
 
 
+def _point_read(expansion: GainExpansion, x: float):
+    """The steering row f at x, h = f conj(E), h' = f slope_conj, and the pair of
+    the gain |h|^2 (exactly the constant for one path) and its slope 2 Re(h^H h')."""
+    f = _steering(expansion.wavenumbers, float(x))
+    h, h1 = f @ expansion.response_conj, f @ expansion.slope_conj
+    gain = expansion.constant if expansion.num_paths == 1 else float(_squared_norms(h))
+    return f, h, h1, (gain, 2.0 * float(np.vdot(h, h1).real))
+
+
+def _half_second(expansion: GainExpansion, f, h, h1):
+    """Half the gain's second derivative |h'|^2 + Re(h^H h''), h'' = (f (jk)^2) conj(E)."""
+    jk = 1j * expansion.wavenumbers
+    h2 = (f * (jk * jk)) @ expansion.response_conj
+    return np.sum((h1.conj() * h1 + h.conj() * h2).real, axis=-1)
+
+
 def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
     """gain_eval's gain, bit for bit, and the slope 2 Re(h^H f slope_conj) at one position x."""
-    f = _steering(expansion.wavenumbers, float(x))
-    h = f @ expansion.response_conj
-    gain = expansion.constant if expansion.num_paths == 1 else float(_squared_norms(h))
-    return gain, 2.0 * float(np.vdot(h, f @ expansion.slope_conj).real)
+    return _point_read(expansion, x)[3]
 
 
-def kept_gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
-    """gain_and_slope at x, kept in expansion.points: for the positions that more than
+def kept_gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float, float]:
+    """gain_and_slope's pair at x, bit for bit, and the gain's second derivative, off
+    one steering row and kept in expansion.points: for the positions that more than
     one search or sweep value may read (the rest position, ee.grid_max's polish
     probes and each scheme's reported position)."""
     found = expansion.points.get(x)
     if found is None:
-        found = expansion.points[x] = gain_and_slope(expansion, x)
+        f, h, h1, pair = _point_read(expansion, x)
+        found = expansion.points[x] = (*pair, 2.0 * float(_half_second(expansion, f, h, h1)))
     return found
 
 
 def gain_second_derivative(expansion: GainExpansion, x) -> float | np.ndarray:
-    """d^2 gain/dx^2 = 2 (|h'|^2 + Re(h^H h'')), with h'' = (f (jk)^2) conj(E)."""
-    jk, response_conj = 1j * expansion.wavenumbers, expansion.response_conj
-
-    def curvature(f):
-        h, h1 = f @ response_conj, f @ expansion.slope_conj
-        h2 = (f * (jk * jk)) @ response_conj
-        return np.sum((h1.conj() * h1 + h.conj() * h2).real, axis=-1)
-
-    return 2.0 * _over_positions(expansion, x, curvature)
+    """d^2 gain/dx^2 = 2 (|h'|^2 + Re(h^H h'')) at position(s) x: the array form of
+    kept_gain_and_slope's third entry."""
+    return 2.0 * _over_positions(expansion, x, lambda f: _half_second(
+        expansion, f, f @ expansion.response_conj, f @ expansion.slope_conj))
 
 
 def _gram_row_blocks(expansion: GainExpansion):

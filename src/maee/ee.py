@@ -21,9 +21,9 @@ from .params import SystemParams
 
 # Relative float error of a move time computed at the edge of the reach.
 _MOVE_TIME_ROUNDING = 1e-12
-# Every derivative root stops within this many wavelengths of the root: a polish root
-# (search.root) once its bracket is this wide, a solver root (search.newton_max, newton_root)
-# once its bracket is this wide or its Newton step, summed at its rate of convergence, is shorter.
+# Every derivative root, of the grid polish and of the solver alike (search.newton_max,
+# newton_root), stops within this many wavelengths of the root: once its bracket is this
+# wide, or its Newton step, summed at its rate of convergence, is shorter.
 ROOT_TOL_WAVELENGTHS = 1e-12
 # grid_max keeps the rest position when its value is this close, relatively, to the best.
 _TIE_RTOL = 1e-12
@@ -72,27 +72,37 @@ def efficiency_of_gains(xs, gains, params: SystemParams):
     return _efficiency(xs, gains, params, np)
 
 
-def efficiency_slopes(x: float, side: float, gain: float, gain_slope: float,
-                      params: SystemParams) -> tuple[float, float]:
-    """d rate/dx and d ee/dx of efficiency_of_gains at a reachable x with gain and gain_slope there.
+def efficiency_derivatives(x: float, side: float, gain: float, gain_slope: float,
+                           gain_second: float, params: SystemParams):
+    """((rate', rate''), (ee', ee'')) of efficiency_of_gains at a reachable x with the gain
+    and its first and second derivatives there.
 
     side is +1 right of the rest position x0 and -1 left of it: the travel
     |x - x0| has slope side, so at x0 itself side picks the one-sided
-    derivative. Where the energy is zero the efficiency is 0, and so is its
-    slope.
+    derivatives. The time left t and the energy E are affine on each side,
+    so with S = log2(1 + c g), c = P_t/σ², rate'' = 2 t' S' + t S'' and
+    ee'' = (rate'' - 2 ee' E') / E. S'' is written with c g'/(1 + c g), not
+    (1 + c g)^2, which overflows at large P_t. Where the energy is zero the
+    efficiency is 0, and so are its derivatives.
     """
     dist = abs(x - params.initial_position)
     time_left = max(params.block_duration - dist / params.speed, 0.0)
     time_slope = -side / params.speed
     snr_ratio = params.max_tx_power / params.noise_power
-    spectral = math.log2(1.0 + snr_ratio * gain)
-    rate_slope = (time_slope * spectral + time_left * snr_ratio * gain_slope
-                  / ((1.0 + snr_ratio * gain) * math.log(2.0)))
+    spread = 1.0 + snr_ratio * gain
+    spectral = math.log2(spread)
+    rate_slope = (time_slope * spectral
+                  + time_left * snr_ratio * gain_slope / (spread * math.log(2.0)))
+    relative = snr_ratio * gain_slope / spread  # c g' / (1 + c g), ln 2 S'
+    rate_second = (2.0 * time_slope * relative + time_left * (
+        snr_ratio * gain_second / spread - relative * relative)) / math.log(2.0)
     energy = params.move_energy_rate * dist + params.max_tx_power * time_left
     if energy <= 0.0:
-        return rate_slope, 0.0
+        return (rate_slope, rate_second), (0.0, 0.0)
     energy_slope = side * params.move_energy_rate + params.max_tx_power * time_slope
-    return rate_slope, (rate_slope - time_left * spectral / energy * energy_slope) / energy
+    ee_slope = (rate_slope - time_left * spectral / energy * energy_slope) / energy
+    ee_second = (rate_second - 2.0 * ee_slope * energy_slope) / energy
+    return (rate_slope, rate_second), (ee_slope, ee_second)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,24 +110,26 @@ class Objective:
     """What a grid_max search maximizes, with the params fields it reads besides x0 and λ.
 
     values(xs, gains, params) is the objective at positions xs with gains
-    gains; slope(x, side, gain, gain_slope, params) is its derivative at a
-    reachable x on one side of x0 (side +1 right, -1 left; see
-    efficiency_slopes). Neither reads a params field outside fields, x0 and λ.
+    gains; derivatives(x, side, gain, gain_slope, gain_second, params) is
+    its (slope, second derivative) at a reachable x on one side of x0 (side
+    +1 right, -1 left; see efficiency_derivatives), given the gain's. Neither
+    reads a params field outside fields, x0 and λ.
     """
 
     name: str
     fields: tuple[str, ...]
     values: Callable
-    slope: Callable
+    derivatives: Callable
 
 
 GAIN = Objective("gain", (), lambda xs, gains, params: gains,
-                 lambda x, side, gain, gain_slope, params: gain_slope)
+                 lambda x, side, gain, gain_slope, gain_second, params: (gain_slope, gain_second))
 RATE = Objective("rate", ("block_duration", "speed", "max_tx_power", "noise_power"),
-                 lambda *at: efficiency_of_gains(*at)[1], lambda *at: efficiency_slopes(*at)[0])
+                 lambda *at: efficiency_of_gains(*at)[1],
+                 lambda *at: efficiency_derivatives(*at)[0])
 EFFICIENCY = Objective("efficiency", RATE.fields + ("movement_power",),
                        lambda *at: efficiency_of_gains(*at)[0],
-                       lambda *at: efficiency_slopes(*at)[1])
+                       lambda *at: efficiency_derivatives(*at)[1])
 
 
 def _floored_efficiency(xs, gains, params: SystemParams):
@@ -127,7 +139,7 @@ def _floored_efficiency(xs, gains, params: SystemParams):
 
 
 FEASIBLE_EFFICIENCY = Objective("feasible efficiency", EFFICIENCY.fields + ("min_throughput",),
-                                _floored_efficiency, EFFICIENCY.slope)
+                                _floored_efficiency, EFFICIENCY.derivatives)
 
 
 def energy_efficiency(x: float, gain: float, params: SystemParams) -> EEBreakdown:
@@ -256,21 +268,23 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
 
     Scans the grid_slice of [lo, hi], then polishes the one or two lattice
     cells next to its best point. x0 is a slice point, so no cell has it
-    inside, and the objective's slope is continuous on each. On a cell the
-    maximum is taken as an end or a root of the slope (search.concave_max),
-    with the gain and its slope read at each position once per instance
-    (channel.kept_gain_and_slope, whose gain is gain_eval's), so a position
-    that another search on the instance or a scheme's report reads again is
-    not read twice; the value there is the objective at that gain. An
-    objective that is -inf where the rate floor is missed
+    inside, and the objective is smooth on each. A cell's maximum is taken
+    by Newton steps on the objective's slope and closed-form second
+    derivative (search.newton_max) from the scan's best point, an end of the
+    cell, with the gain and its derivatives read at each position once per
+    instance (channel.kept_gain_and_slope, whose gain is gain_eval's), so a
+    position that another search on the instance or a scheme's report reads
+    again is not read twice; the value there is the objective at that gain.
+    An objective that is -inf where the rate floor is missed
     (FEASIBLE_EFFICIENCY) and is -inf at that maximum takes the root of rate
-    - R_TH between it and the scan's best point instead, as in the solver's
-    subproblem. A scan that is -inf everywhere is returned as is. Ties
-    prefer not moving: the rest position, when it lies in [lo, hi], wins
-    when within _TIE_RTOL of the best. Its gain is read as a polished
-    position's is, not off the lattice, whose gains differ from gain_eval's
-    by phase rounding (up to ~1e-11 of the constant at 1e4 wavelengths), so
-    the tie never turns on that gap.
+    - R_TH between it and the scan's best point instead (search.newton_root,
+    with RATE's slope), as in the solver's subproblem. A polish never
+    returns less than the scan. A scan that is -inf everywhere is returned
+    as is. Ties prefer not moving: the rest position, when it lies in
+    [lo, hi], wins when within _TIE_RTOL of the best. Its gain is read as a
+    polished position's is, not off the lattice, whose gains differ from
+    gain_eval's by phase rounding (up to ~1e-11 of the constant at 1e4
+    wavelengths), so the tie never turns on that gap.
 
     The answer is kept under everything the search reads: the objective's
     name and the values of its fields, lo, hi, x0 and the wavelength. Params
@@ -294,10 +308,12 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
     ends = xs[max(i - 1, 0):i + 2].tolist() if best > -math.inf else []
     for a, b in zip(ends, ends[1:]):
         side = 1.0 if a >= x0 else -1.0
-        x = search.concave_max(lambda t: objective.slope(t, side, *read(t), params), a, b, tol)
+        x = search.newton_max(lambda t: objective.derivatives(t, side, *read(t), params),
+                              a, b, anchor, tol)
         value = float(objective.values(x, read(x)[0], params))
         if value == -math.inf and excess(anchor) >= 0.0:
-            x = search.root(excess, anchor, excess(anchor), x, excess(x), tol)
+            x = search.newton_root(lambda t: (excess(t), RATE.derivatives(
+                t, side, *read(t), params)[0]), anchor, excess(anchor), x, excess(x), tol)
             value = float(objective.values(x, read(x)[0], params))
         if value > best or (value == best and x < best_x):
             best_x, best = x, value

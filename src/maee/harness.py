@@ -170,7 +170,7 @@ def _run_pooled(cfg: SweepConfig, workers: int) -> list[list[list[TrialRecord]]]
     records, which can outgrow the pipe's buffer, have been read. A child's
     exception is raised again here; a child that ends without a message raises
     a RuntimeError. If anything raises here, live children are terminated, and
-    no child outlives the call.
+    no child, nor any descriptor of one, outlives the call.
     """
     import multiprocessing  # only a pooled sweep loads it
 
@@ -203,6 +203,7 @@ def _run_pooled(cfg: SweepConfig, workers: int) -> list[list[list[TrialRecord]]]
     finally:
         for child in children:
             child.join()
+            child.close()  # its sentinel, which a raised exception's frame would hold
         for receive in pipes:
             receive.close()
 

@@ -9,7 +9,6 @@ seeds and positions.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -45,32 +44,59 @@ def gain_forms(expansion: GainExpansion, params: SystemParams, xs) -> float:
 
 
 def derivatives(expansion: GainExpansion, params: SystemParams, xs) -> float:
-    """channel.gain_and_slope's slope and channel.gain_second_derivative at xs
-    against central differences of channel.gain_eval, point by point.
+    """Each record's slope and second derivative against central differences of
+    its values, point by point: ee.GAIN's (channel.gain_and_slope's slope and
+    channel.gain_second_derivative, against channel.gain_eval) at xs, and
+    ee.RATE's and ee.EFFICIENCY's (ee.efficiency_derivatives, against
+    ee.efficiency_of_gains) at the reachable xs λ·1e-2 or more from x0 and
+    the reach ends.
 
-    The slope takes steps of λ·1e-6 and may be off by 1e-4 of its size, the
-    second derivative λ·1e-4 and 1e-3. A size is at least 1e-3 of the largest
-    over xs, plus the rounding floor. Where larger, the differences' own
-    rounding is allowed instead: each gain carries an ulp of |E|_F^2 per
-    radian of its largest phase |x| max|k|, plus one (tracks of 1e4
-    wavelengths were measured to carry up to 0.31 of it).
+    A slope takes steps of λ·1e-6 and may be off by 1e-4 of its size, a
+    second derivative λ·1e-4 and 1e-3. A size is at least 1e-3 of the
+    largest over the positions, plus, for the gain, the rounding floor.
+    Where larger, the differences' own rounding is allowed instead: a gain
+    carries an ulp of |E|_F^2 per radian of its largest phase |x| max|k|,
+    plus one (1e4 wavelengths out, up to 0.31 of it was measured); a rate or
+    efficiency carries that through its partial in the gain, and 8 ulps of
+    itself per ulp of T, |x| + |x0| and the travel lost by its time left and
+    energy. Those vary on no shorter a length than the distance to x0 and
+    the reach ends, so the differences' truncation stays below 1e-5 of the
+    second derivative.
     """
     xs = np.asarray(xs, dtype=float)
-    phase = 1.0 + np.abs(xs) * float(np.max(np.abs(expansion.wavenumbers)))
-    rounding = np.finfo(float).eps * expansion.constant * phase
-
-    def margin(differences, analytic, rtol, order, difference_rounding):
-        size = np.maximum(np.abs(analytic), 1e-3 * np.max(np.abs(analytic)))
-        allowed = rtol * (size + _rounding_floor(expansion, order))
-        return _margin(differences - analytic, np.maximum(allowed, difference_rounding))
-
-    gain = functools.partial(channel.gain_eval, expansion)
+    eps, x0 = np.finfo(float).eps, params.initial_position
     h1, h2 = params.wavelength * 1e-6, params.wavelength * 1e-4
-    slopes = np.array([channel.gain_and_slope(expansion, x)[1] for x in xs.tolist()])
-    return max(margin((gain(xs + h1) - gain(xs - h1)) / (2 * h1), slopes, 1e-4, 1, rounding / h1),
-               margin((gain(xs + h2) - 2 * gain(xs) + gain(xs - h2)) / h2**2,
-                      channel.gain_second_derivative(expansion, xs), 1e-3, 2,
-                      4.0 * rounding / h2**2))
+    rounding = eps * expansion.constant * (1.0 + np.abs(xs) * float(
+        np.max(np.abs(expansion.wavenumbers))))
+    gains = {step: channel.gain_eval(expansion, xs + step) for step in (-h2, -h1, 0.0, h1, h2)}
+    reads = [(*channel.gain_and_slope(expansion, x), second) for x, second
+             in zip(xs.tolist(), channel.gain_second_derivative(expansion, xs).tolist())]
+    lo, hi, away = *ee.reach_interval(params), 100.0 * h2
+    inside = np.flatnonzero((lo + away < xs) & (xs < hi - away) & (np.abs(xs - x0) > away))
+    travel, ends = np.abs(xs[inside] - x0), np.abs(xs[inside]) + abs(x0)
+    relative = 8.0 * eps * (1.0 + ends / travel + (params.block_duration + ends / params.speed)
+                            / (params.block_duration - travel / params.speed))
+    gain_floors = (_rounding_floor(expansion, 1), _rounding_floor(expansion, 2))
+    worst = 0.0
+    for record, at, floors, own in ((ee.GAIN, np.arange(xs.size), gain_floors, 0.0),
+                                    (ee.RATE, inside, (0.0, 0.0), relative),
+                                    (ee.EFFICIENCY, inside, (0.0, 0.0), relative)):
+        values = {step: record.values(xs[at] + step, gains[step][at], params) for step in gains}
+        # (slope, second) at each position, and the partial in the gain: the slope
+        # of a gain that rises at unit rate with no travel (side 0)
+        found = np.array([(record.derivatives(x, np.sign(x - x0), *reads[i], params),
+                           record.derivatives(x, 0.0, reads[i][0], 1.0, 0.0, params))
+                          for i, x in zip(at.tolist(), xs[at].tolist())]).reshape(-1, 2, 2)
+        value_rounding = np.abs(values[0.0]) * own + np.abs(found[:, 1, 0]) * rounding[at]
+        for order, rtol, step, differences in (
+                (1, 1e-4, h1, (values[h1] - values[-h1]) / (2 * h1)),
+                (2, 1e-3, h2, (values[h2] - 2 * values[0.0] + values[-h2]) / h2**2)):
+            analytic = found[:, 0, order - 1]
+            size = np.maximum(np.abs(analytic), 1e-3 * np.max(np.abs(analytic), initial=0.0))
+            allowed = np.maximum(rtol * (size + floors[order - 1]),
+                                 order**2 * value_rounding / step**order)
+            worst = max(worst, _margin(differences - analytic, allowed))
+    return worst
 
 
 def curvature_dominance(expansion: GainExpansion, params: SystemParams, xs) -> float:

@@ -323,7 +323,7 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     flagged = params.movement_power < params.max_tx_power
 
     x = params.initial_position
-    gain, slope = channel.kept_gain_and_slope(expansion, x)
+    gain, slope, _ = channel.kept_gain_and_slope(expansion, x)
     result = ee.energy_efficiency(x, gain, params)
     if not result.feasible:
         x = _best_feasible_position(expansion, params)

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,3 +76,59 @@ def field_response(virtual_aoa, wavelength, x):
     virtual_aoa = np.asarray(virtual_aoa, dtype=float)
     identity = PathResponseMatrix(np.eye(virtual_aoa.size, dtype=complex), virtual_aoa)
     return channel_vector(build_expansion(identity, wavelength), x)
+
+
+def reference_root(f, a, fa, b, fb, tol):
+    """Brent's method (Brent 1973, in the form of scipy's brentq), the reference
+    the Newton roots are held to: the end with f > 0 of a bracket around a sign
+    change of f at most tol wide, or an exact zero. fa = f(a) and fb = f(b) lie
+    on opposite sides of 0. Inverse quadratic or secant steps while they stay
+    short, bisection otherwise; a step whose divisor underflows or overflows
+    bisects too."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    pre, f_pre, cur, f_cur = a, fa, b, fb
+    blk, f_blk, step_pre, step = a, fa, b - a, b - a
+    half_tol = 0.5 * tol
+    while True:
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            blk, f_blk = pre, f_pre
+            step_pre = step = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk = cur, blk, cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        bisect = 0.5 * (blk - cur)
+        if abs(bisect) <= half_tol or cur + bisect in (cur, blk):
+            return cur if f_cur > 0.0 else blk
+        if abs(step_pre) > half_tol and abs(f_cur) < abs(f_pre):
+            if pre == blk:
+                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:
+                d_pre, d_blk = (f_pre - f_cur) / (pre - cur), (f_blk - f_cur) / (blk - cur)
+                divisor = d_blk * d_pre * (f_blk - f_pre)
+                trial = (-f_cur * (f_blk * d_blk - f_pre * d_pre) / divisor
+                         if divisor != 0.0 and math.isfinite(divisor) else math.inf)
+            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(bisect) - half_tol):
+                step_pre, step = step, trial
+            else:
+                step_pre = step = bisect
+        else:
+            step_pre = step = bisect
+        pre, f_pre = cur, f_cur
+        cur += step if abs(step) > half_tol else math.copysign(half_tol, bisect)
+        f_cur = f(cur)
+        if f_cur == 0.0:
+            return cur
+
+
+def reference_max(slope_at, a, b, tol):
+    """Maximizer on [a, b] of a concave function with derivative slope_at, by
+    reference_root: an end where the slope points out of [a, b] (a on a tie),
+    else a root of the slope within tol."""
+    da = slope_at(a)
+    if da <= 0.0:
+        return a
+    db = slope_at(b)
+    if db >= 0.0:
+        return b
+    return reference_root(slope_at, a, da, b, db, tol)

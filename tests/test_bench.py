@@ -328,7 +328,7 @@ def test_searches_on_one_expansion_share_one_gain_grid(config, gain_reads):
     every scheme, the oracle and the ceiling read the one lattice kept on
     the expansion: it is built once. The slices' ends and rest position are
     lattice points here, so no slice adds a position, and a reported
-    position is read by gain_and_slope: no gain_eval runs at all."""
+    position is read by kept_gain_and_slope: no gain_eval runs at all."""
     params = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
     expansion = build_expansion(make_instance(4, params), params.wavelength)
     report = optimize(expansion, params)

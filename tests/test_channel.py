@@ -278,21 +278,23 @@ def test_gain_series_builds_each_steering_block_once(monkeypatch):
 
 
 def test_kept_point_read_once_per_instance(params, monkeypatch):
-    """kept_gain_and_slope reads a position once per instance and gives
-    gain_and_slope's pair; a copy made by dataclasses.replace starts without
-    the kept reads."""
+    """kept_gain_and_slope reads a position once per instance, off one
+    steering row, and gives gain_and_slope's pair bit for bit and
+    gain_second_derivative's value; a copy made by dataclasses.replace starts
+    without the kept reads."""
     expansion = build_expansion(make_instance(2), params.wavelength)
-    reads, original = [], channel.gain_and_slope
+    rows, original = [], channel._steering
 
-    def counted(expansion, x):
-        reads.append(x)
-        return original(expansion, x)
+    def recorded(wavenumbers, x):
+        rows.append(x)
+        return original(wavenumbers, x)
 
-    monkeypatch.setattr(channel, "gain_and_slope", counted)
+    monkeypatch.setattr(channel, "_steering", recorded)
     first = kept_gain_and_slope(expansion, 0.0123)
     assert kept_gain_and_slope(expansion, 0.0123) is first
-    assert reads == [0.0123] and expansion.points == {0.0123: first}
-    assert first == original(expansion, 0.0123)
+    assert rows == [0.0123] and expansion.points == {0.0123: first}
+    assert first == (*gain_and_slope(expansion, 0.0123),
+                     gain_second_derivative(expansion, 0.0123))
     copy = replace(expansion, constant=expansion.constant)
     assert copy.points == {} and copy == expansion
 

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maee.channel import build_expansion, gain_and_slope, gain_eval
+from maee.channel import build_expansion, gain_eval, kept_gain_and_slope
 from maee.ee import (
     Objective,
     ee_upper_bound,
     efficiency_curve,
     efficiency_of_gains,
-    efficiency_slopes,
+    efficiency_derivatives,
     energy_efficiency,
     gain_grid,
     grid_max,
@@ -218,12 +218,14 @@ def test_ee_upper_bound_constant_gain(params):
 @pytest.mark.parametrize("movement_power", [0.5, 0.001])
 @pytest.mark.parametrize("seed", range(3))
 def test_efficiency_slopes_match_differences(seed, movement_power, params):
-    """The closed-form slopes of the rate and the efficiency match central
-    differences of efficiency_of_gains on either side of x0, and one-sided
-    differences at x0, with the movement power above and below P_t."""
+    """The closed-form slopes and second derivatives of the rate and the
+    efficiency match central differences of efficiency_of_gains on either
+    side of x0, and one-sided differences at x0 (the second derivative by
+    the four-point stencil, exact to second order), with the movement power
+    above and below P_t. The gain's derivatives are kept_gain_and_slope's."""
     params = replace(params, movement_power=movement_power)
     expansion = build_expansion(make_instance(seed), params.wavelength)
-    x0, step = params.initial_position, 1e-7 * params.wavelength
+    x0, step, wide = params.initial_position, 1e-7 * params.wavelength, 1e-4 * params.wavelength
 
     def rate_and_ee(x):
         ratio, rate, _, _ = efficiency_of_gains(x, gain_eval(expansion, x), params)
@@ -231,13 +233,20 @@ def test_efficiency_slopes_match_differences(seed, movement_power, params):
 
     for x, side in ((x0 - 0.3 * params.wavelength, -1.0), (x0 + 0.2 * params.wavelength, 1.0),
                     (x0, 1.0), (x0, -1.0)):
-        slopes = np.array(efficiency_slopes(x, side, *gain_and_slope(expansion, x), params))
+        rate, ratio = efficiency_derivatives(x, side, *kept_gain_and_slope(expansion, x), params)
+        slopes, seconds = np.array([rate[0], ratio[0]]), np.array([rate[1], ratio[1]])
         if x == x0:
             expected = (rate_and_ee(x0 + side * step) - rate_and_ee(x0)) / (side * step)
+            curvature = (2.0 * rate_and_ee(x0) - 5.0 * rate_and_ee(x0 + side * wide)
+                         + 4.0 * rate_and_ee(x0 + 2.0 * side * wide)
+                         - rate_and_ee(x0 + 3.0 * side * wide)) / wide**2
         else:
             expected = (rate_and_ee(x + step) - rate_and_ee(x - step)) / (2 * step)
+            curvature = (rate_and_ee(x + wide) - 2.0 * rate_and_ee(x)
+                         + rate_and_ee(x - wide)) / wide**2
         scale = rate_and_ee(x) / params.wavelength
         assert np.all(np.abs(slopes - expected) <= 1e-5 * scale), (x, side)
+        assert np.all(np.abs(seconds - curvature) <= 1e-4 * scale / params.wavelength), (x, side)
 
 
 @pytest.mark.parametrize("interval", ["reach", "region"])
@@ -254,12 +263,16 @@ def test_grid_max_ties_stay_at_rest(interval, params):
     def bump(size):
         return Objective(f"bump {size}", (),
                          lambda xs, gains, params: 1.0 + size * np.exp(-(scale * (xs - lo)) ** 2),
-                         lambda x, side, gain, slope, params: (
-                             -2.0 * size * scale * scale * (x - lo)
-                             * math.exp(-(scale * (x - lo)) ** 2)))
+                         lambda x, side, gain, slope, second, params: (
+                             -2.0 * size * scale * scale * (x - lo) * bell(x),
+                             -2.0 * size * scale * scale * (1.0 - 2.0 * (scale * (x - lo)) ** 2)
+                             * bell(x)))
+
+    def bell(x):
+        return math.exp(-(scale * (x - lo)) ** 2)
 
     flat = Objective("flat", (), lambda xs, gains, params: 0.0 * gains + 1.0,
-                     lambda x, side, gain, slope, params: 0.0)
+                     lambda x, side, gain, slope, second, params: (0.0, 0.0))
     assert grid_max(expansion, params, lo, hi, flat) == (x0, 1.0)
     assert grid_max(expansion, params, lo, hi, bump(1e-13)) == (x0, 1.0)
     x, value = grid_max(expansion, params, lo, hi, bump(1e-9))
@@ -380,16 +393,16 @@ def test_gain_grid_holds_one_float_array(params):
 
 
 def test_grid_max_reads_the_rest_value_off_gain_and_slope(params):
-    """The stay-at-rest tie reads the rest value with gain_and_slope, as the
-    polish reads a position, not off the lattice: 1,000 wavelengths out, at
-    lattice point 499,000, the two gains differ in their phase rounding.
-    gain_and_slope's gain is gain_eval's bit for bit."""
+    """The stay-at-rest tie reads the rest value with kept_gain_and_slope, as
+    the polish reads a position, not off the lattice: 1,000 wavelengths out,
+    at lattice point 499,000, the two gains differ in their phase rounding.
+    The kept gain is gain_and_slope's and gain_eval's bit for bit."""
     far = replace(params, region_length=10.0, initial_position=9.98)
     x0 = far.initial_position
     expansion = build_expansion(make_instance(0, far), far.wavelength)
     x, value = grid_max(expansion, far, 9.9, 10.0, Objective(
         "gain at rest", (), lambda xs, gains, params: np.where(xs == x0, gains, 0.0),
-        lambda x, side, gain, slope, params: 0.0))
+        lambda x, side, gain, slope, second, params: (0.0, 0.0)))
     lattice = gain_grid(expansion, far.wavelength, 10.0)
     rest = 499_000
     assert rest * lattice.spacing == x0

@@ -70,6 +70,24 @@ Over seeds 0-199 at P in {0.1, 0.5, 1, 2, 5} W on the default, R_TH = 10
 and L = 30 on 16 wavelengths configs (3000 runs), the proposed ee moved by
 at most 2.0e-12 relative, and no status, outer-iteration count or feasible
 flag changed.
+
+The upper_bound, max_snr and max_throughput rows of power, region,
+tight_power and slow_power, and long_power's max_throughput rows, were
+regenerated when ee.grid_max came to polish its lattice cells by
+safeguarded Newton steps on each objective's closed-form second derivative
+(search.newton_max, and newton_root for the oracle's floor crossing)
+instead of Brent's method.
+Both stop within the root tolerance, wavelength * 1e-12, so x moved by at
+most 8.7e-15 m. Unrounded, ee, throughput and energy moved by at most
+3.1e-12 relative, except max_snr's on slow_power: 1.3e-11 in ee and
+throughput (1.5e-11 in the printed digits). There the antenna moves 5e-15 m
+to the gain's peak with 0.21 s of the 5 s block left, and the rate changes
+by 1/(v t) ~ 2500 of itself per metre; the new position is the peak's
+root to 4e-19 m, where Brent's stopped 5e-15 m short. The tolerance stated
+for this regeneration is therefore 2e-11 relative on ee, throughput and
+energy. The proposed and fpa rows and long_track stayed byte-identical,
+upper_bound's ee stayed the same at printed precision, no aggregate
+std_ee moved by more than 1.1e-11 relative, and no feasible flag changed.
 """
 
 from pathlib import Path

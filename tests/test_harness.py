@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import textwrap
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,18 +152,23 @@ def test_sweep_config_builds_each_value_params_once(trials, monkeypatch):
 
 def record_children(monkeypatch) -> list:
     """Each multiprocessing.Process that run_sweep builds, with its constructor's
-    keyword arguments (as .kwargs) and how often it was started (as .starts)."""
+    keyword arguments (as .kwargs), how often it was started (as .starts) and
+    its exit code each time it was closed (as .closes)."""
     children = []
 
     class RecordingProcess(multiprocessing.Process):
         def __init__(self, **kwargs):
             super().__init__(**kwargs)
-            self.kwargs, self.starts = kwargs, 0
+            self.kwargs, self.starts, self.closes = kwargs, 0, []
             children.append(self)
 
         def start(self):
             self.starts += 1
             super().start()
+
+        def close(self):
+            self.closes.append(self.exitcode)
+            super().close()
 
     monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
     return children
@@ -171,8 +178,8 @@ def record_children(monkeypatch) -> list:
     (500, 2, 1), (2, 5, 1), (3, 7, 2), (7, 7, 6), (1, 4, 0), (3, 1, 0), (2, 1, 0)])
 def test_run_sweep_sends_each_child_one_share(workers, trials, children, monkeypatch):
     """The calling process runs share 0 of the trials, and min(workers, trials) - 1
-    daemon children, each started once, run shares 1, 2, ...; no child starts
-    when one process is enough."""
+    daemon children, each started once and closed once it ended with exit
+    code 0, run shares 1, 2, ...; no child starts when one process is enough."""
     started = record_children(monkeypatch)
     records, _ = run_sweep(small_config(workers=workers, trials=trials))
     assert len(records) == 2 * trials
@@ -182,7 +189,7 @@ def test_run_sweep_sends_each_child_one_share(workers, trials, children, monkeyp
                for child in started)
     assert [child.kwargs["args"][2:4] for child in started] == [
         (share, min(workers, trials)) for share in range(1, children + 1)]
-    assert [child.exitcode for child in started] == [0] * children
+    assert [child.closes for child in started] == [[0]] * children
     assert multiprocessing.active_children() == []
 
 
@@ -208,6 +215,36 @@ def test_run_sweep_raises_a_failed_trial(failing_trial, monkeypatch):
     monkeypatch.setattr(harness, "run_trial", failing)
     with pytest.raises(ValueError, match=f"trial {failing_trial} failed"):
         run_sweep(small_config(workers=2, trials=4))
+    assert multiprocessing.active_children() == []
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_run_sweep_leaves_no_descriptor_open(monkeypatch):
+    """A 3-worker sweep, whole or failed in a child's trial, closes every pipe
+    end and child sentinel it opened without the cyclic garbage collector:
+    the frame of a raised exception holds the children until that runs."""
+    original = harness.run_trial
+
+    def failing(cfg, trial_index):
+        if trial_index == 1:
+            raise ValueError("trial 1 failed")
+        return original(cfg, trial_index)
+
+    gc.disable()
+    try:
+        before = open_descriptors()
+        run_sweep(small_config(workers=3, trials=3))
+        assert open_descriptors() == before
+        monkeypatch.setattr(harness, "run_trial", failing)
+        with pytest.raises(ValueError, match="trial 1 failed"):
+            run_sweep(small_config(workers=3, trials=3))
+        assert open_descriptors() == before
+    finally:
+        gc.enable()
     assert multiprocessing.active_children() == []
 
 
@@ -245,7 +282,7 @@ def test_run_sweep_terminates_children_when_the_caller_fails(monkeypatch):
     started = record_children(monkeypatch)
     with pytest.raises(ValueError, match="trial 0 failed"):
         run_sweep(small_config(workers=2, trials=4))
-    assert [child.exitcode for child in started] == [-signal.SIGTERM]
+    assert [child.closes for child in started] == [[-signal.SIGTERM]]
     assert multiprocessing.active_children() == []
 
 
@@ -400,7 +437,7 @@ def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, gain_rea
     the solver's restart scan) reads a slice of one gain grid over the longest
     region: one lattice build per trial. gain_eval runs only for the
     positions a slice adds (its ends and the rest position, when off the
-    lattice); a single position is read by gain_and_slope."""
+    lattice); a single position is read by gain_and_slope or kept_gain_and_slope."""
     restarts = []
     original_restart = solver._best_feasible_position
 
@@ -426,42 +463,60 @@ def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, gain_rea
 
 def test_golden_power_sweep_point_reads_and_steps(monkeypatch):
     """The golden power sweep (default params, five powers, 3 trials, seed 0)
-    reads the channel at single points 203 times, all by gain_and_slope: the
-    rest position, each polish probe and each scheme's reported position
-    once per instance (kept on it by channel.kept_gain_and_slope), and each
-    solver iterate where it is read. The solver's steps are pinned with them:
-    178 SCA subproblems, whose 280 maximizer searches (search.newton_max; no
-    rate floor binds, so newton_root never runs) read the surrogate's slope
-    and curvature 716 times. 167 of the searches end at a root of the slope,
-    with 603 of those reads: 3.6 per root, where Brent's method took 6.8
-    (1135 reads inside the same 167 roots, 1649 in all). The polish's 6 roots
-    stay Brent's (search.root)."""
+    reads the channel at single points 188 times, each off one steering row:
+    the rest position, each polish probe and each scheme's reported position
+    once per instance (21 kept reads, channel.kept_gain_and_slope, which also
+    gives the gain's second derivative), and each solver iterate where it is
+    read (167, by gain_and_slope). The steps of every search are pinned with
+    them. The solver's 178 SCA subproblems make 280 maximizer searches
+    (search.newton_max; no rate floor binds, so newton_root never runs) that
+    read the surrogate's slope and curvature 716 times; 167 of them end at a
+    root of the slope, with 603 of those reads: 3.6 per root, where Brent's
+    method took 6.8. The grid polish makes 12 searches by the same Newton
+    steps on each objective's slope and curvature; 6 end at a root, with 18
+    reads: 3.0 per root, where Brent's method took 35 (5.8 per root) and the
+    kept reads were 36."""
     calls = Counter()
-    for module, name in ((channel, "gain_and_slope"), (solver, "solve_subproblem"),
-                         (search, "root"), (search, "newton_root")):
+    for module, name in ((channel, "gain_and_slope"), (solver, "solve_subproblem")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
 
-    def newton_max(fd, a, b, x, tol, _original=search.newton_max):
-        def read(t):
-            calls["slope reads"] += 1
-            return fd(t)
-        before = calls["slope reads"]
-        found = _original(read, a, b, x, tol)
-        calls["newton_max"] += 1
-        if found not in (a, b, x):
-            calls["roots"] += 1
-            calls["slope reads in roots"] += calls["slope reads"] - before
-        return found
+    def kept(expansion, x, _original=channel.kept_gain_and_slope):
+        calls["kept reads"] += x not in expansion.points
+        return _original(expansion, x)
 
-    monkeypatch.setattr(search, "newton_max", newton_max)
+    monkeypatch.setattr(channel, "kept_gain_and_slope", kept)
+
+    def searches(caller):
+        def newton_max(fd, a, b, x, tol):
+            def read(t):
+                calls[caller + " reads"] += 1
+                return fd(t)
+            before = calls[caller + " reads"]
+            found = search.newton_max(read, a, b, x, tol)
+            calls[caller + " newton_max"] += 1
+            if found not in (a, b, x):
+                calls[caller + " roots"] += 1
+                calls[caller + " reads in roots"] += calls[caller + " reads"] - before
+            return found
+
+        def newton_root(*args):
+            calls[caller + " newton_root"] += 1
+            return search.newton_root(*args)
+
+        return SimpleNamespace(newton_max=newton_max, newton_root=newton_root)
+
+    monkeypatch.setattr(solver, "search", searches("solver"))
+    monkeypatch.setattr(ee, "search", searches("polish"))
     run_sweep(SweepConfig(base=SystemParams(), sweep_variable="power",
                           sweep_values=(0.1, 0.5, 1.0, 2.0, 5.0), trials=3, master_seed=0))
-    assert dict(calls) == {"gain_and_slope": 203, "solve_subproblem": 178, "root": 6,
-                           "newton_max": 280, "slope reads": 716, "roots": 167,
-                           "slope reads in roots": 603}
+    assert dict(calls) == {"gain_and_slope": 167, "kept reads": 21, "solve_subproblem": 178,
+                           "solver newton_max": 280, "solver reads": 716, "solver roots": 167,
+                           "solver reads in roots": 603, "polish newton_max": 12,
+                           "polish reads": 24, "polish roots": 6, "polish reads in roots": 18}
+    assert calls["polish reads in roots"] / calls["polish roots"] < 35 / 6  # Brent's
 
 
 # Run in a fresh interpreter, so that OpenBLAS starts with the thread count given.

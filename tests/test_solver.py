@@ -35,7 +35,7 @@ from maee.solver import (
     solve_subproblem,
 )
 
-from conftest import make_instance, single_path_instance
+from conftest import make_instance, reference_max, single_path_instance
 
 
 def curvature(expansion, params):
@@ -423,7 +423,7 @@ def test_newton_roots_match_brent_and_keep_to_the_floor(scale, gain, tilt, bound
     sqrt(2 gain curvature), as a curvature bound makes it: the upper Taylor
     bound then stays >= 0, and gamma meets its clip at 0 only by rounding,
     at the smallest scales. Each piece's maximizer is at least as good as
-    Brent's (search.concave_max on the slope alone) less rounding, or within
+    Brent's (reference_max on the slope alone) less rounding, or within
     tol of it where net's terms cancel to far below their own size; a finite
     floor crossing has net >= target; and no piece takes more than
     _PIECE_EVALUATIONS evaluations. A second derivative replaced by nan,
@@ -461,7 +461,7 @@ def test_newton_roots_match_brent_and_keep_to_the_floor(scale, gain, tilt, bound
     for a, b in zip(cuts, cuts[1:]):
         side, rate = (1.0 if a >= x0 else -1.0), s.rate_span[0] < 0.5 * (a + b) < s.rate_span[1]
         x = search.newton_max(derivative(side, rate), a, b, min(max(center, a), b), tol)
-        brent = search.concave_max(lambda t: built.derivative(side, rate)(t)[0], a, b, tol)
+        brent = reference_max(lambda t: built.derivative(side, rate)(t)[0], a, b, tol)
         assert a <= x <= b
         if second is None:  # a concave value within tol of its peak is short by at most |slope| tol
             margin = (1e-12 * (abs(built.net(brent)) + abs((brent - x0) * drift))
@@ -553,14 +553,14 @@ def test_optimize_restarts_from_feasible_region():
 
 
 def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
-    """optimize reads each iterate's channel once: gain_and_slope at the start
-    and at each subproblem result that moved off its center, one steering row
-    each. The start's trace objective and the first subproblem share one
+    """optimize reads each iterate's channel once, one steering row each:
+    kept_gain_and_slope at the start and gain_and_slope at each subproblem
+    result that moved off its center. The start's trace objective and the first subproblem share one
     surrogate, and each iterate's efficiency record comes from the gain
     already read, so no gain_eval runs and no surrogate is built twice."""
     calls = Counter()
     for module, name in ((solver, "_build_surrogate"), (solver.channel, "gain_and_slope"),
-                         (solver.channel, "gain_eval")):
+                         (solver.channel, "kept_gain_and_slope"), (solver.channel, "gain_eval")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
@@ -578,7 +578,8 @@ def test_optimize_builds_one_surrogate_per_subproblem(params, monkeypatch):
     for seed in range(runs):
         optimize(build_expansion(make_instance(seed), params.wavelength), params)
     assert calls["moved"] > 0 and calls["solve_subproblem"] > calls["moved"]
-    assert calls["gain_and_slope"] == runs + calls["moved"]
+    assert calls["kept_gain_and_slope"] == runs
+    assert calls["gain_and_slope"] == calls["moved"]
     assert calls["_build_surrogate"] == calls["solve_subproblem"]
     assert calls["gain_eval"] == 0
 
