@@ -240,8 +240,10 @@ def _point_read(expansion: GainExpansion, x: float):
     """The steering row f at x, h = f conj(E), h' = f slope_conj, and the pair of
     the gain |h|^2 (exactly the constant for one path) and its slope 2 Re(h^H h')."""
     f = _steering(expansion.wavenumbers, float(x))
-    h, h1 = f @ expansion.response_conj, f @ expansion.slope_conj
-    gain = expansion.constant if expansion.num_paths == 1 else float(_squared_norms(h))
+    one_path = expansion.num_paths == 1  # where f @ M takes numpy's own loop, not zgemv
+    dot = np.matmul if one_path else np.dot  # np.dot: f @ M's zgemv with less overhead
+    h, h1 = dot(f, expansion.response_conj), dot(f, expansion.slope_conj)
+    gain = expansion.constant if one_path else float(_squared_norms(h))
     return f, h, h1, (gain, 2.0 * float(np.vdot(h, h1).real))
 
 

@@ -257,10 +257,13 @@ def aggregate(records: list[TrialRecord], schemes=SCHEME_ORDER) -> list[Aggregat
 
 RAW_HEADER = "sweep_value,trial,scheme,x,ee,throughput,energy,feasible,seed"
 AGGREGATE_HEADER = "sweep_value,scheme,mean_ee,std_ee,feasible_frac,n"
+# One %-template per CSV row: %.12g writes what fmt writes, %d a count or a 0/1 flag
+RAW_ROW = "%.12g,%d,%s,%.12g,%.12g,%.12g,%.12g,%d,%d"
+AGGREGATE_ROW = "%.12g,%s,%.12g,%.12g,%.12g,%d"
 
 
 def fmt(value: float) -> str:
-    """value with 12 significant digits, as the CSVs and the CLI write numbers."""
+    """value with 12 significant digits, as the CLI writes numbers (and the CSV rows)."""
     return format(float(value), ".12g")
 
 
@@ -279,20 +282,15 @@ def emit_csv(records: list[TrialRecord], aggregates: list[AggregateRow],
     for record in records:
         for scheme in (s for s in SCHEME_ORDER if s in record.results):
             r = record.results[scheme]
-            raw_lines.append(",".join((
-                fmt(record.sweep_value), str(record.trial), scheme,
-                fmt(r.x), fmt(r.ee), fmt(r.throughput), fmt(r.energy),
-                str(int(r.feasible)), str(record.instance_seed),
-            )))
+            raw_lines.append(RAW_ROW % (record.sweep_value, record.trial, scheme, r.x, r.ee,
+                                        r.throughput, r.energy, r.feasible, record.instance_seed))
     with open(raw_path, "w", encoding="ascii", newline="") as handle:
         handle.write("\n".join(raw_lines) + "\n")
 
     agg_lines = [AGGREGATE_HEADER]
     for row in aggregates:
-        agg_lines.append(",".join((
-            fmt(row.sweep_value), row.scheme, fmt(row.mean_ee),
-            fmt(row.std_ee), fmt(row.feasible_frac), str(row.n),
-        )))
+        agg_lines.append(AGGREGATE_ROW % (row.sweep_value, row.scheme, row.mean_ee, row.std_ee,
+                                          row.feasible_frac, row.n))
     with open(agg_path, "w", encoding="ascii", newline="") as handle:
         handle.write("\n".join(agg_lines) + "\n")
     return raw_path, agg_path

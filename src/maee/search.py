@@ -4,7 +4,8 @@ Safeguarded Newton steps (_newton) take every root, behind newton_max (the
 maximizer of a concave function on an interval) and newton_root (a root of a
 bracketed sign change). Both serve the solver's SCA subproblem and
 ee.grid_max's polish of its lattice cells: each gives the second derivative
-of what it searches in closed form.
+of what it searches in closed form. The loop runs once per Newton step of
+every SCA subproblem, so it writes abs, min and max as comparisons.
 """
 
 from __future__ import annotations
@@ -34,31 +35,33 @@ def _newton(fd, x: float, fx: float, dfx: float, far: float, f_far, tol: float,
     point tol away is read instead, which brackets the root within tol when
     f changes sign there.
     """
-    half_tol = 0.5 * tol
-    before = last = math.inf
+    half_tol, inf = 0.5 * tol, math.inf
+    before = last = inf  # the magnitudes of the last two steps
     while True:
-        if f_far is not None and abs(far - x) <= tol:
+        if f_far is not None and -tol <= far - x <= tol:
             return x if fx > 0.0 else far
-        step = -fx / dfx if 0.0 < abs(dfx) < math.inf else math.inf
-        if abs(step) * (abs(last) + tol) < tol * abs(last):  # tested before the bracket
+        step = -fx / dfx if dfx != 0.0 and -inf < dfx < inf else inf
+        size = step if step >= 0.0 else -step
+        if size * (last + tol) < tol * last:  # tested before the bracket
             if fx > 0.0 or not positive:
                 return x
             step += math.copysign(half_tol, far - x)
-        elif abs(step) < tol:
-            step = math.copysign(tol, step)
+            size = step if step >= 0.0 else -step
+        elif size < tol:
+            step, size = math.copysign(tol, step), tol
         new = x + step
-        if not (min(x, far) < new < max(x, far) and 2.0 * abs(step) <= abs(before)):
+        if not ((x < new < far or far < new < x) and 2.0 * size <= before):
             if f_far is None:
                 f_far, df_far = fd(far)
                 if f_far == 0.0 or (f_far > 0.0) == (fx > 0.0):
                     return far
                 x, fx, dfx, far, f_far = far, f_far, df_far, x, fx
-                before = last = math.inf
+                before = last = inf
                 continue
             new = x + 0.5 * (far - x)
             if new == x or new == far:
                 return x if fx > 0.0 else far
-        before, last = last, new - x
+        before, last = last, new - x if new > x else x - new
         f_new, df_new = fd(new)
         if f_new == 0.0:
             return new

@@ -48,7 +48,9 @@ is computed once per instance and kept on it (GainExpansion.curvature); the
 reach interval and the root tolerance once per run. An inner loop whose
 subproblem returns its own center ends there, since the surrogate rebuilt at
 that point would be the one just solved. The surrogate's functions run once
-per Newton step, so they clamp by comparison, not by max, and reuse net.
+per Newton step, so they clamp by comparison, not by max. The subproblem
+takes the objective from the net it has read (the surrogate carries drift and
+floor), and a window with no cut inside is one piece, with no sort.
 """
 
 from __future__ import annotations
@@ -93,27 +95,22 @@ class SolverReport:
 class _Surrogate:
     """The eliminated surrogate of the subproblem at center (see _build_surrogate).
 
-    rate_span is where beta > 0, (inf, -inf) when nowhere; objective is the
-    subproblem objective, -inf below the floor; net is the objective without
-    its movement term; derivative(side, rate) gives the slope and second
-    derivative of either.
+    rate_span is where beta > 0, (inf, -inf) when nowhere; net is the
+    subproblem objective without its movement term, and objective(x) is
+    net(x) - |x - x0| drift, -inf where net misses floor; derivative(side,
+    rate) gives the slope and second derivative of either.
     """
 
-    __slots__ = ("center", "rate_span", "objective", "net", "derivative")
+    __slots__ = ("center", "rate_span", "net", "derivative", "x0", "drift", "floor")
 
-    def __init__(self, center: float, rate_span: tuple[float, float], objective: Callable,
-                 net: Callable, derivative: Callable):
-        self.center, self.rate_span = center, rate_span
-        self.objective, self.net, self.derivative = objective, net, derivative
+    def __init__(self, center: float, rate_span: tuple[float, float], net: Callable,
+                 derivative: Callable, x0: float, drift: float, floor: float):
+        self.center, self.rate_span, self.net, self.derivative = center, rate_span, net, derivative
+        self.x0, self.drift, self.floor = x0, drift, floor
 
-
-def _positive_span(value: float, slope: float, half: float) -> tuple[float, float]:
-    """Ends of the interval of u where value + slope u - half u^2 > 0 (value, half >= 0)."""
-    q = 0.5 * (slope + math.copysign(math.sqrt(slope * slope + 4.0 * half * value), slope))
-    if q == 0.0:  # slope = 0 and half * value = 0: the sign of value everywhere
-        return (-math.inf, math.inf) if value > 0.0 else (math.inf, -math.inf)
-    near, far = -value / q, q / half if half > 0.0 else math.copysign(math.inf, q)
-    return min(near, far), max(near, far)
+    def objective(self, x: float) -> float:
+        total = self.net(x)
+        return total - abs(x - self.x0) * self.drift if total >= self.floor else -math.inf
 
 
 def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slope: float,
@@ -161,6 +158,7 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
     floor = params.min_throughput - FEASIBILITY_SLACK
     rate_scale = duration / _LN2
     pull, push = 2.0 * coef_delta / speed, 2.0 * coef_gamma / (level_scale * speed)
+    neg_pull, log2 = -pull, math.log2
 
     def net(x):
         dx = x - center
@@ -171,11 +169,7 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
         gamma = 0.0 if gamma < 0.0 else gamma  # max(gamma, 0.0), -0.0 and NaN included
         delta = x - x0
         product = coef_delta * delta * delta + coef_gamma * gamma * gamma
-        return duration * math.log2(1.0 + beta / noise) - product / speed
-
-    def objective(x, total=None):  # total: net(x), when known
-        total = net(x) if total is None else total
-        return total - abs(x - x0) * drift if total >= floor else -math.inf
+        return duration * log2(1.0 + beta / noise) - product / speed
 
     def derivative(side, rate):
         shift = side * drift
@@ -187,10 +181,10 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
             rising = slope + curvature * dx  # d(base + curve)/dx
             gamma = gamma_local + (base + curve - level_offset) / level_scale
             if gamma < 0.0:  # gamma clipped at 0: its terms vanish
-                out, second = -pull * (x - x0) - shift, -pull
+                out, second = neg_pull * (x - x0) - shift, neg_pull
             else:
-                out = -pull * (x - x0) - push * gamma * rising - shift
-                second = -pull - push * (rising * rising / level_scale + gamma * curvature)
+                out = neg_pull * (x - x0) - push * gamma * rising - shift
+                second = neg_pull - push * (rising * rising / level_scale + gamma * curvature)
             if rate:
                 falling = slope - curvature * dx  # d(base - curve)/dx
                 if base < curve:  # beta clipped at 0, at a piece's end only
@@ -204,8 +198,14 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
 
         return slope_at
 
-    span_lo, span_hi = _positive_span(value, slope, half)
-    return _Surrogate(center, (center + span_lo, center + span_hi), objective, net, derivative)
+    # rate_span: where value + slope u - half u^2 > 0, u = x - c (value, half >= 0)
+    q = 0.5 * (slope + math.copysign(math.sqrt(slope * slope + 4.0 * half * value), slope))
+    if q == 0.0:  # slope = 0 and half * value = 0: the sign of value everywhere
+        lo, hi = (-math.inf, math.inf) if value > 0.0 else (math.inf, -math.inf)
+    else:
+        near, far = -value / q, q / half if half > 0.0 else math.copysign(math.inf, q)
+        lo, hi = (near, far) if near < far else (far, near) if far < near else (near, near)
+    return _Surrogate(center, (center + lo, center + hi), net, derivative, x0, drift, floor)
 
 
 def _piece_max(s: _Surrogate, a: float, b: float, side: float, rate: bool, target: float,
@@ -223,11 +223,12 @@ def _piece_max(s: _Surrogate, a: float, b: float, side: float, rate: bool, targe
     center when it lies in the piece and reaches target, otherwise net's own
     maximizer; when that falls short too, the piece's value is -inf.
     """
-    start = min(max(s.center, a), b)  # the center, or the piece's end nearest it
+    start = a if a > s.center else s.center  # min(max(center, a), b): the center,
+    start = b if b < start else start        # or the piece's end nearest it
     x = search.newton_max(s.derivative(side, rate), a, b, start, tol)
     total = s.net(x)
-    if total - target >= 0.0:
-        return x, s.objective(x, total)
+    if total - target >= 0.0:  # s.objective(x), off the net just read
+        return x, total - abs(x - s.x0) * s.drift if total >= s.floor else -math.inf
     net_slope = s.derivative(0.0, rate)
 
     def excess_and_slope(t):
@@ -264,14 +265,21 @@ def solve_subproblem(surrogate: _Surrogate, params: SystemParams, reach: tuple[f
     its surrogate objective, or None when no position in the window meets
     the rate floor.
     """
-    center, x0 = surrogate.center, params.initial_position
+    center, x0 = surrogate.center, surrogate.x0
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
-    lo, hi = max(center - half, reach[0]), min(center + half, reach[1])
+    lo, hi = center - half, center + half  # clipped: max(lo, reach[0]), min(hi, reach[1])
+    lo, hi = reach[0] if reach[0] > lo else lo, reach[1] if reach[1] < hi else hi
     span_lo, span_hi = surrogate.rate_span
-    cuts = sorted({lo, hi, *(t for t in (x0, span_lo, span_hi) if lo < t < hi)})
+    if lo < hi and not (lo < x0 < hi or lo < span_lo < hi or lo < span_hi < hi):
+        pieces = ((lo, hi),)  # no cut inside the window, as once the iterate has left x0
+    else:
+        cuts = sorted({lo, hi, *(t for t in (x0, span_lo, span_hi) if lo < t < hi)})
+        pieces = zip(cuts, cuts[1:])
     target = params.min_throughput + FEASIBILITY_SLACK
-    best_x, best = center, surrogate.objective(center)
-    for a, b in zip(cuts, cuts[1:]):
+    total = surrogate.net(center)
+    best_x = center
+    best = total - abs(center - x0) * surrogate.drift if total >= surrogate.floor else -math.inf
+    for a, b in pieces:
         rate = span_lo < 0.5 * (a + b) < span_hi
         if not rate and target > 0.0:
             continue
@@ -336,7 +344,9 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     # the ratio estimate alpha is result.ee throughout
     curvature = params.max_tx_power * expansion.curvature
     reach, tol = ee.reach_interval(params), params.wavelength * ee.ROOT_TOL_WAVELENGTHS
-    surrogate = _build_surrogate(params, x, gain, slope, result.ee, curvature)
+    build, solve, read = _build_surrogate, solve_subproblem, channel.gain_and_slope
+    efficiency, tolerance = ee.energy_efficiency, params.tolerance
+    surrogate = build(params, x, gain, slope, result.ee, curvature)
     trace = [(0, x, result.ee, surrogate.objective(x))]
 
     status = "iteration-cap"
@@ -346,7 +356,7 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
         stalled = False
         inner_prev = -math.inf
         for _ in range(INNER_CAP):
-            step = solve_subproblem(surrogate, params, reach, tol)
+            step = solve(surrogate, params, reach, tol)
             if step is None:
                 stalled = True
                 break
@@ -355,28 +365,28 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
                 # Rebuilt here, the surrogate would be this one (same center, gain,
                 # slope, alpha and curvature): the same step again, improvement 0.
                 break
-            gain, slope = channel.gain_and_slope(expansion, x)
+            gain, slope = read(expansion, x)
             improvement = objective - inner_prev
             inner_prev = objective
-            if improvement <= params.tolerance:
+            if improvement <= tolerance:
                 break
-            surrogate = _build_surrogate(params, x, gain, slope, result.ee, curvature)
+            surrogate = build(params, x, gain, slope, result.ee, curvature)
         if stalled:
             status = "converged"
             break
 
-        checked = ee.energy_efficiency(x, gain, params)
+        checked = efficiency(x, gain, params)
         if checked.ee < result.ee or not checked.feasible:
             # Slack artifact: keep the previous iterate and stop.
             status = "converged"
             break
         trace.append((outer, x, checked.ee, objective))
-        finished = abs(checked.ee - result.ee) <= params.tolerance
+        finished = abs(checked.ee - result.ee) <= tolerance
         result = checked
         if finished:
             status = "converged"
             break
-        surrogate = _build_surrogate(params, x, gain, slope, result.ee, curvature)
+        surrogate = build(params, x, gain, slope, result.ee, curvature)
 
     return SolverReport(result=result, iterations=outer_used, trace=trace,
                         status=status, power_assumption_violated=flagged)

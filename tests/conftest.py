@@ -132,3 +132,186 @@ def reference_max(slope_at, a, b, tol):
     if db >= 0.0:
         return b
     return reference_root(slope_at, a, da, b, db, tol)
+
+
+# The SCA step as it stood before its interpreter work was cut (solver._build_surrogate,
+# solve_subproblem and _piece_max, search.newton_max, newton_root and _newton), frozen:
+# the reference the step is held to bit for bit. The float operations and their order
+# are the program's; the tests only add a read() call at each evaluation of net or of
+# a slope.
+_FEASIBILITY_SLACK = 1e-9
+_LN2 = math.log(2.0)
+
+
+def _reference_newton(fd, x, fx, dfx, far, f_far, tol, positive):
+    half_tol = 0.5 * tol
+    before = last = math.inf
+    while True:
+        if f_far is not None and abs(far - x) <= tol:
+            return x if fx > 0.0 else far
+        step = -fx / dfx if 0.0 < abs(dfx) < math.inf else math.inf
+        if abs(step) * (abs(last) + tol) < tol * abs(last):
+            if fx > 0.0 or not positive:
+                return x
+            step += math.copysign(half_tol, far - x)
+        elif abs(step) < tol:
+            step = math.copysign(tol, step)
+        new = x + step
+        if not (min(x, far) < new < max(x, far) and 2.0 * abs(step) <= abs(before)):
+            if f_far is None:
+                f_far, df_far = fd(far)
+                if f_far == 0.0 or (f_far > 0.0) == (fx > 0.0):
+                    return far
+                x, fx, dfx, far, f_far = far, f_far, df_far, x, fx
+                before = last = math.inf
+                continue
+            new = x + 0.5 * (far - x)
+            if new == x or new == far:
+                return x if fx > 0.0 else far
+        before, last = last, new - x
+        f_new, df_new = fd(new)
+        if f_new == 0.0:
+            return new
+        if (f_new > 0.0) != (fx > 0.0):
+            far, f_far = x, fx
+        x, fx, dfx = new, f_new, df_new
+
+
+def _reference_newton_max(fd, a, b, x, tol):
+    fx, dfx = fd(x)
+    end = b if fx > 0.0 else a
+    if fx == 0.0 or x == end:
+        return x
+    return _reference_newton(fd, x, fx, dfx, end, None, tol, False)
+
+
+def _reference_newton_root(fd, a, fa, b, fb, tol):
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    new = a - fa * (b - a) / (fb - fa)
+    if not min(a, b) < new < max(a, b):
+        new = a + 0.5 * (b - a)
+        if new == a or new == b:
+            return a if fa > 0.0 else b
+    f_new, df_new = fd(new)
+    if f_new == 0.0:
+        return new
+    far, f_far = (a, fa) if (fa > 0.0) != (f_new > 0.0) else (b, fb)
+    return _reference_newton(fd, new, f_new, df_new, far, f_far, tol, True)
+
+
+def _reference_surrogate(params, center, gain, gain_slope, alpha, curvature, read):
+    x0, noise, speed = params.initial_position, params.noise_power, params.speed
+    value, slope = params.max_tx_power * gain, params.max_tx_power * gain_slope
+    half = 0.5 * curvature
+    delta_local = max(abs(center - x0), params.wavelength * 1e-6)
+    gamma_local = max(math.log2(1.0 + max(value, 0.0) / noise), 1e-12)
+    coef_delta = 0.5 * (gamma_local / delta_local)
+    coef_gamma = 0.5 * (delta_local / gamma_local)
+    level = noise * 2.0 ** gamma_local
+    level_offset, level_scale = level - noise, level * _LN2
+    duration = params.block_duration
+    drift = alpha * (params.movement_power - params.max_tx_power) / speed
+    floor = params.min_throughput - _FEASIBILITY_SLACK
+    rate_scale = duration / _LN2
+    pull, push = 2.0 * coef_delta / speed, 2.0 * coef_gamma / (level_scale * speed)
+
+    def net(x):
+        read()
+        dx = x - center
+        base = value + slope * dx
+        curve = half * dx * dx
+        beta = 0.0 if base < curve else base - curve
+        gamma = gamma_local + (base + curve - level_offset) / level_scale
+        gamma = 0.0 if gamma < 0.0 else gamma
+        delta = x - x0
+        product = coef_delta * delta * delta + coef_gamma * gamma * gamma
+        return duration * math.log2(1.0 + beta / noise) - product / speed
+
+    def objective(x, total=None):
+        total = net(x) if total is None else total
+        return total - abs(x - x0) * drift if total >= floor else -math.inf
+
+    def derivative(side, rate):
+        shift = side * drift
+
+        def slope_at(x):
+            read()
+            dx = x - center
+            base = value + slope * dx
+            curve = half * dx * dx
+            rising = slope + curvature * dx
+            gamma = gamma_local + (base + curve - level_offset) / level_scale
+            if gamma < 0.0:
+                out, second = -pull * (x - x0) - shift, -pull
+            else:
+                out = -pull * (x - x0) - push * gamma * rising - shift
+                second = -pull - push * (rising * rising / level_scale + gamma * curvature)
+            if rate:
+                falling = slope - curvature * dx
+                if base < curve:
+                    out += rate_scale * falling / noise
+                    second -= rate_scale * curvature / noise
+                else:
+                    power = noise + (base - curve)
+                    out += rate_scale * falling / power
+                    second -= rate_scale * (curvature + falling * falling / power) / power
+            return out, second
+
+        return slope_at
+
+    q = 0.5 * (slope + math.copysign(math.sqrt(slope * slope + 4.0 * half * value), slope))
+    if q == 0.0:
+        span_lo, span_hi = (-math.inf, math.inf) if value > 0.0 else (math.inf, -math.inf)
+    else:
+        near, far = -value / q, q / half if half > 0.0 else math.copysign(math.inf, q)
+        span_lo, span_hi = min(near, far), max(near, far)
+    return SimpleNamespace(center=center, rate_span=(center + span_lo, center + span_hi),
+                           objective=objective, net=net, derivative=derivative)
+
+
+def _reference_piece_max(s, a, b, side, rate, target, tol):
+    start = min(max(s.center, a), b)
+    x = _reference_newton_max(s.derivative(side, rate), a, b, start, tol)
+    total = s.net(x)
+    if total - target >= 0.0:
+        return x, s.objective(x, total)
+    net_slope = s.derivative(0.0, rate)
+
+    def excess_and_slope(t):
+        return s.net(t) - target, net_slope(t)[0]
+
+    anchor = s.center
+    at_anchor = s.net(anchor) - target if a <= anchor <= b else -math.inf
+    if not at_anchor >= 0.0:
+        anchor = _reference_newton_max(net_slope, a, b, start, tol)
+        at_anchor = s.net(anchor) - target
+        if at_anchor < 0.0:
+            return anchor, -math.inf
+    x = _reference_newton_root(excess_and_slope, anchor, at_anchor, x, total - target, tol)
+    return x, s.objective(x)
+
+
+def reference_step(params, center, gain, gain_slope, alpha, curvature, reach, tol,
+                   read=lambda: None):
+    """The frozen SCA step: the surrogate at center from the gain and its slope there
+    (solver._build_surrogate's arguments) maximized over its trust window (reach and
+    tol as solver.solve_subproblem takes them). Returns (x, objective), or None when
+    no position in the window meets the rate floor; read() runs at each evaluation
+    of the surrogate's net or of a slope."""
+    s = _reference_surrogate(params, center, gain, gain_slope, alpha, curvature, read)
+    x0 = params.initial_position
+    half = 0.25 * params.wavelength
+    lo, hi = max(center - half, reach[0]), min(center + half, reach[1])
+    span_lo, span_hi = s.rate_span
+    cuts = sorted({lo, hi, *(t for t in (x0, span_lo, span_hi) if lo < t < hi)})
+    target = params.min_throughput + _FEASIBILITY_SLACK
+    best_x, best = center, s.objective(center)
+    for a, b in zip(cuts, cuts[1:]):
+        rate = span_lo < 0.5 * (a + b) < span_hi
+        if not rate and target > 0.0:
+            continue
+        x, value = _reference_piece_max(s, a, b, 1.0 if a >= x0 else -1.0, rate, target, tol)
+        if value > best or (value == best and x < best_x):
+            best_x, best = x, value
+    return None if best == -math.inf else (best_x, best)

@@ -25,6 +25,7 @@ from maee.harness import (
     TrialRecord,
     aggregate,
     emit_csv,
+    fmt,
     instance_for,
     load_config,
     mix_seed,
@@ -626,6 +627,22 @@ def test_emit_csv_roundtrip_12_digits(tmp_path):
         assert row["feasible"] in ("0", "1")
         assert int(row["seed"]) >= 0
 
+
+
+@pytest.mark.parametrize("value", [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308,
+                                   np.float64(2.0 / 3.0), True, False], ids=repr)
+def test_row_templates_write_what_fmt_writes(value):
+    """emit_csv writes each row with one %-template (harness.RAW_ROW,
+    AGGREGATE_ROW); it equals the row joined from fmt and str on signed zero,
+    infinities, nan, a subnormal, 1e308, a numpy float and bools, with flags
+    given as bools or numpy bools and a seed past 2^63."""
+    for flag in (True, False, np.True_, np.False_):
+        assert harness.RAW_ROW % (
+            value, 7, "proposed", value, value, value, value, flag, 2**63 + 5) == ",".join((
+                fmt(value), "7", "proposed", fmt(value), fmt(value), fmt(value), fmt(value),
+                str(int(flag)), str(2**63 + 5)))
+    assert harness.AGGREGATE_ROW % (value, "fpa", value, value, value, 12) == ",".join((
+        fmt(value), "fpa", fmt(value), fmt(value), fmt(value), "12"))
 
 def test_aggregate_matches_raw_reaggregation(tmp_path):
     cfg = small_config(trials=4)

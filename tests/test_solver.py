@@ -35,7 +35,7 @@ from maee.solver import (
     solve_subproblem,
 )
 
-from conftest import make_instance, reference_max, single_path_instance
+from conftest import make_instance, reference_max, reference_step, single_path_instance
 
 
 def curvature(expansion, params):
@@ -448,7 +448,8 @@ def test_newton_roots_match_brent_and_keep_to_the_floor(scale, gain, tilt, bound
             return counted(slope_at)
         return counted(lambda t: (slope_at(t)[0], second))
 
-    s = solver._Surrogate(center, built.rate_span, built.objective, counted(built.net), derivative)
+    s = solver._Surrogate(center, built.rate_span, counted(built.net), derivative, built.x0,
+                          built.drift, built.floor)
     drift = alpha * (params.movement_power - params.max_tx_power) / params.speed
 
     def value(t):  # the objective without its floor
@@ -475,6 +476,70 @@ def test_newton_roots_match_brent_and_keep_to_the_floor(scale, gain, tilt, bound
         assert a <= x <= b
         if objective > -math.inf:
             assert built.net(x) >= target
+
+
+# What the drawn steps of test_step_matches_the_frozen_step must include.
+_STEP_CASES = ("center at x0", "x0 inside the window", "window clipped at a reach end",
+               "beta's roots inside the window", "beta = 0 piece searched",
+               "binding floor (newton_root)", "flagged P < P_t", "no feasible position",
+               "tie resolved to the smaller position")
+
+
+def test_step_matches_the_frozen_step(monkeypatch):
+    """One SCA step (_build_surrogate, then solve_subproblem) returns the frozen
+    step's (x, objective), or None, bit for bit (reference_step), on surrogates
+    drawn as in test_newton_roots_match_brent_and_keep_to_the_floor at rate
+    floors R_TH from -1 to 20 bits/Hz (a negative one makes the target <= 0, so
+    the pieces where beta = 0 are searched; at R_TH = 0 the target is still
+    FEASIBILITY_SLACK), speeds that clip the reach inside the track and one so
+    high that the movement terms vanish below rounding, where the objective
+    is flat and the tie rule decides. Every case of _STEP_CASES is drawn."""
+    seen = Counter()
+    root = search.newton_root
+
+    def counted_root(*args):
+        seen["binding floor (newton_root)"] += 1
+        return root(*args)
+
+    monkeypatch.setattr(search, "newton_root", counted_root)
+
+    @settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+    @given(scale=st.sampled_from([1e-150, 1e-9, 1e-8, 3e-8, 1e-7, 1e100]),
+           gain=st.floats(0.0, 2.0), tilt=st.floats(-1.0, 1.0), bound=st.floats(0.0, 4.0),
+           alpha=st.floats(0.0, 1e3), movement_power=st.sampled_from([0.001, 0.5, 50.0]),
+           min_throughput=st.sampled_from([-1.0, 0.0, 5.0, 10.0, 20.0]),
+           speed=st.sampled_from([0.0019, 0.2, 1e30]), at_rest=st.booleans(),
+           offset=st.floats(-1.0, 1.0))
+    def check(scale, gain, tilt, bound, alpha, movement_power, min_throughput, speed, at_rest,
+              offset):
+        params = SystemParams(movement_power=movement_power, min_throughput=min_throughput,
+                              speed=speed)
+        x0, k = params.initial_position, 2.0 * math.pi / params.wavelength
+        center = x0 if at_rest else x0 + offset * x0
+        inputs = (params, center, scale * gain, scale * k * tilt * math.sqrt(2.0 * gain * bound),
+                  alpha, params.max_tx_power * scale * k * k * bound)
+        reach, tol = run_limits(params)
+        surrogate = _build_surrogate(*inputs)
+        step = solve_subproblem(surrogate, params, reach, tol)
+        assert repr(step) == repr(reference_step(*inputs, reach, tol))
+
+        half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
+        lo, hi = max(center - half, reach[0]), min(center + half, reach[1])
+        span_lo, span_hi = surrogate.rate_span
+        cuts = sorted({lo, hi, *(t for t in (x0, span_lo, span_hi) if lo < t < hi)})
+        seen["center at x0"] += center == x0
+        seen["x0 inside the window"] += lo < x0 < hi
+        seen["window clipped at a reach end"] += (lo, hi) != (center - half, center + half)
+        seen["beta's roots inside the window"] += lo < span_lo < hi or lo < span_hi < hi
+        seen["beta = 0 piece searched"] += min_throughput + FEASIBILITY_SLACK <= 0.0 and any(
+            not span_lo < 0.5 * (a + b) < span_hi for a, b in zip(cuts, cuts[1:]))
+        seen["flagged P < P_t"] += movement_power < params.max_tx_power
+        seen["no feasible position"] += step is None
+        seen["tie resolved to the smaller position"] += (
+            step is not None and step[0] < center and step[1] == surrogate.objective(center))
+
+    check()
+    assert all(seen[case] > 0 for case in _STEP_CASES), seen
 
 
 def test_optimize_single_path(params):
@@ -750,10 +815,12 @@ def test_optimize_never_solves_the_same_subproblem_twice(params, monkeypatch):
 
 
 def test_subproblem_evaluates_the_surrogate_a_few_times(monkeypatch):
-    """A subproblem evaluates the surrogate at piece ends and Newton points
-    only: a few dozen float calls at most (17 at most on these runs, 20
-    under Brent's method)."""
-    counts, current = [], []
+    """A subproblem evaluates the surrogate's net and slopes at piece ends and
+    Newton points only: a few dozen times at most (16 at most on these runs),
+    and on each subproblem of these runs no more often than the frozen step
+    (reference_step) on the same surrogate, whose answer it returns bit for
+    bit."""
+    counts, current, built = [], [], {}
     build, subproblem = solver._build_surrogate, solver.solve_subproblem
 
     def counted(fn):
@@ -764,13 +831,20 @@ def test_subproblem_evaluates_the_surrogate_a_few_times(monkeypatch):
 
     def counted_build(*args):
         s = build(*args)
-        return solver._Surrogate(s.center, s.rate_span, counted(s.objective), counted(s.net),
-                                 lambda side, rate: counted(s.derivative(side, rate)))
+        surrogate = solver._Surrogate(s.center, s.rate_span, counted(s.net),
+                                      lambda side, rate: counted(s.derivative(side, rate)),
+                                      s.x0, s.drift, s.floor)
+        built[id(surrogate)] = (surrogate, args)  # kept alive, so no id is reused
+        return surrogate
 
-    def counted_subproblem(*args):
+    def counted_subproblem(surrogate, params, reach, tol):
         current.append(0)
-        step = subproblem(*args)
+        step = subproblem(surrogate, params, reach, tol)
         counts.append(current[-1])
+        reads = []
+        reference = reference_step(*built[id(surrogate)][1], reach, tol, lambda: reads.append(1))
+        assert repr(step) == repr(reference)
+        assert counts[-1] <= len(reads)
         return step
 
     monkeypatch.setattr(solver, "_build_surrogate", counted_build)
