@@ -109,8 +109,8 @@ class GainExpansion:
     it: gain_grids holds the gain lattice ee.gain_grid built for this
     channel, one per spacing, searches every ee.grid_max answer under the
     params fields its ee.Objective record reads, points the point reads kept
-    by kept_gain_and_slope, and curvature is curvature_bound, computed on
-    first use.
+    by kept_gain_and_slope (each position off the lattice that a search or a
+    record may read again), and curvature is curvature_bound, computed on first use.
     """
 
     constant: float
@@ -197,7 +197,10 @@ def _squared_norms(h) -> float | np.ndarray:
 
 
 def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
-    """Channel power gain |f(x) conj(E)|^2 at position(s) x; exactly the constant for one path."""
+    """Channel power gain |f(x) conj(E)|^2 at position(s) x; exactly the constant for one path.
+
+    The array form that ee.efficiency_curve and maee check read; no search does.
+    """
     if expansion.num_paths == 1:
         out = np.full(np.shape(x), expansion.constant)
         return float(out) if out.ndim == 0 else out
@@ -262,8 +265,8 @@ def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
 def kept_gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float, float]:
     """gain_and_slope's pair at x, bit for bit, and the gain's second derivative, off
     one steering row and kept in expansion.points: for the positions that more than
-    one search or sweep value may read (the rest position, ee.grid_max's polish
-    probes and each scheme's reported position)."""
+    one search or sweep value may read (the rest position, ee.grid_scan's added
+    points, ee.grid_max's polish probes and each scheme's reported position)."""
     found = expansion.points.get(x)
     if found is None:
         f, h, h1, pair = _point_read(expansion, x)

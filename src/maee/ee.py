@@ -242,12 +242,14 @@ def _rank(grid: GainGrid, x: float, side: str) -> int:
     return m
 
 
-def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float,
-               hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and gains of the gain_grid points in [lo, hi], plus lo, hi and x0 if missing.
+def grid_scan(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
+              objective: Objective) -> tuple[np.ndarray, np.ndarray, int]:
+    """Positions xs of the gain_grid points in [lo, hi], plus lo, hi and x0 if missing, the
+    objective's values there and the index of the largest: every search's read of the lattice.
 
-    x0 is added only when it lies in [lo, hi]. The gains of added points are
-    evaluated here.
+    x0 is added only when it lies in [lo, hi]. An added point's gain is its
+    kept point read (channel.kept_gain_and_slope), as the polish, the rest
+    tie and every scheme's record read that position.
     """
     grid = gain_grid(expansion, params.wavelength, hi)
     start, stop = _rank(grid, lo, "left"), _rank(grid, hi, "right")
@@ -257,34 +259,35 @@ def grid_slice(expansion: channel.GainExpansion, params: SystemParams, lo: float
     missing = sorted({x for x in ends if x not in xs})
     if missing:
         at = np.searchsorted(xs, missing)
-        gains = np.insert(gains, at, channel.gain_eval(expansion, np.array(missing)))
+        gains = np.insert(gains, at, [channel.kept_gain_and_slope(expansion, x)[0]
+                                      for x in missing])
         xs = np.insert(xs, at, missing)
-    return xs, gains
+    values = objective.values(xs, gains, params)
+    return xs, values, int(np.argmax(values))
 
 
 def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, hi: float,
              objective: Objective) -> tuple[float, float]:
     """Position and value of the largest objective on [lo, hi], kept in expansion.searches.
 
-    Scans the grid_slice of [lo, hi], then polishes the one or two lattice
-    cells next to its best point. x0 is a slice point, so no cell has it
-    inside, and the objective is smooth on each. A cell's maximum is taken
-    by Newton steps on the objective's slope and closed-form second
-    derivative (search.newton_max) from the scan's best point, an end of the
-    cell, with the gain and its derivatives read at each position once per
-    instance (channel.kept_gain_and_slope, whose gain is gain_eval's), so a
-    position that another search on the instance or a scheme's report reads
-    again is not read twice; the value there is the objective at that gain.
-    An objective that is -inf where the rate floor is missed
-    (FEASIBLE_EFFICIENCY) and is -inf at that maximum takes the root of rate
-    - R_TH between it and the scan's best point instead (search.newton_root,
-    with RATE's slope), as in the solver's subproblem. A polish never
-    returns less than the scan. A scan that is -inf everywhere is returned
-    as is. Ties prefer not moving: the rest position, when it lies in
-    [lo, hi], wins when within _TIE_RTOL of the best. Its gain is read as a
-    polished position's is, not off the lattice, whose gains differ from
-    gain_eval's by phase rounding (up to ~1e-11 of the constant at 1e4
-    wavelengths), so the tie never turns on that gap.
+    Scans [lo, hi] (grid_scan), then polishes the one or two lattice cells
+    next to its best point. x0 is a scanned point, so no cell has it inside,
+    and the objective is smooth on each. A cell's maximum is taken by Newton
+    steps on the objective's slope and closed-form second derivative
+    (search.newton_max) from the scan's best point, an end of the cell, with
+    the gain and its derivatives read at each position once per instance
+    (channel.kept_gain_and_slope), so a position that another search on the
+    instance or a scheme's report reads again is not read twice; the value
+    there is the objective at that gain. An objective that is -inf where the
+    rate floor is missed (FEASIBLE_EFFICIENCY) and is -inf at that maximum
+    takes the root of rate - R_TH between it and the scan's best point
+    instead (search.newton_root, with RATE's slope), as in the solver's
+    subproblem. A polish never returns less than the scan. A scan that is
+    -inf everywhere is returned as is. Ties prefer not moving: the rest
+    position, when it lies in [lo, hi], wins when within _TIE_RTOL of the
+    best. Its gain is its kept point read, not the lattice's, whose gains
+    differ from a point read's by phase rounding (up to ~1e-11 of the
+    constant at 1e4 wavelengths), so the tie never turns on that gap.
 
     The answer is kept under everything the search reads: the objective's
     name and the values of its fields, lo, hi, x0 and the wavelength. Params
@@ -294,9 +297,7 @@ def grid_max(expansion: channel.GainExpansion, params: SystemParams, lo: float, 
            params.initial_position, params.wavelength)
     if key in expansion.searches:
         return expansion.searches[key]
-    xs, gains = grid_slice(expansion, params, lo, hi)
-    values = objective.values(xs, gains, params)
-    i = int(np.argmax(values))
+    xs, values, i = grid_scan(expansion, params, lo, hi, objective)
     anchor, best = float(xs[i]), float(values[i])
     best_x, x0 = anchor, params.initial_position
     read = functools.partial(channel.kept_gain_and_slope, expansion)

@@ -121,10 +121,11 @@ def instance_for(params: SystemParams, seed: int) -> channel.GainExpansion:
 def run_trial(cfg: SweepConfig, trial_index: int) -> list[TrialRecord]:
     """One record per sweep value, all from one instance drawn and expanded from cfg.base.
 
-    Every scheme runs at every value. The trial's grid searches read slices
-    of the instance's one ee.GainGrid over the longest region, and a search
-    whose record's fields repeat across values runs once (ee.grid_max). Equal
-    records are kept as one object, held and pickled once.
+    Every scheme runs at every value. The trial's grid searches, the
+    solver's restart included, read slices of the instance's one ee.GainGrid
+    over the longest region (ee.grid_scan), and a search whose record's
+    fields repeat across values runs once (ee.grid_max). Equal records are
+    kept as one object, held and pickled once.
     """
     seed = mix_seed(cfg.master_seed, trial_index)
     expansion = instance_for(cfg.base, seed)
@@ -366,8 +367,8 @@ def parse_config_text(text: str) -> SystemParams:
 
 
 def load_config(path) -> SystemParams:
-    """Read a configuration file; see parse_config_text for the format."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read a UTF-8 configuration file, byte-order mark or not; see parse_config_text."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:

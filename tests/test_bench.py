@@ -26,7 +26,7 @@ from maee.ee import (
     efficiency_curve,
     efficiency_of_gains,
     energy_efficiency,
-    grid_slice,
+    grid_scan,
     reach_interval,
 )
 from maee.harness import load_config
@@ -97,7 +97,7 @@ def test_grid_searches_polish_their_cells(config):
         for name, scheme, interval, objective_of, value_of in _searches(params):
             record = scheme(expansion, params)
             objective, value = objective_of(record), value_of(expansion, record)
-            xs, gains = grid_slice(expansion, params, *interval)
+            xs, gains, _ = grid_scan(expansion, params, *interval, GAIN)
             if name == "oracle":  # a floor root lands on the feasible side
                 assert record.feasible == bool(np.any(efficiency_of_gains(xs, gains, params)[3]))
             near = int(np.argmin(np.abs(xs - record.x)))

@@ -7,6 +7,7 @@ import pytest
 
 from maee.channel import build_expansion, gain_eval, kept_gain_and_slope
 from maee.ee import (
+    GAIN,
     Objective,
     ee_upper_bound,
     efficiency_curve,
@@ -15,7 +16,7 @@ from maee.ee import (
     energy_efficiency,
     gain_grid,
     grid_max,
-    grid_slice,
+    grid_scan,
     reach_interval,
 )
 from maee.params import MAX_REGION_WAVELENGTHS, SystemParams
@@ -291,7 +292,7 @@ def test_ee_upper_bound_equality_when_recentered(params):
 def reachable_grid(params):
     """Positions of the reachable slice of the gain lattice."""
     expansion = build_expansion(make_instance(0), params.wavelength)
-    return grid_slice(expansion, params, *reach_interval(params))[0]
+    return grid_scan(expansion, params, *reach_interval(params), GAIN)[0]
 
 
 def test_reachable_grid_spans_reach(params):
@@ -315,7 +316,7 @@ def test_reachable_grid_contains_rest_position(params):
     assert len(xs) == len(reachable_grid(params)) + 1
 
 
-def test_grid_slice_reads_lattice_points_whatever_the_grid_length(params):
+def test_grid_scan_reads_lattice_points_whatever_the_grid_length(params):
     """Point m is m * wavelength/500 on any grid, with the same gain, so a
     slice of a longer grid equals the grid built for the slice alone. Each
     grid is built on a fresh expansion, which keeps no lattice yet."""
@@ -338,19 +339,20 @@ def test_grid_slice_reads_lattice_points_whatever_the_grid_length(params):
             assert count < len(longest.gains)
             assert np.array_equal(grid.gains, longest.gains[:count])
         region = replace(scenario, region_length=0.07, initial_position=0.0300001)
-        alone = grid_slice(fresh(), region, 0.001, 0.05)
-        within = grid_slice(expansion, region, 0.001, 0.05)
+        alone = grid_scan(fresh(), region, 0.001, 0.05, GAIN)
+        within = grid_scan(expansion, region, 0.001, 0.05, GAIN)
         assert expansion.gain_grids[params.wavelength / 500] is longest
         for got, want in zip(within, alone):
             assert np.array_equal(got, want)
 
 
-def test_grid_slice_matches_searchsorted_on_the_lattice_positions(params):
-    """grid_slice finds its index range by arithmetic. It must pick the
+def test_grid_scan_matches_searchsorted_on_the_lattice_positions(params):
+    """grid_scan finds its index range by arithmetic. It must pick the
     lattice points that np.searchsorted picks on the positions m * spacing,
     which a stored array used to hold, with their lattice gains: at lattice
     points, one ulp either side of them and in between, on a short track and
-    on the 1e4-wavelength cap. The rest position is added only inside [lo, hi]."""
+    on the 1e4-wavelength cap. The rest position is added only inside [lo, hi].
+    An added point's gain is its kept point read, and GAIN's values are the gains."""
     rng = np.random.default_rng(5)
     for region in (params.region_length, MAX_REGION_WAVELENGTHS * params.wavelength):
         scenario = replace(params, region_length=region)
@@ -369,11 +371,11 @@ def test_grid_slice_matches_searchsorted_on_the_lattice_positions(params):
                 x0 = scenario.initial_position
                 ends = {lo, hi, x0} if lo <= x0 <= hi else {lo, hi}
                 missing = sorted(ends - want.keys())
-                if missing:  # the added points' gains, read as grid_slice reads them
-                    want.update(zip(missing, gain_eval(expansion, np.array(missing)).tolist()))
-                xs, gains = grid_slice(expansion, scenario, lo, hi)
+                want.update((x, kept_gain_and_slope(expansion, x)[0]) for x in missing)
+                xs, gains, i = grid_scan(expansion, scenario, lo, hi, GAIN)
                 assert xs.tolist() == sorted(want)
                 assert gains.tolist() == [want[x] for x in sorted(want)]
+                assert i == int(np.argmax(gains))
 
 
 def test_gain_grid_holds_one_float_array(params):

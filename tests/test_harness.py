@@ -378,7 +378,7 @@ def test_reference_positions_searched_once_per_movement_power_free_params(
     ("power", None, 2),
     ("power", "slow_power", 3),
     ("region", None, 6),
-    # R_TH = 10: the solver restarts from its own grid scan, not from ee.grid_max
+    # R_TH = 10: the solver restarts from the scan (ee.grid_scan), not from ee.grid_max
     ("power", "tight_power", 2),
 ], ids=["None-2", "slow_power-3", "region-6", "tight_power-2"])
 def test_ceiling_and_max_snr_share_one_gain_search(variable, config, per_trial, monkeypatch):
@@ -429,24 +429,26 @@ def test_power_sweep_shares_movement_power_free_results():
 @pytest.mark.parametrize("variable, values, config", [
     ("power", (0.1, 0.5, 1.0, 2.0, 5.0), None),
     ("region", (0.5, 1.0, 1.5), None),
-    # R_TH = 10: the solver restarts from its grid scan
+    # R_TH = 10: the solver restarts from its reachable scan
     ("power", (0.1, 0.5, 1.0, 2.0, 5.0), "tight_power"),
 ])
 def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, gain_reads,
                                               monkeypatch):
     """Every grid search of a trial (the ceiling, max_snr, max_throughput and
     the solver's restart scan) reads a slice of one gain grid over the longest
-    region: one lattice build per trial. gain_eval runs only for the
-    positions a slice adds (its ends and the rest position, when off the
-    lattice); a single position is read by gain_and_slope or kept_gain_and_slope."""
+    region: one lattice build per trial. No sweep calls gain_eval: a position
+    a slice adds (its ends and the rest position, when off the lattice) and
+    every single position are read by gain_and_slope or kept_gain_and_slope.
+    A restart is a grid_scan of FEASIBLE_EFFICIENCY over the reach."""
     restarts = []
-    original_restart = solver._best_feasible_position
+    original_scan = ee.grid_scan
 
-    def counted_restart(*args):
-        restarts.append(args[1].movement_power)
-        return original_restart(*args)
+    def counted_scan(expansion, params, lo, hi, objective):
+        if objective is ee.FEASIBLE_EFFICIENCY and (lo, hi) == ee.reach_interval(params):
+            restarts.append(params.movement_power)
+        return original_scan(expansion, params, lo, hi, objective)
 
-    monkeypatch.setattr(solver, "_best_feasible_position", counted_restart)
+    monkeypatch.setattr(ee, "grid_scan", counted_scan)
     base = load_config(GOLDEN / config / "params.cfg") if config else SystemParams()
     # master seed 0 as in the golden sweeps: no trial of tight_power starts feasible
     cfg = small_config(base=base, sweep_variable=variable, sweep_values=values, trials=2,
@@ -455,11 +457,25 @@ def test_gain_evaluated_on_one_grid_per_trial(variable, values, config, gain_rea
     longest = params_for_value(base, variable, values[-1]).region_length
     lattice = int(longest / (base.wavelength / 500)) + 2
     assert gain_reads.lattices == [lattice, lattice]
-    # Every slice end and rest position of the power tracks is a lattice point;
-    # the 1.5-wavelength track's end and rest position are not, and each of a
-    # trial's two searches over it (the gain and the rate) adds both.
-    assert gain_reads.evals == ([2, 2] * 2 if variable == "region" else [])
+    # The 1.5-wavelength track's end and rest position are off the lattice: each
+    # of a trial's two searches over it (the gain and the rate) adds both, and
+    # reads them by kept_gain_and_slope.
+    assert gain_reads.evals == []
     assert len(restarts) == (2 * len(values) if config else 0)
+
+
+def test_added_slice_point_takes_its_kept_read(params):
+    """The 1.5-wavelength track of seed 2 peaks at its end, x = 0.015 m, a point
+    the lattice misses. The ceiling's gain there is the end's kept point read,
+    the read every record of a position takes, not a block read, whose rounding
+    differs."""
+    region = params_for_value(params, "region", 1.5)
+    expansion = instance_for(region, 2)
+    ceiling = ee.ee_upper_bound(expansion, region)
+    assert ceiling.x == 0.015 == region.region_length
+    gain = channel.kept_gain_and_slope(expansion, 0.015)[0]
+    assert ceiling.throughput == ee.energy_efficiency(
+        region.initial_position, gain, region).throughput
 
 
 def test_golden_power_sweep_point_reads_and_steps(monkeypatch):
@@ -807,3 +823,11 @@ def test_load_config_roundtrip(tmp_path):
     parsed = load_config(path)
     assert parsed.movement_power == 1.5
     assert parsed.num_paths == 6
+
+
+def test_load_config_reads_past_a_byte_order_mark(tmp_path):
+    """Many editors start a UTF-8 file with the mark EF BB BF; it is not part of
+    the first key."""
+    path = tmp_path / "marked.cfg"
+    path.write_bytes(b"\xef\xbb\xbfL = 12\n")
+    assert load_config(path).num_paths == 12

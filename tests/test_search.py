@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from maee import bench, channel, ee, harness, search
 from maee.channel import build_expansion
-from maee.ee import Objective, grid_max, grid_slice
+from maee.ee import GAIN, Objective, grid_max, grid_scan
 from maee.params import SystemParams
 from maee.search import newton_max, newton_root
 
@@ -233,7 +233,7 @@ def test_grid_polish_never_worse_than_grid_best(seed):
     lo, hi = sorted(rng.uniform(0.0, PARAMS.region_length, 2))
     x, fx = polish(wiggly, derivatives, lo, hi)
     expansion = build_expansion(make_instance(0), PARAMS.wavelength)
-    best = float(np.max(wiggly(grid_slice(expansion, PARAMS, lo, hi)[0])))
+    best = float(np.max(wiggly(grid_scan(expansion, PARAMS, lo, hi, GAIN)[0])))
     assert fx >= best - 1e-12 * abs(best)
     assert fx == wiggly(x)
     assert lo <= x <= hi  # the rest position too only when it lies in [lo, hi]

@@ -16,10 +16,12 @@ from maee.channel import (
     gain_eval,
 )
 from maee.ee import (
+    FEASIBLE_EFFICIENCY,
     ROOT_TOL_WAVELENGTHS,
     ee_upper_bound,
     efficiency_at,
     energy_efficiency,
+    grid_scan,
     reach_interval,
 )
 from maee.harness import SweepConfig, run_trial
@@ -609,6 +611,13 @@ def test_optimize_restarts_from_feasible_region():
         if oracle.feasible:
             hit += 1
             assert report.status in ("converged", "iteration-cap")
+            # the restart is the best feasible point of the reachable scan
+            xs, values, i = grid_scan(expansion, params, *reach_interval(params),
+                                      FEASIBLE_EFFICIENCY)
+            assert values[i] == np.max(values) > -math.inf
+            assert report.trace[0][1] == float(xs[i]) != params.initial_position
+            assert report.trace[0][2] == energy_efficiency(
+                float(xs[i]), gain_and_slope(expansion, float(xs[i]))[0], params).ee
             gain = max(gain_eval(expansion, report.result.x), 0.0)
             assert energy_efficiency(report.result.x, gain, params).throughput >= \
                 params.min_throughput - 1e-6
@@ -742,9 +751,10 @@ def optimize_without_early_stop(expansion, params):
     result = energy_efficiency(x, gain, params)
     flagged = params.movement_power < params.max_tx_power
     if not result.feasible:
-        x = solver._best_feasible_position(expansion, params)
-        if x is None:
+        xs, values, i = grid_scan(expansion, params, *reach_interval(params), FEASIBLE_EFFICIENCY)
+        if values[i] == -math.inf:
             return solver.SolverReport(result, 0, [], "infeasible", flagged)
+        x = float(xs[i])
         gain, slope = gain_and_slope(expansion, x)
         result = energy_efficiency(x, gain, params)
     curvature = params.max_tx_power * curvature_bound(expansion)
