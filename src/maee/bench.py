@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import channel, ee, solver
 from .params import SystemParams
 
@@ -43,10 +41,11 @@ def grid_global_ee(expansion: channel.GainExpansion, params: SystemParams) -> ee
 def oracle_slack(expansion: channel.GainExpansion, params: SystemParams,
                  oracle: ee.EEBreakdown) -> float:
     """How far the proposed optimizer may land above the oracle: the larger of
-    ORACLE_RTOL and the efficiency change over the oracle's root tolerance."""
-    tol = params.wavelength * ee.ROOT_TOL_WAVELENGTHS
-    nearby = np.clip([oracle.x - tol, oracle.x + tol], *ee.reach_interval(params))
-    change = float(np.max(np.abs(ee.efficiency_curve(expansion, params, nearby)[0] - oracle.ee)))
+    ORACLE_RTOL and the efficiency change over the oracle's root tolerance, each
+    neighbour clamped to the reach and read as the oracle's record is (efficiency_at)."""
+    tol, (lo, hi) = params.wavelength * ee.ROOT_TOL_WAVELENGTHS, ee.reach_interval(params)
+    change = max(abs(ee.efficiency_at(expansion, params, min(max(x, lo), hi)).ee - oracle.ee)
+                 for x in (oracle.x - tol, oracle.x + tol))
     return max(ORACLE_RTOL * oracle.ee, change)
 
 

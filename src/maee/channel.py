@@ -158,7 +158,7 @@ def build_expansion(instance: PathResponseMatrix, wavelength: float) -> GainExpa
 
 def channel_vector(expansion: GainExpansion, x: float) -> np.ndarray:
     """Channel vector h(x) = f(x) conj(E) at position x, one entry per base-station antenna."""
-    return _steering(expansion.wavenumbers, x) @ expansion.response_conj
+    return _point_read(expansion, x)[1]
 
 
 def _block_rows(expansion: GainExpansion) -> int:
@@ -199,7 +199,7 @@ def _squared_norms(h) -> float | np.ndarray:
 def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
     """Channel power gain |f(x) conj(E)|^2 at position(s) x; exactly the constant for one path.
 
-    The array form that ee.efficiency_curve and maee check read; no search does.
+    The array form that ee.efficiency_curve and the checks read; no search or scheme does.
     """
     if expansion.num_paths == 1:
         out = np.full(np.shape(x), expansion.constant)
@@ -250,13 +250,6 @@ def _point_read(expansion: GainExpansion, x: float):
     return f, h, h1, (gain, 2.0 * float(np.vdot(h, h1).real))
 
 
-def _half_second(expansion: GainExpansion, f, h, h1):
-    """Half the gain's second derivative |h'|^2 + Re(h^H h''), h'' = (f (jk)^2) conj(E)."""
-    jk = 1j * expansion.wavenumbers
-    h2 = (f * (jk * jk)) @ expansion.response_conj
-    return np.sum((h1.conj() * h1 + h.conj() * h2).real, axis=-1)
-
-
 def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
     """gain_eval's gain, bit for bit, and the slope 2 Re(h^H f slope_conj) at one position x."""
     return _point_read(expansion, x)[3]
@@ -265,20 +258,16 @@ def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
 def kept_gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float, float]:
     """gain_and_slope's pair at x, bit for bit, and the gain's second derivative, off
     one steering row and kept in expansion.points: for the positions that more than
-    one search or sweep value may read (the rest position, ee.grid_scan's added
-    points, ee.grid_max's polish probes and each scheme's reported position)."""
+    one search, sweep value or check may read (the rest position, ee.grid_scan's added
+    points, ee.grid_max's polish probes, each scheme's reported position, the checks' xs)."""
     found = expansion.points.get(x)
     if found is None:
         f, h, h1, pair = _point_read(expansion, x)
-        found = expansion.points[x] = (*pair, 2.0 * float(_half_second(expansion, f, h, h1)))
+        jk = 1j * expansion.wavenumbers
+        h2 = (f * (jk * jk)) @ expansion.response_conj  # h''
+        half = np.sum((h1.conj() * h1 + h.conj() * h2).real)  # g''/2 = |h'|^2 + Re(h^H h'')
+        found = expansion.points[x] = (*pair, 2.0 * float(half))
     return found
-
-
-def gain_second_derivative(expansion: GainExpansion, x) -> float | np.ndarray:
-    """d^2 gain/dx^2 = 2 (|h'|^2 + Re(h^H h'')) at position(s) x: the array form of
-    kept_gain_and_slope's third entry."""
-    return 2.0 * _over_positions(expansion, x, lambda f: _half_second(
-        expansion, f, f @ expansion.response_conj, f @ expansion.slope_conj))
 
 
 def _gram_row_blocks(expansion: GainExpansion):

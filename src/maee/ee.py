@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -333,9 +333,8 @@ def ee_upper_bound(expansion: channel.GainExpansion, params: SystemParams) -> EE
     the whole block is spent communicating and no movement energy accrues.
     The argmax is taken by grid_max of GAIN over the whole region, reachable
     or not, so the bound dominates every scheme. The formula reads a position
-    only through its travel from x0, so that record is the formula's at x0
-    itself with the peak's gain, reported at the peak.
+    only through its travel from x0, so that record is energy_efficiency's at
+    x0 itself with the peak's gain, reported at the peak.
     """
     x_bar, gain = grid_max(expansion, params, 0.0, params.region_length, GAIN)
-    ratio, rate, energy, feasible = _efficiency(params.initial_position, gain, params, _FLOAT_OPS)
-    return EEBreakdown(x=float(x_bar), ee=ratio, throughput=rate, energy=energy, feasible=feasible)
+    return replace(energy_efficiency(params.initial_position, gain, params), x=float(x_bar))

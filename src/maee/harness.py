@@ -163,7 +163,7 @@ def _send_share(conn, cfg: SweepConfig, share: int, workers: int, caller_end) ->
     conn.close()
 
 
-def _run_pooled(cfg: SweepConfig, workers: int) -> list[list[list[TrialRecord]]]:
+def _run_shares(cfg: SweepConfig, workers: int) -> list[list[list[TrialRecord]]]:
     """Every share's records: share 0 from this process, each other from its own child.
 
     Each child gets one one-way pipe and sends one message. The pipes are read
@@ -171,13 +171,14 @@ def _run_pooled(cfg: SweepConfig, workers: int) -> list[list[list[TrialRecord]]]
     records, which can outgrow the pipe's buffer, have been read. A child's
     exception is raised again here; a child that ends without a message raises
     a RuntimeError. If anything raises here, live children are terminated, and
-    no child, nor any descriptor of one, outlives the call.
+    no child, nor any descriptor of one, outlives the call. With one worker no
+    child starts and multiprocessing is not imported.
     """
-    import multiprocessing  # only a pooled sweep loads it
-
     children, pipes = [], []
     try:
         for share in range(1, workers):
+            import multiprocessing  # only a sweep that starts a child loads it
+
             receive, send = multiprocessing.Pipe(duplex=False)
             pipes.append(receive)
             child = multiprocessing.Process(
@@ -214,15 +215,15 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[TrialRecord], list[AggregateRow]]:
 
     Each trial builds its instance once and evaluates it at every sweep value.
     With workers = min(cfg.workers, cfg.trials), trial i belongs to share
-    i % workers. The calling process runs share 0; each other share runs in
-    its own child process, started by this call with one pipe for its
-    records (_run_pooled). A trial's exception, in any share, is raised
-    here, and no child outlives the call. Records are merged in
-    (value index, trial index) order, so the output is identical for any
+    i % workers. The calling process runs share 0; each other share runs in its
+    own child process, started by this call with one pipe for its records
+    (_run_shares), so one worker starts no child. A trial's exception, in any
+    share, is raised here, and no child outlives the call. Records are merged
+    in (value index, trial index) order, so the output is identical for any
     worker count.
     """
     workers = min(cfg.workers, cfg.trials)
-    shares = [_run_share(cfg, 0, 1)] if workers == 1 else _run_pooled(cfg, workers)
+    shares = _run_shares(cfg, workers)
     by_trial: list = [None] * cfg.trials
     for share, per_trial in enumerate(shares):
         by_trial[share::workers] = per_trial

@@ -44,12 +44,12 @@ def gain_forms(expansion: GainExpansion, params: SystemParams, xs) -> float:
 
 
 def derivatives(expansion: GainExpansion, params: SystemParams, xs) -> float:
-    """Each record's slope and second derivative against central differences of
-    its values, point by point: ee.GAIN's (channel.gain_and_slope's slope and
-    channel.gain_second_derivative, against channel.gain_eval) at xs, and
-    ee.RATE's and ee.EFFICIENCY's (ee.efficiency_derivatives, against
-    ee.efficiency_of_gains) at the reachable xs λ·1e-2 or more from x0 and
-    the reach ends.
+    """Each record's slope and second derivative against central differences of its
+    values, point by point: ee.GAIN's (channel.gain_and_slope's slope and
+    channel.kept_gain_and_slope's second derivative, the read ee.grid_max's
+    polish takes, against channel.gain_eval) at xs, and ee.RATE's and
+    ee.EFFICIENCY's (ee.efficiency_derivatives, against ee.efficiency_of_gains)
+    at the reachable xs λ·1e-2 or more from x0 and the reach ends.
 
     A slope takes steps of λ·1e-6 and may be off by 1e-4 of its size, a
     second derivative λ·1e-4 and 1e-3. A size is at least 1e-3 of the
@@ -69,8 +69,8 @@ def derivatives(expansion: GainExpansion, params: SystemParams, xs) -> float:
     rounding = eps * expansion.constant * (1.0 + np.abs(xs) * float(
         np.max(np.abs(expansion.wavenumbers))))
     gains = {step: channel.gain_eval(expansion, xs + step) for step in (-h2, -h1, 0.0, h1, h2)}
-    reads = [(*channel.gain_and_slope(expansion, x), second) for x, second
-             in zip(xs.tolist(), channel.gain_second_derivative(expansion, xs).tolist())]
+    reads = [(*channel.gain_and_slope(expansion, x),
+              channel.kept_gain_and_slope(expansion, x)[2]) for x in xs.tolist()]
     lo, hi, away = *ee.reach_interval(params), 100.0 * h2
     inside = np.flatnonzero((lo + away < xs) & (xs < hi - away) & (np.abs(xs - x0) > away))
     travel, ends = np.abs(xs[inside] - x0), np.abs(xs[inside]) + abs(x0)
@@ -100,10 +100,11 @@ def derivatives(expansion: GainExpansion, params: SystemParams, xs) -> float:
 
 
 def curvature_dominance(expansion: GainExpansion, params: SystemParams, xs) -> float:
-    """The gain's second derivative at xs at most expansion.curvature, the SCA
-    surrogate's constant C, within 1e-12 C plus the rounding floor."""
+    """The gain's second derivative at xs (channel.kept_gain_and_slope's) at most
+    expansion.curvature, the SCA surrogate's constant C, within 1e-12 C plus the rounding floor."""
     bound = expansion.curvature
-    return _margin(np.maximum(channel.gain_second_derivative(expansion, xs) - bound, 0.0),
+    seconds = [channel.kept_gain_and_slope(expansion, x)[2] for x in np.ravel(xs).tolist()]
+    return _margin(np.maximum(np.array(seconds) - bound, 0.0),
                    1e-12 * bound + _rounding_floor(expansion, 2))
 
 

@@ -50,7 +50,7 @@ subproblem returns its own center ends there, since the surrogate rebuilt at
 that point would be the one just solved. The surrogate's functions run once
 per Newton step, so they clamp by comparison, not by max. The subproblem
 takes the objective from the net it has read (the surrogate carries drift and
-floor), and a window with no cut inside is one piece, with no sort.
+floor).
 """
 
 from __future__ import annotations
@@ -248,34 +248,30 @@ def solve_subproblem(surrogate: _Surrogate, params: SystemParams, reach: tuple[f
     """Maximize the eliminated surrogate over the trust window around its center.
 
     reach is ee.reach_interval(params) and tol the root tolerance, wavelength
-    * ee.ROOT_TOL_WAVELENGTHS; both are fixed for a run. The window is
-    clipped to reach and cut at the rest position and at the ends of
-    surrogate.rate_span into pieces on which the surrogate is concave
-    (_piece_max). A new position must clear the rate
-    floor by FEASIBILITY_SLACK: the surrogate's own floor lies that much
-    below it, so that the center, whose net equals its true rate up to
-    rounding, stays admissible, and the margin above keeps a position found
-    on the floor's boundary from failing optimize's true-rate check by
-    rounding. Where beta = 0, net <= 0, so such a piece is skipped when that
-    target is positive. The candidates always include the center itself, so
-    the accepted objective never drops below the tangency value, and equal
-    values resolve to the smaller position. Returns the chosen position and
-    its surrogate objective, or None when no position in the window meets
-    the rate floor.
+    * ee.ROOT_TOL_WAVELENGTHS; both are fixed for a run. The window is clipped
+    to reach and cut at the rest position and at the ends of
+    surrogate.rate_span inside it into pieces on which the surrogate is
+    concave (_piece_max), one piece when no cut lies inside. A new position
+    must clear the rate floor by FEASIBILITY_SLACK: the surrogate's own floor
+    lies that much below it, so that the center, whose net equals its true
+    rate up to rounding, stays admissible, and the margin above keeps a
+    position found on the floor's boundary from failing optimize's true-rate
+    check by rounding. Where beta = 0, net <= 0, so such a piece is skipped
+    when that target is positive. The candidates always include the center
+    itself, so the accepted objective never drops below the tangency value,
+    and equal values resolve to the smaller position. Returns the chosen
+    position and its surrogate objective, or None when no position in the
+    window meets the rate floor.
     """
     center, x0 = surrogate.center, surrogate.x0
     half = TRUST_WINDOW_WAVELENGTHS * params.wavelength
     lo, hi = center - half, center + half  # clipped: max(lo, reach[0]), min(hi, reach[1])
     lo, hi = reach[0] if reach[0] > lo else lo, reach[1] if reach[1] < hi else hi
     span_lo, span_hi = surrogate.rate_span
-    if lo < hi and not (lo < x0 < hi or lo < span_lo < hi or lo < span_hi < hi):
-        pieces = ((lo, hi),)  # no cut inside the window, as once the iterate has left x0
-    else:
-        cuts = sorted({lo, hi, *(t for t in (x0, span_lo, span_hi) if lo < t < hi)})
-        pieces = zip(cuts, cuts[1:])
+    cuts = sorted({lo, hi, *(t for t in (x0, span_lo, span_hi) if lo < t < hi)})
     target = params.min_throughput + FEASIBILITY_SLACK
     best_x, best = center, surrogate.objective(center)
-    for a, b in pieces:
+    for a, b in zip(cuts, cuts[1:]):
         rate = span_lo < 0.5 * (a + b) < span_hi
         if not rate and target > 0.0:
             continue
@@ -292,27 +288,29 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     until the surrogate objective improves by no more than the tolerance, or
     a subproblem returns its own center (its surrogate, rebuilt there, would
     be the same and return the same step), then refreshes the estimate with
-    the true efficiency of the new iterate. The outer loop stops once the
-    estimate moves by less than the configured tolerance. An iterate that would lower
-    the estimate (possible only through the tiny slack floors), or that misses
-    the true rate floor (the surrogate allows FEASIBILITY_SLACK), is rejected
-    and treated as converged; this keeps the ratio sequence nondecreasing and
-    every accepted iterate feasible. Each iterate's channel is read once: its
-    gain and slope give both its efficiency record and the next surrogate.
-    The report carries the record computed when the last iterate was
-    accepted; nothing is evaluated again. The curvature constant is the
-    instance's, computed by its first run and kept on the expansion
-    (GainExpansion.curvature).
+    the true efficiency of the new iterate. The run converges once the
+    estimate moves by less than the configured tolerance, or when a
+    subproblem finds no position on the rate floor. An iterate that would
+    lower the estimate (possible only through the tiny slack floors), or that
+    misses the true rate floor (the surrogate allows FEASIBILITY_SLACK), is
+    rejected and treated as converged; this keeps the ratio sequence
+    nondecreasing and every accepted iterate feasible. A run that has not
+    converged after OUTER_CAP outer iterations ends with status
+    "iteration-cap"; iterations counts the outer iterations run. Each
+    iterate's channel is read once: its gain and slope give both its
+    efficiency record and the next surrogate. The report carries the record
+    computed when the last iterate was accepted; nothing is evaluated again.
+    The curvature constant is the instance's, computed by its first run and
+    kept on the expansion (GainExpansion.curvature).
 
     A start position violating the rate floor triggers one verified restart
     from the best feasible point of ee.grid_scan of ee.FEASIBLE_EFFICIENCY
     over the reach, unpolished: run_trial never runs the oracle, and starting
     at its polished answer moved the tight_power rows by up to 1.5e-7 of the
     efficiency. If no reachable position meets the floor the status is
-    "infeasible". When
-    the movement power is below the transmit power the run is flagged: the
-    travel slack then rewards movement inside the surrogate, a regime the
-    bound analysis does not cover.
+    "infeasible". When the movement power is below the transmit power the
+    run is flagged: the travel slack then rewards movement inside the
+    surrogate, a regime the bound analysis does not cover.
     """
     flagged = params.movement_power < params.max_tx_power
 
@@ -337,16 +335,12 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
     surrogate = build(params, x, gain, slope, result.ee, curvature)
     trace = [(0, x, result.ee, surrogate.objective(x))]
 
-    status = "iteration-cap"
-    outer_used = 0
+    status = "converged"
     for outer in range(1, OUTER_CAP + 1):
-        outer_used = outer
-        stalled = False
         inner_prev = -math.inf
         for _ in range(INNER_CAP):
             step = solve(surrogate, params, reach, tol)
             if step is None:
-                stalled = True
                 break
             x, objective = step
             if x == surrogate.center:
@@ -359,22 +353,19 @@ def optimize(expansion: channel.GainExpansion, params: SystemParams) -> SolverRe
             if improvement <= tolerance:
                 break
             surrogate = build(params, x, gain, slope, result.ee, curvature)
-        if stalled:
-            status = "converged"
+        if step is None:
             break
-
         checked = efficiency(x, gain, params)
         if checked.ee < result.ee or not checked.feasible:
-            # Slack artifact: keep the previous iterate and stop.
-            status = "converged"
-            break
+            break  # slack artifact: keep the previous iterate and stop
         trace.append((outer, x, checked.ee, objective))
         finished = abs(checked.ee - result.ee) <= tolerance
         result = checked
         if finished:
-            status = "converged"
             break
         surrogate = build(params, x, gain, slope, result.ee, curvature)
+    else:
+        status = "iteration-cap"
 
-    return SolverReport(result=result, iterations=outer_used, trace=trace,
+    return SolverReport(result=result, iterations=outer, trace=trace,
                         status=status, power_assumption_violated=flagged)

@@ -14,7 +14,6 @@ from maee.channel import (
     gain_and_slope,
     gain_eval,
     gain_lattice,
-    gain_second_derivative,
     gain_series,
     kept_gain_and_slope,
     sample_instance,
@@ -179,7 +178,6 @@ def test_gain_blocks_bounded_in_antennas_as_well_as_paths(monkeypatch):
     monkeypatch.setattr(channel, "_steering", recorded)
     xs = np.linspace(0.0, params.region_length, 101)
     gains = gain_eval(expansion, xs)
-    gain_second_derivative(expansion, xs)
     assert max(rows) * params.num_bs_antennas <= channel._BLOCK_ENTRIES
     assert np.allclose(gains, direct_gain(instance, params.wavelength, xs), rtol=1e-9)
     for num_paths in (10, 30):
@@ -279,9 +277,10 @@ def test_gain_series_builds_each_steering_block_once(monkeypatch):
 
 def test_kept_point_read_once_per_instance(params, monkeypatch):
     """kept_gain_and_slope reads a position once per instance, off one
-    steering row, and gives gain_and_slope's pair bit for bit and
-    gain_second_derivative's value; a copy made by dataclasses.replace starts
-    without the kept reads."""
+    steering row, and gives gain_and_slope's pair bit for bit and the second
+    derivative of the Gram series sum_ab Re(G_ba exp(j x (k_a - k_b))),
+    G = E E^H, within 1e-12 of the curvature bound; a copy made by
+    dataclasses.replace starts without the kept reads."""
     expansion = build_expansion(make_instance(2), params.wavelength)
     rows, original = [], channel._steering
 
@@ -293,8 +292,12 @@ def test_kept_point_read_once_per_instance(params, monkeypatch):
     first = kept_gain_and_slope(expansion, 0.0123)
     assert kept_gain_and_slope(expansion, 0.0123) is first
     assert rows == [0.0123] and expansion.points == {0.0123: first}
-    assert first == (*gain_and_slope(expansion, 0.0123),
-                     gain_second_derivative(expansion, 0.0123))
+    assert first[:2] == gain_and_slope(expansion, 0.0123)
+    entries, k = make_instance(2).entries, expansion.wavenumbers
+    spread = np.subtract.outer(k, k)  # k_a - k_b
+    series = -np.sum(((entries @ entries.conj().T).T * spread**2
+                      * np.exp(1j * 0.0123 * spread)).real)
+    assert abs(first[2] - series) <= 1e-12 * expansion.curvature
     copy = replace(expansion, constant=expansion.constant)
     assert copy.points == {} and copy == expansion
 
@@ -337,7 +340,7 @@ def test_gain_nonnegative(params):
 def test_gain_derivative_single_path_zero():
     expansion = build_expansion(single_path_instance(), 0.01)
     assert gain_and_slope(expansion, 0.004)[1] == 0.0
-    assert gain_second_derivative(expansion, 0.004) == 0.0
+    assert kept_gain_and_slope(expansion, 0.004)[2] == 0.0
 
 
 def test_gain_derivative_small_at_grid_peak(params):

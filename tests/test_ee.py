@@ -250,6 +250,30 @@ def test_efficiency_slopes_match_differences(seed, movement_power, params):
         assert np.all(np.abs(seconds - curvature) <= 1e-4 * scale / params.wavelength), (x, side)
 
 
+@pytest.mark.parametrize("fields, ends", [
+    # the free-movement sweep point whose polish read the reach end 5 mm
+    ({"speed": 0.001}, (0.005,)),
+    # exact binary fractions: both ends lie exactly v T from x0
+    ({"speed": 2.0**-10, "block_duration": 4.0, "initial_position": 2.0**-7},
+     (2.0**-8, 3 * 2.0**-8)),
+], ids=["sweep", "both-ends"])
+def test_zero_energy_reach_end_has_zero_efficiency(fields, ends, params):
+    """With free movement (P = 0) and no time left at the reach end, the block's
+    energy is 0: the efficiency there is 0, and so are its derivatives."""
+    params = replace(params, movement_power=0.0, min_throughput=0.0, **fields)
+    expansion = build_expansion(make_instance(0), params.wavelength)
+    assert [x for x in reach_interval(params) if x in ends] == list(ends)
+    for x in ends:
+        ratio, rate, energy, _ = efficiency_of_gains(x, kept_gain_and_slope(expansion, x)[0],
+                                                     params)
+        assert (ratio, rate, energy) == (0.0, 0.0, 0.0)
+        for side in (-1.0, 1.0):
+            rate_derivatives, ee_derivatives = efficiency_derivatives(
+                x, side, *kept_gain_and_slope(expansion, x), params)
+            assert ee_derivatives == (0.0, 0.0)
+            assert all(math.isfinite(d) for d in rate_derivatives)
+
+
 @pytest.mark.parametrize("interval", ["reach", "region"])
 def test_grid_max_ties_stay_at_rest(interval, params):
     """A constant objective, or one that beats the rest position by rounding

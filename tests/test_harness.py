@@ -322,19 +322,23 @@ def test_run_sweep_child_ends_when_its_caller_is_killed():
 
 
 def test_import_loads_no_process_pool():
-    """A 1-worker sweep never starts a pool, so importing maee does not load one;
-    a pooled sweep loads multiprocessing but not concurrent.futures."""
+    """A 1-worker sweep starts no child, so neither importing maee nor running
+    one loads multiprocessing; a pooled sweep loads it but not concurrent.futures."""
     code = ("import sys, maee, maee.cli\n"
             "loaded = lambda: ' '.join(m for m in ('multiprocessing', 'concurrent.futures', "
             "'concurrent.futures.process') if m in sys.modules)\n"
+            "sweep = lambda workers: maee.run_sweep(maee.SweepConfig(base=maee.SystemParams(), "
+            "sweep_variable='power', sweep_values=(1.0,), trials=2, schemes=('fpa',), "
+            "workers=workers))\n"
             "print(loaded())\n"
-            "maee.run_sweep(maee.SweepConfig(base=maee.SystemParams(), sweep_variable='power', "
-            "sweep_values=(1.0,), trials=2, schemes=('fpa',), workers=2))\n"
+            "sweep(1)\n"
+            "print(loaded())\n"
+            "sweep(2)\n"
             "print(loaded())\n")
     done = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n") == ["", "multiprocessing", ""], done.stdout
+    assert done.stdout.split("\n") == ["", "", "multiprocessing", ""], done.stdout
 
 
 @pytest.mark.parametrize("variable, values, per_trial", [

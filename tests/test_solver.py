@@ -578,6 +578,19 @@ def test_optimize_bracketing_and_monotone(seed, params):
     assert solver_bracketing(expansion, params) == 0.0
 
 
+def test_optimize_at_the_outer_cap_reports_iteration_cap(params, monkeypatch):
+    """A run stopped by OUTER_CAP reads status "iteration-cap" with iterations
+    equal to the cap, and carries the iterates the uncapped run accepted first."""
+    expansion = build_expansion(make_instance(3), params.wavelength)
+    uncapped = optimize(expansion, params)
+    assert uncapped.status == "converged" and uncapped.iterations >= 2
+    monkeypatch.setattr(solver, "OUTER_CAP", 1)
+    capped = optimize(expansion, params)
+    assert capped.status == "iteration-cap" and capped.iterations == 1
+    assert capped.trace == uncapped.trace[:2]
+    assert capped.result.ee == capped.trace[-1][2]
+
+
 def test_optimize_report_consistency(params):
     expansion = build_expansion(make_instance(17), params.wavelength)
     report = optimize(expansion, params)
