@@ -37,7 +37,7 @@ print(f"rest position efficiency:    {ee_vals[np.argmin(np.abs(xs - params.initi
 print("\nwhy the grid stays below the ceiling: movement cost shows up in both")
 print("the residual communication time and the energy bill.")
 for x in (params.initial_position, x_bar, 0.0):
-    b = energy_efficiency(float(x), max(gain_eval(expansion, float(x)), 0.0), params)
+    b = energy_efficiency(float(x), gain_eval(expansion, float(x)), params)
     move_time = abs(b.x - params.initial_position) / params.speed
     print(f"  x={x / params.wavelength:5.2f} wl: move {move_time * 1e3:6.1f} ms, "
           f"rate {b.throughput:6.2f} bits/Hz, energy {b.energy * 1e3:6.2f} mJ, "
@@ -46,6 +46,6 @@ for x in (params.initial_position, x_bar, 0.0):
 # Start the block at the best-gain position: both inequalities behind the
 # ceiling become equalities, and the efficiency formula gives the ceiling itself.
 recentered = replace(params, initial_position=x_bar)
-attained = energy_efficiency(x_bar, max(gain_eval(expansion, x_bar), 0.0), recentered).ee
+attained = energy_efficiency(x_bar, gain_eval(expansion, x_bar), recentered).ee
 print(f"\nstarting at the peak attains the ceiling: {attained:.6f} vs {bound:.6f} "
       f"(rel diff {abs(attained - bound) / bound:.1e})")

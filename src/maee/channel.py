@@ -5,10 +5,13 @@ virtual arrival angle sin(elevation) cos(azimuth) and one complex response
 coefficient per base-station antenna. The channel at antenna position x is
 h(x) = f(x) conj(E), the conjugated path-response matrix applied to a
 unit-modulus steering vector f(x) whose phases grow linearly in x; the power
-gain is |h(x)|^2. Grids are worked through a block of positions at a time,
-and the curvature bound and the reference series read the path-pair Gram
-matrix E E^H a block of rows at a time, so memory stays bounded for any grid
-length or path count. On the uniform lattice m * spacing the steering row
+gain is |h(x)|^2. The gain has three forms: the point read, one steering row
+per position, which every search, scheme and check reads at a position; the
+lattice m * spacing, which every grid search reads; and the Gram series, the
+independent reference of the checks. The lattice and the series work through
+a block of positions at a time, and the curvature bound and the series read
+the path-pair Gram matrix E E^H a block of rows at a time, so memory stays
+bounded for any grid length or path count. On the lattice the steering row
 factors, f(m spacing) = f(q B spacing) * f(r spacing) for m = q B + r, so
 gain_lattice builds its rows from two small steering tables instead of one
 complex exponential per point and path.
@@ -23,10 +26,9 @@ import numpy as np
 
 from .params import SystemParams
 
-# Rows per block of a grid evaluation: _GAIN_BLOCK positions, fewer once the
-# block would hold more than _BLOCK_ENTRIES steering, channel or Gram entries,
-# so memory stays bounded whatever the grid length, L and N. No block has one
-# row, which BLAS rounds differently, so no gain depends on the grid's length.
+# Rows per block of the lattice or the series: _GAIN_BLOCK positions, fewer once
+# the block would hold more than _BLOCK_ENTRIES steering, channel or Gram
+# entries, so memory stays bounded whatever the grid length, L and N.
 _GAIN_BLOCK = 2048
 _BLOCK_ENTRIES = 32 * _GAIN_BLOCK
 # B, the rows of gain_lattice's table of steering rows f(r spacing), r < B. A
@@ -169,42 +171,17 @@ def _reduce_blocks(count: int, block: int, rows, reduce) -> np.ndarray:
     """reduce of the steering rows rows(start, stop) over 0 .. count - 1, block rows at a time."""
     out = np.empty(count)
     for start in range(0, count, block):
-        start = min(start, count - 2)  # a one-row tail takes the row before it too
         stop = min(start + block, count)
         out[start:stop] = reduce(rows(start, stop))
     return out
 
 
-def _over_positions(expansion: GainExpansion, x, reduce) -> float | np.ndarray:
-    """reduce of the steering rows at x: one vector for a float, blocks of rows for an array."""
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.size == 1:
-        value = reduce(_steering(expansion.wavenumbers, x_arr.item()))
-        out = np.full(x_arr.shape, value) if x_arr.ndim else value
-    else:
-        flat = x_arr.reshape(-1)
-        out = _reduce_blocks(flat.size, _block_rows(expansion), lambda start, stop: _steering(
-            expansion.wavenumbers, flat[start:stop, None]), reduce).reshape(x_arr.shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def _squared_norms(h) -> float | np.ndarray:
-    """|h|^2 of one channel vector h = f conj(E), or of each row of a block."""
-    if h.ndim == 1:
-        return np.vdot(h, h).real
-    rows = h.view(np.float64)
-    return np.einsum("ij,ij->i", rows, rows)
-
-
 def gain_eval(expansion: GainExpansion, x) -> float | np.ndarray:
-    """Channel power gain |f(x) conj(E)|^2 at position(s) x; exactly the constant for one path.
-
-    The array form that ee.efficiency_curve and the checks read; no search or scheme does.
-    """
-    if expansion.num_paths == 1:
-        out = np.full(np.shape(x), expansion.constant)
-        return float(out) if out.ndim == 0 else out
-    return _over_positions(expansion, x, lambda f: _squared_norms(f @ expansion.response_conj))
+    """Channel power gain |f(x) conj(E)|^2 at position(s) x: gain_and_slope's gain,
+    bit for bit, at each entry of x, for ee.efficiency_curve and the checks."""
+    xs = np.asarray(x, dtype=float)
+    out = np.reshape([_point_read(expansion, t)[3][0] for t in xs.ravel().tolist()], xs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def gain_lattice(expansion: GainExpansion, spacing: float, count: int) -> np.ndarray:
@@ -217,8 +194,9 @@ def gain_lattice(expansion: GainExpansion, spacing: float, count: int) -> np.nda
     one per point and path. A block of B rows or more is cut at multiples of
     B, so the products hold no rows beyond the block's; smaller blocks come
     only with over 2048 antennas, where two tables' worth of products stay
-    within the bound too. A one-row tail gets a row past the lattice rather
-    than the row before it. Point m gets the same gain at any count.
+    within the bound too. The lattice is built past count where its last
+    block would have one row, which BLAS rounds differently, and to two
+    points at least, so point m gets the same gain at any count.
     """
     if expansion.num_paths == 1:
         return np.full(count, expansion.constant)
@@ -233,10 +211,12 @@ def gain_lattice(expansion: GainExpansion, spacing: float, count: int) -> np.nda
         f = (_steering(wavenumbers, outer[:, None])[:, None] * inner).reshape(-1, inner.shape[1])
         return f[start - first * _LATTICE_INNER:stop - first * _LATTICE_INNER]
 
+    def squared_norms(f):
+        h = (f @ expansion.response_conj).view(np.float64)
+        return np.einsum("ij,ij->i", h, h)
+
     padded = max(count + (count % block == 1), 2)
-    lattice = _reduce_blocks(padded, block, rows,
-                             lambda f: _squared_norms(f @ expansion.response_conj))
-    return lattice[:count]
+    return _reduce_blocks(padded, block, rows, squared_norms)[:count]
 
 
 def _point_read(expansion: GainExpansion, x: float):
@@ -246,12 +226,13 @@ def _point_read(expansion: GainExpansion, x: float):
     one_path = expansion.num_paths == 1  # where f @ M takes numpy's own loop, not zgemv
     dot = np.matmul if one_path else np.dot  # np.dot: f @ M's zgemv with less overhead
     h, h1 = dot(f, expansion.response_conj), dot(f, expansion.slope_conj)
-    gain = expansion.constant if one_path else float(_squared_norms(h))
+    gain = expansion.constant if one_path else float(np.vdot(h, h).real)
     return f, h, h1, (gain, 2.0 * float(np.vdot(h, h1).real))
 
 
 def gain_and_slope(expansion: GainExpansion, x: float) -> tuple[float, float]:
-    """gain_eval's gain, bit for bit, and the slope 2 Re(h^H f slope_conj) at one position x."""
+    """The gain |h|^2 and its slope 2 Re(h^H f slope_conj) at one position x, off one
+    steering row: the point read, which gain_eval takes at each of its positions."""
     return _point_read(expansion, x)[3]
 
 
@@ -280,14 +261,19 @@ def _gram_row_blocks(expansion: GainExpansion):
 def gain_series(expansion: GainExpansion, x) -> float | np.ndarray:
     """Channel power gain at position(s) x as sum_{a,b} Re(G_ab exp(j x (k_b - k_a))).
 
-    The same function as gain_eval, built from the path pairs of the Gram
-    matrix G = E E^H instead of the channel vector: the reference maee check
-    and the tests compare gain_eval against. The optimizer does not use it.
-    Each block of steering rows is built once and read by every Gram row block.
+    The same function as the point read, built from the path pairs of the
+    Gram matrix G = E E^H instead of the channel vector: the reference maee
+    check and the tests compare gain_eval and the lattice against. The
+    optimizer does not use it. It works through blocks of positions, each
+    steering block built once and read by every Gram row block.
     """
-    return _over_positions(expansion, x, lambda f: sum(
-        np.sum(f[..., start:start + len(gram)].conj() * (f @ gram.T), axis=-1).real
-        for start, gram in _gram_row_blocks(expansion)))
+    x_arr = np.asarray(x, dtype=float)
+    flat = x_arr.reshape(-1)
+    out = _reduce_blocks(flat.size, _block_rows(expansion), lambda start, stop: _steering(
+        expansion.wavenumbers, flat[start:stop, None]), lambda f: sum(
+            np.sum(f[:, start:start + len(gram)].conj() * (f @ gram.T), axis=1).real
+            for start, gram in _gram_row_blocks(expansion))).reshape(x_arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def curvature_bound(expansion: GainExpansion) -> float:

@@ -44,10 +44,16 @@ class EEBreakdown:
     feasible: bool
 
 
+def _time_left(dist, params: SystemParams, ops):
+    """The time left T - dist / v, read as 0 within T * _MOVE_TIME_ROUNDING of 0."""
+    left = params.block_duration - dist / params.speed
+    return ops.where(left > params.block_duration * _MOVE_TIME_ROUNDING, left, 0.0)
+
+
 def _efficiency(xs, gains, params: SystemParams, ops):
-    """The efficiency formula, with ops giving maximum, log2 and where (numpy, or _FLOAT_OPS)."""
+    """The efficiency formula, with ops giving log2 and where (numpy, or _FLOAT_OPS)."""
     dist = abs(xs - params.initial_position)
-    time_left = ops.maximum(params.block_duration - dist / params.speed, 0.0)
+    time_left = _time_left(dist, params, ops)
     snr = params.max_tx_power * gains / params.noise_power
     rate = time_left * ops.log2(1.0 + snr)
     energy = params.move_energy_rate * dist + params.max_tx_power * time_left
@@ -55,9 +61,9 @@ def _efficiency(xs, gains, params: SystemParams, ops):
     return ratio, rate, energy, rate >= params.min_throughput
 
 
-# numpy's maximum, log2 and where on Python floats, for one position. The log is
-# numpy's, so a float gets the bits of the same entry of an array.
-_FLOAT_OPS = SimpleNamespace(maximum=max, log2=lambda value: float(np.log2(value)),
+# numpy's log2 and where on Python floats, for one position. The log is numpy's,
+# so a float gets the bits of the same entry of an array.
+_FLOAT_OPS = SimpleNamespace(log2=lambda value: float(np.log2(value)),
                              where=lambda condition, a, b: a if condition else b)
 
 
@@ -66,8 +72,9 @@ def efficiency_of_gains(xs, gains, params: SystemParams):
 
     The received SNR is P_t gain / noise_power, full-power MRC transmission
     toward the user. Any spot the antenna cannot reach within the block gets
-    zero communication time. Where the energy is zero (free movement and no
-    time left) the rate is zero too, and the efficiency is defined as 0.
+    zero communication time, as does a time left within T * _MOVE_TIME_ROUNDING
+    of 0 (_time_left). Where the energy is zero (free movement and no time
+    left) the rate is zero too, and the efficiency is defined as 0.
     """
     return _efficiency(xs, gains, params, np)
 
@@ -82,11 +89,11 @@ def efficiency_derivatives(x: float, side: float, gain: float, gain_slope: float
     derivatives. The time left t and the energy E are affine on each side,
     so with S = log2(1 + c g), c = P_t/σ², rate'' = 2 t' S' + t S'' and
     ee'' = (rate'' - 2 ee' E') / E. S'' is written with c g'/(1 + c g), not
-    (1 + c g)^2, which overflows at large P_t. Where the energy is zero the
-    efficiency is 0, and so are its derivatives.
+    (1 + c g)^2, which overflows at large P_t. Where the energy is zero (t
+    read as in efficiency_of_gains) the efficiency is 0, and so are its derivatives.
     """
     dist = abs(x - params.initial_position)
-    time_left = max(params.block_duration - dist / params.speed, 0.0)
+    time_left = _time_left(dist, params, _FLOAT_OPS)
     time_slope = -side / params.speed
     snr_ratio = params.max_tx_power / params.noise_power
     spread = 1.0 + snr_ratio * gain

@@ -146,7 +146,7 @@ def _build_surrogate(params: SystemParams, center: float, gain: float, gain_slop
     value, slope = params.max_tx_power * gain, params.max_tx_power * gain_slope
     half = 0.5 * curvature
     delta_local = max(abs(center - x0), params.wavelength * DELTA_FLOOR_WAVELENGTHS)
-    gamma_local = max(math.log2(1.0 + max(value, 0.0) / noise), GAMMA_FLOOR)
+    gamma_local = max(math.log2(1.0 + value / noise), GAMMA_FLOOR)
     coef_delta = 0.5 * (gamma_local / delta_local)
     coef_gamma = 0.5 * (delta_local / gamma_local)
     level = noise * 2.0 ** gamma_local

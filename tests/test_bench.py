@@ -16,7 +16,7 @@ from maee.bench import (
     scheme_proposed,
     scheme_upper_bound,
 )
-from maee.channel import build_expansion, gain_eval, sample_instance
+from maee.channel import PathResponseMatrix, build_expansion, gain_eval, sample_instance
 from maee.ee import (
     EFFICIENCY,
     FEASIBLE_EFFICIENCY,
@@ -29,7 +29,7 @@ from maee.ee import (
     grid_scan,
     reach_interval,
 )
-from maee.harness import load_config
+from maee.harness import load_config, mix_seed
 from maee.invariants import solver_bracketing
 from maee.params import SystemParams
 from maee.solver import optimize
@@ -338,3 +338,22 @@ def test_searches_on_one_expansion_share_one_gain_grid(config, gain_reads):
     ee_upper_bound(expansion, params)
     assert gain_reads.lattices == [int(params.region_length / (params.wavelength / 500)) + 2]
     assert gain_reads.evals == []
+
+
+def test_free_movement_mirror_keeps_max_snr_and_oracle():
+    """Reflecting the environment about A/2 (virtual angles negated, path row l
+    of E times exp(-j k_l A)) maps the gain at x to the gain at A - x; with x0 at
+    A/2 it leaves max_snr's and the oracle's efficiency unchanged within 1e-9
+    relative. On free movement (P = 0 W, v = 0.001 m/s, R_TH = 0) both reach
+    ends have no time left, so neither end delivers anything."""
+    params = SystemParams(movement_power=0.0, speed=0.001, min_throughput=0.0)
+    assert params.region_length - params.initial_position == params.initial_position
+    for i in range(100):
+        instance = sample_instance(params, np.random.default_rng(mix_seed(0, i)))
+        k = 2.0 * np.pi / params.wavelength * instance.virtual_aoa
+        turn = np.exp(-1j * k * params.region_length)[:, None]
+        mirror = PathResponseMatrix(instance.entries * turn, -instance.virtual_aoa)
+        for scheme in (scheme_max_snr, grid_global_ee):
+            found, mirrored = (scheme(build_expansion(environment, params.wavelength), params).ee
+                               for environment in (instance, mirror))
+            assert mirrored == pytest.approx(found, rel=1e-9, abs=0.0), (i, scheme.__name__)

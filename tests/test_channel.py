@@ -144,17 +144,20 @@ def test_gain_eval_matches_direct_evaluation(seed, params):
     assert np.all(np.abs(series - direct) <= 1e-9 * expansion.constant)
 
 
-@pytest.mark.parametrize("points, num_paths", [(8001, 60), (40001, 60), (8001, 2000)],
-                         ids=["8001", "40001", "8001-L2000"])
-def test_gain_eval_memory_bounded(points, num_paths):
-    # numpy reports its buffers to tracemalloc; the blocked evaluation keeps
-    # the peak independent of the grid length and the path count.
+@pytest.mark.parametrize("form, points, num_paths", [
+    (gain_eval, 8001, 60), (gain_eval, 40001, 60), (gain_eval, 8001, 2000),
+    (gain_series, 8001, 60), (gain_series, 40001, 60), (gain_series, 1001, 2000)],
+    ids=["8001", "40001", "8001-L2000", "series-8001", "series-40001", "series-1001-L2000"])
+def test_gain_eval_memory_bounded(form, points, num_paths):
+    # numpy reports its buffers to tracemalloc; the point read of each position
+    # and the series' blocks keep the peak independent of the grid length and
+    # the path count.
     params = SystemParams(num_paths=num_paths)
     expansion = build_expansion(make_instance(0, params), params.wavelength)
     xs = np.linspace(0.0, 16 * params.wavelength, points)
     tracemalloc.start()
     try:
-        gains = gain_eval(expansion, xs)
+        gains = form(expansion, xs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -163,9 +166,10 @@ def test_gain_eval_memory_bounded(points, num_paths):
 
 
 def test_gain_blocks_bounded_in_antennas_as_well_as_paths(monkeypatch):
-    """A block of positions holds at most _BLOCK_ENTRIES channel entries
-    (rows x N) as well as steering entries (rows x L): at N = 4096 a block
-    takes 16 rows, not 2048. Default shapes keep 2048-row blocks."""
+    """A block of positions of the series holds at most _BLOCK_ENTRIES channel
+    entries (rows x N) as well as steering entries (rows x L): at N = 4096 a
+    block takes 16 rows, not 2048; gain_eval reads one row at a time. Default
+    shapes keep 2048-row blocks."""
     params = SystemParams(num_bs_antennas=4096, num_paths=2)
     instance = make_instance(0, params)
     expansion = build_expansion(instance, params.wavelength)
@@ -177,9 +181,11 @@ def test_gain_blocks_bounded_in_antennas_as_well_as_paths(monkeypatch):
 
     monkeypatch.setattr(channel, "_steering", recorded)
     xs = np.linspace(0.0, params.region_length, 101)
-    gains = gain_eval(expansion, xs)
-    assert max(rows) * params.num_bs_antennas <= channel._BLOCK_ENTRIES
-    assert np.allclose(gains, direct_gain(instance, params.wavelength, xs), rtol=1e-9)
+    for form, most in ((gain_eval, 1), (gain_series, 16)):
+        rows.clear()
+        gains = form(expansion, xs)
+        assert max(rows) == most and most * params.num_bs_antennas <= channel._BLOCK_ENTRIES
+        assert np.allclose(gains, direct_gain(instance, params.wavelength, xs), rtol=1e-9)
     for num_paths in (10, 30):
         default = SystemParams(num_paths=num_paths)
         assert channel._block_rows(
@@ -303,11 +309,20 @@ def test_kept_point_read_once_per_instance(params, monkeypatch):
 
 
 def test_gain_and_slope_gain_equals_gain_eval_bit_for_bit(params):
-    for seed, num_paths in ((0, 10), (1, 1), (2, 30)):
+    """gain_eval gives gain_and_slope's gain, bit for bit, at every entry of a
+    float, a 0-d array, 1-D and 2-D arrays and an empty array, in x's shape."""
+    xs = np.linspace(0.0, params.region_length, 1001)
+    for seed, num_paths in ((0, 10), (1, 1), (2, 30), (3, 200)):
         scenario = SystemParams(num_paths=num_paths)
         expansion = build_expansion(make_instance(seed, scenario), params.wavelength)
         for x in (0.0, 0.0031, np.float64(0.0123), params.region_length):
             assert gain_and_slope(expansion, x)[0] == gain_eval(expansion, x)
+        for x in (np.array(0.0123), xs, xs[:1000].reshape(40, 25), np.zeros((0, 3))):
+            gains = gain_eval(expansion, x)
+            assert np.shape(gains) == np.shape(x)
+            assert np.ravel(gains).tolist() == [gain_and_slope(expansion, t)[0]
+                                                for t in np.ravel(x).tolist()]
+        assert type(gain_eval(expansion, np.array(0.0123))) is float
 
 
 @pytest.mark.parametrize("num_paths", [1, 10, 30])

@@ -10,10 +10,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from maee import channel, cli, harness, invariants, solver
+from maee import channel, cli, ee, harness, invariants, solver
 from maee.cli import build_parser, cli_main
 from maee.harness import parse_config_text
 from maee.params import (MAX_BS_ANTENNAS, MAX_PATHS, MAX_REGION_WAVELENGTHS, MAX_RESPONSE_ENTRIES,
@@ -409,6 +410,42 @@ def test_check_derivatives_scale_with_wavelength(wavelength, paths, tmp_path, ca
     assert code == 0, out + err
     assert "ok trial=2 derivative consistency" in out
     assert "ok trial=2 curvature dominance" in out
+
+
+@pytest.mark.parametrize("fields", [
+    {"max_tx_power": 3e-6}, {"max_tx_power": 1e-6}, {"max_tx_power": 1e-9},
+    {"max_tx_power": 1e-20}, {"max_tx_power": 1e-40}, {"distance": 2000.0},
+    {"noise_power": 1e-6}], ids=["P_t-3e-6", "P_t-1e-6", "P_t-1e-9", "P_t-1e-20", "P_t-1e-40",
+                                 "d-2000", "sigma2-minus-30-dBm"])
+def test_check_derivatives_pass_at_low_snr(fields):
+    """log2(1 + snr) rounds 1 + snr first, ~eps/(2 ln 2) bits/Hz at any SNR, and
+    at P_t <= 1e-20 W the rate rounds to exactly 0: the derivative check allows
+    that rounding, so these valid scenarios pass on the seeds maee check reads."""
+    params = SystemParams(**fields)
+    xs = np.linspace(0.0, params.region_length, 1001)
+    for seed in range(3):
+        assert invariants.derivatives(harness.instance_for(params, seed), params, xs) <= 1.0
+
+
+@pytest.mark.parametrize("power", [0.01, 1e-6], ids=["default", "P_t-1e-6"])
+@pytest.mark.parametrize("record, order, error", [
+    (0, 0, 1e-2), (0, 1, 1e-2), (1, 0, 1e-2), (1, 1, 1e-2), (0, 0, 1e-3), (1, 0, 1e-3)],
+    ids=["rate-slope-1%", "rate-second-1%", "ee-slope-1%", "ee-second-1%",
+         "rate-slope-0.1%", "ee-slope-0.1%"])
+def test_check_derivatives_fail_a_scaled_derivative(power, record, order, error, monkeypatch):
+    """The rounding the derivative check allows leaves it able to see a 1% error
+    in any of rate', rate'', ee' and ee'', and a 0.1% error in either slope."""
+    original = ee.efficiency_derivatives
+
+    def scaled(*args):
+        found = [list(pair) for pair in original(*args)]
+        found[record][order] *= 1.0 + error
+        return tuple(map(tuple, found))
+
+    monkeypatch.setattr(ee, "efficiency_derivatives", scaled)
+    params = SystemParams(max_tx_power=power)
+    xs = np.linspace(0.0, params.region_length, 1001)
+    assert invariants.derivatives(harness.instance_for(params, 0), params, xs) > 1.0
 
 
 def test_check_without_trials_exits_2(capsys):

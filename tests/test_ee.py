@@ -253,13 +253,17 @@ def test_efficiency_slopes_match_differences(seed, movement_power, params):
 @pytest.mark.parametrize("fields, ends", [
     # the free-movement sweep point whose polish read the reach end 5 mm
     ({"speed": 0.001}, (0.005,)),
+    # both ends of that sweep point: 0.015 - 0.01 rounds below v T, leaving
+    # 8.9e-16 s, rounding the block cannot use
+    ({"speed": 0.001}, (0.005, 0.015)),
     # exact binary fractions: both ends lie exactly v T from x0
     ({"speed": 2.0**-10, "block_duration": 4.0, "initial_position": 2.0**-7},
      (2.0**-8, 3 * 2.0**-8)),
-], ids=["sweep", "both-ends"])
+], ids=["sweep", "sweep-both-ends", "both-ends"])
 def test_zero_energy_reach_end_has_zero_efficiency(fields, ends, params):
-    """With free movement (P = 0) and no time left at the reach end, the block's
-    energy is 0: the efficiency there is 0, and so are its derivatives."""
+    """With free movement (P = 0) and no time left at the reach end, up to
+    T * 1e-12 of move-time rounding, the block's energy is 0: the efficiency
+    there is 0, and so are its derivatives."""
     params = replace(params, movement_power=0.0, min_throughput=0.0, **fields)
     expansion = build_expansion(make_instance(0), params.wavelength)
     assert [x for x in reach_interval(params) if x in ends] == list(ends)
